@@ -5,7 +5,7 @@ based resilient estimation."""
 from .attacks import (AttackPlan, AttackRecursion, CompromisedState,
                       SignalSpec, compromised_step, corrupt_channel,
                       corrupt_measurement, craft_non_triggering, craft_replay)
-from .detection import (DetectorConfig, InnovationWindow, detect, estimate_kl,
+from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
                         knn_distance, neighbor_innovation,
                         nominal_reference_window)
 from .errors import ConfigurationError, NumericalError, ValidationError

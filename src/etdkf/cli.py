@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigurationError, ValidationError
 from .scenario import ScenarioConfig, get_preset, list_presets
-from .simulate import compute_metrics, load_trace_csv, run_scenario, write_run_dir
+from .simulate import (SimTrace, compute_metrics, load_trace_csv, metrics_json,
+                       run_scenario, write_run_dir)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -84,10 +84,8 @@ def main(argv=None) -> int:
             node_rows, edge_rows = load_trace_csv(
                 os.path.join(args.run_dir, "nodes.csv"),
                 os.path.join(args.run_dir, "edges.csv"))
-            from .simulate import SimTrace
             trace = SimTrace(config=cfg, node_rows=node_rows, edge_rows=edge_rows)
-            report = compute_metrics(trace)
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+            print(metrics_json(compute_metrics(trace)))
             return 0
     except (ConfigurationError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

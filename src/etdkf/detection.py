@@ -10,11 +10,14 @@ query point is treated as the query itself and skipped once, so two pointwise
 identical windows evaluate to exactly log(n2/(n1-1)). Distances are floored at
 `epsilon_d` to keep the logarithms finite for duplicated samples (replayed
 residuals produce those).
+
+`estimate_kl` evaluates one pair of sample sets. `KnnWindowBank` keeps the
+sliding windows of a whole network and updates their distance matrices by one
+row and column per step; its estimates equal `estimate_kl`'s bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,29 +54,52 @@ class DetectorConfig:
             raise ConfigurationError(f"unknown reference mode {self.reference!r}")
 
 
-class InnovationWindow:
-    """Fixed-capacity FIFO of p-dimensional residual samples."""
+def pairwise_distances(X, Z) -> np.ndarray:
+    """Euclidean distances between the rows of X (..., n1, m) and Z (..., n2, m).
 
-    def __init__(self, dim: int, capacity: int):
-        self.dim = int(dim)
-        self.capacity = int(capacity)
-        self._buf = deque(maxlen=self.capacity)
+    Returns (..., n1, n2), bit-identical to
+    `np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)` but
+    computed one coordinate plane at a time: `add.reduce` over a short last
+    axis costs more than the arithmetic. It sums fewer than 8 terms left to
+    right, which the plane sum repeats; longer axes are summed pairwise, so
+    they go through `norm` itself.
+    """
+    X = np.asarray(X, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    m = X.shape[-1]
+    if m >= 8:
+        return np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)
+    total = None
+    for c in range(m):
+        d = X[..., :, None, c] - Z[..., None, :, c]
+        d *= d
+        total = d if total is None else total + d
+    return np.sqrt(total)
 
-    def push(self, sample) -> None:
-        s = np.asarray(sample, dtype=float).reshape(-1)
-        if s.shape != (self.dim,):
-            raise ConfigurationError(f"sample dim {s.shape} != {self.dim}")
-        self._buf.append(s)
 
-    def __len__(self):
-        return len(self._buf)
+def kth_neighbor_distance(D, k_nn: int) -> np.ndarray:
+    """k-th smallest entry along the last axis of a distance matrix D.
 
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.capacity
+    A row holding an exact zero (the query itself, or a coincident copy of it)
+    has one such entry skipped, so it reads the (k+1)-th smallest instead.
+    Needs more than `k_nn` entries per row.
+    """
+    # A full sort: on x86 numpy sorts float rows with SIMD kernels, which
+    # measured faster than np.partition for w = 10-160, and the zero test then
+    # reads one column instead of reducing over the k smallest.
+    S = np.sort(D, axis=-1)
+    return np.where(S[..., 0] == 0.0, S[..., k_nn], S[..., k_nn - 1])
 
-    def samples(self) -> np.ndarray:
-        return np.array(self._buf, dtype=float).reshape(len(self._buf), self.dim)
+
+def _divergence(d_x, d_z, n2: int, epsilon_d: float, m: int):
+    """(m/n1) sum_i log(dZ_k(i)/dX_k(i)) + log(n2/(n1-1)) over the last axis.
+
+    The logs are summed in the order given, so callers pass the query rows in
+    chronological order on a C-contiguous last axis.
+    """
+    n1 = d_x.shape[-1]
+    ratio = np.maximum(d_z, epsilon_d) / np.maximum(d_x, epsilon_d)
+    return m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
 
 
 def knn_distance(samples, index: int, k_nn: int, epsilon_d: float = 1e-12) -> float:
@@ -95,28 +121,116 @@ def estimate_kl(X, Z, k_nn: int, dim: int | None = None, epsilon_d: float = 1e-1
         raise ConfigurationError(f"declared dim {dim} != sample dim {m}")
     if Z.shape[1] != m:
         raise ConfigurationError(f"X dim {m} != Z dim {Z.shape[1]}")
-    if n1 <= k_nn or n2 < k_nn:
+    if n1 <= k_nn or n2 <= k_nn:
         raise ConfigurationError(
             f"degenerate windows: n1={n1}, n2={n2} too small for k_nn={k_nn}"
         )
+    # The zero on the within-X diagonal is the query itself; a zero among the
+    # cross distances is its coincident copy. Either is skipped once.
+    d_x = kth_neighbor_distance(pairwise_distances(X, X), k_nn)
+    d_z = kth_neighbor_distance(pairwise_distances(X, Z), k_nn)
+    return float(_divergence(d_x, d_z, n2, epsilon_d, m))
 
-    # Within-X distances, query excluded via +inf on the diagonal.
-    dxx = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-    np.fill_diagonal(dxx, np.inf)
-    d_x = np.partition(dxx, k_nn - 1, axis=1)[:, k_nn - 1]
 
-    # Cross distances into Z; drop one exact-zero match per query (coincident copy).
-    dxz = np.linalg.norm(X[:, None, :] - Z[None, :, :], axis=2)
-    zero_hit = dxz == 0.0
-    has_zero = zero_hit.any(axis=1)
-    if has_zero.any():
-        first_zero = np.argmax(zero_hit, axis=1)
-        dxz[has_zero, first_zero[has_zero]] = np.inf
-    d_z = np.partition(dxz, k_nn - 1, axis=1)[:, k_nn - 1]
+class KnnWindowBank:
+    """Sliding k-NN divergence estimates for a stack of innovation windows.
 
-    d_x = np.maximum(d_x, epsilon_d)
-    d_z = np.maximum(d_z, epsilon_d)
-    return float(m / n1 * np.sum(np.log(d_z / d_x)) + np.log(n2 / (n1 - 1)))
+    Row b of the bank is one window of `dim`-dimensional samples. Each `push`
+    gives every row one sample, written to ring slot `count % window`, which
+    evicts the oldest once the ring is full. The within-window distances of
+    all rows live in a ring-indexed (rows, w, w) matrix, and a push writes
+    only the new sample's row and column of it. With a sliding reference,
+    each push also carries every row's newest reference sample, and the cross
+    distances are kept the same way. Otherwise `estimates` takes freshly
+    drawn reference windows and computes all rows' cross distances at once.
+
+    `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
+    order, against its reference window, bit for bit.
+    """
+
+    def __init__(self, rows: int, dim: int, window: int, k_nn: int,
+                 epsilon_d: float = 1e-12, sliding_reference: bool = False):
+        if not 1 <= k_nn < window:
+            raise ConfigurationError(
+                f"need 1 <= k_nn < window, got k_nn={k_nn}, window={window}")
+        self.dim = int(dim)
+        self.window = int(window)
+        self.k_nn = int(k_nn)
+        self.epsilon_d = epsilon_d
+        self.count = 0
+        self._x = np.zeros((rows, self.window, self.dim))
+        self._dxx = np.zeros((rows, self.window, self.window))
+        self._z = self._dxz = None
+        if sliding_reference:
+            self._z = np.zeros_like(self._x)
+            self._dxz = np.zeros_like(self._dxx)
+
+    def __len__(self):
+        return min(self.count, self.window)
+
+    @property
+    def full(self) -> bool:
+        return self.count >= self.window
+
+    def _one_per_row(self, samples) -> np.ndarray:
+        s = np.asarray(samples, dtype=float)
+        if s.shape != (len(self._x), self.dim):
+            raise ConfigurationError(
+                f"samples of shape {s.shape} for {len(self._x)} rows of dim {self.dim}")
+        return s
+
+    def push(self, samples, reference=None) -> None:
+        """Append one sample per row, (rows, dim), and with a sliding reference
+        one reference sample per row as well."""
+        x = self._one_per_row(samples)
+        if (reference is None) != (self._z is None):
+            raise ConfigurationError(
+                "a reference sample goes with every push to a sliding-reference bank, "
+                "and only to one")
+        z = None if reference is None else self._one_per_row(reference)
+        s = self.count % self.window
+        self._x[:, s] = x
+        d = pairwise_distances(x[:, None], self._x)[:, 0]
+        self._dxx[:, s, :] = d
+        self._dxx[:, :, s] = d
+        if z is not None:
+            self._z[:, s] = z
+            self._dxz[:, s, :] = pairwise_distances(x[:, None], self._z)[:, 0]
+            self._dxz[:, :, s] = pairwise_distances(self._x, z[:, None])[..., 0]
+        self.count += 1
+
+    def _chronological(self, a, axis: int = -1) -> np.ndarray:
+        # Once the ring is full, slot `count % window` holds the oldest sample.
+        shift = -(self.count % self.window) if self.full else 0
+        return np.ascontiguousarray(np.roll(a, shift, axis=axis))
+
+    def samples(self) -> np.ndarray:
+        """The windows in chronological order, (rows, len, dim)."""
+        return self._chronological(self._x[:, :len(self)], axis=1)
+
+    def estimates(self, reference=None) -> np.ndarray:
+        """One divergence estimate per row, (rows,); needs a full ring.
+
+        `reference` is (rows, n2, dim), each row's freshly drawn reference
+        window; a sliding-reference bank uses its own ring instead.
+        """
+        if not self.full:
+            raise ConfigurationError(f"windows hold {len(self)} of {self.window} samples")
+        if self._z is not None:
+            if reference is not None:
+                raise ConfigurationError("a sliding-reference bank takes no reference window")
+            dxz, n2 = self._dxz, self.window
+        else:
+            Z = np.asarray(reference, dtype=float)
+            if Z.ndim != 3 or Z.shape[0] != len(self._x) or Z.shape[2] != self.dim \
+                    or Z.shape[1] <= self.k_nn:
+                raise ConfigurationError(
+                    f"reference of shape {Z.shape} for {len(self._x)} rows of dim "
+                    f"{self.dim} and k_nn={self.k_nn}")
+            dxz, n2 = pairwise_distances(self._x, Z), Z.shape[1]
+        d_x = self._chronological(kth_neighbor_distance(self._dxx, self.k_nn))
+        d_z = self._chronological(kth_neighbor_distance(dxz, self.k_nn))
+        return _divergence(d_x, d_z, n2, self.epsilon_d, self.dim)
 
 
 def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:

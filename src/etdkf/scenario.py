@@ -110,6 +110,11 @@ class ScenarioConfig:
             if plan.onset >= self.steps and self.steps > 0:
                 warnings.append(f"{label}: onset {plan.onset} beyond run end {self.steps}")
 
+        if self.detector.window > self.steps > 0:
+            warnings.append(
+                f"detector window {self.detector.window} exceeds the run's {self.steps} "
+                f"steps: no window fills, so phi and psi stay NaN and nothing is detected")
+
         if not errors and self.filter_mode == "resilient":
             compromised = {p.node for p in self.attacks if p.node is not None}
             status = assumption4_satisfied(self.graph, compromised)

@@ -24,8 +24,8 @@ import numpy as np
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
-from .detection import (DivergenceTracker, InnovationWindow, estimate_kl,
-                        neighbor_innovation, nominal_reference_window)
+from .detection import (DivergenceTracker, KnnWindowBank, neighbor_innovation,
+                        nominal_reference_window)
 from .errors import ConfigurationError
 from .filtering import (NodeEstimator, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
@@ -66,9 +66,6 @@ class SimTrace:
     def edge_series(self, column: str, node: int, neighbor: int) -> np.ndarray:
         return np.array([r[column] for r in self.edge_rows
                          if r["node"] == node and r["neighbor"] == neighbor])
-
-    def steps_recorded(self) -> int:
-        return 0 if not self.node_rows else self.node_rows[-1]["step"] + 1
 
 
 @dataclass
@@ -158,13 +155,21 @@ def _engine(cfg, twin, lite: bool):
         else:
             node_plans[plan.node].append((idx, plan))
 
-    windows = {i: InnovationWindow(sensors[i].p, det.window) for i in nodes}
-    edge_windows = {(i, j): InnovationWindow(sensors[i].p, det.window)
-                    for i in nodes for j in nbrs[i]
-                    if sensors[i].p == sensors[j].p}
-    trackers = {i: DivergenceTracker(det) for i in nodes}
-    edge_trackers = {e: DivergenceTracker(det) for e in edge_windows}
-    beliefs = BeliefState(nodes, list(edge_windows), cfg.resilient)
+    # Detector windows: (i, i) holds node i's innovations, (i, j) its residuals
+    # against neighbor j's estimate (equal channel counts only); both compare
+    # with node i's reference. One bank per sensor dimension holds them as rows.
+    win_keys = [(i, j) for i in nodes for j in [i] + nbrs[i]
+                if sensors[j].p == sensors[i].p]
+    edge_keys = [key for key in win_keys if key[0] != key[1]]
+    bank_keys = {}
+    for key in win_keys:
+        bank_keys.setdefault(sensors[key[0]].p, []).append(key)
+    shadow = det.reference == "shadow"
+    banks = {dim: KnnWindowBank(len(keys), dim, det.window, det.k_nn, det.epsilon_d,
+                                sliding_reference=shadow)
+             for dim, keys in bank_keys.items()}
+    trackers = {key: DivergenceTracker(det) for key in win_keys}
+    beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
     from .resilience import assumption4_satisfied
     a4 = assumption4_satisfied(cfg.graph, cfg.compromised_nodes())
@@ -255,32 +260,32 @@ def _engine(cfg, twin, lite: bool):
         d_node = {i: float("nan") for i in nodes}
         d_edge = {}
         if not lite:
-            for i in nodes:
-                windows[i].push(r[i])
-                for j in nbrs[i]:
-                    if (i, j) in edge_windows:
-                        edge_windows[(i, j)].push(
-                            neighbor_innovation(y[i], sensors[j].C, stored[i][j]))
-            for i in nodes:
-                ref = _reference_window(cfg, det, twin, innovations_rec, i, k,
-                                        ests[i], sensors[i], noise)
-                if ref is not None and windows[i].full:
-                    d_node[i] = estimate_kl(windows[i].samples(), ref, det.k_nn,
-                                            epsilon_d=det.epsilon_d)
-                    phi_val[i] = trackers[i].update(k, d_node[i])
-                    flag[i] = trackers[i].flags[-1][1]
-                for j in nbrs[i]:
-                    key = (i, j)
-                    if key not in edge_windows:
-                        continue
-                    if ref is not None and edge_windows[key].full:
-                        d_edge[key] = estimate_kl(edge_windows[key].samples(), ref,
-                                                  det.k_nn, epsilon_d=det.epsilon_d)
-                        psi_val[key] = edge_trackers[key].update(k, d_edge[key])
-                        edge_flag[key] = edge_trackers[key].flags[-1][1]
+            # The shadow reference slides with the windows (the twin's
+            # innovations, or the node's own without a twin); the other modes
+            # draw a fresh window for every node at every step.
+            if shadow:
+                source = twin.innovations if twin is not None else innovations_rec
+            else:
+                fresh = {i: _reference_window(det, twin, i, ests[i], sensors[i], noise)
+                         for i in nodes}
+            for dim, keys in bank_keys.items():
+                bank = banks[dim]
+                bank.push([r[i] if i == j else
+                           neighbor_innovation(y[i], sensors[j].C, stored[i][j])
+                           for i, j in keys],
+                          [source[i][k] for i, _ in keys] if shadow else None)
+                if not bank.full:
+                    continue
+                est = bank.estimates(None if shadow else
+                                     np.stack([fresh[i] for i, _ in keys]))
+                for (i, j), d in zip(keys, est.tolist()):
+                    value = trackers[(i, j)].update(k, d)
+                    decision = trackers[(i, j)].flags[-1][1]
+                    if i == j:
+                        d_node[i], phi_val[i], flag[i] = d, value, decision
                     else:
-                        psi_val[key] = float("nan")
-                        edge_flag[key] = "H0"
+                        d_edge[(i, j)] = d
+                        psi_val[(i, j)], edge_flag[(i, j)] = value, decision
 
             if track_beliefs:
                 beliefs.step(d_node, d_edge)
@@ -308,7 +313,7 @@ def _engine(cfg, twin, lite: bool):
                 monitor.start(realized)
             bound_now = monitor.bound
             Ms = [np.eye(n) - ests[i].K @ sensors[i].C for i in nodes]
-            sig = {e: beliefs.sigma_value(e) for e in edge_windows} if track_beliefs else {}
+            sig = {e: beliefs.sigma_value(e) for e in edge_keys} if track_beliefs else {}
             bet = {i: beliefs.beta_value(i) for i in nodes} if track_beliefs else {}
             L_mask = trust_masked_laplacian(cfg.graph, sig, bet)
             gmax = max(float(np.linalg.norm(np.atleast_2d(ests[i].gamma), 2))
@@ -398,21 +403,14 @@ def _upsilon_vector(upsilon, p: int) -> np.ndarray:
     return u
 
 
-def _reference_window(cfg, det, twin, innovations_rec, i, k, est, sensor, noise):
-    """Z window for node i at step k, per the configured reference mode."""
-    w = det.window
-    if det.reference == "shadow":
-        source = twin.innovations[i] if twin is not None else innovations_rec[i]
-        if len(source) < w or k + 1 < w:
-            return None
-        return np.array(source[k + 1 - w: k + 1])
+def _reference_window(det, twin, i, est, sensor, noise):
+    """Fresh Z window for node i: synthetic draws from the live innovation
+    covariance, calibrated from the twin run's sample covariance."""
     if det.reference == "synthetic":
         omega = innovation_covariance(est.P_prior, sensor.C, sensor.R)
-        rng = noise.stream(STREAM_REFERENCE, i)
-        return nominal_reference_window(omega, w, rng)
-    # calibrated
-    rng = noise.stream(STREAM_REFERENCE, i)
-    return nominal_reference_window(twin.omega_hat[i], w, rng)
+    else:
+        omega = twin.omega_hat[i]
+    return nominal_reference_window(omega, det.window, noise.stream(STREAM_REFERENCE, i))
 
 
 # -- metrics -------------------------------------------------------------------
@@ -475,6 +473,21 @@ def compute_metrics(trace: SimTrace, config=None) -> MetricsReport:
         effective_component_count=len(comps), silent_nodes=silent,
         bound_violations=bound_viol, assumption4_ok=a4,
     )
+
+
+def metrics_json(report: MetricsReport) -> str:
+    """The report as strict JSON; NaN (and any other non-finite float) is null."""
+
+    def strict(value):
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strict(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+
+    return json.dumps(strict(report.to_dict()), indent=2, sort_keys=True, allow_nan=False)
 
 
 # -- CSV / run-directory IO ------------------------------------------------------
@@ -545,10 +558,8 @@ def write_run_dir(trace: SimTrace, out_dir: str) -> dict:
     with open(apath, "w") as fh:
         fh.write(adjacency_csv(trace.config.graph))
     paths["adjacency"] = apath
-    report = compute_metrics(trace)
     mpath = os.path.join(out_dir, "metrics.json")
     with open(mpath, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(metrics_json(compute_metrics(trace)) + "\n")
     paths["metrics"] = mpath
     return paths

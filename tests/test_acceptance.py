@@ -10,7 +10,10 @@ nats). See README, "Known acceptance status".
 """
 
 import dataclasses
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,13 +245,25 @@ def test_criterion_11_weight_one_reduction(tmp_path):
 
 
 def test_criterion_12_determinism(tmp_path):
+    """Same-seed reruns are byte-identical, and run `a` of every preset matches
+    the SHA-256 digests pinned in `golden_sha256.json`.
+
+    The digests were taken with numpy 2.4.6 and Python 3.11.7 on Linux x86_64
+    (glibc 2.36). A change that alters a trace on purpose regenerates them and
+    says so; another numpy or platform may differ in the last bits of a float.
+    """
     from etdkf.scenario import list_presets
-    mismatches = []
+    golden = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
+    mismatches, drifted = [], []
     for name in list_presets():
         a = export_csv(run_scenario(get_preset(name)), str(tmp_path / f"{name}-a"))
         b = export_csv(run_scenario(get_preset(name)), str(tmp_path / f"{name}-b"))
         for key in ("nodes", "edges"):
-            if open(a[key], "rb").read() != open(b[key], "rb").read():
+            data = open(a[key], "rb").read()
+            if data != open(b[key], "rb").read():
                 mismatches.append(f"{name}:{key}")
-    report(12, not mismatches,
-           f"byte-identical reruns for all presets (mismatches: {mismatches or 'none'})")
+            if hashlib.sha256(data).hexdigest() != golden.get(name, {}).get(key):
+                drifted.append(f"{name}:{key}")
+    report(12, not mismatches and not drifted,
+           f"byte-identical reruns for all presets (mismatches: {mismatches or 'none'}), "
+           f"golden digests (drifted: {drifted or 'none'})")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdkf.detection import (H0, H1, DetectorConfig, DivergenceTracker,
-                             InnovationWindow, detect, estimate_kl,
+                             KnnWindowBank, detect, estimate_kl,
                              knn_distance, neighbor_innovation,
-                             nominal_reference_window, sliding_mean)
+                             nominal_reference_window, pairwise_distances,
+                             sliding_mean)
 from etdkf.errors import ConfigurationError
 
 
@@ -107,18 +110,131 @@ class TestEstimateKl:
 
 
 class TestWindow:
+    """The ring buffer of `KnnWindowBank`, one row per window."""
+
     def test_capacity_and_eviction(self):
-        w = InnovationWindow(dim=2, capacity=3)
+        bank = KnnWindowBank(rows=2, dim=2, window=3, k_nn=1)
         for i in range(5):
-            w.push([float(i), 0.0])
-        assert len(w) == 3
-        assert w.full
-        assert np.array_equal(w.samples()[:, 0], [2.0, 3.0, 4.0])
+            assert len(bank) == min(i, 3)
+            bank.push([[float(i), 0.0], [-float(i), 1.0]])
+        assert len(bank) == 3
+        assert bank.full
+        assert np.array_equal(bank.samples()[0, :, 0], [2.0, 3.0, 4.0])
+        assert np.array_equal(bank.samples()[1, :, 0], [-2.0, -3.0, -4.0])
 
     def test_dim_guard(self):
-        w = InnovationWindow(dim=2, capacity=3)
+        bank = KnnWindowBank(rows=1, dim=2, window=3, k_nn=1)
         with pytest.raises(ConfigurationError):
-            w.push([1.0, 2.0, 3.0])
+            bank.push([[1.0, 2.0, 3.0]])
+        with pytest.raises(ConfigurationError):
+            bank.push([[1.0, 2.0], [3.0, 4.0]])   # one row too many
+        assert len(bank) == 0
+
+    def test_reference_guards(self):
+        sliding = KnnWindowBank(rows=1, dim=1, window=3, k_nn=1, sliding_reference=True)
+        with pytest.raises(ConfigurationError):
+            sliding.push([[1.0]])                 # its reference sample is missing
+        with pytest.raises(ConfigurationError):
+            sliding.push([[1.0]], [[1.0, 2.0]])
+        assert len(sliding) == 0
+        fresh = KnnWindowBank(rows=1, dim=1, window=3, k_nn=1)
+        with pytest.raises(ConfigurationError):
+            fresh.push([[1.0]], [[1.0]])
+        with pytest.raises(ConfigurationError):
+            fresh.estimates(np.zeros((1, 3, 1)))  # ring not full yet
+        for i in range(3):
+            fresh.push([[float(i)]])
+        with pytest.raises(ConfigurationError):
+            fresh.estimates(np.zeros((1, 3, 2)))  # wrong dim
+        with pytest.raises(ConfigurationError):
+            KnnWindowBank(rows=1, dim=1, window=3, k_nn=3)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+    def test_bit_identical_to_norm(self, m):
+        rng = np.random.default_rng(20 + m)
+        for scale in (1e-3, 1.0, 1e4):
+            X = rng.standard_normal((31, m)) * scale
+            Z = np.concatenate([rng.standard_normal((17, m)) * scale, X[:5]])
+            want = np.linalg.norm(X[:, None] - Z[None], axis=-1)
+            assert np.array_equal(pairwise_distances(X, Z), want)
+            assert np.array_equal(pairwise_distances(X, X),
+                                  np.linalg.norm(X[:, None] - X[None], axis=-1))
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((4, 9, 3))
+        Z = rng.standard_normal((4, 6, 3))
+        got = pairwise_distances(X, Z)
+        assert got.shape == (4, 9, 6)
+        for b in range(4):
+            assert np.array_equal(got[b], pairwise_distances(X[b], Z[b]))
+
+
+@st.composite
+def streams(draw):
+    """Sample streams for a bank: an identical-window prefix (shadow before
+    onset), exact repeats (replay), and several ring wrap-arounds."""
+    k = draw(st.integers(1, 8))
+    w = draw(st.integers(k + 1, 50))
+    m = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 3))
+    steps = w * draw(st.integers(2, 4)) + draw(st.integers(0, w - 1))
+    prefix = draw(st.integers(0, steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((steps, rows, m))
+    hold = rng.random(steps) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    for t in np.flatnonzero(hold[1:]) + 1:
+        X[t] = X[t - 1]
+    Z = rng.standard_normal((steps, rows, m)) * 1.5 + 0.5
+    Z[:prefix] = X[:prefix]
+    return k, w, X, Z, rng
+
+
+class TestKnnWindowBank:
+    @settings(max_examples=40, deadline=None)
+    @given(streams())
+    def test_sliding_reference_equals_estimate_kl(self, case):
+        k, w, X, Z, _ = case
+        bank = KnnWindowBank(X.shape[1], X.shape[2], w, k, sliding_reference=True)
+        for t in range(len(X)):
+            bank.push(X[t], Z[t])
+            if not bank.full:
+                continue
+            got = bank.estimates()
+            windows = bank.samples()
+            assert np.array_equal(windows, X[t + 1 - w:t + 1].transpose(1, 0, 2))
+            for b in range(X.shape[1]):
+                assert got[b] == estimate_kl(windows[b], Z[t + 1 - w:t + 1, b], k), (t, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams(), st.integers(0, 40))
+    def test_fresh_reference_equals_estimate_kl(self, case, extra):
+        k, w, X, _, rng = case
+        rows, m = X.shape[1], X.shape[2]
+        n2 = k + 1 + extra
+        bank = KnnWindowBank(rows, m, w, k)
+        for t in range(len(X)):
+            bank.push(X[t])
+            if not bank.full:
+                continue
+            windows = bank.samples()
+            ref = rng.standard_normal((rows, n2, m))
+            copies = min(n2, w) // 2
+            ref[:, :copies] = windows[:, -copies:]  # coincident copies
+            got = bank.estimates(ref)
+            for b in range(rows):
+                assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
+
+    def test_identical_streams_sit_at_the_baseline(self):
+        rng = np.random.default_rng(31)
+        bank = KnnWindowBank(rows=2, dim=2, window=10, k_nn=3, sliding_reference=True)
+        for _ in range(25):
+            x = rng.standard_normal((2, 2))
+            bank.push(x, x.copy())
+            if bank.full:
+                assert np.all(bank.estimates() == np.log(10.0 / 9.0))
 
 
 class TestPhi:

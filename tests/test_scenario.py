@@ -207,6 +207,19 @@ class TestCli:
         stored = json.load(open(os.path.join(out_dir, "metrics.json")))
         assert recomputed == stored
 
+    def test_zero_step_metrics_are_strict_json(self, tmp_path, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out_dir = str(tmp_path / "run")
+        assert cli_main(["run", "--preset", "fig3", "--steps", "0", "--out", out_dir]) == 0
+        with open(os.path.join(out_dir, "metrics.json")) as fh:
+            stored = json.loads(fh.read(), parse_constant=reject)
+        assert stored["trigger_rate"]["1"] is None     # NaN: no steps to average
+        capsys.readouterr()
+        assert cli_main(["metrics", "--run-dir", out_dir]) == 0
+        assert json.loads(capsys.readouterr().out, parse_constant=reject) == stored
+
     def test_run_scenario_file(self, tmp_path):
         cfg = tiny_config()
         spath = tmp_path / "scn.yaml"
@@ -284,6 +297,17 @@ class TestWarnings:
                       "signal": {"type": "constant", "value": [1.0, 1.0]}}])
         warnings = cfg.validate()
         assert any("majority-intact" in w for w in warnings)
+
+    def test_window_longer_than_run_warns(self):
+        cfg = tiny_config()
+        w = cfg.detector.window
+        for steps, warned in ((w - 1, True), (w, False), (0, False)):
+            cfg.steps = steps
+            assert any("detector window" in m for m in cfg.validate()) == warned, steps
+        cfg.steps = w - 1
+        trace = run_scenario(cfg)
+        assert np.all(np.isnan(trace.series("phi", 1)))
+        assert any("detector window" in m for m in trace.warnings)
 
     def test_onset_beyond_run_warns(self):
         cfg = tiny_config(attacks=[{"kind": "measurement_injection", "node": 2,
