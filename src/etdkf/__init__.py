@@ -2,8 +2,7 @@
 attack injection, k-NN divergence attack detection, and confidence/trust
 based resilient estimation."""
 
-from .attacks import (AttackPlan, AttackRecursion, CompromisedState,
-                      SignalSpec, compromised_step, corrupt_channel,
+from .attacks import (AttackPlan, AttackRecursion, SignalSpec, corrupt_channel,
                       corrupt_measurement, craft_non_triggering, craft_replay)
 from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
                         knn_distance, neighbor_innovation,

@@ -10,28 +10,14 @@ errors, for deterministic attack signals and a given trigger schedule.
 
 from __future__ import annotations
 
-import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .filtering import kalman_gain, sym
-from .graphs import Graph, neighbors
-
-log = logging.getLogger(__name__)
-
-_warned_fallbacks = set()
-
-
-def _warn_fallback(reason: str, detail: str) -> None:
-    # First occurrence per reason at warning level, the rest at debug, so a
-    # permanently-degenerate sampler cannot flood the log.
-    if reason in _warned_fallbacks:
-        log.debug("%s; direct fallback", detail)
-    else:
-        _warned_fallbacks.add(reason)
-        log.warning("%s; direct fallback", detail)
+from .graphs import Graph, laplacian
 
 
 MEASUREMENT_INJECTION = "measurement_injection"
@@ -96,6 +82,18 @@ class AttackPlan:
     def active(self, k: int) -> bool:
         return k >= self.onset
 
+    def upsilon_vector(self, p: int) -> np.ndarray:
+        """Replay disruption: explicit vector, or a scalar interpreted as the
+        norm spread evenly over the p channels."""
+        if self.upsilon is None:
+            raise ConfigurationError("replay attack needs upsilon")
+        u = np.asarray(self.upsilon, dtype=float)
+        if u.ndim == 0:
+            return float(u) / math.sqrt(p) * np.ones(p)
+        if u.shape != (p,):
+            raise ConfigurationError(f"upsilon shape {u.shape} != ({p},)")
+        return u
+
 
 def corrupt_measurement(y, f) -> np.ndarray:
     """y^a = y + f."""
@@ -115,9 +113,9 @@ def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     uniform interval whose endpoints depend on ||C x_pred|| and ||y||; the
     interval is empty unless ||y|| < ||C x_pred||, and even when nonempty the
     draw does not always respect the phi budget, so any violation falls back
-    to the direct construction (logged).
+    to the direct construction.
 
-    Returns (y_a, fell_back).
+    Returns (y_a, fell_back); the engine counts the fallbacks of a run.
     """
     y = np.asarray(y, float)
     C = np.asarray(C, float)
@@ -140,12 +138,10 @@ def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     a = phi - np.linalg.norm(target) + np.linalg.norm(y)
     b = phi + np.linalg.norm(target) - np.linalg.norm(y)
     if a >= b:
-        _warn_fallback("interval", f"non-triggering sampler interval empty (a={a:.4g} >= b={b:.4g})")
         return direct(), True
     theta = rng.uniform(a, b)
     y_a = y + theta * np.ones(p)
     if np.linalg.norm(y_a - target) > phi:
-        _warn_fallback("budget", "non-triggering sampler violated the phi budget")
         return direct(), True
     return y_a, False
 
@@ -156,57 +152,17 @@ def craft_replay(x_prior_last, C, upsilon) -> np.ndarray:
     return np.asarray(C, float) @ np.asarray(x_prior_last, float) + np.asarray(upsilon, float)
 
 
-def channel_bias_step(zeta_j: int, f_bar_now, f_tilde_prev) -> np.ndarray:
-    """Predictive-side bias recursion: refreshed on transmission, held otherwise."""
-    if zeta_j:
-        return np.asarray(f_bar_now, float)
-    return np.asarray(f_tilde_prev, float)
 
 
-@dataclass
-class CompromisedState:
-    """Corrupted filter state of one node, plus its moment blocks when they
-    come from an `AttackRecursion` snapshot."""
-
-    node: int
-    x_prior_a: np.ndarray
-    x_post_a: np.ndarray
-    x_pred_a: np.ndarray
-    P_prior_a: np.ndarray | None = None
-    P_post_a: np.ndarray | None = None
-    cross_pred: dict = field(default_factory=dict)        # (i,j) -> E[pred_i pred_j^T]
-    cross_pred_prior: dict = field(default_factory=dict)  # (i,j) -> E[pred_i prior_j^T]
-    cross_prior_pred: dict = field(default_factory=dict)  # (i,j) -> E[prior_i pred_j^T]
-
-
-def compromised_step(state: CompromisedState, K_a, C, y, f_i, neighbor_preds,
-                     f_tilde, gamma, zeta, A) -> CompromisedState:
-    """One full corrupted filter step for a single node.
-
-    Evaluates the corrupted posterior as prior + gain * (clean innovation) +
-    consensus + attack aggregate, where the aggregate combines the direct
-    measurement term with the held channel biases of the neighbors, then
-    refreshes the predictive estimate and advances the prior. With all attack
-    signals zero this is exactly the nominal update.
-
-    The returned state holds this step's posterior and predictive estimates
-    and the prior already advanced for the next step.
-    """
-    x_prior_a = np.asarray(state.x_prior_a, float)
-    A = np.asarray(A, float)
-    K_a = np.asarray(K_a, float)
-    C = np.asarray(C, float)
-    r_clean = np.asarray(y, float) - C @ x_prior_a
-    x_pred_a = zeta * x_prior_a + (1 - zeta) * (A @ np.asarray(state.x_pred_a, float))
-    consensus = np.zeros_like(x_prior_a)
-    for xj in neighbor_preds:
-        consensus = consensus + (np.asarray(xj, float) - x_pred_a)
-    f_aggregate = K_a @ np.asarray(f_i, float)
-    for ft in f_tilde:
-        f_aggregate = f_aggregate + gamma * np.asarray(ft, float)
-    x_post_a = x_prior_a + K_a @ r_clean + gamma * consensus + f_aggregate
-    return CompromisedState(node=state.node, x_prior_a=A @ x_post_a,
-                            x_post_a=x_post_a, x_pred_a=x_pred_a)
+def _blkdiag(blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks of any shapes."""
+    blocks = list(blocks)
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 class AttackRecursion:
@@ -216,6 +172,14 @@ class AttackRecursion:
     predictive errors for every node pair, plus the error means driven by the
     attack inputs; the attack-statistic terms of the corrupted posterior
     covariance are evaluated from these (deterministic outer products).
+
+    Every moment is one stacked (Nn x Nn) array whose (i, j) block, nodes
+    numbered from 1, pairs node i's error with node j's: `P_prior`, `P_post`,
+    `P_pred`, `P_pred_prior` (E[pred_i prior_j^T]), `P_prior_pred`
+    (E[prior_i pred_j^T]) and `X` (E[post_i pred_j^T] of the previous step).
+    The means `e_prior`, `e_pred`, `e_post` are Nn vectors. With
+    G = -(L kron I_n) the consensus term sum_{r in N_i} (e_r - e_i) is
+    [G e]_i, so each family is a few matrix products per step.
 
     gain_mode "nominal": gains follow the attack-free covariance recursion,
     matching an oblivious filter implementation. gain_mode "corrupted": gains
@@ -235,92 +199,39 @@ class AttackRecursion:
         self.graph = graph
         self.gamma = float(gamma)
         self.gain_mode = gain_mode
-        self.N = graph.node_count
-        self.n = process.n
-        self.nbrs = {i: sorted(neighbors(graph, i)) for i in graph.nodes}
+        self.N = N = graph.node_count
+        self.n = n = process.n
+        self._G = -np.kron(laplacian(graph), np.eye(n))
+        self._AA = np.kron(np.eye(N), process.A)
+        self._QQ = np.kron(np.ones((N, N)), process.Q)
+        self._Q_blk = np.kron(np.eye(N), process.Q)
+        self._C = _blkdiag([s.C for s in sensors])
+        self._R = _blkdiag([s.R for s in sensors])
+        self._y_ofs = np.cumsum([0] + [s.p for s in sensors])
+        self._pairs = [(i, j) for i in graph.nodes for j in graph.nodes]
 
-        n, P0 = self.n, process.P0
-        nodes = list(graph.nodes)
         self.k = 0
-        # Raw second moments, keyed (i, j).
-        self.P_prior = {(i, j): (P0.copy() if i == j else np.zeros((n, n)))
-                        for i in nodes for j in nodes}
-        self.P_pred = {key: m.copy() for key, m in self.P_prior.items()}
-        self.P_pred_prior = {key: m.copy() for key, m in self.P_prior.items()}   # E[pred_i prior_j^T]
-        self.P_prior_pred = {key: m.copy() for key, m in self.P_prior.items()}   # E[prior_i pred_j^T]
-        self.P_post = {key: np.zeros((n, n)) for key in self.P_prior}
-        # Posterior-vs-predictive mixed moments from the previous step.
-        self.X = {key: np.zeros((n, n)) for key in self.P_prior}  # E[post_i pred_j^T]
-        # Error means.
-        self.e_prior = {i: np.zeros(n) for i in nodes}
-        self.e_pred = {i: np.zeros(n) for i in nodes}
-        self.e_post = {i: np.zeros(n) for i in nodes}
-        # Channel-bias recursion state per directed edge (j -> i).
-        self.f_tilde = {}
-        # Nominal covariance recursion for gain_mode == "nominal".
-        self._P_prior_nominal = {i: P0.copy() for i in nodes}
-        self.gains = {i: None for i in nodes}
+        self.P_prior = np.kron(np.eye(N), process.P0)
+        self.P_pred = self.P_prior.copy()
+        self.P_pred_prior = self.P_prior.copy()
+        self.P_prior_pred = self.P_prior.copy()
+        self.P_post = np.zeros((N * n, N * n))
+        self.X = np.zeros((N * n, N * n))
+        self.e_prior = np.zeros(N * n)
+        self.e_pred = np.zeros(N * n)
+        self.e_post = np.zeros(N * n)
+        # Held bias of channel j -> i at [j - 1, i - 1]; zero off the graph.
+        self.f_tilde = np.zeros((N, N, n))
+        # Block-diagonal attack-free covariance recursion for gain_mode "nominal".
+        self._P_nominal = self.P_prior.copy()
+        self.gains = {i: None for i in graph.nodes}
 
-    # -- helpers -------------------------------------------------------------
-
-    def _gain(self, i: int) -> np.ndarray:
-        s = self.sensors[i - 1]
-        if self.gain_mode == "nominal":
-            return kalman_gain(self._P_prior_nominal[i], s.C, s.R)
-        return kalman_gain(self.P_prior[(i, i)], s.C, s.R)
-
-    def _advance_priors(self):
-        A, Q = self.process.A, self.process.Q
-        self.P_prior = {key: A @ self.P_post[key] @ A.T + Q for key in self.P_post}
-        self.e_prior = {i: A @ self.e_post[i] for i in self.e_post}
-
-    def cross_covariance_step(self, zetas: dict):
-        """Advance the predictive/prior cross families for this step's triggers.
-
-        Branch structure per pair: both triggering pairs collapse onto the
-        cross-prior moment; a non-triggering side extrapolates through A with
-        the shared process noise contributing Q.
-        """
-        A, Q = self.process.A, self.process.Q
-        Yprev = {(i, j): self.X[(j, i)].T for (i, j) in self.X}
-        new_pred, new_pred_prior, new_prior_pred = {}, {}, {}
-        for (i, j), Pb in self.P_prior.items():
-            zi, zj = zetas[i], zetas[j]
-            ax = A @ self.X[(i, j)] @ A.T + Q       # E[pred_i+ pred_j+] when zi=1, zj=0 path base
-            ay = A @ Yprev[(i, j)] @ A.T + Q
-            ap = A @ self.P_pred[(i, j)] @ A.T + Q
-            new_pred[(i, j)] = (zi * zj * Pb + zi * (1 - zj) * ax
-                                + (1 - zi) * zj * ay + (1 - zi) * (1 - zj) * ap)
-            new_pred_prior[(i, j)] = zi * Pb + (1 - zi) * ay
-            new_prior_pred[(i, j)] = zj * Pb + (1 - zj) * ax
-        self.P_pred = new_pred
-        self.P_pred_prior = new_pred_prior
-        self.P_prior_pred = new_prior_pred
-
-    def _consensus_sums(self, means=False):
-        if means:
-            return {i: sum((self.e_pred[r] - self.e_pred[i] for r in self.nbrs[i]),
-                           np.zeros(self.n)) for i in self.graph.nodes}
-        return None
+    def _block(self, i: int) -> slice:
+        return slice((i - 1) * self.n, i * self.n)
 
     def corrupted_posterior_covariance(self, i: int) -> np.ndarray:
         """Current corrupted posterior moment for node i (diagonal block)."""
-        return self.P_post[(i, i)]
-
-    def node_state(self, i: int) -> CompromisedState:
-        """Snapshot of node i's error means and moment blocks."""
-        pairs = [(a, b) for (a, b) in self.P_pred if a == i or b == i]
-        return CompromisedState(
-            node=i,
-            x_prior_a=self.e_prior[i].copy(),
-            x_post_a=self.e_post[i].copy(),
-            x_pred_a=self.e_pred[i].copy(),
-            P_prior_a=self.P_prior[(i, i)].copy(),
-            P_post_a=self.P_post[(i, i)].copy(),
-            cross_pred={k: self.P_pred[k].copy() for k in pairs},
-            cross_pred_prior={k: self.P_pred_prior[k].copy() for k in pairs},
-            cross_prior_pred={k: self.P_prior_pred[k].copy() for k in pairs},
-        )
+        return self.P_post[self._block(i), self._block(i)]
 
     def step(self, zetas: dict, f_meas: dict | None = None, f_chan: dict | None = None):
         """Advance one step given triggers and active deterministic signals.
@@ -328,93 +239,68 @@ class AttackRecursion:
         zetas: {node: 0 or 1} for this step. f_meas: {node: p-vector} direct
         measurement injections. f_chan: {(j, i): n-vector} channel injections.
         At k=0 every node is treated as transmitting regardless of `zetas`.
+        Returns the posterior moment as {(i, j): n x n block}.
         """
-        f_meas = dict(f_meas or {})
-        f_chan = dict(f_chan or {})
-        nodes = list(self.graph.nodes)
-        A, Q = self.process.A, self.process.Q
-        gamma = self.gamma
+        N, n, gamma = self.N, self.n, self.gamma
+        AA, QQ, G = self._AA, self._QQ, self._G
+        nodes = self.graph.nodes
 
         if self.k == 0:
-            zetas = {i: 1 for i in nodes}
+            z = np.ones(N, dtype=bool)
         else:
-            self._advance_priors()
-            self.cross_covariance_step(zetas)
-            self.e_pred = {i: (self.e_prior[i] if zetas[i]
-                               else A @ self.e_pred[i]) for i in nodes}
+            z = np.array([bool(zetas[i]) for i in nodes])
+            self.P_prior = AA @ self.P_post @ AA.T + QQ
+            self.e_prior = AA @ self.e_post
+            # Branch table per pair (i, j): both triggering collapse onto the
+            # cross prior; a non-triggering side extrapolates through A with
+            # the shared process noise contributing Q.
+            rows = np.repeat(z, n)[:, None]
+            cols = rows.T
+            AXA = AA @ self.X @ AA.T
+            ax, ay = AXA + QQ, AXA.T + QQ
+            ap = AA @ self.P_pred @ AA.T + QQ
+            self.P_prior_pred = np.where(cols, self.P_prior, ax)
+            self.P_pred_prior = np.where(rows, self.P_prior, ay)
+            self.P_pred = np.where(rows, self.P_prior_pred, np.where(cols, ay, ap))
+            self.e_pred = np.where(rows[:, 0], self.e_prior, AA @ self.e_pred)
 
-        # Held channel biases (refresh on transmission).
-        for i in nodes:
-            for j in self.nbrs[i]:
-                key = (j, i)
-                bias = f_chan.get(key, np.zeros(self.n))
-                self.f_tilde[key] = channel_bias_step(zetas[j], bias,
-                                                      self.f_tilde.get(key, np.zeros(self.n)))
+        # Held channel biases: refreshed when the sender transmits.
+        chan = np.zeros((N, N, n))
+        for (j, i), f in (f_chan or {}).items():
+            if (min(i, j), max(i, j)) in self.graph.edges:
+                chan[j - 1, i - 1] = f
+        self.f_tilde = np.where(z[:, None, None], chan, self.f_tilde)
 
-        gains, Ms, d = {}, {}, {}
-        for i in nodes:
-            s = self.sensors[i - 1]
-            K = self._gain(i)
-            gains[i] = K
-            Ms[i] = np.eye(self.n) - K @ s.C
-            di = -K @ f_meas.get(i, np.zeros(s.p))
-            for j in self.nbrs[i]:
-                di = di - gamma * self.f_tilde[(j, i)]
-            d[i] = di
-        self.gains = gains
+        P_gain = self._P_nominal if self.gain_mode == "nominal" else self.P_prior
+        self.gains = {}
+        for i, s in zip(nodes, self.sensors):
+            b = self._block(i)
+            self.gains[i] = kalman_gain(P_gain[b, b], s.C, s.R)
+        K = _blkdiag(self.gains.values())
+        M = np.eye(N * n) - K @ self._C
+        KRK = K @ self._R @ K.T
+        f_y = np.zeros(self._y_ofs[-1])
+        for i, f in (f_meas or {}).items():
+            f_y[self._y_ofs[i - 1]:self._y_ofs[i]] = f
+        d = -(K @ f_y) - gamma * self.f_tilde.sum(axis=0).reshape(-1)
 
-        s_mean = self._consensus_sums(means=True)
-        stoch_mean = {i: Ms[i] @ self.e_prior[i] + gamma * s_mean[i] for i in nodes}
-
-        # Posterior second moments for every pair.
-        post = {}
-        for i in nodes:
-            for j in nodes:
-                Mi, Mj = Ms[i], Ms[j]
-                block = Mi @ self.P_prior[(i, j)] @ Mj.T
-                # prior_i against neighbor-consensus of j
-                acc = np.zeros((self.n, self.n))
-                for s_ in self.nbrs[j]:
-                    acc += self.P_prior_pred[(i, s_)] - self.P_prior_pred[(i, j)]
-                block += gamma * Mi @ acc
-                acc = np.zeros((self.n, self.n))
-                for r in self.nbrs[i]:
-                    acc += self.P_pred_prior[(r, j)] - self.P_pred_prior[(i, j)]
-                block += gamma * acc @ Mj.T
-                acc = np.zeros((self.n, self.n))
-                for r in self.nbrs[i]:
-                    for s_ in self.nbrs[j]:
-                        acc += (self.P_pred[(r, s_)] - self.P_pred[(r, j)]
-                                - self.P_pred[(i, s_)] + self.P_pred[(i, j)])
-                block += gamma * gamma * acc
-                if i == j:
-                    Ri = self.sensors[i - 1].R
-                    block += gains[i] @ Ri @ gains[i].T
-                block += np.outer(d[i], stoch_mean[j]) + np.outer(stoch_mean[i], d[j])
-                block += np.outer(d[i], d[j])
-                post[(i, j)] = sym(block) if i == j else block
+        stoch_mean = M @ self.e_prior + gamma * (G @ self.e_pred)
+        dcol = d[:, None]
+        post = (M @ self.P_prior @ M.T
+                + gamma * (M @ self.P_prior_pred @ G.T + G @ self.P_pred_prior @ M.T)
+                + gamma * gamma * (G @ self.P_pred @ G.T) + KRK
+                + dcol * stoch_mean + stoch_mean[:, None] * d + dcol * d)
+        blocks = post.reshape(N, n, N, n)
+        r = np.arange(N)
+        diag = blocks[r, :, r, :]
+        blocks[r, :, r, :] = 0.5 * (diag + diag.transpose(0, 2, 1))
         self.P_post = post
-        self.e_post = {i: stoch_mean[i] + d[i] for i in nodes}
-
-        # Mixed posterior-vs-predictive moments for the next cross step.
-        X = {}
-        for i in nodes:
-            for j in nodes:
-                m = Ms[i] @ self.P_prior_pred[(i, j)]
-                acc = np.zeros((self.n, self.n))
-                for r in self.nbrs[i]:
-                    acc += self.P_pred[(r, j)] - self.P_pred[(i, j)]
-                m += gamma * acc
-                m += np.outer(d[i], self.e_pred[j])
-                X[(i, j)] = m
-        self.X = X
+        self.e_post = stoch_mean + d
+        self.X = M @ self.P_prior_pred + gamma * (G @ self.P_pred) + dcol * self.e_pred
 
         if self.gain_mode == "nominal":
-            for i in nodes:
-                s = self.sensors[i - 1]
-                M = Ms[i]
-                P_hat = sym(M @ self._P_prior_nominal[i] @ M.T + gains[i] @ s.R @ gains[i].T)
-                self._P_prior_nominal[i] = sym(A @ P_hat @ A.T + Q)
+            P_hat = sym(M @ self._P_nominal @ M.T + KRK)
+            self._P_nominal = sym(AA @ P_hat @ AA.T + self._Q_blk)
 
         self.k += 1
-        return post
+        return dict(zip(self._pairs, blocks.transpose(0, 2, 1, 3).reshape(N * N, n, n)))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, NumericalError, ValidationError
 from .scenario import ScenarioConfig, get_preset, list_presets
 from .simulate import (SimTrace, compute_metrics, load_trace_csv, metrics_json,
                        run_scenario, write_run_dir)
@@ -93,6 +93,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except NumericalError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -93,17 +93,30 @@ class ScenarioConfig:
             if plan.kind not in ATTACK_KINDS:
                 errors.append(f"{label}: unknown kind {plan.kind!r}")
                 continue
+            dim = None   # channel count of the attack signal, when it has one
             if plan.kind == "channel_injection":
                 j, i = plan.edge
                 if (min(j, i), max(j, i)) not in self.graph.edges:
                     errors.append(f"{label}: edge {plan.edge} not in the graph")
                 key = ("edge", (j, i))
+                dim = n
             else:
                 if not 1 <= (plan.node or 0) <= N:
                     errors.append(f"{label}: node {plan.node} outside 1..{N}")
+                elif len(self.sensors) == N:
+                    dim = self.sensors[plan.node - 1].p
                 key = ("node", plan.node)
                 if plan.kind == "non_triggering" and not plan.phi < self.trigger.alpha:
                     errors.append(f"{label}: phi={plan.phi} must be < alpha={self.trigger.alpha}")
+            # The engine's own signal evaluation, so `run` cannot fail on it later.
+            if dim is not None:
+                try:
+                    if plan.kind == "replay":
+                        plan.upsilon_vector(dim)
+                    elif plan.kind != "non_triggering":
+                        plan.signal.evaluate(0.0, dim)
+                except (TypeError, ValueError) as exc:
+                    errors.append(f"{label}: {exc}")
             if key in targeted:
                 errors.append(f"{label}: duplicate target {key}")
             targeted.add(key)
@@ -256,7 +269,7 @@ def _plan_to_dict(p: AttackPlan) -> dict:
     if p.kind == "non_triggering":
         d["phi"] = float(p.phi)
         d["sampler"] = bool(p.sampler)
-    if p.kind == "replay":
+    if p.kind == "replay" and p.upsilon is not None:
         u = p.upsilon
         d["upsilon"] = ([float(x) for x in np.asarray(u, float).reshape(-1)]
                         if np.ndim(u) else float(u))

@@ -123,7 +123,7 @@ def run_scenario(config) -> SimTrace:
                            beliefs_pinned=False, bound_monitor=False)
         twin = _engine(twin_cfg, twin=None, lite=True)
     trace = _engine(config, twin=twin, lite=False)
-    trace.warnings = warnings
+    trace.warnings = warnings + trace.warnings
     return trace
 
 
@@ -188,7 +188,7 @@ def _engine(cfg, twin, lite: bool):
     innovations_rec = {i: [] for i in nodes}
     b_samples = []
     prev_x = None
-    prev_v = None
+    sampler_calls = sampler_fallbacks = 0
 
     for k in range(cfg.steps):
         t = k * cfg.dt
@@ -208,12 +208,15 @@ def _engine(cfg, twin, lite: bool):
                     y[i] = corrupt_measurement(y[i], f)
                 elif plan.kind == NON_TRIGGERING:
                     rng = noise.stream(STREAM_ATTACK, idx)
-                    y[i], _ = craft_non_triggering(
+                    y[i], fell_back = craft_non_triggering(
                         y[i], sensors[i].C, ests[i].x_pred, plan.phi, rng,
                         sampler=plan.sampler)
+                    if plan.sampler:
+                        sampler_calls += 1
+                        sampler_fallbacks += fell_back
                 elif plan.kind == REPLAY:
                     y[i] = craft_replay(last_tx_prior[i], sensors[i].C,
-                                        _upsilon_vector(plan.upsilon, sensors[i].p))
+                                        plan.upsilon_vector(sensors[i].p))
         attack_norm = {i: float(np.linalg.norm(y[i] - y_clean[i])) for i in nodes}
 
         # Trigger barrier (everyone transmits at k = 0).
@@ -387,20 +390,10 @@ def _engine(cfg, twin, lite: bool):
             omega_hat[i] = np.cov(arr.T) if len(arr) > 2 else sensors[i].R.copy()
         B = float(np.percentile(b_samples, 99.9)) if b_samples else 0.0
         return _TwinData(innovations=innovations_rec, B=B, omega_hat=omega_hat)
+    if sampler_fallbacks:
+        trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
+                              f"of {sampler_calls} steps")
     return trace
-
-
-def _upsilon_vector(upsilon, p: int) -> np.ndarray:
-    """Replay disruption: explicit vector, or a scalar interpreted as the norm
-    spread evenly over channels."""
-    if upsilon is None:
-        raise ConfigurationError("replay attack needs upsilon")
-    u = np.asarray(upsilon, dtype=float)
-    if u.ndim == 0:
-        return float(u) / math.sqrt(p) * np.ones(p)
-    if u.shape != (p,):
-        raise ConfigurationError(f"upsilon shape {u.shape} != ({p},)")
-    return u
 
 
 def _reference_window(det, twin, i, est, sensor, noise):

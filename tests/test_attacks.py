@@ -1,16 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etdkf.attacks import (AttackPlan, AttackRecursion, CompromisedState,
-                           SignalSpec, channel_bias_step, compromised_step,
+from etdkf.attacks import (AttackPlan, AttackRecursion, SignalSpec,
                            corrupt_channel, corrupt_measurement,
                            craft_non_triggering, craft_replay)
 from etdkf.errors import ConfigurationError
-from etdkf.filtering import (NodeEstimator, kalman_gain, measurement_update,
-                             posterior_covariance, should_transmit,
-                             update_predictive)
+from etdkf.filtering import kalman_gain, posterior_covariance, should_transmit
 from etdkf.graphs import Graph
 from etdkf.models import ProcessModel, SensorModel
+from etdkf.scenario import get_preset
+
+ORACLE = Path(__file__).parent / "data" / "recursion_oracle.npz"
+MOMENTS = ("P_prior", "P_post", "P_pred", "P_pred_prior", "P_prior_pred", "X",
+           "e_prior", "e_pred", "e_post")
 
 
 def rotation(theta=np.pi / 200):
@@ -24,6 +30,11 @@ def two_node_setup():
                SensorModel(C=[[1.0, 0.0], [0.0, 3.0]], R=np.eye(2))]
     graph = Graph(2, [(1, 2)])
     return model, sensors, graph
+
+
+def blk(M, i, j, n=2):
+    """(i, j) block of a stacked moment, nodes numbered from 1."""
+    return M[(i - 1) * n:i * n, (j - 1) * n:j * n]
 
 
 class TestSignalInjection:
@@ -113,60 +124,61 @@ class TestReplay:
         assert not should_transmit(y_a, C, xbar, alpha=0.5)
 
 
-class TestCompromisedStep:
+class TestRecursionSignals:
     @staticmethod
-    def fresh(x0):
-        x0 = np.array(x0, dtype=float)
-        return CompromisedState(node=1, x_prior_a=x0.copy(), x_post_a=x0.copy(),
-                                x_pred_a=x0.copy())
+    def pair(gamma=0.05):
+        model, sensors, graph = two_node_setup()
+        return [AttackRecursion(model, sensors, graph, gamma=gamma) for _ in range(2)]
 
-    def test_zero_signals_reduce_to_nominal(self):
-        A = rotation()
-        C = np.array([[5.0, 0.0], [0.0, 2.0]])
-        est = NodeEstimator.initial([0.5, 0.0], np.eye(2), gamma=0.1)
-        est.K = kalman_gain(est.P_prior, C, np.eye(2))
-        y = np.array([2.0, 1.0])
-        other = np.array([0.6, 0.1])
-        # nominal path
-        zeta = 1
-        est.x_pred = update_predictive(zeta, est.x_prior, est.x_pred, A)
-        measurement_update(est, y, C, [other], est.x_pred)
-        # corrupted path with all-zero attack inputs
-        state = compromised_step(
-            self.fresh([0.5, 0.0]), K_a=est.K, C=C, y=y,
-            f_i=np.zeros(2), neighbor_preds=[other], f_tilde=[np.zeros(2)],
-            gamma=0.1, zeta=1, A=A)
-        assert np.allclose(state.x_post_a, est.x_post, atol=1e-15)
-        assert np.allclose(state.x_pred_a, est.x_pred, atol=1e-15)
-        assert np.allclose(state.x_prior_a, A @ est.x_post, atol=1e-15)
+    def test_zero_signals_match_attack_free(self):
+        # zero signals, and a channel that is not in the graph, change nothing
+        clean, zero = self.pair()
+        for z in [(1, 1), (0, 1), (1, 0), (0, 0), (1, 1)]:
+            clean.step({1: z[0], 2: z[1]})
+            zero.step({1: z[0], 2: z[1]}, f_meas={1: np.zeros(2), 2: np.zeros(2)},
+                      f_chan={(1, 2): np.zeros(2), (2, 1): np.zeros(2),
+                              (0, 1): np.ones(2)})
+            for name in MOMENTS:
+                assert np.array_equal(getattr(zero, name), getattr(clean, name)), name
+        assert not zero.e_post.any()
 
-    def test_direct_attack_term_isolated(self):
-        # intact neighbors: the aggregate reduces to K_a f_i
-        A = rotation()
-        C = np.eye(2)
-        K = np.diag([0.3, 0.4])
+    def test_direct_attack_shifts_mean_by_gain(self):
+        # intact neighbors, zero means at k = 0: the attack shifts only node 1's
+        # posterior error mean, by exactly -K_1 f
+        rec, _ = self.pair()
         f = np.array([2.0, -1.0])
-        clean = compromised_step(self.fresh([0.0, 0.0]), K, C, [1.0, 1.0],
-                                 np.zeros(2), [], [], 0.05, 1, A)
-        attacked = compromised_step(self.fresh([0.0, 0.0]), K, C, [1.0, 1.0],
-                                    f, [], [], 0.05, 1, A)
-        assert np.allclose(attacked.x_post_a - clean.x_post_a, K @ f, atol=1e-15)
+        rec.step({1: 1, 2: 1}, f_meas={1: f})
+        assert np.array_equal(rec.e_post[:2], -rec.gains[1] @ f)
+        assert not rec.e_post[2:].any()
 
-    def test_held_bias_recursion_over_silent_steps(self):
-        # spec trace: zeta_j = 0 keeps the channel bias constant across steps
-        fbar = np.array([0.5, -0.5])
-        ft = channel_bias_step(1, fbar, np.zeros(2))
+    def test_held_channel_bias_while_sender_silent(self):
+        # While sender 1 is silent, whatever is injected on 1 -> 2 now is not
+        # received: every moment evolves as if the old bias were still sent.
+        held, changed = self.pair()
+        f0 = np.array([0.5, -0.5])
+        for rec in (held, changed):
+            rec.step({1: 1, 2: 1}, f_chan={(1, 2): f0})
         for _ in range(5):
-            held = channel_bias_step(0, np.array([9.0, 9.0]), ft)
-            assert np.array_equal(held, ft)
-            ft = held
+            held.step({1: 0, 2: 1}, f_chan={(1, 2): f0})
+            changed.step({1: 0, 2: 1}, f_chan={(1, 2): np.array([9.0, 9.0])})
+            for name in MOMENTS:
+                assert np.array_equal(getattr(changed, name), getattr(held, name)), name
+            assert np.array_equal(changed.f_tilde[0, 1], f0)
 
-    def test_channel_bias_held_between_triggers(self):
-        f0 = np.array([1.0, 2.0])
-        held = channel_bias_step(0, np.array([9.0, 9.0]), f0)
-        assert np.array_equal(held, f0)
-        refreshed = channel_bias_step(1, np.array([9.0, 9.0]), f0)
-        assert np.array_equal(refreshed, [9.0, 9.0])
+    def test_channel_bias_refreshed_on_transmission(self):
+        held, changed = self.pair()
+        f0, f1 = np.array([1.0, 2.0]), np.array([9.0, 9.0])
+        for rec in (held, changed):
+            rec.step({1: 1, 2: 1}, f_chan={(1, 2): f0})
+            rec.step({1: 0, 2: 0}, f_chan={(1, 2): f0})
+        held.step({1: 1, 2: 0}, f_chan={(1, 2): f0})
+        changed.step({1: 1, 2: 0}, f_chan={(1, 2): f1})
+        assert np.array_equal(changed.f_tilde[0, 1], f1)
+        assert not np.allclose(changed.P_post, held.P_post)
+        # receiver 2's posterior mean moves by -gamma (f1 - f0); sender 1's not
+        assert np.allclose(changed.e_post[2:] - held.e_post[2:], -0.05 * (f1 - f0),
+                           rtol=0, atol=1e-12)
+        assert np.array_equal(changed.e_post[:2], held.e_post[:2])
 
 
 class TestRecursionBranches:
@@ -175,20 +187,18 @@ class TestRecursionBranches:
         rec = AttackRecursion(model, sensors, graph, gamma=0.05)
         rec.step({1: 1, 2: 1})
         rec.step({1: 1, 2: 1})
-        assert np.allclose(rec.P_pred[(1, 2)], rec.P_prior[(1, 2)], atol=1e-12)
-        assert np.allclose(rec.P_pred_prior[(1, 2)], rec.P_prior[(1, 2)], atol=1e-12)
+        assert np.allclose(blk(rec.P_pred, 1, 2), blk(rec.P_prior, 1, 2), atol=1e-12)
+        assert np.allclose(blk(rec.P_pred_prior, 1, 2), blk(rec.P_prior, 1, 2), atol=1e-12)
 
     def test_both_silent_extrapolates(self):
         model, sensors, graph = two_node_setup()
         rec = AttackRecursion(model, sensors, graph, gamma=0.05)
         rec.step({1: 1, 2: 1})
-        P_pred_before = {k: v.copy() for k, v in rec.P_pred.items()}
-        # advance posterior -> prior happens inside step; replicate the branch
-        P_post_before = {k: v.copy() for k, v in rec.P_post.items()}
+        P_pred_before = rec.P_pred.copy()
         rec.step({1: 0, 2: 0})
         A, Q = model.A, model.Q
-        want = A @ P_pred_before[(1, 2)] @ A.T + Q
-        assert np.allclose(rec.P_pred[(1, 2)], want, atol=1e-12)
+        want = A @ blk(P_pred_before, 1, 2) @ A.T + Q
+        assert np.allclose(blk(rec.P_pred, 1, 2), want, atol=1e-12)
 
     def test_transpose_symmetry_of_mixed_families(self):
         model, sensors, graph = two_node_setup()
@@ -198,9 +208,9 @@ class TestRecursionBranches:
             rec.step({1: z1, 2: z2}, f_meas={1: np.array([1.0, 1.0])})
         for i in (1, 2):
             for j in (1, 2):
-                assert np.allclose(rec.P_prior_pred[(i, j)],
-                                   rec.P_pred_prior[(j, i)].T, atol=1e-10)
-                assert np.allclose(rec.P_pred[(i, j)], rec.P_pred[(j, i)].T,
+                assert np.allclose(blk(rec.P_prior_pred, i, j),
+                                   blk(rec.P_pred_prior, j, i).T, atol=1e-10)
+                assert np.allclose(blk(rec.P_pred, i, j), blk(rec.P_pred, j, i).T,
                                    atol=1e-10)
 
     def test_attack_free_reduction_to_joseph_form(self):
@@ -232,16 +242,15 @@ class TestRecursionBranches:
             b.step({1: 1, 2: 1})
         assert np.allclose(a.gains[1], b.gains[1], atol=1e-10)
 
-    def test_node_state_snapshot(self):
+    def test_step_returns_posterior_blocks(self):
         model, sensors, graph = two_node_setup()
         rec = AttackRecursion(model, sensors, graph, gamma=0.05)
-        rec.step({1: 1, 2: 1}, f_meas={1: np.array([1.0, 0.0])})
-        snap = rec.node_state(1)
-        assert snap.node == 1
-        assert np.array_equal(snap.P_post_a, rec.corrupted_posterior_covariance(1))
-        assert (1, 2) in snap.cross_pred
-        # diagonal blocks stay symmetric PSD
-        assert np.linalg.eigvalsh(snap.P_post_a).min() > -1e-10
+        post = rec.step({1: 1, 2: 1}, f_meas={1: np.array([1.0, 0.0])})
+        assert sorted(post) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        for (i, j), block in post.items():
+            assert block.shape == (2, 2)
+            assert np.array_equal(block, blk(rec.P_post, i, j))
+        assert np.array_equal(post[(1, 1)], rec.corrupted_posterior_covariance(1))
 
     def test_attack_inflates_posterior_trace(self):
         model, sensors, graph = two_node_setup()
@@ -254,6 +263,133 @@ class TestRecursionBranches:
         for i in (1, 2):
             assert np.trace(dirty.corrupted_posterior_covariance(i)) >= \
                 np.trace(clean.corrupted_posterior_covariance(i)) - 1e-12
+
+
+class TestRecursionOracle:
+    def test_matches_recorded_block_recursion(self):
+        """The stacked recursion against outputs recorded from the per-block
+        (i, j) implementation it replaced, on the six-node fig3 network.
+
+        The fixture was generated with that implementation by:
+
+            cfg = get_preset("fig3")
+            N, n = cfg.graph.node_count, cfg.process.n
+            rng = np.random.default_rng(4004)
+            schedule = (rng.random((40, N)) < 0.7).astype(int)
+            f_meas = rng.normal(0.0, 3.0, cfg.sensors[1].p)
+            f_chan = rng.normal(0.0, 1.0, n)
+            out = {"schedule": schedule, "f_meas_2": f_meas, "f_chan_2_1": f_chan}
+            for mode in ("nominal", "corrupted"):
+                rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph,
+                                      gamma=cfg.consensus.gamma, gain_mode=mode)
+                post = np.zeros((40, N * n, N * n))
+                for k in range(40):
+                    on = k >= 10
+                    blocks = rec.step({i + 1: int(z) for i, z in enumerate(schedule[k])},
+                                      f_meas={2: f_meas} if on else None,
+                                      f_chan={(2, 1): f_chan} if on else None)
+                    for (i, j), b in blocks.items():
+                        post[k, (i - 1) * n:i * n, (j - 1) * n:j * n] = b
+                out[f"{mode}_post"] = post
+                for name in ("P_pred", "P_pred_prior", "P_prior_pred"):
+                    out[f"{mode}_{name}"] = stack(getattr(rec, name))  # blocks -> Nn x Nn
+                out[f"{mode}_gains"] = np.array([rec.gains[i] for i in cfg.graph.nodes])
+            np.savez_compressed("tests/data/recursion_oracle.npz", **out)
+        """
+        want = np.load(ORACLE)
+        cfg = get_preset("fig3")
+        nodes = list(cfg.graph.nodes)
+
+        def close(got, ref):
+            return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+        for mode in ("nominal", "corrupted"):
+            rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph,
+                                  gamma=cfg.consensus.gamma, gain_mode=mode)
+            for k, zetas in enumerate(want["schedule"]):
+                on = k >= 10
+                post = rec.step(dict(zip(nodes, zetas.tolist())),
+                                f_meas={2: want["f_meas_2"]} if on else None,
+                                f_chan={(2, 1): want["f_chan_2_1"]} if on else None)
+                got = np.block([[post[(i, j)] for j in nodes] for i in nodes])
+                assert close(got, want[f"{mode}_post"][k]), (mode, k)
+            for name in ("P_pred", "P_pred_prior", "P_prior_pred"):
+                assert close(getattr(rec, name), want[f"{mode}_{name}"]), (mode, name)
+            gains = np.array([rec.gains[i] for i in nodes])
+            assert close(gains, want[f"{mode}_gains"]), mode
+
+
+@st.composite
+def recursion_cases(draw):
+    """Random connected graph (N = 2..7), sensors, trigger schedule and injections."""
+    N = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(1, k - 1)), k) for k in range(2, N + 1)}   # spanning tree
+    extra = draw(st.lists(st.tuples(st.integers(1, N), st.integers(1, N)), max_size=N))
+    edges |= {(min(a, b), max(a, b)) for a, b in extra if a != b}
+    steps = draw(st.integers(2, 12))
+    schedule = draw(st.lists(st.lists(st.booleans(), min_size=N, max_size=N),
+                             min_size=steps, max_size=steps))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = ProcessModel(A=draw(st.floats(0.9, 1.05)) * rotation(rng.uniform(0, 0.5)),
+                         Q=np.diag(rng.uniform(0.5, 2.0, 2)), x0_mean=[0.0, 0.0],
+                         P0=np.diag(rng.uniform(0.5, 2.0, 2)))
+    sensors = [SensorModel(C=rng.uniform(-3, 3, (p, 2)), R=np.diag(rng.uniform(0.5, 2, p)))
+               for p in rng.integers(1, 3, N)]
+    hit = draw(st.integers(1, N))
+    sender = draw(st.sampled_from(sorted({a for e in edges for a in e if hit in e} - {hit})))
+    f_meas = {hit: rng.normal(0, 3, sensors[hit - 1].p)}
+    f_chan = {(sender, hit): rng.normal(0, 1, 2)}
+    return dict(model=model, sensors=sensors, graph=Graph(N, edges), schedule=schedule,
+                gamma=draw(st.floats(0.0, 0.3)), onset=draw(st.integers(0, steps)),
+                f_meas=f_meas, f_chan=f_chan,
+                gain_mode=draw(st.sampled_from(["nominal", "corrupted"])))
+
+
+class TestRecursionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(recursion_cases())
+    def test_cross_families_transpose_symmetric(self, case):
+        rec = AttackRecursion(case["model"], case["sensors"], case["graph"],
+                              gamma=case["gamma"], gain_mode=case["gain_mode"])
+        for k, z in enumerate(case["schedule"]):
+            on = k >= case["onset"]
+            rec.step(dict(enumerate(z, start=1)), f_meas=case["f_meas"] if on else None,
+                     f_chan=case["f_chan"] if on else None)
+            tol = 1e-10 * max(1.0, np.abs(rec.P_pred).max(), np.abs(rec.P_prior_pred).max())
+            assert np.allclose(rec.P_prior_pred, rec.P_pred_prior.T, rtol=0, atol=tol)
+            assert np.allclose(rec.P_pred, rec.P_pred.T, rtol=0, atol=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(recursion_cases())
+    def test_diagonal_posterior_blocks_exactly_symmetric(self, case):
+        rec = AttackRecursion(case["model"], case["sensors"], case["graph"],
+                              gamma=case["gamma"], gain_mode=case["gain_mode"])
+        for k, z in enumerate(case["schedule"]):
+            on = k >= case["onset"]
+            post = rec.step(dict(enumerate(z, start=1)),
+                            f_meas=case["f_meas"] if on else None,
+                            f_chan=case["f_chan"] if on else None)
+            for i in case["graph"].nodes:
+                D = post[(i, i)]
+                assert np.array_equal(D, D.T)
+                assert np.linalg.eigvalsh(D).min() >= -1e-10 * max(1.0, np.abs(D).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(recursion_cases())
+    def test_attack_free_reduction_to_joseph_form(self, case):
+        # gamma = 0, no injection, every node transmitting: each diagonal block
+        # is its node's single-sensor Joseph-form recursion
+        model, sensors = case["model"], case["sensors"]
+        rec = AttackRecursion(model, sensors, case["graph"], gamma=0.0,
+                              gain_mode=case["gain_mode"])
+        P_prior = [model.P0.copy() for _ in sensors]
+        for _ in case["schedule"]:
+            post = rec.step({i: 1 for i in case["graph"].nodes})
+            for i, s in enumerate(sensors, start=1):
+                K = kalman_gain(P_prior[i - 1], s.C, s.R)
+                want = posterior_covariance(P_prior[i - 1], K, s.C, s.R)
+                assert np.allclose(post[(i, i)], want, rtol=1e-10, atol=1e-12)
+                P_prior[i - 1] = model.A @ want @ model.A.T + model.Q
 
 
 def batched_two_node_sim(model, sensors, graph, gamma, steps, trials, seed,
@@ -325,7 +461,7 @@ class TestRecursionMonteCarlo:
             z = 1 if k == 0 else 0
             fm = {1: np.array([3.0, 3.0])} if k >= 4 else None
             rec.step({1: z, 2: z}, f_meas=fm)
-        got = rec.P_pred[(1, 2)]
+        got = blk(rec.P_pred, 1, 2)
         want = emp_cross[-1]
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
         assert rel < 0.15

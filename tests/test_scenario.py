@@ -8,7 +8,7 @@ import pytest
 from etdkf.cli import main as cli_main
 from etdkf.errors import ValidationError
 from etdkf.scenario import (ScenarioConfig, get_preset, list_presets,
-                            preset_fig3, six_node_graph)
+                            preset_fig3, preset_fig5, six_node_graph)
 from etdkf.simulate import (EDGE_COLUMNS, SimTrace, compute_metrics, export_csv,
                             load_trace_csv, run_scenario, write_run_dir)
 
@@ -33,6 +33,16 @@ def tiny_config(**overrides):
     return ScenarioConfig.from_dict(d)
 
 
+# One constant signal of the wrong length, a replay without upsilon and one
+# with an upsilon of the wrong shape: each used to pass `validate` and fail `run`.
+BAD_SIGNAL_ATTACKS = [
+    {"kind": "measurement_injection", "node": 1, "onset": 5,
+     "signal": {"type": "constant", "value": [1.0, 2.0, 3.0]}},
+    {"kind": "replay", "node": 2, "onset": 5},
+    {"kind": "replay", "node": 3, "onset": 5, "upsilon": [1.0, 1.0, 1.0]},
+]
+
+
 class TestConfigRoundTrip:
     def test_yaml_round_trip_equivalent(self):
         cfg = get_preset("fig6")
@@ -52,6 +62,25 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         assert len(err.value.violations) >= 2
+
+    def test_attack_signal_defects_rejected(self):
+        cfg = tiny_config(attacks=BAD_SIGNAL_ATTACKS)
+        with pytest.raises(ValidationError) as err:
+            cfg.validate()
+        assert err.value.violations == [
+            "attack[0]: constant signal dim 3 != 2",
+            "attack[1]: replay attack needs upsilon",
+            "attack[2]: upsilon shape (3,) != (2,)",
+        ]
+        # a channel signal must match the state dimension; length 1 broadcasts
+        ok = tiny_config(attacks=[
+            {"kind": "channel_injection", "edge": [1, 2], "onset": 5,
+             "signal": {"type": "constant", "value": [1.0]}},
+            {"kind": "replay", "node": 2, "onset": 5, "upsilon": 2.0}])
+        ok.validate()
+        ok.attacks[0].signal.value = [1.0, 2.0, 3.0]
+        with pytest.raises(ValidationError, match=r"attack\[0\]: constant signal dim 3 != 2"):
+            ok.validate()
 
     def test_unobservable_network_rejected(self):
         d = {
@@ -243,6 +272,32 @@ class TestCli:
         assert cli_main(["run", "--scenario", "/nonexistent.yaml",
                          "--out", "/tmp/x"]) == 3
 
+    def test_bad_attack_signals_exit_2(self, tmp_path, capsys):
+        spath = tmp_path / "bad.yaml"
+        spath.write_text(tiny_config(attacks=BAD_SIGNAL_ATTACKS).to_yaml())
+        assert cli_main(["validate", "--scenario", str(spath)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "constant signal dim 3 != 2" in err
+        assert cli_main(["run", "--scenario", str(spath), "--out",
+                         str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_numerical_failure_exits_4(self, tmp_path, capsys):
+        # Two identical rows in C and a negligible R: the innovation covariance
+        # R + C P C^T rounds to an exactly singular matrix at the first gain.
+        cfg = tiny_config(sensors=[{"c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()},
+                                   {"c": [[1.0, 0.0], [1.0, 0.0]],
+                                    "r": (1e-20 * np.eye(2)).tolist()},
+                                   {"c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()}])
+        cfg.validate()
+        spath = tmp_path / "singular.yaml"
+        spath.write_text(cfg.to_yaml())
+        rc = cli_main(["run", "--scenario", str(spath), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: numerical failure: singular innovation covariance")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestReferenceModes:
     def test_synthetic_reference_runs_and_detects(self):
@@ -308,6 +363,19 @@ class TestWarnings:
         trace = run_scenario(cfg)
         assert np.all(np.isnan(trace.series("phi", 1)))
         assert any("detector window" in m for m in trace.warnings)
+
+    def test_sampler_fallbacks_counted_per_run(self):
+        # Every run reports its own count; an earlier run in the same process
+        # does not silence a later one.
+        cfg = preset_fig5(sampler=True)
+        cfg.filter_mode = "monitored"
+        cfg.detector.reference = "synthetic"
+        cfg.steps, cfg.attacks[0].onset = 60, 40
+        for _ in range(2):
+            lines = [w for w in run_scenario(cfg).warnings if "sampler" in w]
+            assert lines == ["non-triggering sampler fell back on 20 of 20 steps"]
+        cfg.attacks[0].sampler = False
+        assert not any("sampler" in w for w in run_scenario(cfg).warnings)
 
     def test_onset_beyond_run_warns(self):
         cfg = tiny_config(attacks=[{"kind": "measurement_injection", "node": 2,
