@@ -5,8 +5,7 @@ based resilient estimation."""
 from .attacks import (AttackPlan, AttackRecursion, SignalSpec, corrupt_channel,
                       corrupt_measurement, craft_non_triggering, craft_replay)
 from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
-                        knn_distance, neighbor_innovation,
-                        nominal_reference_window)
+                        neighbor_innovation, nominal_reference_window)
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (NodeEstimator, TriggerConfig, innovation,
                         innovation_covariance, kalman_gain, measurement_update,
@@ -18,8 +17,8 @@ from .models import (NoiseSource, ProcessModel, SensorModel,
                      is_collectively_observable, measure, observability_rank,
                      step_process)
 from .resilience import (BeliefState, BoundMonitor, ResilientConfig,
-                         resilient_measurement_update, update_confidence,
-                         update_trust, weighted_neighbor_estimate)
+                         update_confidence, update_trust,
+                         weighted_neighbor_estimate)
 from .scenario import ScenarioConfig, get_preset, list_presets
 from .simulate import (MetricsReport, SimTrace, compute_metrics, export_csv,
                        load_trace_csv, run_scenario, write_run_dir)

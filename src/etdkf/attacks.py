@@ -45,6 +45,8 @@ class SignalSpec:
     def evaluate(self, t: float, dim: int) -> np.ndarray:
         if self.kind == "constant":
             v = np.asarray(self.value, dtype=float).reshape(-1)
+            if not np.isfinite(v).all():
+                raise ConfigurationError(f"constant signal value {self.value!r} is not finite")
             if v.size == 1:
                 return np.full(dim, v[0])
             if v.size != dim:

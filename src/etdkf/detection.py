@@ -13,7 +13,8 @@ residuals produce those).
 
 `estimate_kl` evaluates one pair of sample sets. `KnnWindowBank` keeps the
 sliding windows of a whole network and updates their distance matrices by one
-row and column per step; its estimates equal `estimate_kl`'s bit for bit.
+row and column per step; its estimates equal `estimate_kl`'s bit for bit. It
+also keeps each row's last T estimates for the detectors' sliding mean.
 """
 
 from __future__ import annotations
@@ -102,15 +103,6 @@ def _divergence(d_x, d_z, n2: int, epsilon_d: float, m: int):
     return m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
 
 
-def knn_distance(samples, index: int, k_nn: int, epsilon_d: float = 1e-12) -> float:
-    """k-th smallest Euclidean distance from samples[index] to the others."""
-    pts = np.asarray(samples, dtype=float)
-    if len(pts) <= k_nn:
-        raise ConfigurationError(f"need more than k_nn={k_nn} samples, got {len(pts)}")
-    d = np.linalg.norm(np.delete(pts, index, axis=0) - pts[index], axis=1)
-    return float(max(np.partition(d, k_nn - 1)[k_nn - 1], epsilon_d))
-
-
 def estimate_kl(X, Z, k_nn: int, dim: int | None = None, epsilon_d: float = 1e-12) -> float:
     """k-NN relative-entropy estimate of D(P_X || P_Z) from two sample sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -145,14 +137,19 @@ class KnnWindowBank:
     drawn reference windows and computes all rows' cross distances at once.
 
     `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
-    order, against its reference window, bit for bit.
+    order, against its reference window, bit for bit. `average` keeps the last
+    `average` (T) estimates of every row in a (rows, T) ring and returns their
+    means, each equal to `np.mean` of the row's last <= T estimates.
     """
 
     def __init__(self, rows: int, dim: int, window: int, k_nn: int,
-                 epsilon_d: float = 1e-12, sliding_reference: bool = False):
+                 epsilon_d: float = 1e-12, sliding_reference: bool = False,
+                 average: int = 1):
         if not 1 <= k_nn < window:
             raise ConfigurationError(
                 f"need 1 <= k_nn < window, got k_nn={k_nn}, window={window}")
+        if average < 1:
+            raise ConfigurationError(f"average window T must be >= 1, got {average}")
         self.dim = int(dim)
         self.window = int(window)
         self.k_nn = int(k_nn)
@@ -164,6 +161,8 @@ class KnnWindowBank:
         if sliding_reference:
             self._z = np.zeros_like(self._x)
             self._dxz = np.zeros_like(self._dxx)
+        self._raw = np.zeros((rows, int(average)))
+        self._averaged = 0
 
     def __len__(self):
         return min(self.count, self.window)
@@ -199,14 +198,9 @@ class KnnWindowBank:
             self._dxz[:, :, s] = pairwise_distances(self._x, z[:, None])[..., 0]
         self.count += 1
 
-    def _chronological(self, a, axis: int = -1) -> np.ndarray:
-        # Once the ring is full, slot `count % window` holds the oldest sample.
-        shift = -(self.count % self.window) if self.full else 0
-        return np.ascontiguousarray(np.roll(a, shift, axis=axis))
-
     def samples(self) -> np.ndarray:
         """The windows in chronological order, (rows, len, dim)."""
-        return self._chronological(self._x[:, :len(self)], axis=1)
+        return _oldest_first(self._x[:, :len(self)], self.count, axis=1)
 
     def estimates(self, reference=None) -> np.ndarray:
         """One divergence estimate per row, (rows,); needs a full ring.
@@ -228,9 +222,26 @@ class KnnWindowBank:
                     f"reference of shape {Z.shape} for {len(self._x)} rows of dim "
                     f"{self.dim} and k_nn={self.k_nn}")
             dxz, n2 = pairwise_distances(self._x, Z), Z.shape[1]
-        d_x = self._chronological(kth_neighbor_distance(self._dxx, self.k_nn))
-        d_z = self._chronological(kth_neighbor_distance(dxz, self.k_nn))
+        d_x = _oldest_first(kth_neighbor_distance(self._dxx, self.k_nn), self.count)
+        d_z = _oldest_first(kth_neighbor_distance(dxz, self.k_nn), self.count)
         return _divergence(d_x, d_z, n2, self.epsilon_d, self.dim)
+
+    def average(self, values) -> np.ndarray:
+        """Record one estimate per row, (rows,), and return each row's mean of
+        its last <= T estimates, summed oldest first as `np.mean` sums them."""
+        T = self._raw.shape[1]
+        self._raw[:, self._averaged % T] = values
+        self._averaged += 1
+        return np.mean(_oldest_first(self._raw[:, :self._averaged], self._averaged), axis=1)
+
+
+def _oldest_first(ring, count: int, axis: int = -1) -> np.ndarray:
+    """A ring written `count` times in slot order, oldest entry first, C-contiguous.
+
+    Once the ring is full, slot `count % size` holds the oldest entry.
+    """
+    size = ring.shape[axis]
+    return np.ascontiguousarray(np.roll(ring, -(count % size) if size else 0, axis=axis))
 
 
 def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:
@@ -253,35 +264,6 @@ def neighbor_innovation(y_i, C_j, x_pred_j) -> np.ndarray:
     return np.asarray(y_i, float) - np.asarray(C_j, float) @ np.asarray(x_pred_j, float)
 
 
-def sliding_mean(values, T: int) -> float:
-    """Mean of the last <=T entries; NaN when nothing is available."""
-    tail = [v for v in values[-T:]]
-    if not tail:
-        return float("nan")
-    return float(np.mean(tail))
-
-
 def detect(value: float, delta: float) -> str:
     """H1 iff the averaged divergence strictly exceeds delta (NaN stays H0)."""
     return H1 if value > delta else H0
-
-
-class DivergenceTracker:
-    """Per-node (or per-edge) divergence series with the T-step sliding mean."""
-
-    def __init__(self, config: DetectorConfig):
-        self.config = config
-        self.raw: list = []       # instantaneous estimates, one per step they exist
-        self.phi_series: list = []  # (step, averaged value)
-        self.flags: list = []
-
-    def update(self, step: int, d_hat: float) -> float:
-        self.raw.append(d_hat)
-        value = sliding_mean(self.raw, self.config.average)
-        self.phi_series.append((step, value))
-        self.flags.append((step, detect(value, self.config.delta)))
-        return value
-
-    @property
-    def latest(self) -> float:
-        return self.phi_series[-1][1] if self.phi_series else float("nan")

@@ -1,4 +1,4 @@
-"""Nominal event-triggered distributed Kalman filter: triggers, updates, gains.
+"""Event-triggered distributed Kalman filter: triggers, the update law, gains.
 
 All operations are pure; `NodeEstimator` is a plain state container owned by
 one logical node. Covariances are re-symmetrized after every update.
@@ -119,17 +119,26 @@ def apply_coupling(gamma, vec: np.ndarray) -> np.ndarray:
     return gamma * vec
 
 
-def measurement_update(est: NodeEstimator, y, C, neighbor_preds, own_pred) -> None:
-    """Posterior: prior + gain-weighted innovation + consensus on predictive estimates.
+def measurement_update(est: NodeEstimator, y, C, m_i, beta_i: float, neighbor_preds,
+                       weights, own_pred) -> None:
+    """Posterior update law of every filter mode.
 
-    `neighbor_preds` holds the latest predictive estimate for each neighbor as
-    seen by this node (non-transmitting neighbors already extrapolated).
+    The measurement is blended with the weighted neighbor estimate `m_i` by
+    the node's own confidence `beta_i`, and each consensus term is scaled by
+    its belief weight w_ij = sigma_ij * beta_j. `neighbor_preds` holds the
+    latest predictive estimate of each neighbor as seen by this node
+    (non-transmitting neighbors already extrapolated), in ascending neighbor
+    order, and `weights` the matching w_ij. With beta_i = 1 and every weight 1
+    this is the nominal update x_prior + K (y - C x_prior) + gamma sum_j
+    (x_j - own_pred), bit for bit.
     """
-    r = innovation(y, C, est.x_prior)
+    C = np.asarray(C, float)
+    blended = beta_i * np.asarray(y, float) + (1.0 - beta_i) * (C @ np.asarray(m_i, float))
+    r = blended - C @ est.x_prior
     consensus = np.zeros_like(est.x_prior)
     own = np.asarray(own_pred, float)
-    for xj in neighbor_preds:
-        consensus = consensus + (np.asarray(xj, float) - own)
+    for w, xj in zip(weights, neighbor_preds):
+        consensus = consensus + w * (np.asarray(xj, float) - own)
     est.x_post = est.x_prior + est.K @ r + apply_coupling(est.gamma, consensus)
 
 

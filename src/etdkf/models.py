@@ -112,10 +112,6 @@ class NoiseSource:
             )
         return self._cache[key]
 
-    def clone(self) -> "NoiseSource":
-        """Fresh source with the same seed; all streams restart from scratch."""
-        return NoiseSource(self.seed)
-
     def draw_initial_state(self, model: ProcessModel) -> np.ndarray:
         rng = self.stream(STREAM_INITIAL_STATE)
         return rng.multivariate_normal(model.x0_mean, model.P0, method="cholesky" if _is_pd(model.P0) else "svd")

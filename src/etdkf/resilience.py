@@ -1,4 +1,4 @@
-"""Second-order inference: confidence/trust beliefs and the secure update law.
+"""Second-order inference: confidence/trust beliefs, belief weights, the bound monitor.
 
 Belief statistics map divergences through chi = U1 / (U1 + D) and are
 accumulated with a normalized discounted sum
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .filtering import sym
 
 DISCOUNTING_MODES = ("normalized", "unnormalized", "difference")
 
@@ -118,43 +117,21 @@ class BeliefState:
         return self.sigma[edge].value
 
 
-def weighted_neighbor_estimate(x_prior_i, neighbor_preds: dict, sigma_i: dict,
-                               beta: dict) -> np.ndarray:
-    """m_i: trust-and-confidence weighted average of neighbor predictive estimates.
+def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights) -> np.ndarray:
+    """m_i: belief-weighted average of neighbor predictive estimates.
 
-    Follows the stated 1/|N_i| normalization, so down-weighted neighbors shrink
-    the average rather than renormalizing it. Falls back to the node's own
-    prior when there are no neighbors.
+    `weights` holds w_ij = sigma_ij * beta_j for each entry of
+    `neighbor_preds`. Follows the stated 1/|N_i| normalization, so
+    down-weighted neighbors shrink the average rather than renormalizing it.
+    Falls back to the node's own prior when there are no neighbors.
     """
     if not neighbor_preds:
         return np.array(x_prior_i, dtype=float)
     acc = None
-    for j, xj in neighbor_preds.items():
-        w = sigma_i[j] * beta[j]
+    for w, xj in zip(weights, neighbor_preds):
         term = w * np.asarray(xj, float)
         acc = term if acc is None else acc + term
     return acc / len(neighbor_preds)
-
-
-def resilient_measurement_update(est, y, C, m_i, beta_i: float, neighbor_preds: dict,
-                                 sigma_i: dict, beta: dict, own_pred) -> None:
-    """Secure posterior update: measurement blended with the weighted neighbor
-    estimate by own confidence; consensus terms weighted by trust * confidence.
-
-    With every belief pinned to one this reproduces the nominal update
-    bit-for-bit.
-    """
-    from .filtering import apply_coupling
-
-    C = np.asarray(C, float)
-    blended = beta_i * np.asarray(y, float) + (1.0 - beta_i) * (C @ np.asarray(m_i, float))
-    r = blended - C @ est.x_prior
-    consensus = np.zeros_like(est.x_prior)
-    own = np.asarray(own_pred, float)
-    for j in sorted(neighbor_preds):
-        w = sigma_i[j] * beta[j]
-        consensus = consensus + w * (np.asarray(neighbor_preds[j], float) - own)
-    est.x_post = est.x_prior + est.K @ r + apply_coupling(est.gamma, consensus)
 
 
 @dataclass
@@ -169,7 +146,7 @@ class BoundMonitor:
     A: np.ndarray
     C_norms: list
     alpha: float
-    B: float            # empirical bound on ||x(k+1)-x(k)+v(k+1)||, from warmup
+    B: float            # empirical bound on ||x(k+1)-x(k)+v(k+1)||, from the twin run
     tau: float
     bound: float = 0.0
     A_o: float = float("nan")
@@ -194,12 +171,6 @@ class BoundMonitor:
         self.B_o = trigger_term + deficit_term
         self.bound = self.A_o * self.bound + self.B_o
         return self.bound
-
-    def asymptote(self) -> float:
-        """Limit of the running bound when contractive."""
-        if not self.contractive:
-            return float("inf")
-        return self.A_o * self.B_o / (1.0 - self.A_o)
 
 
 def trust_masked_laplacian(graph, sigma: dict, beta: dict) -> np.ndarray:

@@ -17,6 +17,7 @@ from .models import ProcessModel, SensorModel, is_collectively_observable
 from .resilience import ResilientConfig, assumption4_satisfied
 
 FILTER_MODES = ("nominal", "monitored", "resilient")
+REQUIRED_KEYS = ("steps", "process", "sensors", "graph", "trigger")
 CONSENSUS_MODES = ("scalar", "matrix")
 
 
@@ -49,7 +50,6 @@ class ScenarioConfig:
     steps_per_second: float = 1.0
     beliefs_pinned: bool = False
     bound_monitor: bool | None = None   # None: on exactly in resilient mode
-    warmup_steps: int = 500             # nominal twin length for B / calibration
 
     @property
     def dt(self) -> float:
@@ -185,7 +185,6 @@ class ScenarioConfig:
                 "tau": self.resilient.tau,
                 "discounting": self.resilient.discounting,
             },
-            "warmup_steps": int(self.warmup_steps),
             "attacks": [_plan_to_dict(p) for p in self.attacks],
         }
         if self.bound_monitor is not None:
@@ -194,7 +193,21 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = copy.deepcopy(d)
+        """Parse the mapping form; input of the wrong shape raises ValidationError."""
+        if not isinstance(d, dict):
+            raise ValidationError([f"a scenario is a mapping, got {type(d).__name__}"])
+        missing = [key for key in REQUIRED_KEYS if key not in d]
+        if missing:
+            raise ValidationError([f"missing required key {key!r}" for key in missing])
+        try:
+            return cls._parse(copy.deepcopy(d))
+        except ConfigurationError:
+            raise
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValidationError([f"malformed scenario: {type(exc).__name__}: {exc}"]) from None
+
+    @classmethod
+    def _parse(cls, d: dict) -> "ScenarioConfig":
         proc = d["process"]
         process = ProcessModel(A=proc["a"], Q=proc["q"],
                                x0_mean=proc["x0_mean"], P0=proc["p0"])
@@ -240,7 +253,6 @@ class ScenarioConfig:
             ),
             steps_per_second=float(d.get("steps_per_second", 1.0)),
             bound_monitor=d.get("bound_monitor"),
-            warmup_steps=int(d.get("warmup_steps", 500)),
         )
 
     def to_yaml(self) -> str:
@@ -248,7 +260,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(yaml.safe_load(text))
+        try:
+            d = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValidationError([f"not valid YAML: {exc}"]) from None
+        return cls.from_dict(d)
 
 
 def _plan_to_dict(p: AttackPlan) -> dict:
@@ -305,10 +321,6 @@ def rotation_process(n_steps_per_turn: int = 400) -> ProcessModel:
     th = 2.0 * np.pi / n_steps_per_turn
     A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     return ProcessModel(A=A, Q=np.eye(2), x0_mean=np.array([0.5, 0.0]), P0=np.eye(2))
-
-
-def default_sensor() -> SensorModel:
-    return SensorModel(C=np.array([[5.0, 0.0], [0.0, 2.0]]), R=np.eye(2))
 
 
 def six_node_graph() -> Graph:

@@ -24,17 +24,17 @@ import numpy as np
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
-from .detection import (DivergenceTracker, KnnWindowBank, neighbor_innovation,
+from .detection import (KnnWindowBank, detect, neighbor_innovation,
                         nominal_reference_window)
 from .errors import ConfigurationError
 from .filtering import (NodeEstimator, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
                         should_transmit, time_update, update_predictive,
                         consensus_gain)
-from .graphs import connected_components, laplacian, neighbors
+from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, measure,
                      step_process)
-from .resilience import (BeliefState, BoundMonitor, resilient_measurement_update,
+from .resilience import (BeliefState, BoundMonitor, assumption4_satisfied,
                          trust_masked_laplacian, weighted_neighbor_estimate)
 
 NODE_BASE_COLUMNS = ["step", "node", "zeta", "innov_norm", "err_norm", "trace_p",
@@ -121,13 +121,16 @@ def run_scenario(config) -> SimTrace:
     if _needs_twin(config):
         twin_cfg = replace(config, attacks=[], filter_mode="nominal",
                            beliefs_pinned=False, bound_monitor=False)
-        twin = _engine(twin_cfg, twin=None, lite=True)
-    trace = _engine(config, twin=twin, lite=False)
+        _, twin = _engine(twin_cfg, twin=None, lite=True)
+    trace, _ = _engine(config, twin=twin, lite=False)
     trace.warnings = warnings + trace.warnings
     return trace
 
 
 def _engine(cfg, twin, lite: bool):
+    """One pass over the scenario; returns (trace, twin data). Every pass
+    records what a later pass needs of its twin; `lite` (the attack-free twin)
+    skips detection, beliefs and trace rows, so its trace stays empty."""
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
     A, Q = proc.A, proc.Q
@@ -136,9 +139,8 @@ def _engine(cfg, twin, lite: bool):
     nbrs = {i: sorted(neighbors(cfg.graph, i)) for i in nodes}
     sensors = {i: cfg.sensors[i - 1] for i in nodes}
     alpha = cfg.trigger.alpha
-    resilient = cfg.filter_mode == "resilient" and not cfg.beliefs_pinned
     track_beliefs = cfg.filter_mode in ("monitored", "resilient") and not cfg.beliefs_pinned
-    use_resilient_update = cfg.filter_mode == "resilient"
+    beliefs_in_update = cfg.filter_mode == "resilient"
     det = cfg.detector
 
     ests = {i: NodeEstimator.initial(proc.x0_mean, proc.P0, cfg.consensus.gamma)
@@ -166,14 +168,12 @@ def _engine(cfg, twin, lite: bool):
         bank_keys.setdefault(sensors[key[0]].p, []).append(key)
     shadow = det.reference == "shadow"
     banks = {dim: KnnWindowBank(len(keys), dim, det.window, det.k_nn, det.epsilon_d,
-                                sliding_reference=shadow)
+                                sliding_reference=shadow, average=det.average)
              for dim, keys in bank_keys.items()}
-    trackers = {key: DivergenceTracker(det) for key in win_keys}
     beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
+    unit_weights = {i: [1.0] * len(nbrs[i]) for i in nodes}
 
-    from .resilience import assumption4_satisfied
-    a4 = assumption4_satisfied(cfg.graph, cfg.compromised_nodes())
-    a4_ok = 1 if all(a4.values()) else 0
+    a4_ok = 1 if all(assumption4_satisfied(cfg.graph, cfg.compromised_nodes()).values()) else 0
 
     monitor = None
     if cfg.bound_monitor_enabled():
@@ -193,9 +193,8 @@ def _engine(cfg, twin, lite: bool):
     for k in range(cfg.steps):
         t = k * cfg.dt
         v = {i: noise.draw_measurement_noise(sensors[i], i) for i in nodes}
-        if lite and prev_x is not None:
-            for i in nodes:
-                b_samples.append(float(np.linalg.norm(x - prev_x + v[i])))
+        if prev_x is not None:
+            b_samples.extend(float(np.linalg.norm(x - prev_x + v[i])) for i in nodes)
 
         y_clean = {i: measure(sensors[i], x, v[i]) for i in nodes}
         y = dict(y_clean)
@@ -222,10 +221,8 @@ def _engine(cfg, twin, lite: bool):
         # Trigger barrier (everyone transmits at k = 0).
         zeta = {}
         for i in nodes:
-            if k == 0:
-                zeta[i] = 1
-            else:
-                zeta[i] = int(should_transmit(y[i], sensors[i].C, ests[i].x_pred, alpha))
+            zeta[i] = 1 if k == 0 else int(should_transmit(y[i], sensors[i].C,
+                                                           ests[i].x_pred, alpha))
             ests[i].zeta = zeta[i]
             ests[i].x_pred = update_predictive(zeta[i], ests[i].x_prior,
                                                ests[i].x_pred, A)
@@ -256,12 +253,7 @@ def _engine(cfg, twin, lite: bool):
         for i in nodes:
             innovations_rec[i].append(r[i].copy())
 
-        phi_val = {i: float("nan") for i in nodes}
-        flag = {i: "H0" for i in nodes}
-        psi_val = {}
-        edge_flag = {}
-        d_node = {i: float("nan") for i in nodes}
-        d_edge = {}
+        d_hat, phi = {}, {}   # per window key, once its bank is full
         if not lite:
             # The shadow reference slides with the windows (the twin's
             # innovations, or the node's own without a twin); the other modes
@@ -281,17 +273,22 @@ def _engine(cfg, twin, lite: bool):
                     continue
                 est = bank.estimates(None if shadow else
                                      np.stack([fresh[i] for i, _ in keys]))
-                for (i, j), d in zip(keys, est.tolist()):
-                    value = trackers[(i, j)].update(k, d)
-                    decision = trackers[(i, j)].flags[-1][1]
-                    if i == j:
-                        d_node[i], phi_val[i], flag[i] = d, value, decision
-                    else:
-                        d_edge[(i, j)] = d
-                        psi_val[(i, j)], edge_flag[(i, j)] = value, decision
+                d_hat.update(zip(keys, est.tolist()))
+                phi.update(zip(keys, bank.average(est).tolist()))
 
             if track_beliefs:
-                beliefs.step(d_node, d_edge)
+                beliefs.step({i: d_hat.get((i, i), math.nan) for i in nodes},
+                             {e: d_hat[e] for e in edge_keys if e in d_hat})
+
+        # Belief weights w_ij = sigma_ij * beta_j, computed once per step. An
+        # edge between sensors of unequal channel counts has no window, so its
+        # trust stays 1.
+        if track_beliefs:
+            beta = {i: beliefs.beta_value(i) for i in nodes}
+            sigma = {e: beliefs.sigma_value(e) for e in edge_keys}
+        else:
+            beta, sigma = dict.fromkeys(nodes, 1.0), {}
+        weights = {i: [sigma.get((i, j), 1.0) * beta[j] for j in nbrs[i]] for i in nodes}
 
         # Gains (and matrix-mode coupling) barrier.
         for i in nodes:
@@ -306,8 +303,7 @@ def _engine(cfg, twin, lite: bool):
                 ests[i].gamma = g
 
         # Bound monitor: record the bound holding for this step, then advance.
-        bound_now = float("nan")
-        realized = float("nan")
+        bound_now = realized = math.nan
         if monitor is not None:
             realized = math.sqrt(sum(float(np.dot(x - ests[i].x_prior,
                                                   x - ests[i].x_prior))
@@ -316,31 +312,23 @@ def _engine(cfg, twin, lite: bool):
                 monitor.start(realized)
             bound_now = monitor.bound
             Ms = [np.eye(n) - ests[i].K @ sensors[i].C for i in nodes]
-            sig = {e: beliefs.sigma_value(e) for e in edge_keys} if track_beliefs else {}
-            bet = {i: beliefs.beta_value(i) for i in nodes} if track_beliefs else {}
-            L_mask = trust_masked_laplacian(cfg.graph, sig, bet)
+            L_mask = trust_masked_laplacian(cfg.graph, sigma, beta)
             gmax = max(float(np.linalg.norm(np.atleast_2d(ests[i].gamma), 2))
                        if np.ndim(ests[i].gamma) == 2 else abs(ests[i].gamma)
                        for i in nodes)
-            monitor.step(Ms, L_mask, gmax, [bet.get(i, 1.0) for i in nodes])
+            monitor.step(Ms, L_mask, gmax, [beta[i] for i in nodes])
 
-        # Measurement update barrier.
+        # Measurement update barrier: one law; beliefs enter it only in
+        # resilient mode, elsewhere every weight is one.
         eps_norm = {}
         for i in nodes:
-            sigma_i = ({j: beliefs.sigma_value((i, j)) for j in nbrs[i]}
-                       if track_beliefs else {j: 1.0 for j in nbrs[i]})
-            beta_all = ({j: beliefs.beta_value(j) for j in nodes}
-                        if track_beliefs else {j: 1.0 for j in nodes})
-            m_i = weighted_neighbor_estimate(ests[i].x_prior, stored[i], sigma_i, beta_all)
+            preds = [stored[i][j] for j in nbrs[i]]
+            m_i = weighted_neighbor_estimate(ests[i].x_prior, preds, weights[i])
             eps_norm[i] = float(np.linalg.norm(m_i - x))
-            if use_resilient_update:
-                beta_i = beliefs.beta_value(i) if track_beliefs else 1.0
-                resilient_measurement_update(
-                    ests[i], y[i], sensors[i].C, m_i, beta_i, stored[i],
-                    sigma_i, beta_all, ests[i].x_pred)
-            else:
-                measurement_update(ests[i], y[i], sensors[i].C,
-                                   [stored[i][j] for j in nbrs[i]], ests[i].x_pred)
+            measurement_update(ests[i], y[i], sensors[i].C, m_i,
+                               beta[i] if beliefs_in_update else 1.0, preds,
+                               weights[i] if beliefs_in_update else unit_weights[i],
+                               ests[i].x_pred)
             ests[i].P_post = posterior_covariance(ests[i].P_prior, ests[i].K,
                                                   sensors[i].C, sensors[i].R)
 
@@ -351,9 +339,9 @@ def _engine(cfg, twin, lite: bool):
                     "innov_norm": float(np.linalg.norm(r[i])),
                     "err_norm": float(np.linalg.norm(ests[i].x_post - x)),
                     "trace_p": float(np.trace(ests[i].P_post)),
-                    "phi": phi_val[i], "flag": flag[i],
-                    "beta": beliefs.beta_value(i) if track_beliefs else 1.0,
-                    "chi": beliefs.chi[i] if track_beliefs else 1.0,
+                    "phi": phi.get((i, i), math.nan),
+                    "flag": detect(phi.get((i, i), math.nan), det.delta),
+                    "beta": beta[i], "chi": beliefs.chi[i],
                     "eps_norm": eps_norm[i],
                     "attack_norm": attack_norm[i],
                     "bound": bound_now, "realized_err": realized,
@@ -369,10 +357,10 @@ def _engine(cfg, twin, lite: bool):
                     key = (i, j)
                     trace.edge_rows.append({
                         "step": k, "node": i, "neighbor": j,
-                        "psi": psi_val.get(key, float("nan")),
-                        "flag": edge_flag.get(key, "H0"),
-                        "sigma": beliefs.sigma_value(key) if (track_beliefs and key in beliefs.sigma) else 1.0,
-                        "theta": beliefs.theta.get(key, 1.0) if track_beliefs else 1.0,
+                        "psi": phi.get(key, math.nan),
+                        "flag": detect(phi.get(key, math.nan), det.delta),
+                        "sigma": sigma.get(key, 1.0),
+                        "theta": beliefs.theta.get(key, 1.0),
                         "attack_norm": edge_attack_norm.get(key, 0.0),
                     })
 
@@ -383,17 +371,13 @@ def _engine(cfg, twin, lite: bool):
         w_k = noise.draw_process_noise(proc)
         x = step_process(proc, x, w_k)
 
-    if lite:
-        omega_hat = {}
-        for i in nodes:
-            arr = np.array(innovations_rec[i])
-            omega_hat[i] = np.cov(arr.T) if len(arr) > 2 else sensors[i].R.copy()
-        B = float(np.percentile(b_samples, 99.9)) if b_samples else 0.0
-        return _TwinData(innovations=innovations_rec, B=B, omega_hat=omega_hat)
+    omega_hat = {i: np.cov(np.array(innovations_rec[i]).T) if cfg.steps > 2
+                 else sensors[i].R.copy() for i in nodes}
+    B = float(np.percentile(b_samples, 99.9)) if b_samples else 0.0
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace
+    return trace, _TwinData(innovations=innovations_rec, B=B, omega_hat=omega_hat)
 
 
 def _reference_window(det, twin, i, est, sensor, noise):
@@ -546,7 +530,6 @@ def write_run_dir(trace: SimTrace, out_dir: str) -> dict:
     with open(cpath, "w") as fh:
         fh.write(trace.config.to_yaml())
     paths["config"] = cpath
-    from .graphs import adjacency_csv
     apath = os.path.join(out_dir, "adjacency.csv")
     with open(apath, "w") as fh:
         fh.write(adjacency_csv(trace.config.graph))

@@ -64,7 +64,7 @@ def test_criterion_01_centralized_kf_equivalence():
     for _ in range(500):
         y = C @ x + src.draw_measurement_noise(sensor, 1)
         est.K = kalman_gain(est.P_prior, C, R)
-        measurement_update(est, y, C, [], est.x_prior)
+        measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
         est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
         x_ref, P_ref = ref.step(y)
         worst = max(worst, np.abs(est.x_post - x_ref).max(),

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etdkf.detection import (H0, H1, DetectorConfig, DivergenceTracker,
-                             KnnWindowBank, detect, estimate_kl,
-                             knn_distance, neighbor_innovation,
-                             nominal_reference_window, pairwise_distances,
-                             sliding_mean)
+from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, detect,
+                             estimate_kl, kth_neighbor_distance,
+                             neighbor_innovation, nominal_reference_window,
+                             pairwise_distances)
 from etdkf.errors import ConfigurationError
+from etdkf.scenario import get_preset
+from etdkf.simulate import run_scenario
 
 
 def brute_force_knn(samples, index, k):
@@ -20,6 +21,13 @@ def brute_force_knn(samples, index, k):
     return ds[k - 1]
 
 
+def knn_distance(samples, index, k):
+    """k-th neighbor distance of samples[index] within its own set, the query
+    skipped, through the helper the estimator and the bank share."""
+    pts = np.asarray(samples, dtype=float)
+    return float(kth_neighbor_distance(pairwise_distances(pts, pts), k)[index])
+
+
 class TestKnnDistance:
     def test_collinear_points(self):
         pts = [[0.0], [1.0], [3.0]]
@@ -27,8 +35,13 @@ class TestKnnDistance:
         assert knn_distance(pts, 0, 2) == 3.0
 
     def test_duplicates_floored(self):
+        # a coincident copy is a zero distance; the estimator floors it at epsilon_d
         pts = [[2.0, 2.0], [2.0, 2.0], [5.0, 5.0]]
-        assert knn_distance(pts, 0, 1, epsilon_d=1e-12) == 1e-12
+        assert knn_distance(pts, 0, 1) == 0.0
+        Z = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert np.isfinite(estimate_kl(pts, Z, k_nn=1, epsilon_d=1e-12))
+        assert estimate_kl(pts, Z, k_nn=1, epsilon_d=1e-12) > estimate_kl(
+            pts, Z, k_nn=1, epsilon_d=1e-6)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -40,7 +53,7 @@ class TestKnnDistance:
 
     def test_needs_enough_samples(self):
         with pytest.raises(ConfigurationError):
-            knn_distance([[0.0], [1.0]], 0, 2)
+            estimate_kl([[0.0], [1.0]], [[0.0], [1.0], [2.0]], k_nn=2)
 
 
 class TestEstimateKl:
@@ -238,41 +251,53 @@ class TestKnnWindowBank:
 
 
 class TestPhi:
+    """The detectors' sliding mean, kept by the bank."""
+
     def test_identical_windows_constant(self):
-        cfg = DetectorConfig(k_nn=4, window=40, average=10, delta=0.5)
-        tracker = DivergenceTracker(cfg)
+        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=10)
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 2))
         ident = np.log(40.0 / 39.0)
         for k in range(25):
-            val = tracker.update(k, estimate_kl(X, X.copy(), 4))
+            val = bank.average([estimate_kl(X, X.copy(), 4)])[0]
             assert val == pytest.approx(ident, abs=1e-12)
 
     def test_partial_average_then_t1(self):
-        cfg = DetectorConfig(k_nn=4, window=40, average=3, delta=0.5)
-        tracker = DivergenceTracker(cfg)
-        assert tracker.update(0, 1.0) == pytest.approx(1.0)
-        assert tracker.update(1, 2.0) == pytest.approx(1.5)
-        assert tracker.update(2, 3.0) == pytest.approx(2.0)
-        assert tracker.update(3, 4.0) == pytest.approx(3.0)  # window of 3
-        one = DivergenceTracker(DetectorConfig(k_nn=4, window=40, average=1, delta=0.5))
-        one.update(0, 0.7)
-        assert one.latest == pytest.approx(0.7)
+        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=3)
+        assert bank.average([1.0])[0] == pytest.approx(1.0)
+        assert bank.average([2.0])[0] == pytest.approx(1.5)
+        assert bank.average([3.0])[0] == pytest.approx(2.0)
+        assert bank.average([4.0])[0] == pytest.approx(3.0)  # window of 3
+        one = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=1)
+        assert one.average([0.7])[0] == pytest.approx(0.7)
 
     def test_grows_after_displacement(self):
-        cfg = DetectorConfig(k_nn=4, window=40, average=5, delta=0.5)
-        tracker = DivergenceTracker(cfg)
+        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=5)
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((40, 2))
         for k in range(10):
             X = rng.standard_normal((40, 2))
-            tracker.update(k, estimate_kl(X, Z, 4))
-        calm = tracker.latest
+            calm = bank.average([estimate_kl(X, Z, 4)])[0]
         for k in range(10, 25):
             X = rng.standard_normal((40, 2)) + 6.0
-            tracker.update(k, estimate_kl(X, Z, 4))
-        assert tracker.latest > max(0.5, calm + 0.5)
-        assert tracker.flags[-1][1] == H1
+            latest = bank.average([estimate_kl(X, Z, 4)])[0]
+        assert latest > max(0.5, calm + 0.5)
+        assert detect(latest, 0.5) == H1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(0, 60),
+           st.integers(0, 2**32 - 1))
+    def test_equals_numpy_mean_of_the_last_t(self, T, rows, extra, seed):
+        # every row's mean is np.mean over its last <= T estimates, bit for
+        # bit, through several ring wrap-arounds
+        rng = np.random.default_rng(seed)
+        steps = 3 * T + extra
+        history = rng.standard_normal((steps, rows)) * 10.0 ** rng.uniform(-3, 3, (steps, rows))
+        bank = KnnWindowBank(rows=rows, dim=1, window=2, k_nn=1, average=T)
+        for t in range(steps):
+            got = bank.average(history[t])
+            for b in range(rows):
+                assert got[b] == np.mean(history[max(0, t + 1 - T):t + 1, b].tolist()), (t, b)
 
 
 class TestReferenceWindow:
@@ -327,7 +352,16 @@ class TestDetect:
         assert detect(float("nan"), 0.5) == H0
 
     def test_sliding_mean_empty(self):
-        assert np.isnan(sliding_mean([], 5))
+        # no estimate before the windows fill, so phi and psi stay NaN until then
+        cfg = get_preset("fig6")
+        cfg.steps = cfg.detector.window + 2
+        trace = run_scenario(cfg)
+        full = cfg.detector.window - 1
+        for i in (1, 2):
+            phi = trace.series("phi", i)
+            assert np.all(np.isnan(phi[:full])) and np.all(np.isfinite(phi[full:]))
+        psi = trace.edge_series("psi", 2, 1)
+        assert np.all(np.isnan(psi[:full])) and np.all(np.isfinite(psi[full:]))
 
     def test_config_guards(self):
         with pytest.raises(ConfigurationError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdkf.errors import NumericalError
 from etdkf.filtering import (NodeEstimator, TriggerConfig, consensus_gain,
@@ -176,7 +178,7 @@ class TestInnovation:
                 rs.append(r)
                 omegas.append(innovation_covariance(est.P_prior, C, R))
             est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, [], est.x_prior)
+            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
             est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
             time_update(est, A, Q)
             x = A @ x + src.draw_process_noise(model)
@@ -193,7 +195,7 @@ class TestMeasurementUpdate:
         R = np.eye(2)
         est.K = kalman_gain(est.P_prior, C, R)
         y = np.array([1.0, -2.0])
-        measurement_update(est, y, C, [], est.x_prior)
+        measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
         want = est.x_prior + est.K @ (y - C @ est.x_prior)
         assert np.array_equal(est.x_post, want)
 
@@ -202,7 +204,8 @@ class TestMeasurementUpdate:
         C = np.eye(2)
         est.K = np.zeros((2, 2))
         shared = np.array([4.0, -4.0])
-        measurement_update(est, np.zeros(2), C, [shared, shared.copy()], shared)
+        measurement_update(est, np.zeros(2), C, shared, 1.0, [shared, shared.copy()],
+                           [1.0, 1.0], shared)
         assert np.array_equal(est.x_post, est.x_prior)
 
     def test_two_node_hand_case(self):
@@ -213,11 +216,35 @@ class TestMeasurementUpdate:
         y = np.array([3.0, 1.0])
         own = np.array([1.0, 0.0])
         other = np.array([2.0, 2.0])
-        measurement_update(est, y, C, [other], own)
+        measurement_update(est, y, C, own, 1.0, [other], [1.0], own)
         want = (np.array([1.0, 0.0])
                 + est.K @ (y - C @ np.array([1.0, 0.0]))
                 + 0.25 * (other - own))
         assert np.allclose(est.x_post, want, atol=1e-15)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_unit_beliefs_equal_nominal_formula(self, count, matrix_gamma, seed):
+        # beta_i = 1 and every weight 1 give x_prior + K (y - C x_prior)
+        # + gamma sum_j (x_j - own), summed from zeros in neighbor order.
+        rng = np.random.default_rng(seed)
+        n, p = 3, int(rng.integers(1, 4))
+        gamma = rng.standard_normal((n, n)) if matrix_gamma else float(rng.uniform(0, 1))
+        est = NodeEstimator.initial(rng.standard_normal(n), np.eye(n), gamma=gamma)
+        est.K = rng.standard_normal((n, p))
+        C = rng.standard_normal((p, n))
+        y = rng.standard_normal(p) * 10.0
+        own = rng.standard_normal(n)
+        preds = list(rng.standard_normal((count, n)) * 5.0)
+        m_i = rng.standard_normal(n) * 5.0
+        measurement_update(est, y, C, m_i, 1.0, preds, [1.0] * count, own)
+        consensus = np.zeros(n)
+        for xj in preds:
+            consensus = consensus + (xj - own)
+        coupled = gamma @ consensus if matrix_gamma else gamma * consensus
+        want = est.x_prior + est.K @ (y - C @ est.x_prior) + coupled
+        assert np.array_equal(est.x_post, want)
 
 
 class TestConsensusGain:
@@ -250,10 +277,10 @@ class TestConsensusGain:
         est.K = np.zeros((2, 2))
         other = np.array([1.0, 2.0])
         own = np.zeros(2)
-        measurement_update(est, np.zeros(2), np.eye(2), [other], own)
+        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, [other], [1.0], own)
         delta1 = est.x_post - est.x_prior
         est.gamma = 0.10
-        measurement_update(est, np.zeros(2), np.eye(2), [other], own)
+        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, [other], [1.0], own)
         assert np.allclose(est.x_post - est.x_prior, 2.0 * delta1, atol=1e-15)
 
 
@@ -272,7 +299,7 @@ class TestFilterEquivalence:
         for _ in range(500):
             y = C @ x + src.draw_measurement_noise(sensor, 1)
             est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, [], est.x_prior)
+            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
             est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
             x_ref, P_ref = ref.step(y)
             assert np.all(np.abs(est.x_post - x_ref) < 1e-12)
@@ -303,7 +330,7 @@ class TestFilterEquivalence:
         for _ in range(2000):
             y = C @ x + src.draw_measurement_noise(sensor, 1)
             est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, [], est.x_prior)
+            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
             est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
             errs.append(np.linalg.norm(est.x_post - x))
             time_update(est, A, Q)

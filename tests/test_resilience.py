@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import NodeEstimator, kalman_gain, measurement_update
 from etdkf.graphs import Graph
 from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
                               ResilientConfig, assumption4_satisfied,
-                              divergence_statistic, resilient_measurement_update,
-                              trust_masked_laplacian, update_confidence,
-                              update_trust, weighted_neighbor_estimate)
+                              divergence_statistic, trust_masked_laplacian,
+                              update_confidence, update_trust,
+                              weighted_neighbor_estimate)
+from etdkf.simulate import run_scenario
+
+from test_scenario import tiny_config
 
 
 class TestDiscountedBeliefs:
@@ -89,27 +94,24 @@ class TestDiscountedBeliefs:
 
 class TestWeightedNeighborEstimate:
     def test_unit_weights_recover_shared_value(self):
-        xs = {2: np.array([1.0, 2.0]), 3: np.array([1.0, 2.0])}
-        m = weighted_neighbor_estimate([9.0, 9.0], xs, {2: 1.0, 3: 1.0},
-                                       {2: 1.0, 3: 1.0})
+        xs = [np.array([1.0, 2.0]), np.array([1.0, 2.0])]
+        m = weighted_neighbor_estimate([9.0, 9.0], xs, [1.0 * 1.0, 1.0 * 1.0])
         assert np.allclose(m, [1.0, 2.0], atol=1e-15)
 
     def test_zero_trust_contributes_nothing(self):
-        xs = {2: np.array([100.0, 100.0]), 3: np.array([2.0, 0.0])}
-        m = weighted_neighbor_estimate([0.0, 0.0], xs, {2: 0.0, 3: 1.0},
-                                       {2: 1.0, 3: 1.0})
+        xs = [np.array([100.0, 100.0]), np.array([2.0, 0.0])]
+        m = weighted_neighbor_estimate([0.0, 0.0], xs, [0.0 * 1.0, 1.0 * 1.0])
         assert np.allclose(m, [1.0, 0.0], atol=1e-15)  # divided by |N_i| = 2
 
     def test_mixed_weights_arithmetic_oracle(self):
-        xs = {2: np.array([2.0, 0.0]), 3: np.array([0.0, 4.0]), 5: np.array([1.0, 1.0])}
-        sigma = {2: 0.5, 3: 0.25, 5: 1.0}
-        beta = {2: 0.8, 3: 1.0, 5: 0.5}
-        want = (0.5 * 0.8 * xs[2] + 0.25 * 1.0 * xs[3] + 1.0 * 0.5 * xs[5]) / 3.0
-        m = weighted_neighbor_estimate([0.0, 0.0], xs, sigma, beta)
+        xs = [np.array([2.0, 0.0]), np.array([0.0, 4.0]), np.array([1.0, 1.0])]
+        weights = [0.5 * 0.8, 0.25 * 1.0, 1.0 * 0.5]   # sigma_ij * beta_j
+        want = (0.5 * 0.8 * xs[0] + 0.25 * 1.0 * xs[1] + 1.0 * 0.5 * xs[2]) / 3.0
+        m = weighted_neighbor_estimate([0.0, 0.0], xs, weights)
         assert np.allclose(m, want, atol=1e-15)
 
     def test_isolated_node_falls_back_to_prior(self):
-        m = weighted_neighbor_estimate([3.0, -1.0], {}, {}, {})
+        m = weighted_neighbor_estimate([3.0, -1.0], [], [])
         assert np.array_equal(m, [3.0, -1.0])
 
 
@@ -119,29 +121,64 @@ class TestResilientUpdate:
         R = np.eye(2)
         y = np.array([2.3, -0.7])
         own = np.array([0.4, 0.1])
-        others = {2: np.array([0.5, 0.3]), 3: np.array([0.2, -0.2])}
+        others = [np.array([0.5, 0.3]), np.array([0.2, -0.2])]
 
-        nominal = NodeEstimator.initial([0.4, 0.1], np.eye(2), gamma=0.1)
-        nominal.K = kalman_gain(nominal.P_prior, C, R)
-        measurement_update(nominal, y, C, [others[2], others[3]], own)
-
-        secure = NodeEstimator.initial([0.4, 0.1], np.eye(2), gamma=0.1)
-        secure.K = kalman_gain(secure.P_prior, C, R)
-        m = weighted_neighbor_estimate(secure.x_prior, others,
-                                       {2: 1.0, 3: 1.0}, {2: 1.0, 3: 1.0})
-        resilient_measurement_update(secure, y, C, m, 1.0, others,
-                                     {2: 1.0, 3: 1.0}, {2: 1.0, 3: 1.0}, own)
-        assert np.array_equal(secure.x_post, nominal.x_post)
+        est = NodeEstimator.initial([0.4, 0.1], np.eye(2), gamma=0.1)
+        est.K = kalman_gain(est.P_prior, C, R)
+        m = weighted_neighbor_estimate(est.x_prior, others, [1.0, 1.0])
+        measurement_update(est, y, C, m, 1.0, others, [1.0, 1.0], own)
+        nominal = (est.x_prior + est.K @ (y - C @ est.x_prior)
+                   + 0.1 * (np.zeros(2) + (others[0] - own) + (others[1] - own)))
+        assert np.array_equal(est.x_post, nominal)
 
     def test_zero_confidence_replaces_measurement(self):
         C = np.eye(2)
         est = NodeEstimator.initial([0.0, 0.0], np.eye(2), gamma=0.0)
         est.K = np.eye(2) * 0.5
         m = np.array([4.0, 4.0])
-        resilient_measurement_update(est, np.array([100.0, 100.0]), C, m, 0.0,
-                                     {}, {}, {}, est.x_prior)
+        measurement_update(est, np.array([100.0, 100.0]), C, m, 0.0, [], [], est.x_prior)
         want = est.x_prior + est.K @ (C @ m - C @ est.x_prior)
         assert np.allclose(est.x_post, want, atol=1e-15)
+
+    def test_weights_scale_consensus_terms(self):
+        est = NodeEstimator.initial([0.0, 0.0], np.eye(2), gamma=0.5)
+        est.K = np.zeros((2, 2))
+        own = np.array([1.0, 1.0])
+        others = [np.array([3.0, 1.0]), np.array([1.0, 5.0])]
+        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, others, [0.5, 0.25], own)
+        assert np.array_equal(est.x_post, 0.5 * np.array([0.5 * 2.0, 0.25 * 4.0]))
+
+
+class TestBeliefTiming:
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(4, 9), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from(["monitored", "resilient"]),
+           st.sampled_from(["normalized", "unnormalized"]))
+    def test_trust_waits_for_the_bank_confidence_does_not(self, w, k_nn, T, mode,
+                                                          discounting):
+        # Before the windows fill, every step gives each confidence a chi = 1
+        # update and leaves trust alone; at the first full step trust takes
+        # its first update while confidence carries the earlier ones.
+        cfg = tiny_config(steps=w + 3, filter={"mode": mode},
+                          detector={"window": w, "k_nn": min(k_nn, w - 1),
+                                    "average": T},
+                          resilient={"discounting": discounting})
+        trace = run_scenario(cfg)
+        full = w - 1
+        for i in (1, 2, 3):
+            chi = trace.series("chi", i)
+            beta = trace.series("beta", i)
+            oracle = DiscountedBelief(cfg.resilient.kappa1, discounting)
+            for k in range(full + 1):
+                want = oracle.update(1.0 if k < full else chi[k])
+                assert beta[k] == want, (i, k)
+            assert np.all(chi[:full] == 1.0)
+        for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
+            sigma = trace.edge_series("sigma", i, j)
+            theta = trace.edge_series("theta", i, j)
+            assert np.all(sigma[:full] == 1.0) and np.all(theta[:full] == 1.0)
+            first = DiscountedBelief(cfg.resilient.kappa2, discounting).update(theta[full])
+            assert sigma[full] == first
 
 
 class TestBoundMonitor:
@@ -167,7 +204,6 @@ class TestBoundMonitor:
             mon.step(Ms, L, gamma_max=0.05, betas=[0.9])
         # geometric series limit: bound -> B_o / (1 - A_o)
         assert mon.bound == pytest.approx(mon.B_o / (1.0 - mon.A_o), rel=1e-6)
-        assert mon.asymptote() == pytest.approx(mon.A_o * mon.B_o / (1 - mon.A_o))
 
     def test_non_contractive_flagged(self):
         A = np.eye(2) * 3.0
@@ -175,7 +211,7 @@ class TestBoundMonitor:
         mon.start(1.0)
         mon.step([np.eye(2)], np.zeros((1, 1)), 0.0, [1.0])
         assert not mon.contractive
-        assert mon.asymptote() == float("inf")
+        assert mon.A_o == pytest.approx(3.0)
 
 
 class TestTrustMaskedLaplacian:

@@ -33,6 +33,9 @@ def tiny_config(**overrides):
     return ScenarioConfig.from_dict(d)
 
 
+# A detector window that fills within tiny_config's 30 steps.
+SMALL_DETECTOR = {"window": 10, "k_nn": 3, "average": 3}
+
 # One constant signal of the wrong length, a replay without upsilon and one
 # with an upsilon of the wrong shape: each used to pass `validate` and fail `run`.
 BAD_SIGNAL_ATTACKS = [
@@ -82,6 +85,22 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError, match=r"attack\[0\]: constant signal dim 3 != 2"):
             ok.validate()
 
+    def test_malformed_input_rejected(self):
+        d = tiny_config().to_dict()
+        for key in ("trigger", "graph"):
+            del d[key]
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig.from_dict(d)
+        assert err.value.violations == ["missing required key 'graph'",
+                                        "missing required key 'trigger'"]
+        with pytest.raises(ValidationError, match="a scenario is a mapping, got list"):
+            ScenarioConfig.from_yaml("- steps: 10\n")
+        null = tiny_config(attacks=[{"kind": "measurement_injection", "node": 1, "onset": 5,
+                                     "signal": {"type": "constant", "value": None}}])
+        with pytest.raises(ValidationError) as err:
+            null.validate()
+        assert err.value.violations == ["attack[0]: constant signal value None is not finite"]
+
     def test_unobservable_network_rejected(self):
         d = {
             "name": "blind", "steps": 10, "seed": 1,
@@ -126,21 +145,25 @@ class TestCsvExport:
         assert lines[0].strip() == ",".join(trace.node_columns())
 
     def test_round_trip_read_back(self, tmp_path):
-        cfg = tiny_config()
+        cfg = tiny_config(detector=SMALL_DETECTOR)
         trace = run_scenario(cfg)
         paths = export_csv(trace, str(tmp_path))
         node_rows, edge_rows = load_trace_csv(paths["nodes"], paths["edges"])
         assert len(node_rows) == len(trace.node_rows)
-        for got, want in zip(node_rows, trace.node_rows):
-            for key, val in want.items():
-                if isinstance(val, float):
-                    if np.isnan(val):
-                        assert np.isnan(got[key])
-                    else:
-                        assert got[key] == val  # 17 significant digits round-trip
-                else:
-                    assert got[key] == val
         assert len(edge_rows) == len(trace.edge_rows)
+        for read, written in ((node_rows, trace.node_rows), (edge_rows, trace.edge_rows)):
+            for got, want in zip(read, written):
+                for key, val in want.items():
+                    if isinstance(val, float):
+                        if np.isnan(val):
+                            assert np.isnan(got[key])
+                        else:
+                            assert got[key] == val  # 17 significant digits round-trip
+                    else:
+                        assert got[key] == val
+        # the detect path ran: finite phi and psi values, read back exactly
+        assert np.isfinite([row["phi"] for row in node_rows]).sum() == 3 * 21
+        assert np.isfinite([row["psi"] for row in edge_rows]).sum() == 4 * 21
 
     def test_schema_hash_pinned(self):
         cfg = tiny_config()
@@ -163,14 +186,17 @@ class TestDeterminism:
                  "edges": [list(e) for e in six_node_graph().sorted_edges()]}
         sensors = {"count": 6, "c": [[5.0, 0.0], [0.0, 2.0]],
                    "r": [[1.0, 0.0], [0.0, 1.0]]}
-        base = tiny_config(graph=graph, sensors=sensors)
-        attacked = tiny_config(graph=graph, sensors=sensors, attacks=[
+        base = tiny_config(graph=graph, sensors=sensors, detector=SMALL_DETECTOR)
+        attacked = tiny_config(graph=graph, sensors=sensors, detector=SMALL_DETECTOR, attacks=[
             {"kind": "measurement_injection", "node": 2, "onset": 3,
              "signal": {"type": "constant", "value": [0.0, 0.0]}},
             {"kind": "channel_injection", "edge": [1, 2], "onset": 3,
              "signal": {"type": "constant", "value": [0.0, 0.0]}},
         ])
-        pa = export_csv(run_scenario(base), str(tmp_path / "base"))
+        base_trace = run_scenario(base)
+        assert np.isfinite(base_trace.series("phi", 2)).sum() == 21
+        assert np.isfinite(base_trace.edge_series("psi", 2, 1)).sum() == 21
+        pa = export_csv(base_trace, str(tmp_path / "base"))
         pb = export_csv(run_scenario(attacked), str(tmp_path / "zero"))
         assert open(pa["nodes"], "rb").read() == open(pb["nodes"], "rb").read()
         assert open(pa["edges"], "rb").read() == open(pb["edges"], "rb").read()
@@ -282,6 +308,33 @@ class TestCli:
                          str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("case", ["missing_keys", "top_level_list", "null_signal"])
+    def test_malformed_yaml_exits_2(self, case, tmp_path, capsys):
+        import yaml
+        d = tiny_config().to_dict()
+        if case == "missing_keys":
+            for key in ("trigger", "process", "graph", "sensors", "steps"):
+                del d[key]
+            text, want = yaml.safe_dump(d), "missing required key 'steps'"
+        elif case == "top_level_list":
+            text, want = yaml.safe_dump([d]), "a scenario is a mapping, got list"
+        else:
+            d["attacks"] = [{"kind": "measurement_injection", "node": 1, "onset": 5,
+                             "signal": {"type": "constant", "value": None}}]
+            text, want = yaml.safe_dump(d), "constant signal value None is not finite"
+        spath = tmp_path / "bad.yaml"
+        spath.write_text(text)
+        for argv in (["validate", "--scenario", str(spath)],
+                     ["run", "--scenario", str(spath), "--out", str(tmp_path / "out")]):
+            assert cli_main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and want in err
+            assert len(err.strip().splitlines()) == 1
+        if case == "missing_keys":
+            assert all(f"missing required key {key!r}" in err
+                       for key in ("trigger", "process", "graph", "sensors", "steps"))
+        assert not (tmp_path / "out").exists()
+
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
         # Two identical rows in C and a negligible R: the innovation covariance
         # R + C P C^T rounds to an exactly singular matrix at the first gain.
@@ -311,7 +364,7 @@ class TestReferenceModes:
     def test_calibrated_reference_runs(self):
         cfg = tiny_config(detector={"k_nn": 4, "window": 10, "average": 3,
                                     "delta": 0.5, "reference": "calibrated"},
-                          steps=40, warmup_steps=60)
+                          steps=40)
         trace = run_scenario(cfg)
         assert np.isfinite(trace.series("phi", 2)[-1])
 
@@ -322,6 +375,25 @@ class TestReferenceModes:
         a = export_csv(run_scenario(cfg), str(tmp_path / "a"))
         b = export_csv(run_scenario(cfg), str(tmp_path / "b"))
         assert open(a["nodes"], "rb").read() == open(b["nodes"], "rb").read()
+
+
+class TestMixedChannelCounts:
+    @pytest.mark.parametrize("mode", ["nominal", "monitored", "resilient"])
+    def test_unequal_channel_counts_run(self, mode):
+        # Node 2 measures one channel, its neighbors two: edges between them
+        # have no detector window and keep trust 1.
+        sensors = [{"c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()},
+                   {"c": [[1.0, 1.0]], "r": [[1.0]]},
+                   {"c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()}]
+        cfg = tiny_config(sensors=sensors, filter={"mode": mode}, detector=SMALL_DETECTOR)
+        cfg.validate()
+        trace = run_scenario(cfg)
+        assert len(trace.node_rows) == 3 * 30
+        for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
+            assert np.all(trace.edge_series("sigma", i, j) == 1.0)
+            assert np.all(np.isnan(trace.edge_series("psi", i, j)))
+        assert np.isfinite(trace.series("phi", 2)[-1])
+        assert np.isfinite(trace.series("err_norm", 2)).all()
 
 
 class TestMatrixConsensus:
