@@ -64,7 +64,7 @@ class AttackPlan:
     kind: str
     onset: int
     node: int | None = None        # for node-targeted kinds
-    edge: tuple | None = None      # (j, i): channel j -> i
+    edge: tuple[int, int] | None = None   # (j, i): channel j -> i
     signal: SignalSpec = field(default_factory=SignalSpec)
     phi: float = 0.0               # non-triggering residual budget, must be < alpha
     sampler: bool = False          # non-triggering: paper-sampler mode

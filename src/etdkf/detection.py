@@ -103,7 +103,8 @@ def _divergence(d_x, d_z, n2: int, epsilon_d: float, m: int):
     return m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
 
 
-def estimate_kl(X, Z, k_nn: int, dim: int | None = None, epsilon_d: float = 1e-12) -> float:
+def estimate_kl(X, Z, k_nn: int, dim: int | None = None,
+                epsilon_d: float = DetectorConfig.epsilon_d) -> float:
     """k-NN relative-entropy estimate of D(P_X || P_Z) from two sample sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
@@ -143,7 +144,7 @@ class KnnWindowBank:
     """
 
     def __init__(self, rows: int, dim: int, window: int, k_nn: int,
-                 epsilon_d: float = 1e-12, sliding_reference: bool = False,
+                 epsilon_d: float = DetectorConfig.epsilon_d, sliding_reference: bool = False,
                  average: int = 1):
         if not 1 <= k_nn < window:
             raise ConfigurationError(

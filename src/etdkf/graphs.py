@@ -18,7 +18,7 @@ class Graph:
     """Undirected graph over nodes 1..N with no self-loops."""
 
     node_count: int
-    edges: frozenset
+    edges: frozenset[tuple[int, int]]
 
     def __init__(self, node_count: int, edges):
         canon = set()

@@ -16,6 +16,8 @@ def _as_matrix(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ConfigurationError(f"{name} must be a 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ConfigurationError(f"{name} has a non-finite entry")
     return a
 
 
@@ -44,7 +46,7 @@ class ProcessModel:
     def __post_init__(self):
         self.A = _as_matrix(self.A, "A")
         self.Q = _as_matrix(self.Q, "Q")
-        self.x0_mean = np.asarray(self.x0_mean, dtype=float).reshape(-1)
+        self.x0_mean = _as_matrix(np.reshape(self.x0_mean, (1, -1)), "x0_mean")[0]
         self.P0 = _as_matrix(self.P0, "P0")
         n = self.A.shape[0]
         if self.A.shape != (n, n):

@@ -8,8 +8,8 @@ accumulated with a normalized discounted sum
 computed recursively. The literal unnormalized sum converges to
 kappa^2/(1-kappa) times the input level, which contradicts the claimed (0,1]
 range and limits; normalization preserves both stated limits (constant input c
-gives beta -> c) and is the default. The unnormalized and pure difference-
-equation forms stay available behind `discounting` for fidelity studies.
+gives beta -> c) and is the default. The unnormalized form stays available
+behind `discounting` for fidelity studies.
 
 Divergence inputs are floored at zero before the chi/theta map so beliefs stay
 in (0,1] even when the k-NN estimator goes slightly negative; raw estimates
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-DISCOUNTING_MODES = ("normalized", "unnormalized", "difference")
+DISCOUNTING_MODES = ("normalized", "unnormalized")
 
 
 @dataclass
@@ -66,15 +66,12 @@ class DiscountedBelief:
 
     def update(self, stat: float) -> float:
         k = self.kappa
+        self._num = k * (self._num + k * stat)
         if self.mode == "normalized":
-            self._num = k * (self._num + k * stat)
             self._den = k * (self._den + k)
             self.value = self._num / self._den
-        elif self.mode == "unnormalized":
-            self._num = k * (self._num + k * stat)
+        else:
             self.value = self._num
-        else:  # difference equation, unbounded by construction
-            self.value = self.value + k * stat
         return self.value
 
 

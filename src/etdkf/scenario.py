@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import difflib
+import functools
+import math
+import numbers
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -17,7 +23,6 @@ from .models import ProcessModel, SensorModel, is_collectively_observable
 from .resilience import ResilientConfig, assumption4_satisfied
 
 FILTER_MODES = ("nominal", "monitored", "resilient")
-REQUIRED_KEYS = ("steps", "process", "sensors", "graph", "trigger")
 CONSENSUS_MODES = ("scalar", "matrix")
 
 
@@ -31,24 +36,25 @@ class ConsensusConfig:
             raise ConfigurationError(f"consensus mode must be one of {CONSENSUS_MODES}")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    """Everything one deterministic run needs; one tick equals one step k."""
+    """Everything one deterministic run needs; one tick equals one step k.
+    The fields are in the order `to_yaml` writes them."""
 
-    name: str
+    name: str = "scenario"
     steps: int
-    seed: int
+    seed: int = 0
+    steps_per_second: float = 1.0
     process: ProcessModel
-    sensors: list
+    sensors: list[SensorModel]
     graph: Graph
     trigger: TriggerConfig
     consensus: ConsensusConfig = field(default_factory=ConsensusConfig)
     filter_mode: str = "nominal"
-    attacks: list = field(default_factory=list)
+    beliefs_pinned: bool = False
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     resilient: ResilientConfig = field(default_factory=ResilientConfig)
-    steps_per_second: float = 1.0
-    beliefs_pinned: bool = False
+    attacks: list[AttackPlan] = field(default_factory=list)
     bound_monitor: bool | None = None   # None: on exactly in resilient mode
 
     @property
@@ -115,7 +121,7 @@ class ScenarioConfig:
                         plan.upsilon_vector(dim)
                     elif plan.kind != "non_triggering":
                         plan.signal.evaluate(0.0, dim)
-                except (TypeError, ValueError) as exc:
+                except (TypeError, ValueError, OverflowError) as exc:
                     errors.append(f"{label}: {exc}")
             if key in targeted:
                 errors.append(f"{label}: duplicate target {key}")
@@ -129,8 +135,7 @@ class ScenarioConfig:
                 f"steps: no window fills, so phi and psi stay NaN and nothing is detected")
 
         if not errors and self.filter_mode == "resilient":
-            compromised = {p.node for p in self.attacks if p.node is not None}
-            status = assumption4_satisfied(self.graph, compromised)
+            status = assumption4_satisfied(self.graph, self.compromised_nodes())
             bad = sorted(i for i, ok in status.items() if not ok)
             if bad:
                 warnings.append(
@@ -147,113 +152,19 @@ class ScenarioConfig:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def mat(m):
-            return np.asarray(m, dtype=float).tolist()
-
-        d = {
-            "name": self.name,
-            "steps": int(self.steps),
-            "seed": int(self.seed),
-            "steps_per_second": float(self.steps_per_second),
-            "process": {
-                "a": mat(self.process.A),
-                "q": mat(self.process.Q),
-                "x0_mean": list(map(float, self.process.x0_mean)),
-                "p0": mat(self.process.P0),
-            },
-            "sensors": [{"c": mat(s.C), "r": mat(s.R)} for s in self.sensors],
-            "graph": {
-                "nodes": self.graph.node_count,
-                "edges": [list(e) for e in self.graph.sorted_edges()],
-            },
-            "trigger": {"alpha": float(self.trigger.alpha)},
-            "consensus": {"mode": self.consensus.mode, "gamma": float(self.consensus.gamma)},
-            "filter": {"mode": self.filter_mode, "beliefs_pinned": bool(self.beliefs_pinned)},
-            "detector": {
-                "k_nn": self.detector.k_nn,
-                "window": self.detector.window,
-                "average": self.detector.average,
-                "delta": self.detector.delta,
-                "epsilon_d": self.detector.epsilon_d,
-                "reference": self.detector.reference,
-            },
-            "resilient": {
-                "upsilon1": self.resilient.upsilon1,
-                "lambda1": self.resilient.lambda1,
-                "kappa1": self.resilient.kappa1,
-                "kappa2": self.resilient.kappa2,
-                "tau": self.resilient.tau,
-                "discounting": self.resilient.discounting,
-            },
-            "attacks": [_plan_to_dict(p) for p in self.attacks],
-        }
-        if self.bound_monitor is not None:
-            d["bound_monitor"] = bool(self.bound_monitor)
-        return d
+        return _plain(ScenarioConfig, self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        """Parse the mapping form; input of the wrong shape raises ValidationError."""
+        """Parse the mapping form; raise ValidationError listing every unknown
+        or missing key, value of the wrong type and section-level violation."""
         if not isinstance(d, dict):
             raise ValidationError([f"a scenario is a mapping, got {type(d).__name__}"])
-        missing = [key for key in REQUIRED_KEYS if key not in d]
-        if missing:
-            raise ValidationError([f"missing required key {key!r}" for key in missing])
-        try:
-            return cls._parse(copy.deepcopy(d))
-        except ConfigurationError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ValidationError([f"malformed scenario: {type(exc).__name__}: {exc}"]) from None
-
-    @classmethod
-    def _parse(cls, d: dict) -> "ScenarioConfig":
-        proc = d["process"]
-        process = ProcessModel(A=proc["a"], Q=proc["q"],
-                               x0_mean=proc["x0_mean"], P0=proc["p0"])
-        sensors_cfg = d["sensors"]
-        if isinstance(sensors_cfg, dict):
-            count = int(sensors_cfg["count"])
-            sensors = [SensorModel(C=sensors_cfg["c"], R=sensors_cfg["r"]) for _ in range(count)]
-        else:
-            sensors = [SensorModel(C=s["c"], R=s["r"]) for s in sensors_cfg]
-        graph = Graph(d["graph"]["nodes"], [tuple(e) for e in d["graph"]["edges"]])
-        det = d.get("detector", {})
-        res = d.get("resilient", {})
-        cons = d.get("consensus", {})
-        filt = d.get("filter", {})
-        return cls(
-            name=d.get("name", "scenario"),
-            steps=int(d["steps"]),
-            seed=int(d.get("seed", 0)),
-            process=process,
-            sensors=sensors,
-            graph=graph,
-            trigger=TriggerConfig(alpha=float(d["trigger"]["alpha"])),
-            consensus=ConsensusConfig(mode=cons.get("mode", "scalar"),
-                                      gamma=float(cons.get("gamma", 0.05))),
-            filter_mode=filt.get("mode", "nominal"),
-            beliefs_pinned=bool(filt.get("beliefs_pinned", False)),
-            attacks=[_plan_from_dict(p) for p in d.get("attacks", [])],
-            detector=DetectorConfig(
-                k_nn=int(det.get("k_nn", 4)),
-                window=int(det.get("window", 40)),
-                average=int(det.get("average", 10)),
-                delta=float(det.get("delta", 0.5)),
-                epsilon_d=float(det.get("epsilon_d", 1e-12)),
-                reference=det.get("reference", "shadow"),
-            ),
-            resilient=ResilientConfig(
-                upsilon1=float(res.get("upsilon1", 0.5)),
-                lambda1=float(res.get("lambda1", 0.5)),
-                kappa1=float(res.get("kappa1", 0.5)),
-                kappa2=float(res.get("kappa2", 0.5)),
-                tau=float(res.get("tau", 10.0)),
-                discounting=res.get("discounting", "normalized"),
-            ),
-            steps_per_second=float(d.get("steps_per_second", 1.0)),
-            bound_monitor=d.get("bound_monitor"),
-        )
+        errors = []
+        cfg = _coerce(cls, copy.deepcopy(d), "", errors)
+        if errors:
+            raise ValidationError(errors)
+        return cfg
 
     def to_yaml(self) -> str:
         return yaml.safe_dump(self.to_dict(), sort_keys=False)
@@ -267,50 +178,152 @@ class ScenarioConfig:
         return cls.from_dict(d)
 
 
-def _plan_to_dict(p: AttackPlan) -> dict:
-    d = {"kind": p.kind, "onset": int(p.onset)}
-    if p.node is not None:
-        d["node"] = int(p.node)
-    if p.edge is not None:
-        d["edge"] = list(p.edge)
-    if p.kind in ("measurement_injection", "channel_injection"):
-        s = {"type": p.signal.kind}
-        if p.signal.kind == "constant":
-            v = np.asarray(p.signal.value, dtype=float).reshape(-1)
-            s["value"] = [float(x) for x in v]
+# -- YAML schema -----------------------------------------------------------------
+#
+# The config dataclasses are the schema: a field's YAML key is its lowercased
+# name, its annotation picks the coercion and its default fills an absent key.
+
+# Keys other than the lowercased field name; a dotted key puts the field in a
+# section of its parent's mapping.
+RENAMED = {(Graph, "node_count"): "nodes", (SignalSpec, "kind"): "type",
+           (ScenarioConfig, "filter_mode"): "filter.mode",
+           (ScenarioConfig, "beliefs_pinned"): "filter.beliefs_pinned"}
+# The keys each attack kind and signal type carries besides its kind and the
+# required fields: to_dict writes exactly these and from_dict reads no other.
+KIND_KEYS = {
+    AttackPlan: {"measurement_injection": ("node", "signal"),
+                 "channel_injection": ("edge", "signal"),
+                 "non_triggering": ("node", "phi", "sampler"),
+                 "replay": ("node", "upsilon")},
+    SignalSpec: {"constant": ("value",), "sinusoid": ("offset", "amplitude", "frequency")},
+}
+# Keys that earlier versions wrote and nothing reads: old run directories still load.
+REMOVED_KEYS = {ScenarioConfig: ("warmup_steps",)}
+# What a scalar field accepts: bool() and int() never see a string or a fraction,
+# and a float may be a string because PyYAML reads 1e-12 and 1.0e5 as strings.
+# Matrices and signal values pass through to their dataclass or `validate`.
+_SCALARS = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    int: ("an integer", lambda v: isinstance(v, numbers.Real) and type(v) is not bool
+          and float(v).is_integer()),
+    float: ("a finite number", lambda v: isinstance(v, (numbers.Real, str))
+            and type(v) is not bool and math.isfinite(float(v))),
+}
+# A key's field name, the field's type without `| None`, whether the key must be
+# given, and whether it may be null.
+_Key = typing.NamedTuple("_Key", [("name", str), ("type", object), ("required", bool),
+                                  ("nullable", bool)])
+
+
+@functools.cache
+def _schema(cls, kind=None) -> dict:
+    """YAML key -> _Key for cls in field order, a section as a nested dict;
+    for a kind in KIND_KEYS, only the keys an object of that kind carries."""
+    hints, keep = typing.get_type_hints(cls), KIND_KEYS.get(cls, {}).get(kind)
+    schema = {}
+    for f in fields(cls):
+        tp, required = hints[f.name], f.default is MISSING and f.default_factory is MISSING
+        if keep is None or required or f.name == "kind" or f.name in keep:
+            *section, key = RENAMED.get((cls, f.name), f.name.lower()).split(".")
+            nullable = isinstance(tp, types.UnionType)
+            (schema.setdefault(section[0], {}) if section else schema)[key] = _Key(
+                f.name, tp.__args__[0] if nullable else tp, required, nullable)
+    return schema
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _hint(word, choices) -> str:
+    close = difflib.get_close_matches(str(word), list(choices), n=1)
+    return f"did you mean {close[0]!r}?" if close else f"expected one of {', '.join(choices)}"
+
+
+def _read(schema: dict, d, path: str, errors: list, ignored=()) -> dict:
+    """The keyword arguments the mapping d gives; a section adds its own."""
+    if not isinstance(d, dict):
+        errors.append(f"{path}: expected a mapping, got {type(d).__name__}")
+        return {}
+    errors.extend(f"unknown key {_join(path, key)!r} ({_hint(key, schema)})"
+                  for key in d if key not in schema and key not in ignored)
+    kwargs = {}
+    for key, spec in schema.items():
+        sub, value = _join(path, key), d.get(key)
+        if key not in d:
+            if not isinstance(spec, dict) and spec.required:
+                errors.append(f"missing required key {sub!r}")
+        elif isinstance(spec, dict):
+            kwargs.update(_read(spec, value, sub, errors))
         else:
-            s.update(offset=float(p.signal.offset), amplitude=float(p.signal.amplitude),
-                     frequency=float(p.signal.frequency))
-        d["signal"] = s
-    if p.kind == "non_triggering":
-        d["phi"] = float(p.phi)
-        d["sampler"] = bool(p.sampler)
-    if p.kind == "replay" and p.upsilon is not None:
-        u = p.upsilon
-        d["upsilon"] = ([float(x) for x in np.asarray(u, float).reshape(-1)]
-                        if np.ndim(u) else float(u))
-    return d
+            kwargs[spec.name] = (None if value is None and spec.nullable
+                                 else _coerce(spec.type, value, sub, errors))
+    return kwargs
 
 
-def _plan_from_dict(d: dict) -> AttackPlan:
-    sig = d.get("signal", {})
-    spec = SignalSpec(
-        kind=sig.get("type", "constant"),
-        value=sig.get("value", 0.0),
-        offset=float(sig.get("offset", 0.0)),
-        amplitude=float(sig.get("amplitude", 0.0)),
-        frequency=float(sig.get("frequency", 0.0)),
-    )
-    return AttackPlan(
-        kind=d["kind"],
-        onset=int(d["onset"]),
-        node=d.get("node"),
-        edge=tuple(d["edge"]) if d.get("edge") else None,
-        signal=spec,
-        phi=float(d.get("phi", 0.0)),
-        sampler=bool(d.get("sampler", False)),
-        upsilon=d.get("upsilon"),
-    )
+def _coerce(tp, value, path: str, errors: list):
+    """value read as a tp: a config dataclass from a mapping, a list, tuple or
+    frozenset from a list item by item, and a scalar strictly. None once every
+    violation found is in errors, each under its dotted path."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if is_dataclass(tp):
+        before, kind = len(errors), None
+        if tp in KIND_KEYS and isinstance(value, dict):
+            key = RENAMED.get((tp, "kind"), "kind")
+            kind = value.get(key, getattr(tp, "kind", None))   # a signal has a default kind
+            if not isinstance(kind, str) or kind not in KIND_KEYS[tp]:
+                if key in value:
+                    errors.append(f"{_join(path, key)}: unknown {key} {kind!r} "
+                                  f"({_hint(kind, KIND_KEYS[tp])})")
+                kind = None
+        kwargs = _read(_schema(tp, kind), value, path, errors, REMOVED_KEYS.get(tp, ()))
+        if len(errors) == before:
+            try:
+                return tp(**kwargs)
+            except (TypeError, ValueError, OverflowError) as exc:   # ConfigurationError too
+                errors.append(f"{path}: {exc}")
+        return None
+    if tp == list[SensorModel] and isinstance(value, dict):   # {count, c, r}: equal sensors
+        count = _coerce(int, value.pop("count", None), _join(path, "count"), errors)
+        sensor = _coerce(SensorModel, value, path, errors)
+        return [copy.deepcopy(sensor) for _ in range(count or 0)]
+    if origin in (list, tuple, frozenset):
+        if not isinstance(value, (list, tuple)) or origin is tuple and len(value) != len(args):
+            size = f" of {len(args)}" if origin is tuple else ""
+            errors.append(f"{path}: expected a list{size}, got {value!r}")
+            return None
+        return (tuple if origin is tuple else list)(
+            _coerce(args[i] if origin is tuple else args[0], v, f"{path}[{i}]", errors)
+            for i, v in enumerate(value))
+    if tp not in _SCALARS:
+        return value
+    expected, accepts = _SCALARS[tp]
+    try:
+        if accepts(value):
+            return tp(value)
+    except (ValueError, OverflowError):
+        pass
+    errors.append(f"{path}: expected {expected}, got {value!r}")
+    return None
+
+
+def _plain(tp, value, schema=None):
+    """The YAML form of value, a tp; a config dataclass gives the mapping
+    _coerce reads back, and `schema` is one of its sections."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if schema or is_dataclass(tp):
+        out = {}
+        for key, spec in (schema or _schema(tp, getattr(value, "kind", None))).items():
+            if isinstance(spec, dict):
+                out[key] = _plain(tp, value, spec)
+            elif (field_value := getattr(value, spec.name)) is not None:
+                out[key] = _plain(spec.type, field_value)
+        return out
+    if origin in (list, tuple, frozenset):
+        items = sorted(value) if origin is frozenset else value
+        return [_plain(args[i] if origin is tuple else args[0], v) for i, v in enumerate(items)]
+    return tp(value) if tp in _SCALARS else np.asarray(value, dtype=float).tolist()
 
 
 # -- default models and graphs ------------------------------------------------
@@ -338,33 +351,17 @@ def example1_graph() -> Graph:
 
 # -- presets -------------------------------------------------------------------
 
-_SINUSOID = dict(type="sinusoid", offset=2.0, amplitude=10.0, frequency=100.0)
+
+def _base(name, steps, seed, graph, alpha=1.8, **kw) -> ScenarioConfig:
+    sensors = [SensorModel(C=[[5.0, 0.0], [0.0, 2.0]], R=np.eye(2)) for _ in graph.nodes]
+    return ScenarioConfig(name=name, steps=steps, seed=seed,
+                          process=rotation_process(), sensors=sensors, graph=graph,
+                          trigger=TriggerConfig(alpha=alpha), **kw)
 
 
-def _base(name, steps, seed, graph, mode="nominal", alpha=1.8, gamma=0.05,
-          detector=None, attacks=(), sps=1.0, **kw) -> ScenarioConfig:
-    N = graph.node_count
-    det = detector or {}
-    return ScenarioConfig.from_dict({
-        "name": name,
-        "steps": steps,
-        "seed": seed,
-        "steps_per_second": sps,
-        "process": {
-            "a": rotation_process().A.tolist(),
-            "q": np.eye(2).tolist(),
-            "x0_mean": [0.5, 0.0],
-            "p0": np.eye(2).tolist(),
-        },
-        "sensors": {"count": N, "c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()},
-        "graph": {"nodes": N, "edges": [list(e) for e in graph.sorted_edges()]},
-        "trigger": {"alpha": alpha},
-        "consensus": {"mode": "scalar", "gamma": gamma},
-        "filter": {"mode": mode},
-        "detector": det,
-        "attacks": list(attacks),
-        **kw,
-    })
+def _sinusoid_injection(onset) -> AttackPlan:
+    signal = SignalSpec(kind="sinusoid", offset=2.0, amplitude=10.0, frequency=100.0)
+    return AttackPlan(kind="measurement_injection", onset=onset, node=2, signal=signal)
 
 
 def preset_fig3() -> ScenarioConfig:
@@ -372,23 +369,21 @@ def preset_fig3() -> ScenarioConfig:
 
 
 def preset_fig4() -> ScenarioConfig:
-    attack = {"kind": "measurement_injection", "node": 2, "onset": 100,
-              "signal": dict(_SINUSOID)}
-    return _base("fig4", steps=400, seed=2402, graph=six_node_graph(),
-                 attacks=[attack], sps=5.0)
+    return _base("fig4", steps=400, seed=2402, graph=six_node_graph(), steps_per_second=5.0,
+                 attacks=[_sinusoid_injection(100)])
 
 
 def preset_fig4_replay() -> ScenarioConfig:
     alpha = 1.8
-    attack = {"kind": "replay", "node": 2, "onset": 100, "upsilon": 1.1 * alpha}
+    attack = AttackPlan(kind="replay", onset=100, node=2, upsilon=1.1 * alpha)
     return _base("fig4-replay", steps=1101, seed=2403, graph=six_node_graph(),
                  alpha=alpha, attacks=[attack])
 
 
-def preset_fig5(sampler: bool = False) -> ScenarioConfig:
+def preset_fig5(sampler: bool = AttackPlan.sampler) -> ScenarioConfig:
     alpha = 1.8
-    attack = {"kind": "non_triggering", "node": 2, "onset": 100,
-              "phi": 0.9 * alpha, "sampler": sampler}
+    attack = AttackPlan(kind="non_triggering", onset=100, node=2, phi=0.9 * alpha,
+                        sampler=sampler)
     return _base("fig5", steps=1101, seed=2504, graph=six_node_graph(),
                  alpha=alpha, attacks=[attack])
 
@@ -397,26 +392,20 @@ def preset_fig6() -> ScenarioConfig:
     # 20 s onset at 10 steps/s; the attack phase then advances ~3.7 rad per
     # step, so consecutive attack values decorrelate instead of being tracked
     # away by the filter.
-    attack = {"kind": "measurement_injection", "node": 2, "onset": 200,
-              "signal": dict(_SINUSOID)}
-    det = {"window": 40, "average": 10, "k_nn": 4, "delta": 0.5, "reference": "shadow"}
     return _base("fig6", steps=700, seed=2605, graph=six_node_graph(),
-                 mode="monitored", gamma=0.1, detector=det, attacks=[attack], sps=10.0)
+                 steps_per_second=10.0, filter_mode="monitored",
+                 consensus=ConsensusConfig(gamma=0.1), attacks=[_sinusoid_injection(200)])
 
 
 def preset_fig7() -> ScenarioConfig:
-    attack = {"kind": "measurement_injection", "node": 2, "onset": 200,
-              "signal": dict(_SINUSOID)}
-    det = {"window": 40, "average": 10, "k_nn": 4, "delta": 0.5, "reference": "shadow"}
     return _base("fig7", steps=800, seed=2706, graph=six_node_graph(),
-                 mode="resilient", gamma=0.1, detector=det, attacks=[attack], sps=10.0)
+                 steps_per_second=10.0, filter_mode="resilient",
+                 consensus=ConsensusConfig(gamma=0.1), attacks=[_sinusoid_injection(200)])
 
 
 def preset_example1() -> ScenarioConfig:
-    attacks = [
-        {"kind": "non_triggering", "node": 5, "onset": 100, "phi": 0.9 * 1.8},
-        {"kind": "non_triggering", "node": 6, "onset": 100, "phi": 0.9 * 1.8},
-    ]
+    attacks = [AttackPlan(kind="non_triggering", onset=100, node=i, phi=0.9 * 1.8)
+               for i in (5, 6)]
     return _base("example1", steps=400, seed=2807, graph=example1_graph(),
                  attacks=attacks)
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -100,9 +101,20 @@ class MetricsReport:
 
 @dataclass
 class _TwinData:
+    """What a later pass reads of this one; its statistics are computed on first read."""
+
     innovations: dict            # node -> list of p-vectors, one per step
-    B: float                     # 99.9th percentile of ||x(k+1)-x(k)+v(k+1)||
-    omega_hat: dict              # node -> calibrated innovation covariance
+    b_samples: list              # ||x(k+1)-x(k)+v(k+1)|| per step and node
+    sensors: dict                # node -> SensorModel; R stands in on runs of <= 2 steps
+
+    @cached_property
+    def B(self) -> float:        # 99.9th percentile of the b samples
+        return float(np.percentile(self.b_samples, 99.9)) if self.b_samples else 0.0
+
+    @cached_property
+    def omega_hat(self) -> dict:  # node -> calibrated innovation covariance
+        return {i: np.cov(np.array(rec).T) if len(rec) > 2 else self.sensors[i].R.copy()
+                for i, rec in self.innovations.items()}
 
 
 def _needs_twin(config) -> bool:
@@ -371,13 +383,10 @@ def _engine(cfg, twin, lite: bool):
         w_k = noise.draw_process_noise(proc)
         x = step_process(proc, x, w_k)
 
-    omega_hat = {i: np.cov(np.array(innovations_rec[i]).T) if cfg.steps > 2
-                 else sensors[i].R.copy() for i in nodes}
-    B = float(np.percentile(b_samples, 99.9)) if b_samples else 0.0
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace, _TwinData(innovations=innovations_rec, B=B, omega_hat=omega_hat)
+    return trace, _TwinData(innovations=innovations_rec, b_samples=b_samples, sensors=sensors)
 
 
 def _reference_window(det, twin, i, est, sensor, noise):

@@ -48,12 +48,6 @@ class TestDiscountedBeliefs:
         want = sum(kappa ** (k - l + 1) * stats[l] for l in range(k))
         assert b.value == pytest.approx(want, abs=1e-14)
 
-    def test_difference_mode_unbounded(self):
-        b = DiscountedBelief(kappa=0.5, mode="difference")
-        for _ in range(10):
-            b.update(1.0)
-        assert b.value > 1.0
-
     def test_trust_mirrors_confidence(self):
         s = DiscountedBelief(kappa=0.3)
         for _ in range(100):
@@ -263,5 +257,6 @@ class TestConfigGuards:
             ResilientConfig(kappa1=1.0)
         with pytest.raises(ConfigurationError):
             ResilientConfig(tau=0.0)
-        with pytest.raises(ConfigurationError):
-            ResilientConfig(discounting="wild")
+        for mode in ("wild", "difference"):   # the difference mode was removed
+            with pytest.raises(ConfigurationError):
+                ResilientConfig(discounting=mode)

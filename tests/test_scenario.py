@@ -1,14 +1,28 @@
+import copy
 import hashlib
 import json
+import math
 import os
+import re
+import string
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.cli import main as cli_main
+from etdkf.detection import DetectorConfig
 from etdkf.errors import ValidationError
-from etdkf.scenario import (ScenarioConfig, get_preset, list_presets,
-                            preset_fig3, preset_fig5, six_node_graph)
+from etdkf.filtering import TriggerConfig
+from etdkf.graphs import Graph
+from etdkf.models import ProcessModel, SensorModel
+from etdkf.resilience import ResilientConfig
+from etdkf.scenario import (ConsensusConfig, ScenarioConfig, _schema, get_preset,
+                            list_presets, preset_fig3, preset_fig5, six_node_graph)
 from etdkf.simulate import (EDGE_COLUMNS, SimTrace, compute_metrics, export_csv,
                             load_trace_csv, run_scenario, write_run_dir)
 
@@ -44,6 +58,60 @@ BAD_SIGNAL_ATTACKS = [
     {"kind": "replay", "node": 2, "onset": 5},
     {"kind": "replay", "node": 3, "onset": 5, "upsilon": [1.0, 1.0, 1.0]},
 ]
+
+
+def set_path(d, path, value):
+    """Set d[...] at a dotted path such as `attacks.0.signal.amplitud`."""
+    *parents, last = [int(key) if key.isdigit() else key for key in path.split(".")]
+    for key in parents:
+        d = d[key]
+    d[last] = value
+
+
+def fig6_with(**changes):
+    d = get_preset("fig6").to_dict()
+    for path, value in changes.items():
+        set_path(d, path, value)
+    return d
+
+
+# Changes to fig6 and the violations each must give. The first two tables used
+# to parse silently: bool() of a non-empty string is True, int() truncates.
+BOOL_STRINGS = {
+    "beliefs_pinned": ({"filter.beliefs_pinned": "no"},
+                       ["filter.beliefs_pinned: expected true or false, got 'no'"]),
+    # fig6's attack is a sinusoid injection; the sampler flag is non_triggering's
+    "sampler": ({"attacks.0": {"kind": "non_triggering", "node": 2, "onset": 200,
+                               "phi": 1.0, "sampler": "false"}},
+                ["attacks[0].sampler: expected true or false, got 'false'"]),
+    "bound_monitor": ({"bound_monitor": "false"},
+                      ["bound_monitor: expected true or false, got 'false'"]),
+}
+FRACTIONS = {
+    "steps": ({"steps": 12.7}, ["steps: expected an integer, got 12.7"]),
+    "window": ({"detector.window": 40.9}, ["detector.window: expected an integer, got 40.9"]),
+}
+UNKNOWN_KEYS = {
+    "detectr": ({"detectr": {"window": 10}},
+                ["unknown key 'detectr' (did you mean 'detector'?)"]),
+    "windw": ({"detector.windw": 10}, ["unknown key 'detector.windw' (did you mean 'window'?)"]),
+    "nod": ({"attacks.0.nod": 2}, ["unknown key 'attacks[0].nod' (did you mean 'node'?)"]),
+    "amplitud": ({"attacks.0.signal.amplitud": 1.0},
+                 ["unknown key 'attacks[0].signal.amplitud' (did you mean 'amplitude'?)"]),
+}
+SECTION_VIOLATIONS = {
+    "sections": ({"detector.k_nn": 99, "resilient.kappa1": 2.0, "trigger.alpha": -1},
+                 ["trigger: alpha must be >= 0, got -1.0",
+                  "detector: need 1 <= k_nn < window, got k_nn=99, window=40",
+                  "resilient: kappa1 must lie in (0,1), got 2.0"]),
+}
+SCHEMA_VIOLATIONS = {**BOOL_STRINGS, **FRACTIONS, **UNKNOWN_KEYS, **SECTION_VIOLATIONS}
+
+
+def assert_violations(changes, want):
+    with pytest.raises(ValidationError) as err:
+        ScenarioConfig.from_dict(fig6_with(**changes))
+    assert err.value.violations == want
 
 
 class TestConfigRoundTrip:
@@ -101,6 +169,90 @@ class TestConfigRoundTrip:
             null.validate()
         assert err.value.violations == ["attack[0]: constant signal value None is not finite"]
 
+    @pytest.mark.parametrize("case", sorted(BOOL_STRINGS))
+    def test_bool_field_rejects_string(self, case):
+        assert_violations(*BOOL_STRINGS[case])
+
+    @pytest.mark.parametrize("case", sorted(FRACTIONS))
+    def test_int_field_rejects_fraction(self, case):
+        assert_violations(*FRACTIONS[case])
+
+    def test_integral_numbers_and_exponent_strings_read(self):
+        # An integral float is an integer; PyYAML reads `1e-12` as a string,
+        # which a float field accepts.
+        cfg = ScenarioConfig.from_yaml(yaml.safe_dump(fig6_with(steps=12.0)).replace(
+            "epsilon_d: 1.0e-12", "epsilon_d: 1e-12"))
+        assert cfg.steps == 12 and type(cfg.steps) is int
+        assert cfg.detector.epsilon_d == 1e-12
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+    def test_unknown_key_rejected_with_suggestion(self, case):
+        assert_violations(*UNKNOWN_KEYS[case])
+
+    def test_every_section_violation_listed(self):
+        assert_violations(*SECTION_VIOLATIONS["sections"])
+
+    def test_unknown_kind_and_type_suggested(self):
+        d = fig6_with(**{"attacks.0.kind": "replai"})
+        d["attacks"].append({"kind": "measurement_injection", "node": 3, "onset": 5,
+                             "signal": {"type": "constan", "value": 1.0}})
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig.from_dict(d)
+        assert err.value.violations == [
+            "attacks[0].kind: unknown kind 'replai' (did you mean 'replay'?)",
+            "attacks[1].signal.type: unknown type 'constan' (did you mean 'constant'?)"]
+
+    def test_keys_of_another_kind_rejected(self):
+        # a sinusoid carries no value, and a measurement injection no phi
+        d = fig6_with(**{"attacks.0.signal.value": 1.0, "attacks.0.phi": 0.5})
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig.from_dict(d)
+        assert err.value.violations == [
+            "unknown key 'attacks[0].phi' (expected one of kind, onset, node, signal)",
+            "unknown key 'attacks[0].signal.value' (expected one of type, offset, "
+            "amplitude, frequency)"]
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("sensors.1.c.0.0", math.nan, "sensors[1]: C has a non-finite entry"),
+        ("process.x0_mean.1", math.inf, "process: x0_mean has a non-finite entry"),
+        ("process.a.0.0", 10**400, "process: int too large to convert to float"),
+        ("attacks.0.signal", {"type": "constant", "value": 10**400},
+         "attack[0]: int too large to convert to float"),
+    ])
+    def test_non_finite_matrices_and_huge_numbers_rejected(self, path, value, message):
+        # These used to raise a LinAlgError in `validate` or an OverflowError,
+        # or (a non-finite x0_mean) to pass and fill the trace with NaN.
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig.from_dict(fig6_with(**{path: value})).validate()
+        assert err.value.violations == [message]
+
+    def test_removed_key_ignored(self):
+        d = fig6_with(warmup_steps=500)
+        assert ScenarioConfig.from_dict(d).to_dict() == get_preset("fig6").to_dict()
+        with pytest.raises(ValidationError, match="unknown key 'detector.warmup_steps'"):
+            ScenarioConfig.from_dict(fig6_with(**{"detector.warmup_steps": 500}))
+
+    def test_readme_scenario_block_is_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Scenario configuration", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+        assert ScenarioConfig.from_yaml(block).validate() == []
+        # Every key the schema reads is listed, those of the commented-out
+        # attack kinds included.
+        schema_keys = {"count"}
+        for cls in (ScenarioConfig, ProcessModel, SensorModel, Graph, TriggerConfig,
+                    ConsensusConfig, DetectorConfig, ResilientConfig, AttackPlan, SignalSpec):
+            for key, spec in _schema(cls).items():
+                schema_keys |= {key} | (set(spec) if isinstance(spec, dict) else set())
+        listed = set(re.findall(r"(\w+):", block))
+        assert schema_keys <= listed, schema_keys - listed
+
+    def test_preset_round_trip_is_identity(self):
+        # to_dict writes every key, so reading it back changes nothing
+        for name in list_presets():
+            d = get_preset(name).to_dict()
+            assert ScenarioConfig.from_dict(d).to_dict() == d
+
     def test_unobservable_network_rejected(self):
         d = {
             "name": "blind", "steps": 10, "seed": 1,
@@ -113,6 +265,142 @@ class TestConfigRoundTrip:
         cfg = ScenarioConfig.from_dict(d)
         with pytest.raises(ValidationError):
             cfg.validate()
+
+
+# -- generated scenarios --------------------------------------------------------
+
+_numbers = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_unit = st.floats(0.01, 0.99)
+_pair = st.lists(_numbers, min_size=2, max_size=2)
+
+
+@st.composite
+def _signals(draw):
+    if draw(st.booleans()):
+        return {"type": "constant", "value": draw(st.one_of(_numbers, _pair))}
+    return {"type": "sinusoid", "offset": draw(_numbers), "amplitude": draw(_numbers),
+            "frequency": draw(_numbers)}
+
+
+@st.composite
+def _attacks(draw, nodes):
+    kind = draw(st.sampled_from(["measurement_injection", "channel_injection",
+                                 "non_triggering", "replay"]))
+    d = {"kind": kind, "onset": draw(st.integers(0, 100))}
+    if kind == "channel_injection":
+        j = draw(st.integers(1, nodes - 1))
+        d["edge"] = [j, j + 1]
+    else:
+        d["node"] = draw(st.integers(1, nodes))
+    if kind in ("measurement_injection", "channel_injection"):
+        d["signal"] = draw(_signals())
+    elif kind == "non_triggering":
+        d.update(phi=draw(st.floats(0.0, 1.7)), sampler=draw(st.booleans()))
+    else:
+        d["upsilon"] = draw(st.one_of(_numbers, _pair))
+    return d
+
+
+@st.composite
+def scenario_dicts(draw):
+    """Scenario mappings over every form the schema reads; optional sections
+    are sometimes left out, and a present section carries all of its keys."""
+    nodes = draw(st.integers(2, 5))
+    sensor = {"c": [[5.0, 0.0], [0.0, draw(st.floats(0.5, 3.0))]],
+              "r": [[draw(st.floats(0.5, 2.0)), 0.0], [0.0, 1.0]]}
+    w = draw(st.integers(3, 50))
+    d = {
+        "name": draw(st.text(string.ascii_letters + string.digits + " _-", max_size=12)),
+        "steps": draw(st.integers(0, 500)),
+        "seed": draw(st.integers(0, 2**32)),
+        "steps_per_second": draw(st.floats(0.1, 100.0)),
+        "process": {"a": [[1.0, 0.0], [0.0, 1.0]], "q": np.eye(2).tolist(),
+                    "x0_mean": [0.5, 0.0], "p0": np.eye(2).tolist()},
+        "sensors": ({"count": nodes, **sensor} if draw(st.booleans())
+                    else [copy.deepcopy(sensor) for _ in range(nodes)]),
+        "graph": {"nodes": nodes, "edges": [[j, j + 1] for j in range(1, nodes)]},
+        "trigger": {"alpha": draw(st.floats(1.8, 5.0))},
+    }
+    optional = {
+        "consensus": {"mode": draw(st.sampled_from(["scalar", "matrix"])),
+                      "gamma": draw(_numbers)},
+        "filter": {"mode": draw(st.sampled_from(["nominal", "monitored", "resilient"])),
+                   "beliefs_pinned": draw(st.booleans())},
+        "detector": {"k_nn": draw(st.integers(1, w - 1)), "window": w,
+                     "average": draw(st.integers(1, 20)),
+                     "delta": math.log(w / (w - 1)) + draw(st.floats(0.01, 2.0)),
+                     "epsilon_d": draw(st.floats(1e-15, 1e-3)),
+                     "reference": draw(st.sampled_from(["shadow", "synthetic", "calibrated"]))},
+        "resilient": {"upsilon1": draw(_unit), "lambda1": draw(_unit), "kappa1": draw(_unit),
+                      "kappa2": draw(_unit), "tau": draw(st.floats(0.1, 100.0)),
+                      "discounting": draw(st.sampled_from(["normalized", "unnormalized"]))},
+        "attacks": draw(st.lists(_attacks(nodes), max_size=4)),
+        "bound_monitor": draw(st.booleans()),
+    }
+    for key, value in optional.items():
+        if draw(st.booleans()):
+            d[key] = value
+    return d
+
+
+def mappings(d, path=""):
+    """(dotted path, mapping) for d and every mapping nested in it."""
+    yield path, d
+    for key, value in d.items():
+        sub = f"{path}.{key}" if path else key
+        items = (value if isinstance(value, list) else [value])
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                yield from mappings(item, f"{sub}[{i}]" if isinstance(value, list) else sub)
+
+
+class TestSchemaProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_dicts())
+    def test_yaml_round_trip(self, d):
+        cfg = ScenarioConfig.from_dict(d)
+        assert ScenarioConfig.from_yaml(cfg.to_yaml()).to_dict() == cfg.to_dict()
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_dicts(), st.data())
+    def test_unknown_key_named(self, d, data):
+        path, level = data.draw(st.sampled_from(list(mappings(d))))
+        # Keys that a mapping at this level could validly hold are never drawn.
+        taken = set(level) | set(_schema(ScenarioConfig)) | {"warmup_steps"}
+        key = data.draw(st.text(string.ascii_lowercase + "_", min_size=1, max_size=12)
+                        .filter(lambda k: k not in taken))
+        level[key] = 1
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig.from_dict(d)
+        name = f"{path}.{key}" if path else key
+        assert any(v.startswith(f"unknown key {name!r} (") for v in err.value.violations)
+
+
+_JUNK = st.sampled_from([None, "x", [], [1], [["a"]], {}, {"a": 1}, -1, 1.5, True,
+                         math.nan, math.inf, 10**400])
+
+
+def leaves(d, path=""):
+    """Every dotted path into d, list indices included, in `set_path` form."""
+    items = d.items() if isinstance(d, dict) else enumerate(d) if isinstance(d, list) else ()
+    for key, value in items:
+        sub = f"{path}.{key}" if path else str(key)
+        yield sub
+        yield from leaves(value, sub)
+
+
+class TestJunkValues:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["fig6", "fig4-replay", "fig5", "example1"]), st.data())
+    def test_junk_value_gives_validation_error(self, name, data):
+        # Whatever a value is replaced with, the scenario either validates or
+        # gives a ValidationError: no other exception reaches the caller.
+        d = get_preset(name).to_dict()
+        set_path(d, data.draw(st.sampled_from(list(leaves(d)))), data.draw(_JUNK))
+        try:
+            ScenarioConfig.from_dict(d).validate()
+        except ValidationError:
+            pass
 
 
 class TestPresets:
@@ -334,6 +622,28 @@ class TestCli:
             assert all(f"missing required key {key!r}" in err
                        for key in ("trigger", "process", "graph", "sensors", "steps"))
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_VIOLATIONS))
+    def test_schema_violations_exit_2(self, case, tmp_path, capsys):
+        changes, want = SCHEMA_VIOLATIONS[case]
+        spath = tmp_path / "bad.yaml"
+        spath.write_text(yaml.safe_dump(fig6_with(**changes), sort_keys=False))
+        for argv in (["validate", "--scenario", str(spath)],
+                     ["run", "--scenario", str(spath), "--out", str(tmp_path / "out")]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == "error: " + "; ".join(want) + "\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_run_directory_with_removed_key_loads(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert cli_main(["run", "--preset", "fig3", "--steps", "5", "--out", str(out_dir)]) == 0
+        cpath = out_dir / "config.yaml"
+        cpath.write_text(cpath.read_text() + "warmup_steps: 500\n")
+        capsys.readouterr()
+        assert cli_main(["metrics", "--run-dir", str(out_dir)]) == 0
+        stored = json.loads((out_dir / "metrics.json").read_text())
+        assert json.loads(capsys.readouterr().out) == stored
+        assert cli_main(["run", "--scenario", str(cpath), "--out", str(tmp_path / "again")]) == 0
 
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
         # Two identical rows in C and a negligible R: the innovation covariance
