@@ -5,9 +5,9 @@ based resilient estimation."""
 from .attacks import (AttackPlan, AttackRecursion, SignalSpec, corrupt_channel,
                       corrupt_measurement, craft_non_triggering, craft_replay)
 from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
-                        neighbor_innovation, nominal_reference_window)
+                        nominal_reference_window)
 from .errors import ConfigurationError, NumericalError, ValidationError
-from .filtering import (NodeEstimator, TriggerConfig, innovation,
+from .filtering import (TriggerConfig, innovation,
                         innovation_covariance, kalman_gain, measurement_update,
                         posterior_covariance, should_transmit, time_update,
                         update_predictive)

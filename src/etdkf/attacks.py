@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .filtering import kalman_gain, sym
 from .graphs import Graph, laplacian
+from .models import channel_groups
 
 
 MEASUREMENT_INJECTION = "measurement_injection"
@@ -210,6 +211,9 @@ class AttackRecursion:
         self._C = _blkdiag([s.C for s in sensors])
         self._R = _blkdiag([s.R for s in sensors])
         self._y_ofs = np.cumsum([0] + [s.p for s in sensors])
+        self._gain_groups = [(rows, np.stack([sensors[b].C for b in rows]),
+                              np.stack([sensors[b].R for b in rows]))
+                             for rows in channel_groups(sensors).values()]
         self._pairs = [(i, j) for i in graph.nodes for j in graph.nodes]
 
         self.k = 0
@@ -274,11 +278,14 @@ class AttackRecursion:
         self.f_tilde = np.where(z[:, None, None], chan, self.f_tilde)
 
         P_gain = self._P_nominal if self.gain_mode == "nominal" else self.P_prior
-        self.gains = {}
-        for i, s in zip(nodes, self.sensors):
-            b = self._block(i)
-            self.gains[i] = kalman_gain(P_gain[b, b], s.C, s.R)
-        K = _blkdiag(self.gains.values())
+        r = np.arange(N)
+        P_diag = P_gain.reshape(N, n, N, n)[r, :, r, :]
+        gains = [None] * N
+        for idx, C, R in self._gain_groups:
+            for b, K_b in zip(idx, kalman_gain(P_diag[idx], C, R, nodes=[nodes[b] for b in idx])):
+                gains[b] = K_b
+        self.gains = dict(zip(nodes, gains))
+        K = _blkdiag(gains)
         M = np.eye(N * n) - K @ self._C
         KRK = K @ self._R @ K.T
         f_y = np.zeros(self._y_ofs[-1])
@@ -293,7 +300,6 @@ class AttackRecursion:
                 + gamma * gamma * (G @ self.P_pred @ G.T) + KRK
                 + dcol * stoch_mean + stoch_mean[:, None] * d + dcol * d)
         blocks = post.reshape(N, n, N, n)
-        r = np.arange(N)
         diag = blocks[r, :, r, :]
         blocks[r, :, r, :] = 0.5 * (diag + diag.transpose(0, 2, 1))
         self.P_post = post

@@ -165,9 +165,6 @@ class KnnWindowBank:
         self._raw = np.zeros((rows, int(average)))
         self._averaged = 0
 
-    def __len__(self):
-        return min(self.count, self.window)
-
     @property
     def full(self) -> bool:
         return self.count >= self.window
@@ -201,7 +198,7 @@ class KnnWindowBank:
 
     def samples(self) -> np.ndarray:
         """The windows in chronological order, (rows, len, dim)."""
-        return _oldest_first(self._x[:, :len(self)], self.count, axis=1)
+        return _oldest_first(self._x[:, :min(self.count, self.window)], self.count, axis=1)
 
     def estimates(self, reference=None) -> np.ndarray:
         """One divergence estimate per row, (rows,); needs a full ring.
@@ -210,7 +207,7 @@ class KnnWindowBank:
         window; a sliding-reference bank uses its own ring instead.
         """
         if not self.full:
-            raise ConfigurationError(f"windows hold {len(self)} of {self.window} samples")
+            raise ConfigurationError(f"windows hold {self.count} of {self.window} samples")
         if self._z is not None:
             if reference is not None:
                 raise ConfigurationError("a sliding-reference bank takes no reference window")
@@ -258,11 +255,6 @@ def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndar
         vals, vecs = np.linalg.eigh(0.5 * (omega + omega.T))
         L = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
     return rng.standard_normal((w, omega.shape[0])) @ L.T
-
-
-def neighbor_innovation(y_i, C_j, x_pred_j) -> np.ndarray:
-    """Per-channel residual: own measurement against the neighbor's predictive estimate."""
-    return np.asarray(y_i, float) - np.asarray(C_j, float) @ np.asarray(x_pred_j, float)
 
 
 def detect(value: float, delta: float) -> str:

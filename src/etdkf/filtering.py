@@ -1,7 +1,15 @@
 """Event-triggered distributed Kalman filter: triggers, the update law, gains.
 
-All operations are pure; `NodeEstimator` is a plain state container owned by
-one logical node. Covariances are re-symmetrized after every update.
+Every kernel is pure and stack-native: a leading batch axis of nodes
+broadcasts through it, and one node is the case without that axis. Per-node
+vectors stack as (N, n) or (N, p), matrices as (N, rows, cols); a matrix
+shared by every node (A, Q) broadcasts as one 2-D array. Covariances are
+re-symmetrized after every update.
+
+A stacked call equals the per-node calls bit for bit. Matrix-vector products
+go through `np.matvec`, never `X @ A.T` (a different BLAS path that moves
+last bits), and vector norms through `vector_norm`, never
+`np.linalg.norm(X, axis=-1)`.
 """
 
 from __future__ import annotations
@@ -13,9 +21,31 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 
 
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes."""
+    return np.swapaxes(m, -1, -2)
+
+
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetrize to kill round-off drift."""
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + _t(m))
+
+
+def vector_norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, equal bit for bit to `np.linalg.norm`
+    of each vector on its own."""
+    v = np.asarray(v, float)
+    return np.sqrt(np.vecdot(v, v))
+
+
+def slot_sum(terms, mask, start) -> np.ndarray:
+    """`start` plus the neighbor-slot terms (..., D, n) whose `mask` (..., D)
+    is set, added one slot at a time in slot order, as a loop over each
+    node's neighbors adds them."""
+    acc = start
+    for d in range(terms.shape[-2]):
+        acc = np.where(mask[..., d, None], acc + terms[..., d, :], acc)
+    return acc
 
 
 @dataclass
@@ -29,156 +59,117 @@ class TriggerConfig:
             raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
 
 
-@dataclass
-class NodeEstimator:
-    """One sensor's filter state.
-
-    x_prior/x_post/x_pred are the pre-measurement, post-measurement, and
-    neighbor-visible estimates; zeta is the current transmit flag.
-    """
-
-    x_prior: np.ndarray
-    x_post: np.ndarray
-    x_pred: np.ndarray
-    P_prior: np.ndarray
-    P_post: np.ndarray
-    K: np.ndarray = None
-    gamma: float = 0.0
-    zeta: int = 1
-
-    @classmethod
-    def initial(cls, x0_mean, P0, gamma=0.0):
-        x0 = np.array(x0_mean, dtype=float)
-        P0 = np.array(P0, dtype=float)
-        return cls(
-            x_prior=x0.copy(),
-            x_post=x0.copy(),
-            x_pred=x0.copy(),
-            P_prior=P0.copy(),
-            P_post=P0.copy(),
-            K=None,
-            gamma=gamma,
-            zeta=1,
-        )
-
-
-def should_transmit(y, C, x_pred_prev, alpha: float) -> bool:
-    """Transmit decision: residual against the extrapolated predictive estimate.
-
-    Returns True (zeta=1) iff ||y - C x_pred_prev|| >= alpha. The boundary
-    transmits, so a crafted residual of norm exactly alpha still triggers.
-    """
-    r = np.asarray(y, float) - np.asarray(C, float) @ np.asarray(x_pred_prev, float)
-    return bool(np.linalg.norm(r) >= alpha)
-
-
-def update_predictive(zeta: int, x_prior, x_pred_prev, A) -> np.ndarray:
-    """Predictive estimate: the prior when transmitting, else A-extrapolation."""
-    if zeta:
-        return np.array(x_prior, dtype=float)
-    return np.asarray(A, float) @ np.asarray(x_pred_prev, float)
-
-
-def time_update(est: NodeEstimator, A, Q) -> None:
-    """Advance prior: x_prior = A x_post, P_prior = A P_post A^T + Q."""
-    A = np.asarray(A, float)
-    est.x_prior = A @ est.x_post
-    est.P_prior = sym(A @ est.P_post @ A.T + np.asarray(Q, float))
-
-
-def kalman_gain(P_prior, C, R) -> np.ndarray:
-    """K = P_prior C^T (R + C P_prior C^T)^{-1}."""
-    P_prior = np.asarray(P_prior, float)
-    C = np.asarray(C, float)
-    S = np.asarray(R, float) + C @ P_prior @ C.T
-    try:
-        # Solve S K^T = C P_prior instead of forming S^{-1}.
-        return np.linalg.solve(S, C @ P_prior.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"singular innovation covariance (cond ~ {np.linalg.cond(S):.3g}); "
-            f"S diagonal {np.diag(S)}"
-        ) from exc
-
-
 def innovation(y, C, x_prior) -> np.ndarray:
     """Residual y - C x_prior."""
-    return np.asarray(y, float) - np.asarray(C, float) @ np.asarray(x_prior, float)
+    return np.asarray(y, float) - np.matvec(np.asarray(C, float), np.asarray(x_prior, float))
+
+
+def should_transmit(y, C, x_pred_prev, alpha: float) -> np.ndarray:
+    """Transmit decision: residual against the extrapolated predictive estimate.
+
+    True (zeta=1) iff ||y - C x_pred_prev|| >= alpha. The boundary transmits,
+    so a crafted residual of norm exactly alpha still triggers.
+    """
+    return vector_norm(innovation(y, C, x_pred_prev)) >= alpha
+
+
+def update_predictive(zeta, x_prior, x_pred_prev, A) -> np.ndarray:
+    """Predictive estimate: the prior when transmitting, else A-extrapolation."""
+    extrapolated = np.matvec(np.asarray(A, float), np.asarray(x_pred_prev, float))
+    return np.where(np.asarray(zeta, bool)[..., None], np.asarray(x_prior, float), extrapolated)
+
+
+def time_update(x_post, P_post, A, Q):
+    """Advance the prior: returns (A x_post, A P_post A^T + Q)."""
+    A = np.asarray(A, float)
+    return (np.matvec(A, np.asarray(x_post, float)),
+            sym(A @ np.asarray(P_post, float) @ A.T + np.asarray(Q, float)))
+
+
+def kalman_gain(P_prior, C, R, nodes=None) -> np.ndarray:
+    """K = P_prior C^T (R + C P_prior C^T)^{-1}.
+
+    A singular innovation covariance raises `NumericalError`; with `nodes`
+    given it names the node of the worst-conditioned slice.
+    """
+    P_prior = np.asarray(P_prior, float)
+    C = np.asarray(C, float)
+    S = np.asarray(R, float) + C @ P_prior @ _t(C)
+    try:
+        # Solve S K^T = C P_prior instead of forming S^{-1}.
+        return _t(np.linalg.solve(S, C @ _t(P_prior)))
+    except np.linalg.LinAlgError as exc:
+        flat = S.reshape(-1, *S.shape[-2:])
+        cond = np.linalg.cond(flat)
+        b = int(np.argmax(cond))
+        where = "" if nodes is None else f" at node {nodes[b]}"
+        raise NumericalError(
+            f"singular innovation covariance{where} (cond ~ {cond[b]:.3g}); "
+            f"S diagonal {np.diag(flat[b])}"
+        ) from exc
 
 
 def innovation_covariance(P_prior, C, R) -> np.ndarray:
     """Omega = C P_prior C^T + R."""
     C = np.asarray(C, float)
-    return sym(C @ np.asarray(P_prior, float) @ C.T + np.asarray(R, float))
+    return sym(C @ np.asarray(P_prior, float) @ _t(C) + np.asarray(R, float))
 
 
-def apply_coupling(gamma, vec: np.ndarray) -> np.ndarray:
-    """Consensus coupling: scalar multiply or matrix action, per gamma mode."""
-    if np.ndim(gamma) == 2:
-        return np.asarray(gamma, float) @ vec
-    return gamma * vec
+def measurement_update(x_prior, K, gamma, y, C, m, beta, neighbor_preds, weights,
+                       own_pred, mask=None) -> np.ndarray:
+    """Posterior update law of every filter mode; returns x_post.
 
-
-def measurement_update(est: NodeEstimator, y, C, m_i, beta_i: float, neighbor_preds,
-                       weights, own_pred) -> None:
-    """Posterior update law of every filter mode.
-
-    The measurement is blended with the weighted neighbor estimate `m_i` by
-    the node's own confidence `beta_i`, and each consensus term is scaled by
-    its belief weight w_ij = sigma_ij * beta_j. `neighbor_preds` holds the
-    latest predictive estimate of each neighbor as seen by this node
-    (non-transmitting neighbors already extrapolated), in ascending neighbor
-    order, and `weights` the matching w_ij. With beta_i = 1 and every weight 1
-    this is the nominal update x_prior + K (y - C x_prior) + gamma sum_j
-    (x_j - own_pred), bit for bit.
+    The measurement is blended with the weighted neighbor estimate `m` by the
+    node's own confidence `beta`, and each consensus term is scaled by its
+    belief weight w_ij = sigma_ij * beta_j. `neighbor_preds` (..., D, n)
+    holds the latest predictive estimate of each neighbor as seen by this
+    node (non-transmitting neighbors already extrapolated), in ascending
+    neighbor order, `weights` (..., D) the matching w_ij, and `mask` (..., D)
+    which slots hold a neighbor (all of them when omitted). With beta = 1 and
+    every weight 1 this is the nominal update x_prior + K (y - C x_prior) +
+    gamma sum_j (x_j - own_pred), bit for bit.
     """
     C = np.asarray(C, float)
-    blended = beta_i * np.asarray(y, float) + (1.0 - beta_i) * (C @ np.asarray(m_i, float))
-    r = blended - C @ est.x_prior
-    consensus = np.zeros_like(est.x_prior)
+    x_prior = np.asarray(x_prior, float)
     own = np.asarray(own_pred, float)
-    for w, xj in zip(weights, neighbor_preds):
-        consensus = consensus + w * (np.asarray(xj, float) - own)
-    est.x_post = est.x_prior + est.K @ r + apply_coupling(est.gamma, consensus)
+    preds = np.asarray(neighbor_preds, float).reshape(*own.shape[:-1], -1, own.shape[-1])
+    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
+    mask = np.ones(weights.shape, bool) if mask is None else mask
+    beta = np.asarray(beta, float)[..., None]
+    blended = beta * np.asarray(y, float) + (1.0 - beta) * np.matvec(C, np.asarray(m, float))
+    r = blended - np.matvec(C, x_prior)
+    consensus = slot_sum(weights[..., None] * (preds - own[..., None, :]), mask,
+                         np.zeros_like(x_prior))
+    # A scalar gamma multiplies, a matrix (stack) acts.
+    coupling = np.matvec(gamma, consensus) if np.ndim(gamma) >= 2 else gamma * consensus
+    return x_prior + np.matvec(np.asarray(K, float), r) + coupling
 
 
 def posterior_covariance(P_prior, K, C, R) -> np.ndarray:
     """Joseph form: (I-KC) P (I-KC)^T + K R K^T."""
     P_prior = np.asarray(P_prior, float)
     K = np.asarray(K, float)
-    C = np.asarray(C, float)
-    M = np.eye(P_prior.shape[0]) - K @ C
-    return sym(M @ P_prior @ M.T + K @ np.asarray(R, float) @ K.T)
+    M = np.eye(P_prior.shape[-1]) - K @ np.asarray(C, float)
+    return sym(M @ P_prior @ _t(M) + K @ np.asarray(R, float) @ _t(K))
 
 
-def consensus_gain(gains, Cs, A, P_priors, L, fallback: float = 0.0):
-    """Matrix-valued coupling gains per node from the network-wide design rule.
+def consensus_gain(M, A, P_priors, lam_L: float, fallback: float = 0.0):
+    """Matrix-valued coupling gains of every node from the network-wide design rule.
 
-    gamma_i = 2 (I - K_i C_i) Gamma_i^+ / (lambda_max(L) * lambda_max(Gamma^+)),
-    Gamma_i = (I - K_i C_i)^T A^T P_prior_i^+ A (I - K_i C_i), with pseudo-
-    inverses where blocks are singular. If every block is degenerate the
-    configured scalar `fallback` is used for all nodes.
-
-    Returns a list of n x n arrays (or scalars when falling back).
+    gamma_i = 2 M_i Gamma_i^+ / (lam_L * lambda_max(Gamma^+)),
+    Gamma_i = M_i^T A^T P_prior_i^+ A M_i, with M_i = I - K_i C_i stacked
+    as (N, n, n), lam_L the largest eigenvalue of the graph Laplacian (fixed
+    for a run, so the caller computes it once) and pseudo-inverses where
+    blocks are singular. If every block is degenerate the configured scalar
+    `fallback` is returned instead.
     """
     A = np.asarray(A, float)
-    n = A.shape[0]
-    N = len(gains)
-    Ms, Gammas = [], []
-    for K, C, Pb in zip(gains, Cs, P_priors):
-        M = np.eye(n) - np.asarray(K, float) @ np.asarray(C, float)
-        Pb_pinv = np.linalg.pinv(np.asarray(Pb, float))
-        Gammas.append(M.T @ A.T @ Pb_pinv @ A @ M)
-        Ms.append(M)
-    lam_L = float(np.max(np.linalg.eigvalsh(np.asarray(L, float))))
-    lam_Ginv = 0.0
-    G_pinvs = []
-    for G in Gammas:
-        Gp = np.linalg.pinv(G)
-        G_pinvs.append(Gp)
-        ev = np.linalg.eigvalsh(sym(Gp))
-        lam_Ginv = max(lam_Ginv, float(ev[-1]))
+    M = np.asarray(M, float)
+    Gammas = _t(M) @ A.T @ np.linalg.pinv(np.asarray(P_priors, float)) @ A @ M
+    G_pinvs = np.linalg.pinv(Gammas)
+    # Python's max, in node order, as a loop over nodes takes it.
+    lam_Ginv = max([0.0, *np.linalg.eigvalsh(sym(G_pinvs))[..., -1].reshape(-1).tolist()])
     denom = lam_L * lam_Ginv
     if denom <= 0 or not np.isfinite(denom):
-        return [fallback] * N
-    return [2.0 * M @ Gp / denom for M, Gp in zip(Ms, G_pinvs)]
+        return fallback
+    return 2.0 * M @ G_pinvs / denom

@@ -31,6 +31,11 @@ class Graph:
             canon.add((min(a, b), max(a, b)))
         object.__setattr__(self, "node_count", int(node_count))
         object.__setattr__(self, "edges", frozenset(canon))
+        adj = {i: set() for i in range(1, self.node_count + 1)}   # for `neighbors`
+        for a, b in canon:
+            adj[a].add(b)
+            adj[b].add(a)
+        object.__setattr__(self, "_adj", adj)
 
     @property
     def nodes(self):
@@ -51,13 +56,7 @@ def neighbors(g: Graph, i: int) -> set:
     """All j with an edge (j, i)."""
     if not 1 <= i <= g.node_count:
         raise ConfigurationError(f"node {i} outside 1..{g.node_count}")
-    out = set()
-    for a, b in g.edges:
-        if a == i:
-            out.add(b)
-        elif b == i:
-            out.add(a)
-    return out
+    return set(g._adj[i])
 
 
 def laplacian(g: Graph) -> np.ndarray:

@@ -79,6 +79,8 @@ class SensorModel:
         if self.R.shape != (p, p):
             raise ConfigurationError(f"R shape {self.R.shape} incompatible with p={p}")
         _check_symmetric_psd(self.R, "R", strict=True)
+        # Lower Cholesky factor of R: every noise draw reuses it.
+        self.R_factor = np.linalg.cholesky(self.R)
 
     @property
     def p(self) -> int:
@@ -123,8 +125,9 @@ class NoiseSource:
         return rng.multivariate_normal(np.zeros(model.n), model.Q, method="cholesky" if _is_pd(model.Q) else "svd")
 
     def draw_measurement_noise(self, sensor: SensorModel, node: int) -> np.ndarray:
-        rng = self.stream(STREAM_SENSOR, node)
-        return rng.multivariate_normal(np.zeros(sensor.p), sensor.R, method="cholesky")
+        # Equal bit for bit to multivariate_normal(0, R, method="cholesky"),
+        # without factoring R again on every draw.
+        return self.stream(STREAM_SENSOR, node).standard_normal(sensor.p) @ sensor.R_factor.T
 
 
 def _is_pd(m: np.ndarray) -> bool:
@@ -146,16 +149,18 @@ def step_process(model: ProcessModel, x: np.ndarray, w: np.ndarray) -> np.ndarra
     return model.A @ x + w
 
 
-def measure(sensor: SensorModel, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One observation: C @ x + v."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if x.shape != (sensor.n,) or v.shape != (sensor.p,):
-        raise ConfigurationError(
-            f"measurement dimension mismatch: x {x.shape}, v {v.shape}, "
-            f"expected n={sensor.n}, p={sensor.p}"
-        )
-    return sensor.C @ x + v
+def channel_groups(sensors) -> dict:
+    """Sensors grouped by channel count: p -> their positions, ascending."""
+    groups = {}
+    for b, s in enumerate(sensors):
+        groups.setdefault(s.p, []).append(b)
+    return {p: np.array(rows) for p, rows in groups.items()}
+
+
+def measure(C, x: np.ndarray, v) -> np.ndarray:
+    """Observations C x + v: of one sensor (C is p x n), or of a stack of
+    sensors sharing the state x (C is N x p x n, v is N x p)."""
+    return np.matvec(np.asarray(C, float), np.asarray(x, float)) + np.asarray(v, float)
 
 
 def observability_rank(A: np.ndarray, C: np.ndarray) -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .filtering import slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
 
@@ -47,16 +48,19 @@ class ResilientConfig:
             raise ConfigurationError(f"unknown discounting mode {self.discounting!r}")
 
 
-def divergence_statistic(divergence: float, scale: float) -> float:
-    """chi (or theta): scale / (scale + max(divergence, 0)); NaN maps to 1."""
-    if np.isnan(divergence):
-        return 1.0
-    return scale / (scale + max(float(divergence), 0.0))
+def divergence_statistic(divergence, scale: float):
+    """chi (or theta): scale / (scale + max(divergence, 0)); NaN maps to 1.
+
+    Elementwise over an array of divergences; a scalar gives a scalar.
+    """
+    d = np.asarray(divergence, float)
+    return np.where(np.isnan(d), 1.0, scale / (scale + np.maximum(d, 0.0)))[()]
 
 
 @dataclass
 class DiscountedBelief:
-    """One recursively-updated discounted belief value."""
+    """A recursively-updated discounted belief value, or an array of them
+    (one per node or edge) advanced elementwise."""
 
     kappa: float
     mode: str = "normalized"
@@ -64,7 +68,7 @@ class DiscountedBelief:
     _num: float = 0.0
     _den: float = 0.0
 
-    def update(self, stat: float) -> float:
+    def update(self, stat):
         k = self.kappa
         self._num = k * (self._num + k * stat)
         if self.mode == "normalized":
@@ -75,60 +79,65 @@ class DiscountedBelief:
         return self.value
 
 
-def update_confidence(beta: DiscountedBelief, chi_k: float) -> float:
-    """Advance a node's confidence with this step's statistic."""
-    if not 0.0 < chi_k <= 1.0:
+def update_confidence(beta: DiscountedBelief, chi_k):
+    """Advance a node's confidence (or every node's) with this step's statistic."""
+    if not np.all((0.0 < chi_k) & (chi_k <= 1.0)):
         raise ConfigurationError(f"chi must lie in (0,1], got {chi_k}")
     return beta.update(chi_k)
 
 
-def update_trust(sigma: DiscountedBelief, theta_k: float) -> float:
-    """Advance an edge's trust with this step's statistic."""
-    if not 0.0 < theta_k <= 1.0:
+def update_trust(sigma: DiscountedBelief, theta_k):
+    """Advance an edge's trust (or every edge's) with this step's statistic."""
+    if not np.all((0.0 < theta_k) & (theta_k <= 1.0)):
         raise ConfigurationError(f"theta must lie in (0,1], got {theta_k}")
     return sigma.update(theta_k)
 
 
 class BeliefState:
-    """Per-node confidence and per-incoming-edge trust for one network."""
+    """Confidence of every node and trust of every incoming edge, as arrays
+    in the order of `nodes` and `incoming_edges`."""
 
     def __init__(self, nodes, incoming_edges, config: ResilientConfig):
         self.config = config
-        self.chi = {i: 1.0 for i in nodes}
-        self.theta = {e: 1.0 for e in incoming_edges}
-        self.beta = {i: DiscountedBelief(config.kappa1, config.discounting) for i in nodes}
-        self.sigma = {e: DiscountedBelief(config.kappa2, config.discounting) for e in incoming_edges}
+        N, E = len(nodes), len(incoming_edges)
+        self.chi, self.theta = np.ones(N), np.ones(E)
+        self.beta = DiscountedBelief(config.kappa1, config.discounting,
+                                     np.ones(N), np.zeros(N), np.zeros(N))
+        self.sigma = DiscountedBelief(config.kappa2, config.discounting,
+                                      np.ones(E), np.zeros(E), np.zeros(E))
 
-    def step(self, node_divergence: dict, edge_divergence: dict) -> None:
-        for i, d in node_divergence.items():
-            self.chi[i] = divergence_statistic(d, self.config.upsilon1)
-            update_confidence(self.beta[i], self.chi[i])
-        for e, d in edge_divergence.items():
-            self.theta[e] = divergence_statistic(d, self.config.lambda1)
-            update_trust(self.sigma[e], self.theta[e])
-
-    def beta_value(self, i) -> float:
-        return self.beta[i].value
-
-    def sigma_value(self, edge) -> float:
-        return self.sigma[edge].value
+    def step(self, node_divergence, edge_divergence=None) -> None:
+        """Advance every node with its divergence, (N,) with NaN where there
+        is none yet, and every edge with (E,) once the edge windows are full."""
+        self.chi = divergence_statistic(node_divergence, self.config.upsilon1)
+        update_confidence(self.beta, self.chi)
+        if edge_divergence is not None:
+            self.theta = divergence_statistic(edge_divergence, self.config.lambda1)
+            update_trust(self.sigma, self.theta)
 
 
-def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights) -> np.ndarray:
+def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:
     """m_i: belief-weighted average of neighbor predictive estimates.
 
-    `weights` holds w_ij = sigma_ij * beta_j for each entry of
-    `neighbor_preds`. Follows the stated 1/|N_i| normalization, so
-    down-weighted neighbors shrink the average rather than renormalizing it.
-    Falls back to the node's own prior when there are no neighbors.
+    `neighbor_preds` (..., D, n) holds each node's neighbor predictions in
+    slots, `weights` (..., D) the matching w_ij = sigma_ij * beta_j and
+    `mask` (..., D) which slots hold a neighbor (all of them when omitted).
+    Follows the stated 1/|N_i| normalization, so down-weighted neighbors
+    shrink the average rather than renormalizing it. Falls back to the
+    node's own prior when it has no neighbors.
     """
-    if not neighbor_preds:
-        return np.array(x_prior_i, dtype=float)
-    acc = None
-    for w, xj in zip(weights, neighbor_preds):
-        term = w * np.asarray(xj, float)
-        acc = term if acc is None else acc + term
-    return acc / len(neighbor_preds)
+    x_prior_i = np.asarray(x_prior_i, float)
+    preds = np.asarray(neighbor_preds, float).reshape(
+        *x_prior_i.shape[:-1], -1, x_prior_i.shape[-1])
+    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
+    mask = np.ones(weights.shape, bool) if mask is None else np.asarray(mask, bool)
+    if preds.shape[-2] == 0:
+        return x_prior_i.copy()
+    terms = weights[..., None] * preds
+    # The sum starts from the first neighbor's term, as a per-node loop does.
+    acc = slot_sum(terms[..., 1:, :], mask[..., 1:], terms[..., 0, :])
+    degree = mask.sum(axis=-1)[..., None]
+    return np.where(degree > 0, acc / np.maximum(degree, 1), x_prior_i)
 
 
 @dataclass
@@ -153,11 +162,13 @@ class BoundMonitor:
     def start(self, eta0_norm: float) -> None:
         self.bound = float(eta0_norm)
 
-    def step(self, gains_M: list, laplacian_masked: np.ndarray, gamma_max: float,
+    def step(self, gains_M, laplacian_masked: np.ndarray, gamma_max: float,
              betas: list) -> float:
+        """Advance one step; `gains_M` stacks every node's I - K_i C_i as (N, n, n)."""
         A = np.asarray(self.A, float)
+        gains_M = np.asarray(gains_M, float)
         N = len(gains_M)
-        self.A_o = max(float(np.linalg.norm(A @ M, 2)) for M in gains_M)
+        self.A_o = max(np.linalg.norm(A @ gains_M, 2, axis=(-2, -1)).tolist())
         self.contractive = self.A_o < 1.0
         sA = float(np.linalg.norm(A, 2))
         sL = float(np.linalg.norm(np.asarray(laplacian_masked, float), 2))
@@ -170,19 +181,16 @@ class BoundMonitor:
         return self.bound
 
 
-def trust_masked_laplacian(graph, sigma: dict, beta: dict) -> np.ndarray:
-    """Laplacian of the belief-weighted graph, a_ij = sigma_(i,j) * beta_j.
+def trust_masked_laplacian(weights) -> np.ndarray:
+    """Laplacian of the belief-weighted graph from its directed weights,
+    `weights[i-1, j-1]` = w_ij = sigma_(i,j) * beta_j on each edge and 0 off
+    the graph.
 
-    Asymmetric weights are symmetrized by averaging the two directions so the
-    result stays a valid Laplacian of an undirected weighted graph.
+    The two directions are averaged so the result stays a valid Laplacian of
+    an undirected weighted graph.
     """
-    N = graph.node_count
-    W = np.zeros((N, N))
-    for a, b in graph.sorted_edges():
-        w_ab = sigma.get((a, b), 1.0) * beta.get(b, 1.0)   # b's data as seen by a
-        w_ba = sigma.get((b, a), 1.0) * beta.get(a, 1.0)
-        w = 0.5 * (w_ab + w_ba)
-        W[a - 1, b - 1] = W[b - 1, a - 1] = w
+    W = np.asarray(weights, float)
+    W = 0.5 * (W + W.T)
     return np.diag(W.sum(axis=1)) - W
 
 

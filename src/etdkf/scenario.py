@@ -95,7 +95,7 @@ class ScenarioConfig:
 
         targeted = set()
         for idx, plan in enumerate(self.attacks):
-            label = f"attack[{idx}]"
+            label = f"attacks[{idx}]"
             if plan.kind not in ATTACK_KINDS:
                 errors.append(f"{label}: unknown kind {plan.kind!r}")
                 continue

@@ -25,16 +25,15 @@ import numpy as np
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
-from .detection import (KnnWindowBank, detect, neighbor_innovation,
-                        nominal_reference_window)
+from .detection import KnnWindowBank, detect, nominal_reference_window
 from .errors import ConfigurationError
-from .filtering import (NodeEstimator, innovation, innovation_covariance,
+from .filtering import (consensus_gain, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
                         should_transmit, time_update, update_predictive,
-                        consensus_gain)
+                        vector_norm)
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
-from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, measure,
-                     step_process)
+from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
+                     measure, step_process)
 from .resilience import (BeliefState, BoundMonitor, assumption4_satisfied,
                          trust_masked_laplacian, weighted_neighbor_estimate)
 
@@ -103,18 +102,24 @@ class MetricsReport:
 class _TwinData:
     """What a later pass reads of this one; its statistics are computed on first read."""
 
-    innovations: dict            # node -> list of p-vectors, one per step
-    b_samples: list              # ||x(k+1)-x(k)+v(k+1)|| per step and node
+    innovations: dict            # p -> one (nodes with p channels, p) stack per step
+    where: dict                  # node -> (p, its row in those stacks)
+    b_samples: list              # ||x(k+1)-x(k)+v(k+1)||, one array per step and p; twin only
     sensors: dict                # node -> SensorModel; R stands in on runs of <= 2 steps
 
     @cached_property
-    def B(self) -> float:        # 99.9th percentile of the b samples
-        return float(np.percentile(self.b_samples, 99.9)) if self.b_samples else 0.0
+    def B(self) -> float:        # 99.9th percentile of the b samples, in any order
+        return (float(np.percentile(np.concatenate(self.b_samples), 99.9))
+                if self.b_samples else 0.0)
 
     @cached_property
     def omega_hat(self) -> dict:  # node -> calibrated innovation covariance
-        return {i: np.cov(np.array(rec).T) if len(rec) > 2 else self.sensors[i].R.copy()
-                for i, rec in self.innovations.items()}
+        # np.cov of each node's (steps, p) record laid out as its own array,
+        # so the sums run in the order they always have; a 1 x 1 result stays 2-D.
+        rec = {p: np.array(stacks) for p, stacks in self.innovations.items()}
+        return {i: np.atleast_2d(np.cov(np.ascontiguousarray(rec[p][:, row]).T))
+                if len(rec[p]) > 2 else self.sensors[i].R.copy()
+                for i, (p, row) in self.where.items()}
 
 
 def _needs_twin(config) -> bool:
@@ -141,13 +146,22 @@ def run_scenario(config) -> SimTrace:
 
 def _engine(cfg, twin, lite: bool):
     """One pass over the scenario; returns (trace, twin data). Every pass
-    records what a later pass needs of its twin; `lite` (the attack-free twin)
-    skips detection, beliefs and trace rows, so its trace stays empty."""
+    records the innovations a later pass reads of its twin; `lite` (the
+    attack-free twin) also records the increments for B, and skips
+    detection, beliefs and trace rows, so its trace stays empty.
+
+    The network state is stacked: node i is row i - 1 of the (N, n) and
+    (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
+    d-th neighbor in ascending order, padded to the largest degree D and
+    masked past its own; `flat` numbers the slots row by row. Sensors group
+    by channel count p: whatever has a p axis is stacked per group.
+    """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
     A, Q = proc.A, proc.Q
     n = proc.n
-    nodes = sorted(cfg.graph.nodes)
+    nodes = list(cfg.graph.nodes)
+    N = len(nodes)
     nbrs = {i: sorted(neighbors(cfg.graph, i)) for i in nodes}
     sensors = {i: cfg.sensors[i - 1] for i in nodes}
     alpha = cfg.trigger.alpha
@@ -155,36 +169,54 @@ def _engine(cfg, twin, lite: bool):
     beliefs_in_update = cfg.filter_mode == "resilient"
     det = cfg.detector
 
-    ests = {i: NodeEstimator.initial(proc.x0_mean, proc.P0, cfg.consensus.gamma)
-            for i in nodes}
-    stored = {i: {j: proc.x0_mean.copy() for j in nbrs[i]} for i in nodes}
-    last_tx_prior = {i: proc.x0_mean.copy() for i in nodes}
+    D = max(map(len, nbrs.values()), default=0)
+    slot_node = np.zeros((N, D), dtype=int)
+    mask = np.zeros((N, D), dtype=bool)
+    for i in nodes:
+        slot_node[i - 1, :len(nbrs[i])] = [j - 1 for j in nbrs[i]]
+        mask[i - 1, :len(nbrs[i])] = True
+    flat = {(i, j): (i - 1) * D + d for i in nodes for d, j in enumerate(nbrs[i])}
+    slot_of = np.nonzero(mask)[0]   # the node each unmasked slot belongs to
+    groups = channel_groups(cfg.sensors)        # p -> rows of its nodes
+    where = {b + 1: (p, g) for p, rows in groups.items()     # node -> (p, index in group)
+             for g, b in enumerate(rows.tolist())}
+    C = {p: np.stack([cfg.sensors[b].C for b in rows]) for p, rows in groups.items()}
+    R = {p: np.stack([cfg.sensors[b].R for b in rows]) for p, rows in groups.items()}
+
+    x_prior = np.tile(proc.x0_mean, (N, 1))
+    x_post, x_pred, last_tx_prior = x_prior.copy(), x_prior.copy(), x_prior.copy()
+    P_prior = np.tile(proc.P0, (N, 1, 1))
+    P_post = P_prior.copy()
+    stored = np.tile(proc.x0_mean, (N, D, 1))   # neighbor predictions as each node holds them
+    gamma = cfg.consensus.gamma
+    K, M = {}, np.empty((N, n, n))
     x = noise.draw_initial_state(proc)
 
     node_plans = {i: [] for i in nodes}
-    edge_plans = {}
+    edge_plans = []
     for idx, plan in enumerate(cfg.attacks):
         if plan.kind == CHANNEL_INJECTION:
-            edge_plans.setdefault(tuple(plan.edge), []).append((idx, plan))
+            j, i = plan.edge
+            edge_plans.append((i, j, nbrs[i].index(j), plan))
         else:
             node_plans[plan.node].append((idx, plan))
 
     # Detector windows: (i, i) holds node i's innovations, (i, j) its residuals
     # against neighbor j's estimate (equal channel counts only); both compare
-    # with node i's reference. One bank per sensor dimension holds them as rows.
-    win_keys = [(i, j) for i in nodes for j in [i] + nbrs[i]
-                if sensors[j].p == sensors[i].p]
-    edge_keys = [key for key in win_keys if key[0] != key[1]]
-    bank_keys = {}
-    for key in win_keys:
-        bank_keys.setdefault(sensors[key[0]].p, []).append(key)
+    # with node i's reference. One bank per channel count holds them as rows;
+    # `src` picks each row's state out of [x_prior; stored slots].
     shadow = det.reference == "shadow"
-    banks = {dim: KnnWindowBank(len(keys), dim, det.window, det.k_nn, det.epsilon_d,
-                                sliding_reference=shadow, average=det.average)
-             for dim, keys in bank_keys.items()}
+    windows = []
+    for p, rows in groups.items():
+        keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if sensors[j].p == p]
+        windows.append((p, keys, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
+                                               sliding_reference=shadow, average=det.average),
+                        np.array([where[i][1] for i, _ in keys]),
+                        np.array([i - 1 if i == j else N + flat[i, j] for i, j in keys]),
+                        C[p][[where[j][1] for _, j in keys]]))
+    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if sensors[j].p == sensors[i].p]
+    edge_flat = [flat[e] for e in edge_keys]
     beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
-    unit_weights = {i: [1.0] * len(nbrs[i]) for i in nodes}
-
     a4_ok = 1 if all(assumption4_satisfied(cfg.graph, cfg.compromised_nodes()).values()) else 0
 
     monitor = None
@@ -192,211 +224,175 @@ def _engine(cfg, twin, lite: bool):
         if twin is None:
             raise ConfigurationError("bound monitor needs the nominal twin pass")
         monitor = BoundMonitor(
-            A=A,
-            C_norms=[float(np.linalg.norm(sensors[i].C, 2)) for i in nodes],
+            A=A, C_norms=[float(np.linalg.norm(sensors[i].C, 2)) for i in nodes],
             alpha=alpha, B=twin.B, tau=cfg.resilient.tau)
+    lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
+             if cfg.consensus.mode == "matrix" else None)
 
     trace = SimTrace(config=cfg)
-    innovations_rec = {i: [] for i in nodes}
+    state_names = [f"{prefix}_{d}" for prefix in ("x_true", "xbar", "xhat", "xpred")
+                   for d in range(n)]
+    innovations_rec = {p: [] for p in groups}
     b_samples = []
-    prev_x = None
     sampler_calls = sampler_fallbacks = 0
 
     for k in range(cfg.steps):
         t = k * cfg.dt
-        v = {i: noise.draw_measurement_noise(sensors[i], i) for i in nodes}
-        if prev_x is not None:
-            b_samples.extend(float(np.linalg.norm(x - prev_x + v[i])) for i in nodes)
-
-        y_clean = {i: measure(sensors[i], x, v[i]) for i in nodes}
-        y = dict(y_clean)
+        v = [noise.draw_measurement_noise(sensors[i], i) for i in nodes]
+        v = {p: np.array([v[b] for b in rows]) for p, rows in groups.items()}
+        y_clean = {p: measure(C[p], x, v[p]) for p in groups}
+        y = {p: yp.copy() for p, yp in y_clean.items()}
         for i in nodes:
+            p, g = where[i]
             for idx, plan in node_plans[i]:
                 if not plan.active(k):
                     continue
                 if plan.kind == MEASUREMENT_INJECTION:
-                    f = plan.signal.evaluate(t, sensors[i].p)
-                    y[i] = corrupt_measurement(y[i], f)
+                    y[p][g] = corrupt_measurement(y[p][g], plan.signal.evaluate(t, p))
                 elif plan.kind == NON_TRIGGERING:
                     rng = noise.stream(STREAM_ATTACK, idx)
-                    y[i], fell_back = craft_non_triggering(
-                        y[i], sensors[i].C, ests[i].x_pred, plan.phi, rng,
-                        sampler=plan.sampler)
+                    y[p][g], fell_back = craft_non_triggering(
+                        y[p][g], C[p][g], x_pred[i - 1], plan.phi, rng, sampler=plan.sampler)
                     if plan.sampler:
                         sampler_calls += 1
                         sampler_fallbacks += fell_back
                 elif plan.kind == REPLAY:
-                    y[i] = craft_replay(last_tx_prior[i], sensors[i].C,
-                                        plan.upsilon_vector(sensors[i].p))
-        attack_norm = {i: float(np.linalg.norm(y[i] - y_clean[i])) for i in nodes}
+                    y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
 
-        # Trigger barrier (everyone transmits at k = 0).
-        zeta = {}
-        for i in nodes:
-            zeta[i] = 1 if k == 0 else int(should_transmit(y[i], sensors[i].C,
-                                                           ests[i].x_pred, alpha))
-            ests[i].zeta = zeta[i]
-            ests[i].x_pred = update_predictive(zeta[i], ests[i].x_prior,
-                                               ests[i].x_pred, A)
+        # Innovations and the trigger barrier (everyone transmits at k = 0).
+        r = {}
+        attack_norm, innov = np.empty(N), np.empty(N)
+        zeta = np.ones(N, dtype=int)
+        for p, rows in groups.items():
+            attack_norm[rows] = vector_norm(y[p] - y_clean[p])
+            r[p] = innovation(y[p], C[p], x_prior[rows])
+            innov[rows] = vector_norm(r[p])
+            innovations_rec[p].append(r[p])
+            if k and lite:      # only the twin's increments are read
+                b_samples.append(vector_norm(x - prev_x + v[p]))
+            if k:
+                zeta[rows] = should_transmit(y[p], C[p], x_pred[rows], alpha)
+        x_pred = update_predictive(zeta, x_prior, x_pred, A)
 
         # Exchange barrier.
+        stored = np.where(zeta[slot_node, None] == 1, x_prior[slot_node], np.matvec(A, stored))
         edge_attack_norm = {}
-        for i in nodes:
-            for j in nbrs[i]:
-                if zeta[j]:
-                    sent = ests[j].x_prior
-                    inj = 0.0
-                    for idx, plan in edge_plans.get((j, i), []):
-                        if plan.active(k):
-                            fbar = plan.signal.evaluate(t, n)
-                            sent = corrupt_channel(sent, fbar)
-                            inj = float(np.linalg.norm(fbar))
-                    stored[i][j] = np.array(sent, dtype=float)
-                    edge_attack_norm[(i, j)] = inj
-                else:
-                    stored[i][j] = A @ stored[i][j]
-                    edge_attack_norm[(i, j)] = 0.0
-        for i in nodes:
-            if zeta[i]:
-                last_tx_prior[i] = ests[i].x_prior.copy()
-
-        # Innovations and windows.
-        r = {i: innovation(y[i], sensors[i].C, ests[i].x_prior) for i in nodes}
-        for i in nodes:
-            innovations_rec[i].append(r[i].copy())
+        for i, j, d, plan in edge_plans:
+            if zeta[j - 1] and plan.active(k):
+                fbar = plan.signal.evaluate(t, n)
+                stored[i - 1, d] = corrupt_channel(stored[i - 1, d], fbar)
+                edge_attack_norm[(i, j)] = float(np.linalg.norm(fbar))
+        last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
 
         d_hat, phi = {}, {}   # per window key, once its bank is full
         if not lite:
             # The shadow reference slides with the windows (the twin's
             # innovations, or the node's own without a twin); the other modes
             # draw a fresh window for every node at every step.
-            if shadow:
-                source = twin.innovations if twin is not None else innovations_rec
-            else:
-                fresh = {i: _reference_window(det, twin, i, ests[i], sensors[i], noise)
-                         for i in nodes}
-            for dim, keys in bank_keys.items():
-                bank = banks[dim]
-                bank.push([r[i] if i == j else
-                           neighbor_innovation(y[i], sensors[j].C, stored[i][j])
-                           for i, j in keys],
-                          [source[i][k] for i, _ in keys] if shadow else None)
+            source = twin.innovations if twin is not None else innovations_rec
+            states = np.concatenate([x_prior, stored.reshape(-1, n)])
+            for p, keys, bank, owner, src, C_key in windows:
+                bank.push(innovation(y[p][owner], C_key, states[src]),
+                          source[p][k][owner] if shadow else None)
+                fresh = None if shadow else _reference_windows(
+                    det, twin, groups[p], P_prior, C[p], R[p], noise)
                 if not bank.full:
                     continue
-                est = bank.estimates(None if shadow else
-                                     np.stack([fresh[i] for i, _ in keys]))
+                est = bank.estimates(None if shadow else fresh[owner])
                 d_hat.update(zip(keys, est.tolist()))
                 phi.update(zip(keys, bank.average(est).tolist()))
+            if track_beliefs:   # every bank fills at the same step
+                beliefs.step([d_hat.get((i, i), math.nan) for i in nodes],
+                             [d_hat[e] for e in edge_keys] if d_hat else None)
 
-            if track_beliefs:
-                beliefs.step({i: d_hat.get((i, i), math.nan) for i in nodes},
-                             {e: d_hat[e] for e in edge_keys if e in d_hat})
-
-        # Belief weights w_ij = sigma_ij * beta_j, computed once per step. An
-        # edge between sensors of unequal channel counts has no window, so its
-        # trust stays 1.
-        if track_beliefs:
-            beta = {i: beliefs.beta_value(i) for i in nodes}
-            sigma = {e: beliefs.sigma_value(e) for e in edge_keys}
-        else:
-            beta, sigma = dict.fromkeys(nodes, 1.0), {}
-        weights = {i: [sigma.get((i, j), 1.0) * beta[j] for j in nbrs[i]] for i in nodes}
+        # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
+        # untracked beliefs stay at one. An edge between sensors of unequal
+        # channel counts has no window, so its trust stays 1.
+        beta = beliefs.beta.value
+        sigma, theta = np.ones((2, N * D))      # per neighbor slot
+        sigma[edge_flat], theta[edge_flat] = beliefs.sigma.value, beliefs.theta
+        weights = sigma.reshape(N, D) * beta[slot_node]
 
         # Gains (and matrix-mode coupling) barrier.
-        for i in nodes:
-            ests[i].K = kalman_gain(ests[i].P_prior, sensors[i].C, sensors[i].R)
-        if cfg.consensus.mode == "matrix":
-            gammas = consensus_gain([ests[i].K for i in nodes],
-                                    [sensors[i].C for i in nodes], A,
-                                    [ests[i].P_prior for i in nodes],
-                                    laplacian(cfg.graph),
-                                    fallback=cfg.consensus.gamma)
-            for i, g in zip(nodes, gammas):
-                ests[i].gamma = g
+        for p, rows in groups.items():
+            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
+            M[rows] = np.eye(n) - K[p] @ C[p]
+        if lam_L is not None:
+            gamma = consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma)
 
         # Bound monitor: record the bound holding for this step, then advance.
         bound_now = realized = math.nan
         if monitor is not None:
-            realized = math.sqrt(sum(float(np.dot(x - ests[i].x_prior,
-                                                  x - ests[i].x_prior))
-                                     for i in nodes))
+            e_prior = x - x_prior
+            realized = math.sqrt(sum(np.vecdot(e_prior, e_prior).tolist()))
             if k == 0:
                 monitor.start(realized)
             bound_now = monitor.bound
-            Ms = [np.eye(n) - ests[i].K @ sensors[i].C for i in nodes]
-            L_mask = trust_masked_laplacian(cfg.graph, sigma, beta)
-            gmax = max(float(np.linalg.norm(np.atleast_2d(ests[i].gamma), 2))
-                       if np.ndim(ests[i].gamma) == 2 else abs(ests[i].gamma)
-                       for i in nodes)
-            monitor.step(Ms, L_mask, gmax, [beta[i] for i in nodes])
+            gmax = (max(np.linalg.norm(gamma, 2, axis=(1, 2)).tolist())
+                    if np.ndim(gamma) == 3 else abs(gamma))
+            W = np.zeros((N, N))
+            W[slot_of, slot_node[mask]] = weights[mask]
+            monitor.step(M, trust_masked_laplacian(W), gmax, beta.tolist())
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
-        eps_norm = {}
-        for i in nodes:
-            preds = [stored[i][j] for j in nbrs[i]]
-            m_i = weighted_neighbor_estimate(ests[i].x_prior, preds, weights[i])
-            eps_norm[i] = float(np.linalg.norm(m_i - x))
-            measurement_update(ests[i], y[i], sensors[i].C, m_i,
-                               beta[i] if beliefs_in_update else 1.0, preds,
-                               weights[i] if beliefs_in_update else unit_weights[i],
-                               ests[i].x_pred)
-            ests[i].P_post = posterior_covariance(ests[i].P_prior, ests[i].K,
-                                                  sensors[i].C, sensors[i].R)
+        m = weighted_neighbor_estimate(x_prior, stored, weights, mask)
+        w_upd, b_upd = (weights, beta) if beliefs_in_update else (np.ones((N, D)), np.ones(N))
+        for p, rows in groups.items():
+            x_post[rows] = measurement_update(
+                x_prior[rows], K[p], gamma[rows] if np.ndim(gamma) == 3 else gamma, y[p],
+                C[p], m[rows], b_upd[rows], stored[rows], w_upd[rows], x_pred[rows], mask[rows])
+            P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
 
         if not lite:
-            for i in nodes:
-                row = {
-                    "step": k, "node": i, "zeta": zeta[i],
-                    "innov_norm": float(np.linalg.norm(r[i])),
-                    "err_norm": float(np.linalg.norm(ests[i].x_post - x)),
-                    "trace_p": float(np.trace(ests[i].P_post)),
-                    "phi": phi.get((i, i), math.nan),
+            states = np.hstack([np.broadcast_to(x, (N, n)), x_prior, x_post, x_pred])
+            sigma_l, theta_l = sigma.tolist(), theta.tolist()
+            for i, z, inn, err, tr, b, chi, eps, att, xs in zip(
+                    nodes, zeta.tolist(), innov.tolist(), vector_norm(x_post - x).tolist(),
+                    np.trace(P_post, axis1=1, axis2=2).tolist(), beta.tolist(),
+                    beliefs.chi.tolist(), vector_norm(m - x).tolist(), attack_norm.tolist(),
+                    states.tolist()):
+                trace.node_rows.append({
+                    "step": k, "node": i, "zeta": z, "innov_norm": inn, "err_norm": err,
+                    "trace_p": tr, "phi": phi.get((i, i), math.nan),
                     "flag": detect(phi.get((i, i), math.nan), det.delta),
-                    "beta": beta[i], "chi": beliefs.chi[i],
-                    "eps_norm": eps_norm[i],
-                    "attack_norm": attack_norm[i],
-                    "bound": bound_now, "realized_err": realized,
-                    "assumption4_ok": a4_ok,
-                }
-                for d in range(n):
-                    row[f"x_true_{d}"] = float(x[d])
-                    row[f"xbar_{d}"] = float(ests[i].x_prior[d])
-                    row[f"xhat_{d}"] = float(ests[i].x_post[d])
-                    row[f"xpred_{d}"] = float(ests[i].x_pred[d])
-                trace.node_rows.append(row)
+                    "beta": b, "chi": chi, "eps_norm": eps,
+                    "attack_norm": att, "bound": bound_now, "realized_err": realized,
+                    "assumption4_ok": a4_ok, **dict(zip(state_names, xs))})
                 for j in nbrs[i]:
                     key = (i, j)
                     trace.edge_rows.append({
                         "step": k, "node": i, "neighbor": j,
                         "psi": phi.get(key, math.nan),
                         "flag": detect(phi.get(key, math.nan), det.delta),
-                        "sigma": sigma.get(key, 1.0),
-                        "theta": beliefs.theta.get(key, 1.0),
+                        "sigma": sigma_l[flat[key]],
+                        "theta": theta_l[flat[key]],
                         "attack_norm": edge_attack_norm.get(key, 0.0),
                     })
 
         # Time update and plant step.
-        for i in nodes:
-            time_update(ests[i], A, Q)
-        prev_x = x
+        x_prior, P_prior = time_update(x_post, P_post, A, Q)
         w_k = noise.draw_process_noise(proc)
-        x = step_process(proc, x, w_k)
+        prev_x, x = x, step_process(proc, x, w_k)
 
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace, _TwinData(innovations=innovations_rec, b_samples=b_samples, sensors=sensors)
+    return trace, _TwinData(innovations=innovations_rec, where=where, b_samples=b_samples,
+                            sensors=sensors)
 
 
-def _reference_window(det, twin, i, est, sensor, noise):
-    """Fresh Z window for node i: synthetic draws from the live innovation
-    covariance, calibrated from the twin run's sample covariance."""
+def _reference_windows(det, twin, rows, P_prior, C, R, noise):
+    """Fresh Z windows, (nodes, w, p), for the nodes at `rows` with sensors C,
+    R: synthetic draws from the live innovation covariance, calibrated from
+    the twin run's sample covariance."""
+    nodes = (rows + 1).tolist()
     if det.reference == "synthetic":
-        omega = innovation_covariance(est.P_prior, sensor.C, sensor.R)
+        omegas = innovation_covariance(P_prior[rows], C, R)
     else:
-        omega = twin.omega_hat[i]
-    return nominal_reference_window(omega, det.window, noise.stream(STREAM_REFERENCE, i))
+        omegas = [twin.omega_hat[i] for i in nodes]
+    return np.stack([nominal_reference_window(omega, det.window, noise.stream(STREAM_REFERENCE, i))
+                     for i, omega in zip(nodes, omegas)])
 
 
 # -- metrics -------------------------------------------------------------------

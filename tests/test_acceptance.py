@@ -20,14 +20,13 @@ import pytest
 
 from etdkf.attacks import AttackRecursion
 from etdkf.detection import estimate_kl
-from etdkf.filtering import (NodeEstimator, kalman_gain, measurement_update,
-                             posterior_covariance, time_update)
+from etdkf.filtering import time_update
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
 from etdkf.scenario import get_preset
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
 
 from test_attacks import batched_two_node_sim, two_node_setup
-from test_filtering import TextbookKF, rotation
+from test_filtering import TextbookKF, isolated_update, rotation
 
 
 def report(num, ok, detail):
@@ -57,19 +56,16 @@ def test_criterion_01_centralized_kf_equivalence():
     sensor = SensorModel(C=C, R=R)
     src = NoiseSource(seed=4242)
     x = src.draw_initial_state(model)
-    est = NodeEstimator.initial(model.x0_mean, model.P0, gamma=0.0)
+    x_prior, P_prior = model.x0_mean, model.P0
     ref = TextbookKF(A, Q, C, R, model.x0_mean, model.P0)
     t0 = time.time()
     worst = 0.0
     for _ in range(500):
         y = C @ x + src.draw_measurement_noise(sensor, 1)
-        est.K = kalman_gain(est.P_prior, C, R)
-        measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
-        est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
+        x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
         x_ref, P_ref = ref.step(y)
-        worst = max(worst, np.abs(est.x_post - x_ref).max(),
-                    np.abs(est.P_post - P_ref).max())
-        time_update(est, A, Q)
+        worst = max(worst, np.abs(x_post - x_ref).max(), np.abs(P_post - P_ref).max())
+        x_prior, P_prior = time_update(x_post, P_post, A, Q)
         x = A @ x + src.draw_process_noise(model)
     elapsed = time.time() - t0
     report(1, worst < 1e-12 and elapsed < 1.0,

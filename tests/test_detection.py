@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, detect,
                              estimate_kl, kth_neighbor_distance,
-                             neighbor_innovation, nominal_reference_window,
-                             pairwise_distances)
+                             nominal_reference_window, pairwise_distances)
 from etdkf.errors import ConfigurationError
+from etdkf.filtering import innovation
 from etdkf.scenario import get_preset
 from etdkf.simulate import run_scenario
 
@@ -128,9 +128,9 @@ class TestWindow:
     def test_capacity_and_eviction(self):
         bank = KnnWindowBank(rows=2, dim=2, window=3, k_nn=1)
         for i in range(5):
-            assert len(bank) == min(i, 3)
+            assert bank.samples().shape == (2, min(i, 3), 2)
             bank.push([[float(i), 0.0], [-float(i), 1.0]])
-        assert len(bank) == 3
+        assert bank.samples().shape == (2, 3, 2)
         assert bank.full
         assert np.array_equal(bank.samples()[0, :, 0], [2.0, 3.0, 4.0])
         assert np.array_equal(bank.samples()[1, :, 0], [-2.0, -3.0, -4.0])
@@ -141,7 +141,7 @@ class TestWindow:
             bank.push([[1.0, 2.0, 3.0]])
         with pytest.raises(ConfigurationError):
             bank.push([[1.0, 2.0], [3.0, 4.0]])   # one row too many
-        assert len(bank) == 0
+        assert bank.count == 0
 
     def test_reference_guards(self):
         sliding = KnnWindowBank(rows=1, dim=1, window=3, k_nn=1, sliding_reference=True)
@@ -149,7 +149,7 @@ class TestWindow:
             sliding.push([[1.0]])                 # its reference sample is missing
         with pytest.raises(ConfigurationError):
             sliding.push([[1.0]], [[1.0, 2.0]])
-        assert len(sliding) == 0
+        assert sliding.count == 0
         fresh = KnnWindowBank(rows=1, dim=1, window=3, k_nn=1)
         with pytest.raises(ConfigurationError):
             fresh.push([[1.0]], [[1.0]])
@@ -329,7 +329,7 @@ class TestNeighborInnovation:
     def test_zero_when_consistent(self):
         C = np.array([[5.0, 0.0], [0.0, 2.0]])
         xp = np.array([0.1, 0.2])
-        assert np.array_equal(neighbor_innovation(C @ xp, C, xp), np.zeros(2))
+        assert np.array_equal(innovation(C @ xp, C, xp), np.zeros(2))
 
     def test_channel_bias_shifts_mean(self):
         rng = np.random.default_rng(10)
@@ -339,7 +339,7 @@ class TestNeighborInnovation:
         for _ in range(2000):
             x = rng.standard_normal(2)
             y = C @ x + rng.standard_normal(2) * 0.1
-            shifts.append(neighbor_innovation(y, C, x + bias))
+            shifts.append(innovation(y, C, x + bias))
         mean = np.mean(shifts, axis=0)
         assert np.allclose(mean, -C @ bias, atol=0.05)
 

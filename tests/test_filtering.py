@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdkf.errors import NumericalError
-from etdkf.filtering import (NodeEstimator, TriggerConfig, consensus_gain,
-                             innovation, innovation_covariance, kalman_gain,
+from etdkf.filtering import (TriggerConfig, consensus_gain, innovation,
+                             innovation_covariance, kalman_gain,
                              measurement_update, posterior_covariance,
                              should_transmit, time_update, update_predictive)
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
@@ -33,6 +33,13 @@ class TextbookKF:
         self.x = self.A @ self.x
         self.P = self.A @ self.P @ self.A.T + self.Q
         return x_post, P_post
+
+
+def isolated_update(x_prior, P_prior, y, C, R):
+    """One measurement update of a node without neighbors: (x_post, P_post)."""
+    K = kalman_gain(P_prior, C, R)
+    x_post = measurement_update(x_prior, K, 0.0, y, C, x_prior, 1.0, [], [], x_prior)
+    return x_post, posterior_covariance(P_prior, K, C, R)
 
 
 class TestTrigger:
@@ -65,33 +72,29 @@ class TestPredictive:
     def test_two_silent_steps_compose(self):
         A = rotation(0.3)
         x0 = np.array([1.0, -1.0])
-        one = update_predictive(0, None, x0, A)
-        two = update_predictive(0, None, one, A)
+        one = update_predictive(0, x0, x0, A)
+        two = update_predictive(0, x0, one, A)
         assert np.allclose(two, A @ A @ x0, atol=1e-15)
 
 
 class TestTimeUpdate:
     def test_identity_no_noise(self):
-        est = NodeEstimator.initial([1.0, 2.0], np.eye(2))
-        est.x_post = np.array([3.0, 4.0])
-        est.P_post = np.diag([2.0, 5.0])
-        time_update(est, np.eye(2), np.zeros((2, 2)))
-        assert np.array_equal(est.x_prior, [3.0, 4.0])
-        assert np.array_equal(est.P_prior, np.diag([2.0, 5.0]))
+        x_prior, P_prior = time_update(np.array([3.0, 4.0]), np.diag([2.0, 5.0]),
+                                       np.eye(2), np.zeros((2, 2)))
+        assert np.array_equal(x_prior, [3.0, 4.0])
+        assert np.array_equal(P_prior, np.diag([2.0, 5.0]))
 
     def test_orthogonal_a_with_unit_noise(self):
-        est = NodeEstimator.initial([0.0, 0.0], np.eye(2))
-        time_update(est, rotation(), np.eye(2))
-        assert np.allclose(est.P_prior, 2.0 * np.eye(2), atol=1e-12)
+        _, P_prior = time_update(np.zeros(2), np.eye(2), rotation(), np.eye(2))
+        assert np.allclose(P_prior, 2.0 * np.eye(2), atol=1e-12)
 
     def test_preserves_psd(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             B = rng.standard_normal((3, 3))
-            est = NodeEstimator.initial(np.zeros(3), B @ B.T)
-            est.P_post = B @ B.T
-            time_update(est, rng.standard_normal((3, 3)), np.eye(3))
-            assert np.linalg.eigvalsh(est.P_prior).min() > -1e-10
+            _, P_prior = time_update(np.zeros(3), B @ B.T, rng.standard_normal((3, 3)),
+                                     np.eye(3))
+            assert np.linalg.eigvalsh(P_prior).min() > -1e-10
 
 
 class TestGainAndCovariance:
@@ -169,18 +172,15 @@ class TestInnovation:
         sensor = SensorModel(C=C, R=R)
         src = NoiseSource(seed=17)
         x = src.draw_initial_state(model)
-        est = NodeEstimator.initial(model.x0_mean, model.P0)
+        x_prior, P_prior = model.x0_mean, model.P0
         rs, omegas = [], []
         for k in range(6000):
             y = C @ x + src.draw_measurement_noise(sensor, 1)
-            r = innovation(y, C, est.x_prior)
+            r = innovation(y, C, x_prior)
             if k > 500:
                 rs.append(r)
-                omegas.append(innovation_covariance(est.P_prior, C, R))
-            est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
-            est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
-            time_update(est, A, Q)
+                omegas.append(innovation_covariance(P_prior, C, R))
+            x_prior, P_prior = time_update(*isolated_update(x_prior, P_prior, y, C, R), A, Q)
             x = A @ x + src.draw_process_noise(model)
         sample = np.cov(np.array(rs).T)
         omega = omegas[-1]
@@ -190,37 +190,36 @@ class TestInnovation:
 
 class TestMeasurementUpdate:
     def test_single_node_reduces_to_kalman(self):
-        est = NodeEstimator.initial([0.0, 0.0], 2 * np.eye(2), gamma=0.0)
+        x_prior = np.zeros(2)
         C = np.eye(2)
         R = np.eye(2)
-        est.K = kalman_gain(est.P_prior, C, R)
+        K = kalman_gain(2 * np.eye(2), C, R)
         y = np.array([1.0, -2.0])
-        measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
-        want = est.x_prior + est.K @ (y - C @ est.x_prior)
-        assert np.array_equal(est.x_post, want)
+        x_post = measurement_update(x_prior, K, 0.0, y, C, x_prior, 1.0, [], [], x_prior)
+        want = x_prior + K @ (y - C @ x_prior)
+        assert np.array_equal(x_post, want)
 
     def test_equal_predictions_zero_consensus(self):
-        est = NodeEstimator.initial([1.0, 1.0], np.eye(2), gamma=0.7)
+        x_prior = np.array([1.0, 1.0])
         C = np.eye(2)
-        est.K = np.zeros((2, 2))
         shared = np.array([4.0, -4.0])
-        measurement_update(est, np.zeros(2), C, shared, 1.0, [shared, shared.copy()],
-                           [1.0, 1.0], shared)
-        assert np.array_equal(est.x_post, est.x_prior)
+        x_post = measurement_update(x_prior, np.zeros((2, 2)), 0.7, np.zeros(2), C, shared,
+                                    1.0, [shared, shared.copy()], [1.0, 1.0], shared)
+        assert np.array_equal(x_post, x_prior)
 
     def test_two_node_hand_case(self):
         # hand evaluation of the full posterior expression
-        est = NodeEstimator.initial([1.0, 0.0], np.eye(2), gamma=0.25)
+        x_prior = np.array([1.0, 0.0])
         C = np.array([[2.0, 0.0], [0.0, 1.0]])
-        est.K = np.array([[0.1, 0.0], [0.0, 0.2]])
+        K = np.array([[0.1, 0.0], [0.0, 0.2]])
         y = np.array([3.0, 1.0])
         own = np.array([1.0, 0.0])
         other = np.array([2.0, 2.0])
-        measurement_update(est, y, C, own, 1.0, [other], [1.0], own)
+        x_post = measurement_update(x_prior, K, 0.25, y, C, own, 1.0, [other], [1.0], own)
         want = (np.array([1.0, 0.0])
-                + est.K @ (y - C @ np.array([1.0, 0.0]))
+                + K @ (y - C @ np.array([1.0, 0.0]))
                 + 0.25 * (other - own))
-        assert np.allclose(est.x_post, want, atol=1e-15)
+        assert np.allclose(x_post, want, atol=1e-15)
 
 
     @settings(max_examples=60, deadline=None)
@@ -231,29 +230,30 @@ class TestMeasurementUpdate:
         rng = np.random.default_rng(seed)
         n, p = 3, int(rng.integers(1, 4))
         gamma = rng.standard_normal((n, n)) if matrix_gamma else float(rng.uniform(0, 1))
-        est = NodeEstimator.initial(rng.standard_normal(n), np.eye(n), gamma=gamma)
-        est.K = rng.standard_normal((n, p))
+        x_prior = rng.standard_normal(n)
+        K = rng.standard_normal((n, p))
         C = rng.standard_normal((p, n))
         y = rng.standard_normal(p) * 10.0
         own = rng.standard_normal(n)
         preds = list(rng.standard_normal((count, n)) * 5.0)
         m_i = rng.standard_normal(n) * 5.0
-        measurement_update(est, y, C, m_i, 1.0, preds, [1.0] * count, own)
+        x_post = measurement_update(x_prior, K, gamma, y, C, m_i, 1.0, preds, [1.0] * count,
+                                    own)
         consensus = np.zeros(n)
         for xj in preds:
             consensus = consensus + (xj - own)
         coupled = gamma @ consensus if matrix_gamma else gamma * consensus
-        want = est.x_prior + est.K @ (y - C @ est.x_prior) + coupled
-        assert np.array_equal(est.x_post, want)
+        want = x_prior + K @ (y - C @ x_prior) + coupled
+        assert np.array_equal(x_post, want)
 
 
 class TestConsensusGain:
     def test_vanishes_when_kc_is_identity(self):
         K = np.eye(2)
         C = np.eye(2)
-        gains = consensus_gain([K], [C], rotation(), [np.eye(2)],
-                               np.zeros((1, 1)), fallback=0.05)
-        assert isinstance(gains[0], float) or np.allclose(gains[0], 0.0)
+        gains = consensus_gain([np.eye(2) - K @ C], rotation(), [np.eye(2)], 0.0,
+                               fallback=0.05)
+        assert gains == 0.05
 
     def test_two_node_symbolic_case(self):
         # hand-built evaluation of the stated expression
@@ -269,19 +269,18 @@ class TestConsensusGain:
         lam = 2.0 * max(np.linalg.eigvalsh(np.linalg.inv(G1)).max(),
                         np.linalg.eigvalsh(np.linalg.inv(G2)).max())
         want1 = 2.0 * M1 @ np.linalg.inv(G1) / lam
-        got = consensus_gain([K1, K2], [C, C], A, [P1, P2], L)
+        got = consensus_gain([M1, M2], A, [P1, P2], np.linalg.eigvalsh(L).max())
         assert np.allclose(got[0], want1, atol=1e-12)
 
     def test_scalar_mode_linearity(self):
-        est = NodeEstimator.initial([0.0, 0.0], np.eye(2), gamma=0.05)
-        est.K = np.zeros((2, 2))
+        x_prior, K = np.zeros(2), np.zeros((2, 2))
         other = np.array([1.0, 2.0])
         own = np.zeros(2)
-        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, [other], [1.0], own)
-        delta1 = est.x_post - est.x_prior
-        est.gamma = 0.10
-        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, [other], [1.0], own)
-        assert np.allclose(est.x_post - est.x_prior, 2.0 * delta1, atol=1e-15)
+        delta1 = measurement_update(x_prior, K, 0.05, np.zeros(2), np.eye(2), own, 1.0,
+                                    [other], [1.0], own) - x_prior
+        delta2 = measurement_update(x_prior, K, 0.10, np.zeros(2), np.eye(2), own, 1.0,
+                                    [other], [1.0], own) - x_prior
+        assert np.allclose(delta2, 2.0 * delta1, atol=1e-15)
 
 
 class TestFilterEquivalence:
@@ -294,17 +293,15 @@ class TestFilterEquivalence:
         sensor = SensorModel(C=C, R=R)
         src = NoiseSource(seed=99)
         x = src.draw_initial_state(model)
-        est = NodeEstimator.initial(model.x0_mean, model.P0, gamma=0.0)
+        x_prior, P_prior = model.x0_mean, model.P0
         ref = TextbookKF(A, Q, C, R, model.x0_mean, model.P0)
         for _ in range(500):
             y = C @ x + src.draw_measurement_noise(sensor, 1)
-            est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
-            est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
+            x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
             x_ref, P_ref = ref.step(y)
-            assert np.all(np.abs(est.x_post - x_ref) < 1e-12)
-            assert np.all(np.abs(est.P_post - P_ref) < 1e-12)
-            time_update(est, A, Q)
+            assert np.all(np.abs(x_post - x_ref) < 1e-12)
+            assert np.all(np.abs(P_post - P_ref) < 1e-12)
+            x_prior, P_prior = time_update(x_post, P_post, A, Q)
             x = A @ x + src.draw_process_noise(model)
 
     def test_posterior_not_above_prior_without_consensus(self):
@@ -325,15 +322,13 @@ class TestFilterEquivalence:
         sensor = SensorModel(C=C, R=R)
         src = NoiseSource(seed=123)
         x = src.draw_initial_state(model)
-        est = NodeEstimator.initial(model.x0_mean, model.P0)
+        x_prior, P_prior = model.x0_mean, model.P0
         errs = []
         for _ in range(2000):
             y = C @ x + src.draw_measurement_noise(sensor, 1)
-            est.K = kalman_gain(est.P_prior, C, R)
-            measurement_update(est, y, C, est.x_prior, 1.0, [], [], est.x_prior)
-            est.P_post = posterior_covariance(est.P_prior, est.K, C, R)
-            errs.append(np.linalg.norm(est.x_post - x))
-            time_update(est, A, Q)
+            x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
+            errs.append(np.linalg.norm(x_post - x))
+            x_prior, P_prior = time_update(x_post, P_post, A, Q)
             x = A @ x + src.draw_process_noise(model)
         errs = np.array(errs)
         tail = errs[200:]

@@ -48,12 +48,12 @@ class TestStepProcess:
 class TestMeasure:
     def test_paper_observation_matrix(self):
         sensor = SensorModel(C=[[5.0, 0.0], [0.0, 2.0]], R=np.eye(2))
-        assert measure(sensor, [0.5, 0.0], [0.0, 0.0]) == pytest.approx([2.5, 0.0])
+        assert measure(sensor.C, [0.5, 0.0], [0.0, 0.0]) == pytest.approx([2.5, 0.0])
 
     def test_zero_matrix_returns_noise(self):
         sensor = SensorModel(C=np.zeros((2, 2)), R=np.eye(2))
         v = np.array([0.3, -0.7])
-        assert np.array_equal(measure(sensor, [1.0, 2.0], v), v)
+        assert np.array_equal(measure(sensor.C, [1.0, 2.0], v), v)
 
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(7)
@@ -64,7 +64,7 @@ class TestMeasure:
             sensor = SensorModel(C=C, R=np.eye(3))
             want = np.array([sum(C[r, c] * x[c] for c in range(4)) + v[r]
                              for r in range(3)])
-            assert np.allclose(measure(sensor, x, v), want, atol=1e-12)
+            assert np.allclose(measure(sensor.C, x, v), want, atol=1e-12)
 
 
 class TestObservability:

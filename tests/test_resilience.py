@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdkf.errors import ConfigurationError
-from etdkf.filtering import NodeEstimator, kalman_gain, measurement_update
+from etdkf.filtering import kalman_gain, measurement_update
 from etdkf.graphs import Graph
 from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
                               ResilientConfig, assumption4_satisfied,
@@ -78,9 +78,9 @@ class TestDiscountedBeliefs:
         cfg = ResilientConfig()
         bs = BeliefState([1, 2], [(1, 2)], cfg)
         for d in (float("nan"), 0.3, -0.2, 10.0):
-            bs.step({1: d, 2: 0.0}, {(1, 2): d})
-            assert 0.0 < bs.beta_value(1) <= 1.0
-            assert 0.0 < bs.sigma_value((1, 2)) <= 1.0
+            bs.step([d, 0.0], [d])
+            assert 0.0 < bs.beta.value[0] <= 1.0
+            assert 0.0 < bs.sigma.value[0] <= 1.0
         # negative divergence floors to statistic 1
         assert divergence_statistic(-3.0, 0.5) == 1.0
         assert divergence_statistic(float("nan"), 0.5) == 1.0
@@ -117,30 +117,29 @@ class TestResilientUpdate:
         own = np.array([0.4, 0.1])
         others = [np.array([0.5, 0.3]), np.array([0.2, -0.2])]
 
-        est = NodeEstimator.initial([0.4, 0.1], np.eye(2), gamma=0.1)
-        est.K = kalman_gain(est.P_prior, C, R)
-        m = weighted_neighbor_estimate(est.x_prior, others, [1.0, 1.0])
-        measurement_update(est, y, C, m, 1.0, others, [1.0, 1.0], own)
-        nominal = (est.x_prior + est.K @ (y - C @ est.x_prior)
+        x_prior = np.array([0.4, 0.1])
+        K = kalman_gain(np.eye(2), C, R)
+        m = weighted_neighbor_estimate(x_prior, others, [1.0, 1.0])
+        x_post = measurement_update(x_prior, K, 0.1, y, C, m, 1.0, others, [1.0, 1.0], own)
+        nominal = (x_prior + K @ (y - C @ x_prior)
                    + 0.1 * (np.zeros(2) + (others[0] - own) + (others[1] - own)))
-        assert np.array_equal(est.x_post, nominal)
+        assert np.array_equal(x_post, nominal)
 
     def test_zero_confidence_replaces_measurement(self):
         C = np.eye(2)
-        est = NodeEstimator.initial([0.0, 0.0], np.eye(2), gamma=0.0)
-        est.K = np.eye(2) * 0.5
+        x_prior, K = np.zeros(2), np.eye(2) * 0.5
         m = np.array([4.0, 4.0])
-        measurement_update(est, np.array([100.0, 100.0]), C, m, 0.0, [], [], est.x_prior)
-        want = est.x_prior + est.K @ (C @ m - C @ est.x_prior)
-        assert np.allclose(est.x_post, want, atol=1e-15)
+        x_post = measurement_update(x_prior, K, 0.0, np.array([100.0, 100.0]), C, m, 0.0,
+                                    [], [], x_prior)
+        want = x_prior + K @ (C @ m - C @ x_prior)
+        assert np.allclose(x_post, want, atol=1e-15)
 
     def test_weights_scale_consensus_terms(self):
-        est = NodeEstimator.initial([0.0, 0.0], np.eye(2), gamma=0.5)
-        est.K = np.zeros((2, 2))
         own = np.array([1.0, 1.0])
         others = [np.array([3.0, 1.0]), np.array([1.0, 5.0])]
-        measurement_update(est, np.zeros(2), np.eye(2), own, 1.0, others, [0.5, 0.25], own)
-        assert np.array_equal(est.x_post, 0.5 * np.array([0.5 * 2.0, 0.25 * 4.0]))
+        x_post = measurement_update(np.zeros(2), np.zeros((2, 2)), 0.5, np.zeros(2), np.eye(2),
+                                    own, 1.0, others, [0.5, 0.25], own)
+        assert np.array_equal(x_post, 0.5 * np.array([0.5 * 2.0, 0.25 * 4.0]))
 
 
 class TestBeliefTiming:
@@ -212,13 +211,15 @@ class TestTrustMaskedLaplacian:
     def test_unit_beliefs_give_plain_laplacian(self):
         from etdkf.graphs import laplacian
         g = Graph(3, [(1, 2), (2, 3)])
-        L = trust_masked_laplacian(g, {}, {})
+        L = trust_masked_laplacian(g.adjacency())
         assert np.allclose(L, laplacian(g), atol=1e-15)
 
     def test_distrusted_edge_removed(self):
         g = Graph(2, [(1, 2)])
         sigma = {(1, 2): 0.0, (2, 1): 0.0}
-        L = trust_masked_laplacian(g, sigma, {1: 1.0, 2: 1.0})
+        beta = {1: 1.0, 2: 1.0}
+        W = np.array([[0.0, sigma[(1, 2)] * beta[2]], [sigma[(2, 1)] * beta[1], 0.0]])
+        L = trust_masked_laplacian(W)
         assert np.allclose(L, np.zeros((2, 2)), atol=1e-15)
 
     def test_row_sums_zero(self):
@@ -229,7 +230,10 @@ class TestTrustMaskedLaplacian:
             sigma[(a, b)] = rng.uniform(0.1, 1.0)
             sigma[(b, a)] = rng.uniform(0.1, 1.0)
         beta = {i: rng.uniform(0.1, 1.0) for i in g.nodes}
-        L = trust_masked_laplacian(g, sigma, beta)
+        W = np.zeros((4, 4))
+        for (a, b), s in sigma.items():
+            W[a - 1, b - 1] = s * beta[b]
+        L = trust_masked_laplacian(W)
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(L, L.T, atol=1e-15)
 

@@ -139,9 +139,9 @@ class TestConfigRoundTrip:
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         assert err.value.violations == [
-            "attack[0]: constant signal dim 3 != 2",
-            "attack[1]: replay attack needs upsilon",
-            "attack[2]: upsilon shape (3,) != (2,)",
+            "attacks[0]: constant signal dim 3 != 2",
+            "attacks[1]: replay attack needs upsilon",
+            "attacks[2]: upsilon shape (3,) != (2,)",
         ]
         # a channel signal must match the state dimension; length 1 broadcasts
         ok = tiny_config(attacks=[
@@ -150,7 +150,7 @@ class TestConfigRoundTrip:
             {"kind": "replay", "node": 2, "onset": 5, "upsilon": 2.0}])
         ok.validate()
         ok.attacks[0].signal.value = [1.0, 2.0, 3.0]
-        with pytest.raises(ValidationError, match=r"attack\[0\]: constant signal dim 3 != 2"):
+        with pytest.raises(ValidationError, match=r"attacks\[0\]: constant signal dim 3 != 2"):
             ok.validate()
 
     def test_malformed_input_rejected(self):
@@ -167,7 +167,7 @@ class TestConfigRoundTrip:
                                      "signal": {"type": "constant", "value": None}}])
         with pytest.raises(ValidationError) as err:
             null.validate()
-        assert err.value.violations == ["attack[0]: constant signal value None is not finite"]
+        assert err.value.violations == ["attacks[0]: constant signal value None is not finite"]
 
     @pytest.mark.parametrize("case", sorted(BOOL_STRINGS))
     def test_bool_field_rejects_string(self, case):
@@ -217,7 +217,7 @@ class TestConfigRoundTrip:
         ("process.x0_mean.1", math.inf, "process: x0_mean has a non-finite entry"),
         ("process.a.0.0", 10**400, "process: int too large to convert to float"),
         ("attacks.0.signal", {"type": "constant", "value": 10**400},
-         "attack[0]: int too large to convert to float"),
+         "attacks[0]: int too large to convert to float"),
     ])
     def test_non_finite_matrices_and_huge_numbers_rejected(self, path, value, message):
         # These used to raise a LinAlgError in `validate` or an OverflowError,
@@ -658,7 +658,7 @@ class TestCli:
         rc = cli_main(["run", "--scenario", str(spath), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 4
-        assert err.startswith("error: numerical failure: singular innovation covariance")
+        assert err.startswith("error: numerical failure: singular innovation covariance at node 2")
         assert len(err.strip().splitlines()) == 1
 
 
