@@ -235,10 +235,6 @@ class AttackRecursion:
     def _block(self, i: int) -> slice:
         return slice((i - 1) * self.n, i * self.n)
 
-    def corrupted_posterior_covariance(self, i: int) -> np.ndarray:
-        """Current corrupted posterior moment for node i (diagonal block)."""
-        return self.P_post[self._block(i), self._block(i)]
-
     def step(self, zetas: dict, f_meas: dict | None = None, f_chan: dict | None = None):
         """Advance one step given triggers and active deterministic signals.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import ConfigurationError, NumericalError, ValidationError
@@ -77,13 +78,10 @@ def main(argv=None) -> int:
                   f"{paths['config']}, {paths['metrics']}")
             return 0
         if args.command == "metrics":
-            import os
-            cfg_path = os.path.join(args.run_dir, "config.yaml")
-            with open(cfg_path) as fh:
+            with open(os.path.join(args.run_dir, "config.yaml")) as fh:
                 cfg = ScenarioConfig.from_yaml(fh.read())
-            node_rows, edge_rows = load_trace_csv(
-                os.path.join(args.run_dir, "nodes.csv"),
-                os.path.join(args.run_dir, "edges.csv"))
+            node_rows, edge_rows = load_trace_csv(*(os.path.join(args.run_dir, f"{key}.csv")
+                                                    for key in ("nodes", "edges")))
             trace = SimTrace(config=cfg, node_rows=node_rows, edge_rows=edge_rows)
             print(metrics_json(compute_metrics(trace)))
             return 0

@@ -257,6 +257,6 @@ def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndar
     return rng.standard_normal((w, omega.shape[0])) @ L.T
 
 
-def detect(value: float, delta: float) -> str:
-    """H1 iff the averaged divergence strictly exceeds delta (NaN stays H0)."""
-    return H1 if value > delta else H0
+def detect(value, delta: float) -> np.ndarray:
+    """H1 where the averaged divergence strictly exceeds delta, elementwise (NaN stays H0)."""
+    return np.where(np.asarray(value) > delta, H1, H0)

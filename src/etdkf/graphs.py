@@ -48,9 +48,6 @@ class Graph:
             a[j - 1, i - 1] = 1.0
         return a
 
-    def sorted_edges(self):
-        return sorted(self.edges)
-
 
 def neighbors(g: Graph, i: int) -> set:
     """All j with an edge (j, i)."""

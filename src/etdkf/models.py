@@ -195,9 +195,7 @@ def is_collectively_observable(model, sensors, subset, total_nodes: int) -> bool
     subset = sorted(set(subset))
     if any(i < 1 or i > total_nodes for i in subset):
         raise ConfigurationError(f"subset {subset} not within 1..{total_nodes}")
-    if len(subset) * 2 <= total_nodes:
-        return False
-    if not subset:
+    if len(subset) * 2 <= total_nodes:   # an empty subset too
         return False
     stacked = np.vstack([sensors[i - 1].C for i in subset])
     return observability_rank(model.A, stacked) == model.n

@@ -83,6 +83,10 @@ class ScenarioConfig:
         for idx, s in enumerate(self.sensors, start=1):
             if s.n != n:
                 errors.append(f"sensor {idx}: C has {s.n} columns, state dim is {n}")
+            elif s.p not in (1, n) and self.bound_monitor_enabled():
+                # B is calibrated from ||x(k+1) - x(k) + v(k+1)||, an n-vector plus a p-vector.
+                errors.append(f"sensor {idx}: the bound monitor needs 1 or {n} channels, "
+                              f"the sensor has {s.p}")
         if self.steps_per_second <= 0:
             errors.append(f"steps_per_second must be positive, got {self.steps_per_second}")
 
@@ -201,7 +205,7 @@ KIND_KEYS = {
 REMOVED_KEYS = {ScenarioConfig: ("warmup_steps",)}
 # What a scalar field accepts: bool() and int() never see a string or a fraction,
 # and a float may be a string because PyYAML reads 1e-12 and 1.0e5 as strings.
-# Matrices and signal values pass through to their dataclass or `validate`.
+# Matrices are read in `_coerce`; signal values pass through to `validate`.
 _SCALARS = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     str: ("a string", lambda v: isinstance(v, str)),
@@ -296,6 +300,14 @@ def _coerce(tp, value, path: str, errors: list):
         return (tuple if origin is tuple else list)(
             _coerce(args[i] if origin is tuple else args[0], v, f"{path}[{i}]", errors)
             for i, v in enumerate(value))
+    if tp is np.ndarray:   # a matrix: its dataclass checks the shape
+        try:
+            if np.isfinite(a := np.asarray(value, dtype=float)).all():
+                return a
+            errors.append(f"{path}: entry {a[~np.isfinite(a)][0]} is not finite")
+        except (TypeError, ValueError, OverflowError) as exc:
+            errors.append(f"{path}: {exc}")
+        return None
     if tp not in _SCALARS:
         return value
     expected, accepts = _SCALARS[tp]

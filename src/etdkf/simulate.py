@@ -14,10 +14,12 @@ and "calibrated" draws from a twin-run sample covariance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -26,7 +28,7 @@ from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
 from .detection import KnnWindowBank, detect, nominal_reference_window
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
                         should_transmit, time_update, update_predictive,
@@ -42,30 +44,92 @@ NODE_BASE_COLUMNS = ["step", "node", "zeta", "innov_norm", "err_norm", "trace_p"
                      "bound", "realized_err", "assumption4_ok"]
 EDGE_COLUMNS = ["step", "node", "neighbor", "psi", "flag", "sigma", "theta",
                 "attack_norm"]
+STATE_PREFIXES = ("x_true", "xbar", "xhat", "xpred")   # each followed by _0 ... _{n-1}
+STEP_COLUMNS = ("bound", "realized_err")      # held once per step
+INT_COLUMNS = ("step", "node", "neighbor", "zeta", "assumption4_ok")
+# Not held per node or edge: the grid, `flag`, the per-step and per-run values.
+DERIVED_COLUMNS = ("step", "node", "neighbor", "flag", *STEP_COLUMNS, "assumption4_ok")
 
 
-@dataclass
+# A trace CSV as read: header name -> 1-D array in file order, and its path for errors.
+TraceTable = typing.NamedTuple("TraceTable", [("path", str), ("columns", dict)])
+
+
 class SimTrace:
-    """Append-only per-step records plus the resolved config that produced them."""
+    """A run's trace, one array per column, and the config that produced it.
 
-    config: object
-    node_rows: list = field(default_factory=list)
-    edge_rows: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
+    Node columns are (steps, N), node i in column i - 1; edge columns (steps,
+    E) over `edges`, the (i, j) channels ascending; `step_cols` are (steps,).
+    `flag` (phi or psi above detector.delta) and `assumption4_ok` (true
+    without steps, as a CSV without rows reads) are derived. The columns start
+    NaN (zeta 0) for the engine to fill, or take `load_trace_csv`'s tables."""
+
+    def __init__(self, config, node_rows=None, edge_rows=None, warnings=()):
+        self.config, self.warnings, self.steps = config, list(warnings), config.steps
+        self.edges = [(i, j) for i in config.graph.nodes
+                      for j in sorted(neighbors(config.graph, i))]
+        self.node_cols, self.edge_cols = (
+            {c: np.zeros(shape, int) if c == "zeta" else np.full(shape, math.nan)
+             for c in header if c not in DERIVED_COLUMNS}
+            for header, shape in ((self.node_columns(), (self.steps, config.graph.node_count)),
+                                  (EDGE_COLUMNS, (self.steps, len(self.edges)))))
+        self.step_cols = {c: np.full(self.steps, math.nan) for c in STEP_COLUMNS}
+        self.assumption4_ok = not self.steps or all(
+            assumption4_satisfied(config.graph, config.compromised_nodes()).values())
+        for table, edge in ((node_rows, False), (edge_rows, True)):
+            if table is not None:
+                self._fill(table, edge)
 
     def node_columns(self) -> list:
-        n = self.config.process.n
-        cols = list(NODE_BASE_COLUMNS)
-        for prefix in ("x_true", "xbar", "xhat", "xpred"):
-            cols.extend(f"{prefix}_{d}" for d in range(n))
-        return cols
+        return NODE_BASE_COLUMNS + [f"{prefix}_{d}" for prefix in STATE_PREFIXES
+                                    for d in range(self.config.process.n)]
+
+    def _grid(self, edge: bool = False) -> dict:
+        """The key columns of edges.csv, or nodes.csv, flat in row order."""
+        keys = np.reshape(self.edges if edge else self.config.graph.nodes, (-1, 1 + edge))
+        return {"step": np.repeat(np.arange(self.steps), len(keys)),
+                **{k: np.tile(col, self.steps) for k, col in zip(("node", "neighbor"), keys.T)}}
+
+    def column(self, name: str, edge: bool = False) -> np.ndarray:
+        """Column `name` of edges.csv, or nodes.csv, as (steps, E) or (steps, N)."""
+        cols = self.edge_cols if edge else self.node_cols
+        shape = (self.steps, len(self.edges) if edge else self.config.graph.node_count)
+        if name in cols:
+            return cols[name]
+        if name == "flag":
+            return detect(cols["psi" if edge else "phi"], self.config.detector.delta)
+        if name in self.step_cols:
+            return np.broadcast_to(self.step_cols[name][:, None], shape)
+        if name == "assumption4_ok":
+            return np.full(shape, int(self.assumption4_ok))
+        return self._grid(edge)[name].reshape(shape)
 
     def series(self, column: str, node: int) -> np.ndarray:
-        return np.array([row[column] for row in self.node_rows if row["node"] == node])
+        return self.column(column)[:, node - 1]
 
     def edge_series(self, column: str, node: int, neighbor: int) -> np.ndarray:
-        return np.array([r[column] for r in self.edge_rows
-                         if r["node"] == node and r["neighbor"] == neighbor])
+        return self.column(column, edge=True)[:, self.edges.index((node, neighbor))]
+
+    def _fill(self, table: TraceTable, edge: bool):
+        """Take a table with its CSV's header and the config's exact grid of rows."""
+        header, cols = (EDGE_COLUMNS, self.edge_cols) if edge else (self.node_columns(),
+                                                                    self.node_cols)
+        if list(table.columns) != header:
+            raise ValidationError([f"{table.path}: line 1: the header is not {','.join(header)}"])
+        want = self._grid(edge)
+        got, expected = (list(zip(*(columns[key].tolist() for key in want)))
+                         for columns in (table.columns, want))
+        if got != expected:
+            at, rows = next((at, rows) for at, rows in enumerate(
+                itertools.zip_longest(got, expected)) if rows[0] != rows[1])
+            found, wanted = (", ".join(map("{} {}".format, want, keys)) if keys
+                             else "the end of the file" for keys in rows)
+            raise ValidationError([f"{table.path}: line {at + 2}: expected {wanted}; "
+                                   f"found {found}"])
+        for name in cols:
+            cols[name] = table.columns[name].reshape(cols[name].shape)
+        if not edge:   # each step's first row holds its per-step values
+            self.step_cols = {c: table.columns[c][::cols["zeta"].shape[1]] for c in STEP_COLUMNS}
 
 
 @dataclass
@@ -83,19 +147,10 @@ class MetricsReport:
     assumption4_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "trigger_rate": {str(k): v for k, v in sorted(self.trigger_rate.items())},
-            "trigger_rate_pre": {str(k): v for k, v in sorted(self.trigger_rate_pre.items())},
-            "trigger_rate_post": {str(k): v for k, v in sorted(self.trigger_rate_post.items())},
-            "mean_error_pre": {str(k): v for k, v in sorted(self.mean_error_pre.items())},
-            "mean_error_post": {str(k): v for k, v in sorted(self.mean_error_post.items())},
-            "detection_latency": {str(k): v for k, v in sorted(self.detection_latency.items())},
-            "false_positive_count": self.false_positive_count,
-            "effective_component_count": self.effective_component_count,
-            "silent_nodes": self.silent_nodes,
-            "bound_violations": self.bound_violations,
-            "assumption4_ok": self.assumption4_ok,
-        }
+        """Every field; a per-node mapping keyed by str(node), in node order."""
+        return {f.name: {str(k): v for k, v in sorted(value.items())}
+                if isinstance(value := getattr(self, f.name), dict) else value
+                for f in fields(self)}
 
 
 @dataclass
@@ -104,7 +159,7 @@ class _TwinData:
 
     innovations: dict            # p -> one (nodes with p channels, p) stack per step
     where: dict                  # node -> (p, its row in those stacks)
-    b_samples: list              # ||x(k+1)-x(k)+v(k+1)||, one array per step and p; twin only
+    b_samples: list              # ||x(k+1)-x(k)+v(k+1)||, one array per step and p, if sampled
     sensors: dict                # node -> SensorModel; R stands in on runs of <= 2 steps
 
     @cached_property
@@ -122,39 +177,33 @@ class _TwinData:
                 for i, (p, row) in self.where.items()}
 
 
-def _needs_twin(config) -> bool:
-    if config.detector.reference in ("shadow", "calibrated"):
-        if config.detector.reference == "shadow" and not config.attacks \
-                and config.filter_mode != "resilient" and not config.bound_monitor_enabled():
-            return False  # attack-free non-resilient run is its own shadow
-        return True
-    return config.bound_monitor_enabled()
-
-
 def run_scenario(config) -> SimTrace:
     """Validate, run (with its attack-free twin when required), return the trace."""
     warnings = config.validate()
-    twin = None
-    if _needs_twin(config):
+    twin, monitored, reference = None, config.bound_monitor_enabled(), config.detector.reference
+    # An attack-free shadow run that is neither resilient nor monitored is its own shadow.
+    if monitored or reference == "calibrated" or reference == "shadow" and (
+            config.attacks or config.filter_mode == "resilient"):
         twin_cfg = replace(config, attacks=[], filter_mode="nominal",
                            beliefs_pinned=False, bound_monitor=False)
-        _, twin = _engine(twin_cfg, twin=None, lite=True)
+        _, twin = _engine(twin_cfg, twin=None, lite=True, sample_b=monitored)
     trace, _ = _engine(config, twin=twin, lite=False)
     trace.warnings = warnings + trace.warnings
     return trace
 
 
-def _engine(cfg, twin, lite: bool):
+def _engine(cfg, twin, lite: bool, sample_b: bool = False):
     """One pass over the scenario; returns (trace, twin data). Every pass
     records the innovations a later pass reads of its twin; `lite` (the
-    attack-free twin) also records the increments for B, and skips
-    detection, beliefs and trace rows, so its trace stays empty.
+    attack-free twin) skips detection, beliefs and the trace (None), and
+    `sample_b` records the increments the bound monitor's B comes from.
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
     d-th neighbor in ascending order, padded to the largest degree D and
-    masked past its own; `flat` numbers the slots row by row. Sensors group
-    by channel count p: whatever has a p axis is stacked per group.
+    masked past its own; the unmasked slots, row by row, are the E channels
+    (i, j) in ascending order. Sensors group by channel count p: whatever has
+    a p axis is stacked per group.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -175,8 +224,11 @@ def _engine(cfg, twin, lite: bool):
     for i in nodes:
         slot_node[i - 1, :len(nbrs[i])] = [j - 1 for j in nbrs[i]]
         mask[i - 1, :len(nbrs[i])] = True
-    flat = {(i, j): (i - 1) * D + d for i in nodes for d, j in enumerate(nbrs[i])}
-    slot_of = np.nonzero(mask)[0]   # the node each unmasked slot belongs to
+    slot_of = np.nonzero(mask)[0]   # the node each channel's slot belongs to
+    E = len(slot_of)
+    # Node i and channel (i, j) in one [nodes; channels] vector.
+    place = {(i, i): i - 1 for i in nodes} | {
+        key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
     groups = channel_groups(cfg.sensors)        # p -> rows of its nodes
     where = {b + 1: (p, g) for p, rows in groups.items()     # node -> (p, index in group)
              for g, b in enumerate(rows.tolist())}
@@ -197,27 +249,27 @@ def _engine(cfg, twin, lite: bool):
     for idx, plan in enumerate(cfg.attacks):
         if plan.kind == CHANNEL_INJECTION:
             j, i = plan.edge
-            edge_plans.append((i, j, nbrs[i].index(j), plan))
+            edge_plans.append((i, j, nbrs[i].index(j), place[i, j] - N, plan))
         else:
             node_plans[plan.node].append((idx, plan))
 
     # Detector windows: (i, i) holds node i's innovations, (i, j) its residuals
     # against neighbor j's estimate (equal channel counts only); both compare
     # with node i's reference. One bank per channel count holds them as rows;
-    # `src` picks each row's state out of [x_prior; stored slots].
+    # `at` places each row in [nodes; channels], and its state in [x_prior;
+    # stored channel predictions].
     shadow = det.reference == "shadow"
     windows = []
     for p, rows in groups.items():
         keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if sensors[j].p == p]
-        windows.append((p, keys, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
-                                               sliding_reference=shadow, average=det.average),
+        windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
+                                         sliding_reference=shadow, average=det.average),
                         np.array([where[i][1] for i, _ in keys]),
-                        np.array([i - 1 if i == j else N + flat[i, j] for i, j in keys]),
-                        C[p][[where[j][1] for _, j in keys]]))
+                        C[p][[where[j][1] for _, j in keys]],
+                        np.array([place[key] for key in keys])))
     edge_keys = [(i, j) for i in nodes for j in nbrs[i] if sensors[j].p == sensors[i].p]
-    edge_flat = [flat[e] for e in edge_keys]
+    windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
     beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
-    a4_ok = 1 if all(assumption4_satisfied(cfg.graph, cfg.compromised_nodes()).values()) else 0
 
     monitor = None
     if cfg.bound_monitor_enabled():
@@ -229,9 +281,7 @@ def _engine(cfg, twin, lite: bool):
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
 
-    trace = SimTrace(config=cfg)
-    state_names = [f"{prefix}_{d}" for prefix in ("x_true", "xbar", "xhat", "xpred")
-                   for d in range(n)]
+    trace = None if lite else SimTrace(config=cfg)
     innovations_rec = {p: [] for p in groups}
     b_samples = []
     sampler_calls = sampler_fallbacks = 0
@@ -268,7 +318,7 @@ def _engine(cfg, twin, lite: bool):
             r[p] = innovation(y[p], C[p], x_prior[rows])
             innov[rows] = vector_norm(r[p])
             innovations_rec[p].append(r[p])
-            if k and lite:      # only the twin's increments are read
+            if k and sample_b:
                 b_samples.append(vector_norm(x - prev_x + v[p]))
             if k:
                 zeta[rows] = should_transmit(y[p], C[p], x_pred[rows], alpha)
@@ -276,42 +326,42 @@ def _engine(cfg, twin, lite: bool):
 
         # Exchange barrier.
         stored = np.where(zeta[slot_node, None] == 1, x_prior[slot_node], np.matvec(A, stored))
-        edge_attack_norm = {}
-        for i, j, d, plan in edge_plans:
+        edge_attack_norm = np.zeros(E)
+        for i, j, d, e, plan in edge_plans:
             if zeta[j - 1] and plan.active(k):
                 fbar = plan.signal.evaluate(t, n)
                 stored[i - 1, d] = corrupt_channel(stored[i - 1, d], fbar)
-                edge_attack_norm[(i, j)] = float(np.linalg.norm(fbar))
+                edge_attack_norm[e] = float(np.linalg.norm(fbar))
         last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
 
-        d_hat, phi = {}, {}   # per window key, once its bank is full
         if not lite:
+            # Divergence and its average over [nodes; channels], NaN until a window fills.
+            d_hat, phi = np.full((2, N + E), math.nan)
             # The shadow reference slides with the windows (the twin's
             # innovations, or the node's own without a twin); the other modes
             # draw a fresh window for every node at every step.
             source = twin.innovations if twin is not None else innovations_rec
-            states = np.concatenate([x_prior, stored.reshape(-1, n)])
-            for p, keys, bank, owner, src, C_key in windows:
-                bank.push(innovation(y[p][owner], C_key, states[src]),
+            states = np.concatenate([x_prior, stored[mask]])
+            for p, bank, owner, C_key, at in windows:
+                bank.push(innovation(y[p][owner], C_key, states[at]),
                           source[p][k][owner] if shadow else None)
                 fresh = None if shadow else _reference_windows(
                     det, twin, groups[p], P_prior, C[p], R[p], noise)
-                if not bank.full:
-                    continue
-                est = bank.estimates(None if shadow else fresh[owner])
-                d_hat.update(zip(keys, est.tolist()))
-                phi.update(zip(keys, bank.average(est).tolist()))
-            if track_beliefs:   # every bank fills at the same step
-                beliefs.step([d_hat.get((i, i), math.nan) for i in nodes],
-                             [d_hat[e] for e in edge_keys] if d_hat else None)
+                if bank.full:   # every bank fills at the same step
+                    d_hat[at] = est = bank.estimates(None if shadow else fresh[owner])
+                    phi[at] = bank.average(est)
+            if track_beliefs:
+                beliefs.step(d_hat[:N], d_hat[N + windowed] if bank.full else None)
 
         # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
         # untracked beliefs stay at one. An edge between sensors of unequal
         # channel counts has no window, so its trust stays 1.
         beta = beliefs.beta.value
-        sigma, theta = np.ones((2, N * D))      # per neighbor slot
-        sigma[edge_flat], theta[edge_flat] = beliefs.sigma.value, beliefs.theta
-        weights = sigma.reshape(N, D) * beta[slot_node]
+        sigma, theta = np.ones((2, E))          # per channel
+        sigma[windowed], theta[windowed] = beliefs.sigma.value, beliefs.theta
+        weights = np.ones((N, D))
+        weights[mask] = sigma
+        weights *= beta[slot_node]
 
         # Gains (and matrix-mode coupling) barrier.
         for p, rows in groups.items():
@@ -346,29 +396,18 @@ def _engine(cfg, twin, lite: bool):
 
         if not lite:
             states = np.hstack([np.broadcast_to(x, (N, n)), x_prior, x_post, x_pred])
-            sigma_l, theta_l = sigma.tolist(), theta.tolist()
-            for i, z, inn, err, tr, b, chi, eps, att, xs in zip(
-                    nodes, zeta.tolist(), innov.tolist(), vector_norm(x_post - x).tolist(),
-                    np.trace(P_post, axis1=1, axis2=2).tolist(), beta.tolist(),
-                    beliefs.chi.tolist(), vector_norm(m - x).tolist(), attack_norm.tolist(),
-                    states.tolist()):
-                trace.node_rows.append({
-                    "step": k, "node": i, "zeta": z, "innov_norm": inn, "err_norm": err,
-                    "trace_p": tr, "phi": phi.get((i, i), math.nan),
-                    "flag": detect(phi.get((i, i), math.nan), det.delta),
-                    "beta": b, "chi": chi, "eps_norm": eps,
-                    "attack_norm": att, "bound": bound_now, "realized_err": realized,
-                    "assumption4_ok": a4_ok, **dict(zip(state_names, xs))})
-                for j in nbrs[i]:
-                    key = (i, j)
-                    trace.edge_rows.append({
-                        "step": k, "node": i, "neighbor": j,
-                        "psi": phi.get(key, math.nan),
-                        "flag": detect(phi.get(key, math.nan), det.delta),
-                        "sigma": sigma_l[flat[key]],
-                        "theta": theta_l[flat[key]],
-                        "attack_norm": edge_attack_norm.get(key, 0.0),
-                    })
+            for cols, values in (
+                    (trace.node_cols, {
+                        "zeta": zeta, "innov_norm": innov, "err_norm": vector_norm(x_post - x),
+                        "trace_p": np.trace(P_post, axis1=1, axis2=2), "phi": phi[:N],
+                        "beta": beta, "chi": beliefs.chi, "eps_norm": vector_norm(m - x),
+                        "attack_norm": attack_norm,   # then x_true_*, xbar_*, xhat_*, xpred_*
+                        **dict(zip(trace.node_columns()[-4 * n:], states.T))}),
+                    (trace.edge_cols, {"psi": phi[N:], "sigma": sigma, "theta": theta,
+                                       "attack_norm": edge_attack_norm}),
+                    (trace.step_cols, {"bound": bound_now, "realized_err": realized})):
+                for name, value in values.items():
+                    cols[name][k] = value
 
         # Time update and plant step.
         x_prior, P_prior = time_update(x_post, P_post, A, Q)
@@ -405,56 +444,29 @@ def compute_metrics(trace: SimTrace, config=None) -> MetricsReport:
     onsets = {p.node: p.onset for p in cfg.attacks if p.node is not None}
     k_a = min((p.onset for p in cfg.attacks), default=None)
 
-    rate, rate_pre, rate_post = {}, {}, {}
-    err_pre, err_post = {}, {}
-    latency = {}
-    fp = 0
-    for i in nodes:
-        z = trace.series("zeta", i)
-        e = trace.series("err_norm", i)
-        steps = np.arange(len(z))
-        rate[i] = float(np.mean(z)) if len(z) else float("nan")
-        if k_a is None:
-            rate_pre[i], rate_post[i] = rate[i], float("nan")
-            err_pre[i] = float(np.mean(e)) if len(e) else float("nan")
-            err_post[i] = float("nan")
-        else:
-            pre = steps < k_a
-            post = steps >= k_a
-            rate_pre[i] = float(np.mean(z[pre])) if pre.any() else float("nan")
-            rate_post[i] = float(np.mean(z[post])) if post.any() else float("nan")
-            err_pre[i] = float(np.mean(e[pre])) if pre.any() else float("nan")
-            err_post[i] = float(np.mean(e[post])) if post.any() else float("nan")
-        flags = trace.series("flag", i)
-        if i in onsets:
-            hits = [k for k, f in enumerate(flags) if f == "H1" and k > onsets[i]]
-            latency[i] = (hits[0] - onsets[i]) if hits else None
-        cutoff = k_a if k_a is not None else len(flags)
-        fp += sum(1 for k, f in enumerate(flags) if f == "H1" and k < cutoff)
+    # Node-major copies: a mean along each contiguous row sums in the order
+    # np.mean does over that node's 1-D series, so every bit stays the same.
+    z = np.ascontiguousarray(trace.column("zeta").T)
+    e = np.ascontiguousarray(trace.column("err_norm").T)
 
-    silent = []
-    if k_a is not None:
-        for i in nodes:
-            z = trace.series("zeta", i)
-            post = z[np.arange(len(z)) >= k_a]
-            if len(post) and not post.any():
-                silent.append(i)
-    comps = connected_components(cfg.graph, removed=set(silent))
-    bound_viol = 0
-    for i in nodes:
-        b = trace.series("bound", i)
-        re = trace.series("realized_err", i)
-        mask = ~(np.isnan(b) | np.isnan(re))
-        bound_viol = max(bound_viol, int(np.sum(re[mask] > b[mask])))
+    def means(a):   # NaN for a node with no steps to average
+        return dict(zip(nodes, a.mean(axis=1).tolist() if a.shape[1] else [math.nan] * len(a)))
 
-    a4 = bool(trace.node_rows[0]["assumption4_ok"]) if trace.node_rows else True
+    cut = z.shape[1] if k_a is None else k_a       # without an attack every step is "pre"
+    rate_pre, rate_post, err_pre, err_post = (means(a[:, part]) for a in (z, e)
+                                              for part in (slice(cut), slice(cut, None)))
+    h1 = trace.column("phi") > cfg.detector.delta        # the H1 flags, (steps, N)
+    latency = {i: next(iter((np.flatnonzero(h1[onset + 1:, i - 1]) + 1).tolist()), None)
+               for i, onset in onsets.items()}   # steps from the onset to the next H1
+    silent = ([i for i, sent in zip(nodes, z[:, cut:].any(axis=1).tolist()) if not sent]
+              if z.shape[1] > cut else [])
     return MetricsReport(
-        trigger_rate=rate, trigger_rate_pre=rate_pre, trigger_rate_post=rate_post,
+        trigger_rate=means(z), trigger_rate_pre=rate_pre, trigger_rate_post=rate_post,
         mean_error_pre=err_pre, mean_error_post=err_post,
-        detection_latency=latency, false_positive_count=fp,
-        effective_component_count=len(comps), silent_nodes=silent,
-        bound_violations=bound_viol, assumption4_ok=a4,
-    )
+        detection_latency=latency, false_positive_count=int(np.count_nonzero(h1[:cut])),
+        effective_component_count=len(connected_components(cfg.graph, removed=set(silent))),
+        silent_nodes=silent, assumption4_ok=trace.assumption4_ok, bound_violations=int(
+            np.count_nonzero(trace.step_cols["realized_err"] > trace.step_cols["bound"])))
 
 
 def metrics_json(report: MetricsReport) -> str:
@@ -465,9 +477,7 @@ def metrics_json(report: MetricsReport) -> str:
             return {k: strict(v) for k, v in value.items()}
         if isinstance(value, list):
             return [strict(v) for v in value]
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        return value
+        return None if isinstance(value, float) and not math.isfinite(value) else value
 
     return json.dumps(strict(report.to_dict()), indent=2, sort_keys=True, allow_nan=False)
 
@@ -475,72 +485,60 @@ def metrics_json(report: MetricsReport) -> str:
 # -- CSV / run-directory IO ------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return format(value, ".17g")
-    return str(value)
-
-
 def export_csv(trace: SimTrace, out_dir: str) -> dict:
-    """Write nodes.csv and edges.csv; returns the written paths."""
+    """Write nodes.csv and edges.csv column by column from ndarray.tolist():
+    floats to 17 significant digits (NaN as nan), the rest by str(). Returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    node_cols = trace.node_columns()
-    npath = os.path.join(out_dir, "nodes.csv")
-    with open(npath, "w") as fh:
-        fh.write(",".join(node_cols) + "\n")
-        for row in trace.node_rows:
-            fh.write(",".join(_fmt(row[c]) for c in node_cols) + "\n")
-    paths["nodes"] = npath
-    epath = os.path.join(out_dir, "edges.csv")
-    with open(epath, "w") as fh:
-        fh.write(",".join(EDGE_COLUMNS) + "\n")
-        for row in trace.edge_rows:
-            fh.write(",".join(_fmt(row[c]) for c in EDGE_COLUMNS) + "\n")
-    paths["edges"] = epath
+    for key, header, edge in (("nodes", trace.node_columns(), False),
+                              ("edges", EDGE_COLUMNS, True)):
+        cells = [map("{:.17g}".format if c.dtype.kind == "f" else str, c.ravel().tolist())
+                 for c in (trace.column(name, edge) for name in header)]
+        paths[key] = os.path.join(out_dir, f"{key}.csv")
+        with open(paths[key], "w") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
     return paths
 
 
 def load_trace_csv(nodes_path: str, edges_path: str | None = None):
-    """Parse exported CSVs back into row dicts (floats where they were floats)."""
+    """(node table, edge table or None) for SimTrace: each line split once, each
+    column converted once (INT_COLUMNS to int, `flag` kept as text, the rest to
+    float). A ragged line or a bad cell is a ValidationError naming its line."""
+    return _read_table(nodes_path), (_read_table(edges_path) if edges_path else None)
 
-    def parse(path):
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            for line in fh:
-                vals = line.rstrip("\n").split(",")
-                row = {}
-                for key, raw in zip(header, vals):
-                    if key in ("step", "node", "neighbor", "zeta", "assumption4_ok"):
-                        row[key] = int(raw)
-                    elif key == "flag":
-                        row[key] = raw
-                    else:
-                        row[key] = float(raw)
-                rows.append(row)
-        return rows
 
-    node_rows = parse(nodes_path)
-    edge_rows = parse(edges_path) if edges_path else []
-    return node_rows, edge_rows
+def _read_table(path: str) -> TraceTable:
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    at = next((at for at, row in enumerate(rows) if len(row) != len(header)), None)
+    if at is not None:
+        raise ValidationError([f"{path}: line {at + 2}: {len(rows[at])} cells, "
+                               f"the header has {len(header)}"])
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    for name, cells in columns.items():
+        kind = int if name in INT_COLUMNS else float
+        try:
+            columns[name] = cells if name == "flag" else np.array(cells, dtype=kind)
+        except ValueError:
+            for at, cell in enumerate(cells):
+                try:
+                    kind(cell)
+                except ValueError:
+                    raise ValidationError([f"{path}: line {at + 2}: cannot read {name} "
+                                           f"{cell!r} as {kind.__name__}"]) from None
+    return TraceTable(path, columns)
 
 
 def write_run_dir(trace: SimTrace, out_dir: str) -> dict:
     """Full run artifact: trace CSVs, adjacency, resolved config, metrics."""
     paths = export_csv(trace, out_dir)
-    cpath = os.path.join(out_dir, "config.yaml")
-    with open(cpath, "w") as fh:
-        fh.write(trace.config.to_yaml())
-    paths["config"] = cpath
-    apath = os.path.join(out_dir, "adjacency.csv")
-    with open(apath, "w") as fh:
-        fh.write(adjacency_csv(trace.config.graph))
-    paths["adjacency"] = apath
-    mpath = os.path.join(out_dir, "metrics.json")
-    with open(mpath, "w") as fh:
-        fh.write(metrics_json(compute_metrics(trace)) + "\n")
-    paths["metrics"] = mpath
+    for key, name, text in (("config", "config.yaml", trace.config.to_yaml()),
+                            ("adjacency", "adjacency.csv", adjacency_csv(trace.config.graph)),
+                            ("metrics", "metrics.json",
+                             metrics_json(compute_metrics(trace)) + "\n")):
+        paths[key] = os.path.join(out_dir, name)
+        with open(paths[key], "w") as fh:
+            fh.write(text)
     return paths

@@ -23,7 +23,7 @@ from etdkf.detection import estimate_kl
 from etdkf.filtering import time_update
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
 from etdkf.scenario import get_preset
-from etdkf.simulate import compute_metrics, export_csv, run_scenario
+from etdkf.simulate import compute_metrics, export_csv, metrics_json, run_scenario
 
 from test_attacks import batched_two_node_sim, two_node_setup
 from test_filtering import TextbookKF, isolated_update, rotation
@@ -214,10 +214,10 @@ def test_criterion_10_corrupted_covariance_recursion():
     rel_errs = []
     for k in range(steps):
         fm = {1: f} if k >= onset else None
-        rec.step({1: 1, 2: 1}, f_meas=fm)
+        post = rec.step({1: 1, 2: 1}, f_meas=fm)
         if k == steps - 1:
             for i in (1, 2):
-                got = rec.corrupted_posterior_covariance(i)
+                got = post[(i, i)]
                 want = emp_post[i][k]
                 rel_errs.append(np.linalg.norm(got - want) / np.linalg.norm(want))
     elapsed = time.time() - t0
@@ -242,7 +242,8 @@ def test_criterion_11_weight_one_reduction(tmp_path):
 
 def test_criterion_12_determinism(tmp_path):
     """Same-seed reruns are byte-identical, and run `a` of every preset matches
-    the SHA-256 digests pinned in `golden_sha256.json`.
+    the SHA-256 digests pinned in `golden_sha256.json`: its trace CSVs and
+    the `metrics_json` of its report.
 
     The digests were taken with numpy 2.4.6 and Python 3.11.7 on Linux x86_64
     (glibc 2.36). A change that alters a trace on purpose regenerates them and
@@ -252,7 +253,8 @@ def test_criterion_12_determinism(tmp_path):
     golden = json.loads((Path(__file__).parent / "golden_sha256.json").read_text())
     mismatches, drifted = [], []
     for name in list_presets():
-        a = export_csv(run_scenario(get_preset(name)), str(tmp_path / f"{name}-a"))
+        trace = run_scenario(get_preset(name))
+        a = export_csv(trace, str(tmp_path / f"{name}-a"))
         b = export_csv(run_scenario(get_preset(name)), str(tmp_path / f"{name}-b"))
         for key in ("nodes", "edges"):
             data = open(a[key], "rb").read()
@@ -260,6 +262,9 @@ def test_criterion_12_determinism(tmp_path):
                 mismatches.append(f"{name}:{key}")
             if hashlib.sha256(data).hexdigest() != golden.get(name, {}).get(key):
                 drifted.append(f"{name}:{key}")
+        metrics = metrics_json(compute_metrics(trace)).encode()
+        if hashlib.sha256(metrics).hexdigest() != golden.get(name, {}).get("metrics"):
+            drifted.append(f"{name}:metrics")
     report(12, not mismatches and not drifted,
            f"byte-identical reruns for all presets (mismatches: {mismatches or 'none'}), "
            f"golden digests (drifted: {drifted or 'none'})")

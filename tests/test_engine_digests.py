@@ -5,7 +5,9 @@ reference, so `golden_sha256.json` never covers matrix consensus over unequal
 degrees, a one-channel sensor among two-channel ones, or a fresh-draw
 reference. These three small generated scenarios do; their `nodes.csv` and
 `edges.csv` digests are pinned under the same numpy/platform caveat as the
-golden presets (see criterion 12).
+golden presets (see criterion 12). The last two tests give fig6 a sensor of
+three channels on a two-dimensional state: it runs without the bound monitor
+and fails validation with it.
 """
 
 import hashlib
@@ -13,7 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from etdkf.scenario import ScenarioConfig, example1_graph, six_node_graph
+from etdkf.cli import main as cli_main
+from etdkf.errors import ValidationError
+from etdkf.scenario import ScenarioConfig, example1_graph, get_preset, six_node_graph
 from etdkf.simulate import export_csv, run_scenario
 
 TH = 2.0 * np.pi / 400
@@ -52,7 +56,7 @@ SCENARIOS = {
     # non-triggering sampler and a replay on the one-channel node.
     "mixed-p-synthetic": {
         "seed": 72,
-        "graph": {"nodes": 6, "edges": [list(e) for e in six_node_graph().sorted_edges()]},
+        "graph": {"nodes": 6, "edges": [list(e) for e in sorted(six_node_graph().edges)]},
         "sensors": [TWO, TWO, ONE, TWO, TWO, TWO], "filter": {"mode": "resilient"},
         "detector": {**BASE["detector"], "reference": "synthetic"},
         "attacks": [
@@ -63,7 +67,7 @@ SCENARIOS = {
     # tracked, not used by the update) and two attacks.
     "example1-calibrated": {
         "seed": 73,
-        "graph": {"nodes": 8, "edges": [list(e) for e in example1_graph().sorted_edges()]},
+        "graph": {"nodes": 8, "edges": [list(e) for e in sorted(example1_graph().edges)]},
         "sensors": [TWO] * 8, "filter": {"mode": "monitored"},
         "bound_monitor": True,
         "detector": {**BASE["detector"], "reference": "calibrated"},
@@ -109,5 +113,35 @@ def test_calibrated_reference_with_one_channel_sensor_runs():
                                     **SCENARIOS["example1-calibrated"],
                                     "sensors": [TWO] * 6 + [ONE, TWO]})
     trace = run_scenario(cfg)
-    assert len(trace.node_rows) == cfg.steps * 8
+    assert trace.column("zeta").shape == (cfg.steps, 8)
     assert np.isfinite(trace.series("phi", 7)[-1])
+
+
+def three_channel_fig6(**changes) -> ScenarioConfig:
+    # fig6 (monitored, shadow reference: a twin pass) with node 4 measuring
+    # three channels of the two-dimensional state.
+    d = {**get_preset("fig6").to_dict(), "steps": 50, **changes}
+    d["sensors"][3] = {"c": [[5.0, 0.0], [0.0, 2.0], [1.0, 1.0]], "r": np.eye(3).tolist()}
+    return ScenarioConfig.from_dict(d)
+
+
+def test_three_channel_sensor_runs_without_bound_monitor():
+    # The twin pass used to add the 2-vector state increment to the 3-vector
+    # noise draw for the bound monitor's B, which this run does not use.
+    cfg = three_channel_fig6()
+    assert not cfg.bound_monitor_enabled()
+    trace = run_scenario(cfg)
+    assert np.isfinite(trace.series("err_norm", 4)).all()
+    assert np.isfinite(trace.series("phi", 4)[-1])
+
+
+def test_three_channel_sensor_with_bound_monitor_is_invalid(tmp_path, capsys):
+    cfg = three_channel_fig6(bound_monitor=True)
+    with pytest.raises(ValidationError) as err:
+        cfg.validate()
+    assert err.value.violations == ["sensor 4: the bound monitor needs 1 or 2 channels, "
+                                    "the sensor has 3"]
+    spath = tmp_path / "scenario.yaml"
+    spath.write_text(cfg.to_yaml())
+    assert cli_main(["run", "--scenario", str(spath), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {err.value.violations[0]}\n"

@@ -25,7 +25,7 @@ def six_node_config(**overrides):
         "sensors": {"count": 6, "c": [[5.0, 0.0], [0.0, 2.0]],
                     "r": [[1.0, 0.0], [0.0, 1.0]]},
         "graph": {"nodes": 6,
-                  "edges": [list(e) for e in six_node_graph().sorted_edges()]},
+                  "edges": [list(e) for e in sorted(six_node_graph().edges)]},
         "trigger": {"alpha": 1.8},
         "consensus": {"mode": "scalar", "gamma": 0.1},
         "filter": {"mode": "monitored"},
@@ -46,17 +46,9 @@ class TestChannelAttack:
         clean = run_scenario(dataclasses.replace(self.cfg, attacks=[]))
         k = self.onset
         for i in (1, 3, 4, 5, 6):
-            got = [r for r in self.trace.node_rows
-                   if r["step"] == k and r["node"] == i][0]
-            want = [r for r in clean.node_rows
-                    if r["step"] == k and r["node"] == i][0]
-            assert got["xhat_0"] == want["xhat_0"]
-            assert got["xhat_1"] == want["xhat_1"]
-        got2 = [r for r in self.trace.node_rows
-                if r["step"] == k and r["node"] == 2][0]
-        want2 = [r for r in clean.node_rows
-                 if r["step"] == k and r["node"] == 2][0]
-        assert got2["xhat_0"] != want2["xhat_0"]
+            for col in ("xhat_0", "xhat_1"):
+                assert self.trace.series(col, i)[k] == clean.series(col, i)[k]
+        assert self.trace.series("xhat_0", 2)[k] != clean.series("xhat_0", 2)[k]
 
     def test_attacked_channel_flagged_and_distrusted(self):
         psi = self.trace.edge_series("psi", 2, 1)
@@ -109,7 +101,8 @@ class TestEventTriggeredBehavior:
 
     def test_transmitting_node_predictive_equals_prior(self):
         trace = run_scenario(six_node_config(steps=60))
-        for row in trace.node_rows:
-            if row["zeta"] == 1:
-                assert row["xpred_0"] == row["xbar_0"]
-                assert row["xpred_1"] == row["xbar_1"]
+        sent = trace.column("zeta") == 1
+        assert sent.any()
+        for d in (0, 1):
+            assert np.array_equal(trace.column(f"xpred_{d}")[sent],
+                                  trace.column(f"xbar_{d}")[sent])

@@ -226,7 +226,7 @@ class TestTrustMaskedLaplacian:
         g = Graph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
         rng = np.random.default_rng(5)
         sigma = {}
-        for a, b in g.sorted_edges():
+        for a, b in sorted(g.edges):
             sigma[(a, b)] = rng.uniform(0.1, 1.0)
             sigma[(b, a)] = rng.uniform(0.1, 1.0)
         beta = {i: rng.uniform(0.1, 1.0) for i in g.nodes}

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import string
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +214,10 @@ class TestConfigRoundTrip:
             "amplitude, frequency)"]
 
     @pytest.mark.parametrize("path, value, message", [
-        ("sensors.1.c.0.0", math.nan, "sensors[1]: C has a non-finite entry"),
-        ("process.x0_mean.1", math.inf, "process: x0_mean has a non-finite entry"),
-        ("process.a.0.0", 10**400, "process: int too large to convert to float"),
+        ("sensors.1.c.0.0", math.nan, "sensors[1].c: entry nan is not finite"),
+        ("process.x0_mean.1", math.inf, "process.x0_mean: entry inf is not finite"),
+        ("process.a.0.0", 10**400, "process.a: int too large to convert to float"),
+        ("process.a.0.1", "abc", "process.a: could not convert string to float: 'abc'"),
         ("attacks.0.signal", {"type": "constant", "value": 10**400},
          "attacks[0]: int too large to convert to float"),
     ])
@@ -422,7 +424,45 @@ class TestPresets:
             get_preset("fig99")
 
 
+@st.composite
+def short_runs(draw):
+    """Runs of 0-25 steps on small path graphs whose detector windows fill
+    within them: every filter mode, consensus mode and reference, the bound
+    monitor on or off, and up to two attacks on distinct targets."""
+    nodes, w = draw(st.integers(2, 5)), draw(st.integers(3, 8))
+    attacks = draw(st.lists(_attacks(nodes), max_size=2,
+                            unique_by=lambda a: a.get("node") or tuple(a["edge"])))
+    for attack in attacks:
+        attack["onset"] = draw(st.integers(0, 25))
+    return tiny_config(
+        steps=draw(st.integers(0, 25)), seed=draw(st.integers(0, 2**32)),
+        graph={"nodes": nodes, "edges": [[j, j + 1] for j in range(1, nodes)]},
+        sensors={"count": nodes, "c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()},
+        filter={"mode": draw(st.sampled_from(["nominal", "monitored", "resilient"]))},
+        consensus={"mode": draw(st.sampled_from(["scalar", "matrix"]))},
+        detector={"window": w, "k_nn": draw(st.integers(1, w - 1)),
+                  "average": draw(st.integers(1, 4)),
+                  "reference": draw(st.sampled_from(["shadow", "synthetic", "calibrated"]))},
+        bound_monitor=draw(st.booleans()), attacks=attacks)
+
+
 class TestCsvExport:
+    @settings(max_examples=60, deadline=None)
+    @given(short_runs())
+    def test_csv_round_trip_reproduces_columns_and_metrics(self, cfg):
+        trace = run_scenario(cfg)
+        with tempfile.TemporaryDirectory() as out:
+            paths = export_csv(trace, out)
+            loaded = SimTrace(cfg, *load_trace_csv(paths["nodes"], paths["edges"]))
+        for header, edge in ((trace.node_columns(), False), (EDGE_COLUMNS, True)):
+            for name in header:
+                got, want = loaded.column(name, edge), trace.column(name, edge)
+                assert got.dtype == want.dtype, name
+                assert np.array_equal(got, want, equal_nan=want.dtype.kind == "f"), name
+        assert loaded.assumption4_ok == trace.assumption4_ok
+        # repr tells every float apart, NaN included
+        assert repr(compute_metrics(loaded).to_dict()) == repr(compute_metrics(trace).to_dict())
+
     def test_empty_trace_header_only(self, tmp_path):
         cfg = tiny_config(steps=0)
         trace = run_scenario(cfg)
@@ -436,22 +476,21 @@ class TestCsvExport:
         cfg = tiny_config(detector=SMALL_DETECTOR)
         trace = run_scenario(cfg)
         paths = export_csv(trace, str(tmp_path))
-        node_rows, edge_rows = load_trace_csv(paths["nodes"], paths["edges"])
-        assert len(node_rows) == len(trace.node_rows)
-        assert len(edge_rows) == len(trace.edge_rows)
-        for read, written in ((node_rows, trace.node_rows), (edge_rows, trace.edge_rows)):
-            for got, want in zip(read, written):
-                for key, val in want.items():
-                    if isinstance(val, float):
-                        if np.isnan(val):
-                            assert np.isnan(got[key])
-                        else:
-                            assert got[key] == val  # 17 significant digits round-trip
-                    else:
-                        assert got[key] == val
+        nodes, edges = load_trace_csv(paths["nodes"], paths["edges"])
+        for table, header, edge in ((nodes, trace.node_columns(), False),
+                                    (edges, EDGE_COLUMNS, True)):
+            assert list(table.columns) == header
+            for name in header:
+                want = trace.column(name, edge).ravel()
+                if name == "flag":
+                    assert list(table.columns[name]) == want.tolist()
+                else:   # 17 significant digits round-trip, NaN included
+                    assert table.columns[name].dtype == want.dtype
+                    assert np.array_equal(table.columns[name], want,
+                                          equal_nan=want.dtype.kind == "f")
         # the detect path ran: finite phi and psi values, read back exactly
-        assert np.isfinite([row["phi"] for row in node_rows]).sum() == 3 * 21
-        assert np.isfinite([row["psi"] for row in edge_rows]).sum() == 4 * 21
+        assert np.isfinite(nodes.columns["phi"]).sum() == 3 * 21
+        assert np.isfinite(edges.columns["psi"]).sum() == 4 * 21
 
     def test_schema_hash_pinned(self):
         cfg = tiny_config()
@@ -471,7 +510,7 @@ class TestDeterminism:
 
     def test_zero_signal_attack_is_noop(self, tmp_path):
         graph = {"nodes": 6,
-                 "edges": [list(e) for e in six_node_graph().sorted_edges()]}
+                 "edges": [list(e) for e in sorted(six_node_graph().edges)]}
         sensors = {"count": 6, "c": [[5.0, 0.0], [0.0, 2.0]],
                    "r": [[1.0, 0.0], [0.0, 1.0]]}
         base = tiny_config(graph=graph, sensors=sensors, detector=SMALL_DETECTOR)
@@ -492,19 +531,18 @@ class TestDeterminism:
 
 class TestMetrics:
     def test_hand_built_trace_aggregates(self):
-        cfg = tiny_config(attacks=[{"kind": "measurement_injection", "node": 2,
-                                    "onset": 2,
-                                    "signal": {"type": "constant", "value": [1.0, 1.0]}}])
-        rows = []
-        zetas = {1: [1, 0, 1, 0, 1], 2: [1, 1, 1, 1, 1], 3: [1, 0, 0, 0, 0]}
-        flags = {1: ["H0"] * 5, 2: ["H0", "H0", "H0", "H1", "H1"], 3: ["H0"] * 5}
-        for k in range(5):
-            for i in (1, 2, 3):
-                rows.append({"step": k, "node": i, "zeta": zetas[i][k],
-                             "flag": flags[i][k], "err_norm": float(k + i),
-                             "bound": float("nan"), "realized_err": float("nan"),
-                             "assumption4_ok": 1})
-        trace = SimTrace(config=cfg, node_rows=rows, edge_rows=[])
+        cfg = tiny_config(steps=5, attacks=[{"kind": "measurement_injection", "node": 2,
+                                             "onset": 2,
+                                             "signal": {"type": "constant",
+                                                        "value": [1.0, 1.0]}}])
+        trace = SimTrace(config=cfg)
+        # columns are (steps, nodes); node 2 flags H1 from k = 3 on
+        trace.node_cols["zeta"][:] = np.array([[1, 0, 1, 0, 1], [1, 1, 1, 1, 1],
+                                               [1, 0, 0, 0, 0]]).T
+        trace.node_cols["phi"][:] = 0.0
+        trace.node_cols["phi"][3:, 1] = cfg.detector.delta + 1.0
+        trace.node_cols["err_norm"][:] = np.add.outer(np.arange(5.0), [1.0, 2.0, 3.0])
+        assert trace.series("flag", 2).tolist() == ["H0", "H0", "H0", "H1", "H1"]
         rep = compute_metrics(trace)
         assert rep.trigger_rate[1] == pytest.approx(3 / 5)
         assert rep.trigger_rate_pre[1] == pytest.approx(1 / 2)
@@ -517,14 +555,14 @@ class TestMetrics:
         assert rep.effective_component_count == 1
 
     def test_all_h0_gives_sentinel_latency(self):
-        cfg = tiny_config(attacks=[{"kind": "measurement_injection", "node": 1,
-                                    "onset": 1,
-                                    "signal": {"type": "constant", "value": [0.0, 0.0]}}])
-        rows = [{"step": k, "node": 1, "zeta": 1, "flag": "H0",
-                 "err_norm": 0.0, "bound": float("nan"),
-                 "realized_err": float("nan"), "assumption4_ok": 1}
-                for k in range(4)]
-        trace = SimTrace(config=cfg, node_rows=rows, edge_rows=[])
+        cfg = tiny_config(steps=4, attacks=[{"kind": "measurement_injection", "node": 1,
+                                             "onset": 1,
+                                             "signal": {"type": "constant",
+                                                        "value": [0.0, 0.0]}}])
+        trace = SimTrace(config=cfg)
+        trace.node_cols["zeta"][:] = 1
+        trace.node_cols["phi"][:] = cfg.detector.delta   # at the threshold: H0
+        trace.node_cols["err_norm"][:] = 0.0
         rep = compute_metrics(trace)
         assert rep.detection_latency[1] is None
 
@@ -562,6 +600,45 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["metrics", "--run-dir", out_dir]) == 0
         assert json.loads(capsys.readouterr().out, parse_constant=reject) == stored
+
+    @pytest.mark.parametrize("damage, want", [
+        ("garbage_cell", "nodes.csv: line 5: cannot read zeta 'garbage' as int"),
+        ("garbage_float", "nodes.csv: line 5: cannot read xpred_1 'garbage' as float"),
+        ("deleted_row", "nodes.csv: line 5: expected step 1, node 1; found step 1, node 2"),
+        ("short_line", "nodes.csv: line 5: 3 cells, the header has 23"),
+        ("last_row_gone",
+         "edges.csv: line 17: expected step 3, node 3, neighbor 2; found the end of the file"),
+        ("extra_row", "nodes.csv: line 14: expected the end of the file; found step 3, node 3"),
+    ])
+    def test_metrics_on_damaged_run_dir_exits_2(self, damage, want, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert cli_main(["run", "--scenario", str(self._tiny_yaml(tmp_path)), "--steps", "4",
+                         "--out", str(out_dir)]) == 0
+        name = "edges.csv" if damage == "last_row_gone" else "nodes.csv"
+        lines = (out_dir / name).read_text().splitlines(keepends=True)
+        if damage.startswith("garbage"):  # zeta, or the last cell, of line 5
+            cells = lines[4].rstrip("\n").split(",")
+            cells[2 if damage == "garbage_cell" else -1] = "garbage"
+            lines[4] = ",".join(cells) + "\n"
+        elif damage == "deleted_row":     # step 1, node 1
+            del lines[4]
+        elif damage == "short_line":
+            lines[4] = "1,2,garbage\n"
+        elif damage == "last_row_gone":
+            del lines[-1]
+        else:
+            lines.append(lines[-1])
+        (out_dir / name).write_text("".join(lines))
+        capsys.readouterr()
+        assert cli_main(["metrics", "--run-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out_dir}/{want}\n"    # one line, naming the file
+
+    @staticmethod
+    def _tiny_yaml(tmp_path):
+        spath = tmp_path / "scn.yaml"
+        spath.write_text(tiny_config().to_yaml())
+        return spath
 
     def test_run_scenario_file(self, tmp_path):
         cfg = tiny_config()
@@ -698,7 +775,7 @@ class TestMixedChannelCounts:
         cfg = tiny_config(sensors=sensors, filter={"mode": mode}, detector=SMALL_DETECTOR)
         cfg.validate()
         trace = run_scenario(cfg)
-        assert len(trace.node_rows) == 3 * 30
+        assert trace.column("zeta").shape == (30, 3)
         for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
             assert np.all(trace.edge_series("sigma", i, j) == 1.0)
             assert np.all(np.isnan(trace.edge_series("psi", i, j)))
