@@ -7,10 +7,9 @@ from .attacks import (AttackPlan, AttackRecursion, SignalSpec, corrupt_channel,
 from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
                         nominal_reference_window)
 from .errors import ConfigurationError, NumericalError, ValidationError
-from .filtering import (TriggerConfig, innovation,
-                        innovation_covariance, kalman_gain, measurement_update,
-                        posterior_covariance, should_transmit, time_update,
-                        update_predictive)
+from .filtering import (TriggerConfig, innovation, innovation_covariance,
+                        kalman_gain, measurement_update, posterior_covariance,
+                        prior_covariance, should_transmit, update_predictive)
 from .graphs import (Graph, connected_components, find_minimal_potential_sets,
                      is_vertex_cut, laplacian, neighbors)
 from .models import (NoiseSource, ProcessModel, SensorModel,

@@ -197,8 +197,6 @@ class AttackRecursion:
                  gain_mode: str = "nominal"):
         if gain_mode not in ("nominal", "corrupted"):
             raise ConfigurationError(f"unknown gain_mode {gain_mode!r}")
-        self.process = process
-        self.sensors = sensors
         self.graph = graph
         self.gamma = float(gamma)
         self.gain_mode = gain_mode
@@ -211,9 +209,8 @@ class AttackRecursion:
         self._C = _blkdiag([s.C for s in sensors])
         self._R = _blkdiag([s.R for s in sensors])
         self._y_ofs = np.cumsum([0] + [s.p for s in sensors])
-        self._gain_groups = [(rows, np.stack([sensors[b].C for b in rows]),
-                              np.stack([sensors[b].R for b in rows]))
-                             for rows in channel_groups(sensors).values()]
+        groups, C, R = channel_groups(sensors)
+        self._gain_groups = [(rows, C[p], R[p]) for p, rows in groups.items()]
         self._pairs = [(i, j) for i in graph.nodes for j in graph.nodes]
 
         self.k = 0
@@ -231,9 +228,6 @@ class AttackRecursion:
         # Block-diagonal attack-free covariance recursion for gain_mode "nominal".
         self._P_nominal = self.P_prior.copy()
         self.gains = {i: None for i in graph.nodes}
-
-    def _block(self, i: int) -> slice:
-        return slice((i - 1) * self.n, i * self.n)
 
     def step(self, zetas: dict, f_meas: dict | None = None, f_chan: dict | None = None):
         """Advance one step given triggers and active deterministic signals.

@@ -96,22 +96,22 @@ def _divergence(d_x, d_z, n2: int, epsilon_d: float, m: int):
     """(m/n1) sum_i log(dZ_k(i)/dX_k(i)) + log(n2/(n1-1)) over the last axis.
 
     The logs are summed in the order given, so callers pass the query rows in
-    chronological order on a C-contiguous last axis.
+    chronological order on a C-contiguous last axis. A non-finite result
+    (distances that overflow) reads as +inf, as far from the reference as
+    can be, so it is flagged H1.
     """
     n1 = d_x.shape[-1]
     ratio = np.maximum(d_z, epsilon_d) / np.maximum(d_x, epsilon_d)
-    return m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
+    d = m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
+    return np.where(np.isfinite(d), d, np.inf)
 
 
-def estimate_kl(X, Z, k_nn: int, dim: int | None = None,
-                epsilon_d: float = DetectorConfig.epsilon_d) -> float:
+def estimate_kl(X, Z, k_nn: int, epsilon_d: float = DetectorConfig.epsilon_d) -> float:
     """k-NN relative-entropy estimate of D(P_X || P_Z) from two sample sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     n1, m = X.shape
     n2 = Z.shape[0]
-    if dim is not None and dim != m:
-        raise ConfigurationError(f"declared dim {dim} != sample dim {m}")
     if Z.shape[1] != m:
         raise ConfigurationError(f"X dim {m} != Z dim {Z.shape[1]}")
     if n1 <= k_nn or n2 <= k_nn:
@@ -195,10 +195,6 @@ class KnnWindowBank:
             self._dxz[:, s, :] = pairwise_distances(x[:, None], self._z)[:, 0]
             self._dxz[:, :, s] = pairwise_distances(self._x, z[:, None])[..., 0]
         self.count += 1
-
-    def samples(self) -> np.ndarray:
-        """The windows in chronological order, (rows, len, dim)."""
-        return _oldest_first(self._x[:, :min(self.count, self.window)], self.count, axis=1)
 
     def estimates(self, reference=None) -> np.ndarray:
         """One divergence estimate per row, (rows,); needs a full ring.

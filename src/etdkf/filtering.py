@@ -79,11 +79,11 @@ def update_predictive(zeta, x_prior, x_pred_prev, A) -> np.ndarray:
     return np.where(np.asarray(zeta, bool)[..., None], np.asarray(x_prior, float), extrapolated)
 
 
-def time_update(x_post, P_post, A, Q):
-    """Advance the prior: returns (A x_post, A P_post A^T + Q)."""
+def prior_covariance(P_post, A, Q) -> np.ndarray:
+    """The covariance half of the time update, A P_post A^T + Q; the state
+    half is np.matvec(A, x_post)."""
     A = np.asarray(A, float)
-    return (np.matvec(A, np.asarray(x_post, float)),
-            sym(A @ np.asarray(P_post, float) @ A.T + np.asarray(Q, float)))
+    return sym(A @ np.asarray(P_post, float) @ A.T + np.asarray(Q, float))
 
 
 def kalman_gain(P_prior, C, R, nodes=None) -> np.ndarray:

@@ -67,16 +67,9 @@ def connected_components(g: Graph, removed=frozenset()) -> list:
 
     Returns a list of node sets, each sorted ascending by smallest member.
     """
-    removed = set(removed)
-    alive = [i for i in g.nodes if i not in removed]
-    adj = {i: set() for i in alive}
-    for a, b in g.edges:
-        if a in adj and b in adj:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
+    seen = set(removed)
     comps = []
-    for start in alive:
+    for start in g.nodes:
         if start in seen:
             continue
         comp = {start}
@@ -84,7 +77,7 @@ def connected_components(g: Graph, removed=frozenset()) -> list:
         seen.add(start)
         while queue:
             u = queue.pop()
-            for v in adj[u]:
+            for v in g._adj[u]:
                 if v not in seen:
                     seen.add(v)
                     comp.add(v)

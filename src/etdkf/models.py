@@ -59,6 +59,8 @@ class ProcessModel:
             raise ConfigurationError(f"P0 shape {self.P0.shape} incompatible with n={n}")
         _check_symmetric_psd(self.Q, "Q")
         _check_symmetric_psd(self.P0, "P0")
+        # Factors F with F F^T = Q (P0): every draw reuses them.
+        self.Q_factor, self.P0_factor = _factor(self.Q), _factor(self.P0)
 
     @property
     def n(self) -> int:
@@ -116,26 +118,28 @@ class NoiseSource:
             )
         return self._cache[key]
 
+    # Each draw equals multivariate_normal(mean, cov) bit for bit, with the
+    # method `_factor` picks, without factoring cov again.
     def draw_initial_state(self, model: ProcessModel) -> np.ndarray:
-        rng = self.stream(STREAM_INITIAL_STATE)
-        return rng.multivariate_normal(model.x0_mean, model.P0, method="cholesky" if _is_pd(model.P0) else "svd")
+        z = self.stream(STREAM_INITIAL_STATE).standard_normal(model.n)
+        return model.x0_mean + z @ model.P0_factor.T
 
     def draw_process_noise(self, model: ProcessModel) -> np.ndarray:
-        rng = self.stream(STREAM_PROCESS)
-        return rng.multivariate_normal(np.zeros(model.n), model.Q, method="cholesky" if _is_pd(model.Q) else "svd")
+        z = self.stream(STREAM_PROCESS).standard_normal(model.n)
+        return np.zeros(model.n) + z @ model.Q_factor.T
 
     def draw_measurement_noise(self, sensor: SensorModel, node: int) -> np.ndarray:
-        # Equal bit for bit to multivariate_normal(0, R, method="cholesky"),
-        # without factoring R again on every draw.
         return self.stream(STREAM_SENSOR, node).standard_normal(sensor.p) @ sensor.R_factor.T
 
 
-def _is_pd(m: np.ndarray) -> bool:
+def _factor(m: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor of a PSD matrix, or u sqrt(s) from its SVD
+    when it is singular (multivariate_normal's "svd" method)."""
     try:
-        np.linalg.cholesky(m)
-        return True
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
-        return False
+        u, s, _ = np.linalg.svd(m)
+        return u * np.sqrt(s)
 
 
 def step_process(model: ProcessModel, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -149,12 +153,15 @@ def step_process(model: ProcessModel, x: np.ndarray, w: np.ndarray) -> np.ndarra
     return model.A @ x + w
 
 
-def channel_groups(sensors) -> dict:
-    """Sensors grouped by channel count: p -> their positions, ascending."""
+def channel_groups(sensors):
+    """Sensors grouped by channel count: (groups, C, R), with groups p -> their
+    positions, ascending, and C and R p -> those sensors' matrices stacked."""
     groups = {}
     for b, s in enumerate(sensors):
         groups.setdefault(s.p, []).append(b)
-    return {p: np.array(rows) for p, rows in groups.items()}
+    C = {p: np.stack([sensors[b].C for b in rows]) for p, rows in groups.items()}
+    R = {p: np.stack([sensors[b].R for b in rows]) for p, rows in groups.items()}
+    return {p: np.array(rows) for p, rows in groups.items()}, C, R
 
 
 def measure(C, x: np.ndarray, v) -> np.ndarray:

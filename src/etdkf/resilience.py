@@ -49,12 +49,13 @@ class ResilientConfig:
 
 
 def divergence_statistic(divergence, scale: float):
-    """chi (or theta): scale / (scale + max(divergence, 0)); NaN maps to 1.
+    """chi (or theta): scale / (scale + D), D the divergence clipped to [0,
+    the largest finite float], so +inf stays in (0, 1]; NaN maps to 1.
 
     Elementwise over an array of divergences; a scalar gives a scalar.
     """
-    d = np.asarray(divergence, float)
-    return np.where(np.isnan(d), 1.0, scale / (scale + np.maximum(d, 0.0)))[()]
+    d = np.minimum(np.maximum(np.asarray(divergence, float), 0.0), np.finfo(float).max)
+    return np.where(np.isnan(d), 1.0, scale / (scale + d))[()]
 
 
 @dataclass

@@ -76,6 +76,8 @@ class ScenarioConfig:
         N = self.graph.node_count
         if self.steps < 0:
             errors.append(f"steps must be >= 0, got {self.steps}")
+        if self.seed < 0:
+            errors.append(f"seed must be >= 0, got {self.seed}")
         if self.filter_mode not in FILTER_MODES:
             errors.append(f"filter mode {self.filter_mode!r} not in {FILTER_MODES}")
         if len(self.sensors) != N:
@@ -341,9 +343,10 @@ def _plain(tp, value, schema=None):
 # -- default models and graphs ------------------------------------------------
 
 
-def rotation_process(n_steps_per_turn: int = 400) -> ProcessModel:
-    """Slow planar rotation with unit process noise, the default tracking plant."""
-    th = 2.0 * np.pi / n_steps_per_turn
+def rotation_process() -> ProcessModel:
+    """Slow planar rotation, one turn per 400 steps, with unit process noise:
+    the default tracking plant."""
+    th = 2.0 * np.pi / 400
     A = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     return ProcessModel(A=A, Q=np.eye(2), x0_mean=np.array([0.5, 0.0]), P0=np.eye(2))
 

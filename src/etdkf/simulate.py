@@ -2,8 +2,9 @@
 
 Per-step pipeline (barriers in order): measure -> inject attacks -> trigger ->
 exchange -> detect -> update beliefs -> measurement update -> time update ->
-plant step. Nodes are always iterated in ascending id so traces are
-reproducible bit-for-bit for a given seed and config.
+plant step. The filter's covariance half (P, K, gains) reads no data, so it
+is computed once per run, before the passes. Nodes are always iterated in
+ascending id so traces are reproducible bit-for-bit for a given seed and config.
 
 Reference windows for the detectors come from one of three sources: "shadow"
 uses the innovations of an attack-free twin run with identical noise streams
@@ -31,7 +32,7 @@ from .detection import KnnWindowBank, detect, nominal_reference_window
 from .errors import ConfigurationError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
-                        should_transmit, time_update, update_predictive,
+                        prior_covariance, should_transmit, update_predictive,
                         vector_norm)
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
@@ -64,8 +65,8 @@ class SimTrace:
     without steps, as a CSV without rows reads) are derived. The columns start
     NaN (zeta 0) for the engine to fill, or take `load_trace_csv`'s tables."""
 
-    def __init__(self, config, node_rows=None, edge_rows=None, warnings=()):
-        self.config, self.warnings, self.steps = config, list(warnings), config.steps
+    def __init__(self, config, node_rows=None, edge_rows=None):
+        self.config, self.warnings, self.steps = config, [], config.steps
         self.edges = [(i, j) for i in config.graph.nodes
                       for j in sorted(neighbors(config.graph, i))]
         self.node_cols, self.edge_cols = (
@@ -155,12 +156,10 @@ class MetricsReport:
 
 @dataclass
 class _TwinData:
-    """What a later pass reads of this one; its statistics are computed on first read."""
+    """What a later pass reads of the twin alone; its statistics are computed on first read."""
 
     innovations: dict            # p -> one (nodes with p channels, p) stack per step
-    where: dict                  # node -> (p, its row in those stacks)
     b_samples: list              # ||x(k+1)-x(k)+v(k+1)||, one array per step and p, if sampled
-    sensors: dict                # node -> SensorModel; R stands in on runs of <= 2 steps
 
     @cached_property
     def B(self) -> float:        # 99.9th percentile of the b samples, in any order
@@ -168,35 +167,64 @@ class _TwinData:
                 if self.b_samples else 0.0)
 
     @cached_property
-    def omega_hat(self) -> dict:  # node -> calibrated innovation covariance
+    def omega_hat(self) -> dict:  # p -> calibrated innovation covariances, none on <= 2 steps
         # np.cov of each node's (steps, p) record laid out as its own array,
         # so the sums run in the order they always have; a 1 x 1 result stays 2-D.
         rec = {p: np.array(stacks) for p, stacks in self.innovations.items()}
-        return {i: np.atleast_2d(np.cov(np.ascontiguousarray(rec[p][:, row]).T))
-                if len(rec[p]) > 2 else self.sensors[i].R.copy()
-                for i, (p, row) in self.where.items()}
+        return {p: [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T))
+                    for g in range(r.shape[1])] for p, r in rec.items() if len(r) > 2}
+
+
+def covariance_schedule(cfg) -> list:
+    """The half of the filter that no measurement, attack or belief reaches,
+    computed once per run for both passes: per step, (P_prior, K, M, gamma,
+    P_post) with every node's P_prior, P_post and M = I - K C as (N, n, n),
+    the gains K as p -> (nodes with p channels, n, p) and the consensus gain
+    gamma a scalar, or (N, n, n). A singular innovation covariance raises
+    `NumericalError` naming the node.
+    """
+    A, n, N = cfg.process.A, cfg.process.n, cfg.graph.node_count
+    groups, C, R = channel_groups(cfg.sensors)
+    lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
+             if cfg.consensus.mode == "matrix" else None)
+    P_prior = np.tile(cfg.process.P0, (N, 1, 1))
+    schedule = []
+    for _ in range(cfg.steps):
+        K, M, P_post = {}, np.empty((N, n, n)), np.empty((N, n, n))
+        for p, rows in groups.items():
+            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
+            M[rows] = np.eye(n) - K[p] @ C[p]
+            P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
+        gamma = (cfg.consensus.gamma if lam_L is None else
+                 consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
+        schedule.append((P_prior, K, M, gamma, P_post))
+        P_prior = prior_covariance(P_post, A, cfg.process.Q)
+    return schedule
 
 
 def run_scenario(config) -> SimTrace:
-    """Validate, run (with its attack-free twin when required), return the trace."""
+    """Validate, compute the covariance half once, run (with its attack-free
+    twin when required), return the trace."""
     warnings = config.validate()
+    schedule = covariance_schedule(config)
     twin, monitored, reference = None, config.bound_monitor_enabled(), config.detector.reference
     # An attack-free shadow run that is neither resilient nor monitored is its own shadow.
     if monitored or reference == "calibrated" or reference == "shadow" and (
             config.attacks or config.filter_mode == "resilient"):
         twin_cfg = replace(config, attacks=[], filter_mode="nominal",
                            beliefs_pinned=False, bound_monitor=False)
-        _, twin = _engine(twin_cfg, twin=None, lite=True, sample_b=monitored)
-    trace, _ = _engine(config, twin=twin, lite=False)
+        _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, sample_b=monitored)
+    trace, _ = _engine(config, twin=twin, lite=False, schedule=schedule)
     trace.warnings = warnings + trace.warnings
     return trace
 
 
-def _engine(cfg, twin, lite: bool, sample_b: bool = False):
-    """One pass over the scenario; returns (trace, twin data). Every pass
-    records the innovations a later pass reads of its twin; `lite` (the
-    attack-free twin) skips detection, beliefs and the trace (None), and
-    `sample_b` records the increments the bound monitor's B comes from.
+def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
+    """One pass over the scenario and its `covariance_schedule`, so a step does
+    only data-dependent work; returns (trace, twin data). Every pass records
+    the innovations a later pass reads of its twin; `lite` (the attack-free
+    twin) skips detection, beliefs and the trace (None), and `sample_b`
+    records the increments the bound monitor's B comes from.
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -207,12 +235,10 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
-    A, Q = proc.A, proc.Q
-    n = proc.n
+    A, n = proc.A, proc.n
     nodes = list(cfg.graph.nodes)
     N = len(nodes)
     nbrs = {i: sorted(neighbors(cfg.graph, i)) for i in nodes}
-    sensors = {i: cfg.sensors[i - 1] for i in nodes}
     alpha = cfg.trigger.alpha
     track_beliefs = cfg.filter_mode in ("monitored", "resilient") and not cfg.beliefs_pinned
     beliefs_in_update = cfg.filter_mode == "resilient"
@@ -229,45 +255,36 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
         key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
-    groups = channel_groups(cfg.sensors)        # p -> rows of its nodes
+    groups, C, R = channel_groups(cfg.sensors)       # p -> rows of its nodes
     where = {b + 1: (p, g) for p, rows in groups.items()     # node -> (p, index in group)
              for g, b in enumerate(rows.tolist())}
-    C = {p: np.stack([cfg.sensors[b].C for b in rows]) for p, rows in groups.items()}
-    R = {p: np.stack([cfg.sensors[b].R for b in rows]) for p, rows in groups.items()}
 
     x_prior = np.tile(proc.x0_mean, (N, 1))
     x_post, x_pred, last_tx_prior = x_prior.copy(), x_prior.copy(), x_prior.copy()
-    P_prior = np.tile(proc.P0, (N, 1, 1))
-    P_post = P_prior.copy()
     stored = np.tile(proc.x0_mean, (N, D, 1))   # neighbor predictions as each node holds them
-    gamma = cfg.consensus.gamma
-    K, M = {}, np.empty((N, n, n))
     x = noise.draw_initial_state(proc)
 
-    node_plans = {i: [] for i in nodes}
     edge_plans = []
-    for idx, plan in enumerate(cfg.attacks):
+    for plan in cfg.attacks:
         if plan.kind == CHANNEL_INJECTION:
             j, i = plan.edge
             edge_plans.append((i, j, nbrs[i].index(j), place[i, j] - N, plan))
-        else:
-            node_plans[plan.node].append((idx, plan))
 
     # Detector windows: (i, i) holds node i's innovations, (i, j) its residuals
     # against neighbor j's estimate (equal channel counts only); both compare
     # with node i's reference. One bank per channel count holds them as rows;
     # `at` places each row in [nodes; channels], and its state in [x_prior;
     # stored channel predictions].
-    shadow = det.reference == "shadow"
+    shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
     windows = []
     for p, rows in groups.items():
-        keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if sensors[j].p == p]
+        keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if where[j][0] == p]
         windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
                                          sliding_reference=shadow, average=det.average),
                         np.array([where[i][1] for i, _ in keys]),
                         C[p][[where[j][1] for _, j in keys]],
                         np.array([place[key] for key in keys])))
-    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if sensors[j].p == sensors[i].p]
+    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
     windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
     beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
@@ -276,38 +293,36 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
         if twin is None:
             raise ConfigurationError("bound monitor needs the nominal twin pass")
         monitor = BoundMonitor(
-            A=A, C_norms=[float(np.linalg.norm(sensors[i].C, 2)) for i in nodes],
+            A=A, C_norms=[float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
             alpha=alpha, B=twin.B, tau=cfg.resilient.tau)
-    lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
-             if cfg.consensus.mode == "matrix" else None)
 
     trace = None if lite else SimTrace(config=cfg)
     innovations_rec = {p: [] for p in groups}
     b_samples = []
     sampler_calls = sampler_fallbacks = 0
 
-    for k in range(cfg.steps):
+    for k, (P_prior, K, M, gamma, P_post) in enumerate(schedule):
         t = k * cfg.dt
-        v = [noise.draw_measurement_noise(sensors[i], i) for i in nodes]
+        v = [noise.draw_measurement_noise(s, i) for i, s in zip(nodes, cfg.sensors)]
         v = {p: np.array([v[b] for b in rows]) for p, rows in groups.items()}
         y_clean = {p: measure(C[p], x, v[p]) for p in groups}
         y = {p: yp.copy() for p, yp in y_clean.items()}
-        for i in nodes:
+        for idx, plan in enumerate(cfg.attacks):   # at most one plan per node
+            if plan.kind == CHANNEL_INJECTION or not plan.active(k):
+                continue
+            i = plan.node
             p, g = where[i]
-            for idx, plan in node_plans[i]:
-                if not plan.active(k):
-                    continue
-                if plan.kind == MEASUREMENT_INJECTION:
-                    y[p][g] = corrupt_measurement(y[p][g], plan.signal.evaluate(t, p))
-                elif plan.kind == NON_TRIGGERING:
-                    rng = noise.stream(STREAM_ATTACK, idx)
-                    y[p][g], fell_back = craft_non_triggering(
-                        y[p][g], C[p][g], x_pred[i - 1], plan.phi, rng, sampler=plan.sampler)
-                    if plan.sampler:
-                        sampler_calls += 1
-                        sampler_fallbacks += fell_back
-                elif plan.kind == REPLAY:
-                    y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
+            if plan.kind == MEASUREMENT_INJECTION:
+                y[p][g] = corrupt_measurement(y[p][g], plan.signal.evaluate(t, p))
+            elif plan.kind == NON_TRIGGERING:
+                rng = noise.stream(STREAM_ATTACK, idx)
+                y[p][g], fell_back = craft_non_triggering(
+                    y[p][g], C[p][g], x_pred[i - 1], plan.phi, rng, sampler=plan.sampler)
+                if plan.sampler:
+                    sampler_calls += 1
+                    sampler_fallbacks += fell_back
+            elif plan.kind == REPLAY:
+                y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
 
         # Innovations and the trigger barrier (everyone transmits at k = 0).
         r = {}
@@ -337,6 +352,7 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
         if not lite:
             # Divergence and its average over [nodes; channels], NaN until a window fills.
             d_hat, phi = np.full((2, N + E), math.nan)
+            full = k + 1 >= det.window     # every bank fills at the same step
             # The shadow reference slides with the windows (the twin's
             # innovations, or the node's own without a twin); the other modes
             # draw a fresh window for every node at every step.
@@ -345,13 +361,18 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
             for p, bank, owner, C_key, at in windows:
                 bank.push(innovation(y[p][owner], C_key, states[at]),
                           source[p][k][owner] if shadow else None)
-                fresh = None if shadow else _reference_windows(
-                    det, twin, groups[p], P_prior, C[p], R[p], noise)
-                if bank.full:   # every bank fills at the same step
+                if not shadow:   # Omega: live, or the twin's (R stands in on <= 2 steps)
+                    rows = groups[p]
+                    omegas = (innovation_covariance(P_prior[rows], C[p], R[p]) if synthetic
+                              else twin.omega_hat.get(p, R[p]))
+                    fresh = np.stack([nominal_reference_window(
+                        omega, det.window, noise.stream(STREAM_REFERENCE, i))
+                        for i, omega in zip((rows + 1).tolist(), omegas)])
+                if full:
                     d_hat[at] = est = bank.estimates(None if shadow else fresh[owner])
                     phi[at] = bank.average(est)
             if track_beliefs:
-                beliefs.step(d_hat[:N], d_hat[N + windowed] if bank.full else None)
+                beliefs.step(d_hat[:N], d_hat[N + windowed] if full else None)
 
         # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
         # untracked beliefs stay at one. An edge between sensors of unequal
@@ -362,13 +383,6 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
         weights = np.ones((N, D))
         weights[mask] = sigma
         weights *= beta[slot_node]
-
-        # Gains (and matrix-mode coupling) barrier.
-        for p, rows in groups.items():
-            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
-            M[rows] = np.eye(n) - K[p] @ C[p]
-        if lam_L is not None:
-            gamma = consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma)
 
         # Bound monitor: record the bound holding for this step, then advance.
         bound_now = realized = math.nan
@@ -392,7 +406,6 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
             x_post[rows] = measurement_update(
                 x_prior[rows], K[p], gamma[rows] if np.ndim(gamma) == 3 else gamma, y[p],
                 C[p], m[rows], b_upd[rows], stored[rows], w_upd[rows], x_pred[rows], mask[rows])
-            P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
 
         if not lite:
             states = np.hstack([np.broadcast_to(x, (N, n)), x_prior, x_post, x_pred])
@@ -409,37 +422,23 @@ def _engine(cfg, twin, lite: bool, sample_b: bool = False):
                 for name, value in values.items():
                     cols[name][k] = value
 
-        # Time update and plant step.
-        x_prior, P_prior = time_update(x_post, P_post, A, Q)
+        # Time update (its covariance half is in the schedule) and plant step.
+        x_prior = np.matvec(A, x_post)
         w_k = noise.draw_process_noise(proc)
         prev_x, x = x, step_process(proc, x, w_k)
 
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace, _TwinData(innovations=innovations_rec, where=where, b_samples=b_samples,
-                            sensors=sensors)
-
-
-def _reference_windows(det, twin, rows, P_prior, C, R, noise):
-    """Fresh Z windows, (nodes, w, p), for the nodes at `rows` with sensors C,
-    R: synthetic draws from the live innovation covariance, calibrated from
-    the twin run's sample covariance."""
-    nodes = (rows + 1).tolist()
-    if det.reference == "synthetic":
-        omegas = innovation_covariance(P_prior[rows], C, R)
-    else:
-        omegas = [twin.omega_hat[i] for i in nodes]
-    return np.stack([nominal_reference_window(omega, det.window, noise.stream(STREAM_REFERENCE, i))
-                     for i, omega in zip(nodes, omegas)])
+    return trace, _TwinData(innovations=innovations_rec, b_samples=b_samples)
 
 
 # -- metrics -------------------------------------------------------------------
 
 
-def compute_metrics(trace: SimTrace, config=None) -> MetricsReport:
+def compute_metrics(trace: SimTrace) -> MetricsReport:
     """Pure aggregation over a trace; recomputable from the exported CSVs."""
-    cfg = config or trace.config
+    cfg = trace.config
     nodes = sorted(cfg.graph.nodes)
     onsets = {p.node: p.onset for p in cfg.attacks if p.node is not None}
     k_a = min((p.onset for p in cfg.attacks), default=None)
@@ -501,11 +500,11 @@ def export_csv(trace: SimTrace, out_dir: str) -> dict:
     return paths
 
 
-def load_trace_csv(nodes_path: str, edges_path: str | None = None):
-    """(node table, edge table or None) for SimTrace: each line split once, each
+def load_trace_csv(nodes_path: str, edges_path: str):
+    """(node table, edge table) for SimTrace: each line split once, each
     column converted once (INT_COLUMNS to int, `flag` kept as text, the rest to
     float). A ragged line or a bad cell is a ValidationError naming its line."""
-    return _read_table(nodes_path), (_read_table(edges_path) if edges_path else None)
+    return _read_table(nodes_path), _read_table(edges_path)
 
 
 def _read_table(path: str) -> TraceTable:

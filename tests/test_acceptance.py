@@ -20,7 +20,7 @@ import pytest
 
 from etdkf.attacks import AttackRecursion
 from etdkf.detection import estimate_kl
-from etdkf.filtering import time_update
+from etdkf.filtering import prior_covariance
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
 from etdkf.scenario import get_preset
 from etdkf.simulate import compute_metrics, export_csv, metrics_json, run_scenario
@@ -65,7 +65,7 @@ def test_criterion_01_centralized_kf_equivalence():
         x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
         x_ref, P_ref = ref.step(y)
         worst = max(worst, np.abs(x_post - x_ref).max(), np.abs(P_post - P_ref).max())
-        x_prior, P_prior = time_update(x_post, P_post, A, Q)
+        x_prior, P_prior = np.matvec(A, x_post), prior_covariance(P_post, A, Q)
         x = A @ x + src.draw_process_noise(model)
     elapsed = time.time() - t0
     report(1, worst < 1e-12 and elapsed < 1.0,

@@ -118,8 +118,6 @@ class TestEstimateKl:
             estimate_kl(X, rng.standard_normal((10, 3)), k_nn=2)
         with pytest.raises(ConfigurationError):
             estimate_kl(X[:3], X, k_nn=4)
-        with pytest.raises(ConfigurationError):
-            estimate_kl(X, X, k_nn=2, dim=5)
 
 
 class TestWindow:
@@ -128,12 +126,16 @@ class TestWindow:
     def test_capacity_and_eviction(self):
         bank = KnnWindowBank(rows=2, dim=2, window=3, k_nn=1)
         for i in range(5):
-            assert bank.samples().shape == (2, min(i, 3), 2)
+            assert bank.full == (i >= 3)
             bank.push([[float(i), 0.0], [-float(i), 1.0]])
-        assert bank.samples().shape == (2, 3, 2)
         assert bank.full
-        assert np.array_equal(bank.samples()[0, :, 0], [2.0, 3.0, 4.0])
-        assert np.array_equal(bank.samples()[1, :, 0], [-2.0, -3.0, -4.0])
+        # The last three pushes are the windows: their estimates against a
+        # reference equal estimate_kl's of those windows, oldest first.
+        ref = np.random.default_rng(4).standard_normal((2, 5, 2))
+        windows = [[[i, 0.0] for i in (2.0, 3.0, 4.0)], [[-i, 1.0] for i in (2.0, 3.0, 4.0)]]
+        got = bank.estimates(ref)
+        for b in range(2):
+            assert got[b] == estimate_kl(windows[b], ref[b], 1)
 
     def test_dim_guard(self):
         bank = KnnWindowBank(rows=1, dim=2, window=3, k_nn=1)
@@ -206,6 +208,30 @@ def streams(draw):
 
 
 class TestKnnWindowBank:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda m: st.lists(
+        st.lists(st.floats(-1e100, 1e100), min_size=m, max_size=m), min_size=2, max_size=30)),
+        st.data())
+    def test_identical_windows_give_exactly_the_baseline(self, rows, data):
+        """Any window against itself, duplicates included, is exactly
+        log(n2/(n1-1)), from estimate_kl and from a sliding bank alike."""
+        X = np.array(rows)
+        n, m = X.shape
+        k = data.draw(st.integers(1, n - 1))
+        baseline = np.log(n / (n - 1))
+        assert estimate_kl(X, X, k) == baseline
+        bank = KnnWindowBank(1, m, n, k, sliding_reference=True)
+        for x in X:
+            bank.push([x], [x])
+        assert bank.estimates()[0] == baseline
+
+    def test_overflowing_distances_read_as_infinite_divergence(self):
+        # Every 5th neighbor distance overflows, within X and into Z alike:
+        # the log ratios are inf/inf, and the estimate reads +inf, not NaN.
+        X = np.random.default_rng(32).standard_normal((10, 2))
+        X[5:] = 1e200 * np.arange(1.0, 6.0)[:, None]
+        assert estimate_kl(X, X, 5) == np.inf
+
     @settings(max_examples=40, deadline=None)
     @given(streams())
     def test_sliding_reference_equals_estimate_kl(self, case):
@@ -216,8 +242,7 @@ class TestKnnWindowBank:
             if not bank.full:
                 continue
             got = bank.estimates()
-            windows = bank.samples()
-            assert np.array_equal(windows, X[t + 1 - w:t + 1].transpose(1, 0, 2))
+            windows = X[t + 1 - w:t + 1].transpose(1, 0, 2)
             for b in range(X.shape[1]):
                 assert got[b] == estimate_kl(windows[b], Z[t + 1 - w:t + 1, b], k), (t, b)
 
@@ -232,7 +257,7 @@ class TestKnnWindowBank:
             bank.push(X[t])
             if not bank.full:
                 continue
-            windows = bank.samples()
+            windows = X[t + 1 - w:t + 1].transpose(1, 0, 2)
             ref = rng.standard_normal((rows, n2, m))
             copies = min(n2, w) // 2
             ref[:, :copies] = windows[:, -copies:]  # coincident copies

@@ -7,7 +7,7 @@ from etdkf.errors import NumericalError
 from etdkf.filtering import (TriggerConfig, consensus_gain, innovation,
                              innovation_covariance, kalman_gain,
                              measurement_update, posterior_covariance,
-                             should_transmit, time_update, update_predictive)
+                             prior_covariance, should_transmit, update_predictive)
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
 
 
@@ -79,21 +79,18 @@ class TestPredictive:
 
 class TestTimeUpdate:
     def test_identity_no_noise(self):
-        x_prior, P_prior = time_update(np.array([3.0, 4.0]), np.diag([2.0, 5.0]),
-                                       np.eye(2), np.zeros((2, 2)))
-        assert np.array_equal(x_prior, [3.0, 4.0])
+        P_prior = prior_covariance(np.diag([2.0, 5.0]), np.eye(2), np.zeros((2, 2)))
         assert np.array_equal(P_prior, np.diag([2.0, 5.0]))
 
     def test_orthogonal_a_with_unit_noise(self):
-        _, P_prior = time_update(np.zeros(2), np.eye(2), rotation(), np.eye(2))
+        P_prior = prior_covariance(np.eye(2), rotation(), np.eye(2))
         assert np.allclose(P_prior, 2.0 * np.eye(2), atol=1e-12)
 
     def test_preserves_psd(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             B = rng.standard_normal((3, 3))
-            _, P_prior = time_update(np.zeros(3), B @ B.T, rng.standard_normal((3, 3)),
-                                     np.eye(3))
+            P_prior = prior_covariance(B @ B.T, rng.standard_normal((3, 3)), np.eye(3))
             assert np.linalg.eigvalsh(P_prior).min() > -1e-10
 
 
@@ -180,7 +177,8 @@ class TestInnovation:
             if k > 500:
                 rs.append(r)
                 omegas.append(innovation_covariance(P_prior, C, R))
-            x_prior, P_prior = time_update(*isolated_update(x_prior, P_prior, y, C, R), A, Q)
+            x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
+            x_prior, P_prior = np.matvec(A, x_post), prior_covariance(P_post, A, Q)
             x = A @ x + src.draw_process_noise(model)
         sample = np.cov(np.array(rs).T)
         omega = omegas[-1]
@@ -301,7 +299,7 @@ class TestFilterEquivalence:
             x_ref, P_ref = ref.step(y)
             assert np.all(np.abs(x_post - x_ref) < 1e-12)
             assert np.all(np.abs(P_post - P_ref) < 1e-12)
-            x_prior, P_prior = time_update(x_post, P_post, A, Q)
+            x_prior, P_prior = np.matvec(A, x_post), prior_covariance(P_post, A, Q)
             x = A @ x + src.draw_process_noise(model)
 
     def test_posterior_not_above_prior_without_consensus(self):
@@ -328,7 +326,7 @@ class TestFilterEquivalence:
             y = C @ x + src.draw_measurement_noise(sensor, 1)
             x_post, P_post = isolated_update(x_prior, P_prior, y, C, R)
             errs.append(np.linalg.norm(x_post - x))
-            x_prior, P_prior = time_update(x_post, P_post, A, Q)
+            x_prior, P_prior = np.matvec(A, x_post), prior_covariance(P_post, A, Q)
             x = A @ x + src.draw_process_noise(model)
         errs = np.array(errs)
         tail = errs[200:]

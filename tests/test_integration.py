@@ -2,11 +2,18 @@
 detection and trust, and the soundness of unaffected nodes."""
 
 import dataclasses
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etdkf import simulate
+from etdkf.attacks import AttackPlan, SignalSpec
+from etdkf.graphs import Graph
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
-from etdkf.simulate import compute_metrics, run_scenario
+from etdkf.simulate import compute_metrics, export_csv, run_scenario
 
 
 def six_node_config(**overrides):
@@ -106,3 +113,60 @@ class TestEventTriggeredBehavior:
         for d in (0, 1):
             assert np.array_equal(trace.column(f"xpred_{d}")[sent],
                                   trace.column(f"xbar_{d}")[sent])
+
+
+@pytest.mark.parametrize("value", [1e155, 1e160, 1e300])
+def test_overflowing_injection_is_flagged_and_distrusted(value):
+    """An injection so large that the k-NN distances overflow reads as an
+    infinite divergence: the run completes, flags the node one step after
+    the onset and drives its confidence to ~0."""
+    cfg = dataclasses.replace(get_preset("fig7"), steps=120, attacks=[AttackPlan(
+        kind="measurement_injection", node=2, onset=50, signal=SignalSpec(value=value))])
+    trace = run_scenario(cfg)
+    assert compute_metrics(trace).detection_latency == {2: 1}
+    assert trace.series("phi", 2)[-1] == np.inf
+    assert 0.0 < trace.series("beta", 2)[-1] < 1e-12
+
+
+def test_covariance_half_computed_once_per_run(monkeypatch):
+    """Gains, posterior covariances and matrix consensus gains are computed
+    once per step of a run, not once per pass: fig7 runs a twin."""
+    calls = {}
+    for name in ("kalman_gain", "posterior_covariance", "consensus_gain"):
+        def counted(*args, _real=getattr(simulate, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(simulate, name, counted)
+    cfg = get_preset("fig7")
+    cfg.steps, cfg.consensus.mode = 12, "matrix"
+    run_scenario(cfg)
+    groups = len({s.p for s in cfg.sensors})
+    assert calls == {"kalman_gain": 12 * groups, "posterior_covariance": 12 * groups,
+                     "consensus_gain": 12}
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 3-8 nodes plus random extra edges."""
+    n = draw(st.integers(3, 8))
+    edges = {(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)}
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=2 * n))
+    return Graph(n, edges | {(a, b) for a, b in extra if a != b})
+
+
+@settings(max_examples=15, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**31 - 1))
+def test_pinned_beliefs_reproduce_nominal_bytes(graph, seed):
+    """Resilient mode with every weight pinned to one writes nominal's
+    nodes.csv byte for byte, on any connected graph and seed."""
+    fig7 = get_preset("fig7")
+    cfg = dataclasses.replace(
+        fig7, steps=40, seed=seed, graph=graph, sensors=[fig7.sensors[0]] * graph.node_count,
+        detector=dataclasses.replace(fig7.detector, window=10, k_nn=3, average=5),
+        attacks=[dataclasses.replace(fig7.attacks[0], onset=20)], bound_monitor=True)
+    with tempfile.TemporaryDirectory() as out:
+        pinned, nominal = (
+            export_csv(run_scenario(dataclasses.replace(cfg, **change)), f"{out}/{key}")["nodes"]
+            for key, change in (("pinned", {"beliefs_pinned": True}),
+                                ("nominal", {"filter_mode": "nominal"})))
+        assert open(pinned, "rb").read() == open(nominal, "rb").read()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from etdkf.errors import ConfigurationError
-from etdkf.models import (NoiseSource, ProcessModel, SensorModel,
-                          is_collectively_observable, measure,
-                          observability_rank, step_process)
+from etdkf.models import (STREAM_INITIAL_STATE, STREAM_PROCESS, NoiseSource,
+                          ProcessModel, SensorModel, is_collectively_observable,
+                          measure, observability_rank, step_process)
 
 
 def rotation(theta):
@@ -149,6 +149,24 @@ class TestNoise:
         first = src.draw_process_noise(model)
         clone = NoiseSource(src.seed)
         assert np.array_equal(clone.draw_process_noise(model), first)
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_draws_equal_multivariate_normal(self, singular):
+        """The cached factors give multivariate_normal's draws bit for bit:
+        Cholesky for a definite covariance, the SVD method for a singular one."""
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        if singular:
+            cov = np.array([[1.0, 2.0], [2.0, 4.0]])
+        model = ProcessModel(A=np.eye(2), Q=cov, x0_mean=[0.5, -1.0], P0=cov)
+        method = "svd" if singular else "cholesky"
+        src = NoiseSource(seed=6)
+        for stream, mean, draw in ((STREAM_PROCESS, np.zeros(2), src.draw_process_noise),
+                                   (STREAM_INITIAL_STATE, model.x0_mean,
+                                    src.draw_initial_state)):
+            rng = np.random.default_rng(np.random.SeedSequence([6, stream]))
+            for _ in range(50):
+                assert np.array_equal(draw(model),
+                                      rng.multivariate_normal(mean, cov, method=method))
 
 
 class TestModelValidation:

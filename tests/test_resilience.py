@@ -86,6 +86,26 @@ class TestDiscountedBeliefs:
         assert divergence_statistic(float("nan"), 0.5) == 1.0
 
 
+divergences = st.one_of(st.floats(min_value=0.0), st.just(np.inf), st.just(np.nan))
+scales = st.floats(0.01, 0.99)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scales, scales, scales, scales,
+       st.lists(st.tuples(st.lists(divergences, min_size=3, max_size=3),
+                          st.lists(divergences, min_size=2, max_size=2)),
+                min_size=1, max_size=40))
+def test_normalized_beliefs_stay_in_unit_interval(upsilon1, lambda1, kappa1, kappa2, steps):
+    """Any divergence in [0, +inf] (or none yet, NaN) keeps chi, theta, beta
+    and sigma in (0, 1]."""
+    cfg = ResilientConfig(upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2)
+    bs = BeliefState([1, 2, 3], [(1, 2), (2, 1)], cfg)
+    for node_div, edge_div in steps:
+        bs.step(node_div, edge_div)
+        for value in (bs.chi, bs.theta, bs.beta.value, bs.sigma.value):
+            assert np.all((0.0 < value) & (value <= 1.0)), (value, node_div, edge_div)
+
+
 class TestWeightedNeighborEstimate:
     def test_unit_weights_recover_shared_value(self):
         xs = [np.array([1.0, 2.0]), np.array([1.0, 2.0])]

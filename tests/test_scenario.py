@@ -722,6 +722,23 @@ class TestCli:
         assert json.loads(capsys.readouterr().out) == stored
         assert cli_main(["run", "--scenario", str(cpath), "--out", str(tmp_path / "again")]) == 0
 
+    def test_negative_seed_in_scenario_exits_2(self, tmp_path, capsys):
+        d = get_preset("fig3").to_dict()
+        d["seed"] = -1
+        spath = tmp_path / "negative.yaml"
+        spath.write_text(yaml.safe_dump(d, sort_keys=False))
+        for argv in (["validate", "--scenario", str(spath)],
+                     ["run", "--scenario", str(spath), "--out", str(tmp_path / "out")]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["run", "--preset", "fig3", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
         # Two identical rows in C and a negligible R: the innovation covariance
         # R + C P C^T rounds to an exactly singular matrix at the first gain.

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from etdkf.filtering import (consensus_gain, innovation, innovation_covariance,
                              kalman_gain, measurement_update, posterior_covariance,
-                             should_transmit, sym, time_update, update_predictive,
+                             prior_covariance, should_transmit, sym, update_predictive,
                              vector_norm)
 from etdkf.models import measure
 from etdkf.resilience import BoundMonitor, weighted_neighbor_estimate
@@ -77,10 +77,10 @@ def test_filter_kernels_equal_per_node(net):
                           per_node(innovation_covariance, net.P, net.C, net.R))
     assert np.array_equal(innovation(net.y, net.C, net.x_prior),
                           per_node(innovation, net.y, net.C, net.x_prior))
-    x, P = time_update(net.x_prior, net.P, net.A, net.Q)
-    one = [time_update(xb, Pb, net.A, net.Q) for xb, Pb in zip(net.x_prior, net.P)]
-    assert np.array_equal(x, np.array([o[0] for o in one]))
-    assert np.array_equal(P, np.array([o[1] for o in one]))
+    assert np.array_equal(np.matvec(net.A, net.x_prior),
+                          np.array([np.matvec(net.A, xb) for xb in net.x_prior]))
+    assert np.array_equal(prior_covariance(net.P, net.A, net.Q),
+                          np.array([prior_covariance(Pb, net.A, net.Q) for Pb in net.P]))
     assert np.array_equal(measure(net.C, net.x_prior[0], net.y),
                           per_node(lambda C, v: measure(C, net.x_prior[0], v), net.C, net.y))
 
