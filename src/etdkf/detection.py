@@ -63,19 +63,24 @@ def pairwise_distances(X, Z) -> np.ndarray:
     computed one coordinate plane at a time: `add.reduce` over a short last
     axis costs more than the arithmetic. It sums fewer than 8 terms left to
     right, which the plane sum repeats; longer axes are summed pairwise, so
-    they go through `norm` itself.
+    they go through `norm` itself. Each plane is read from a contiguous copy
+    and subtracted, squared and added into two buffers allocated once.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     m = X.shape[-1]
     if m >= 8:
         return np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)
-    total = None
-    for c in range(m):
-        d = X[..., :, None, c] - Z[..., None, :, c]
-        d *= d
-        total = d if total is None else total + d
-    return np.sqrt(total)
+    Xc = np.ascontiguousarray(np.moveaxis(X, -1, 0))[..., :, None]   # (m, ..., n1, 1)
+    Zc = np.ascontiguousarray(np.moveaxis(Z, -1, 0))[..., None, :]   # (m, ..., 1, n2)
+    total = np.subtract(Xc[0], Zc[0])
+    np.multiply(total, total, out=total)
+    d = np.empty_like(total)
+    for c in range(1, m):
+        np.subtract(Xc[c], Zc[c], out=d)
+        np.multiply(d, d, out=d)
+        np.add(total, d, out=total)
+    return np.sqrt(total, out=total)
 
 
 def kth_neighbor_distance(D, k_nn: int) -> np.ndarray:
@@ -238,19 +243,34 @@ def _oldest_first(ring, count: int, axis: int = -1) -> np.ndarray:
     return np.ascontiguousarray(np.roll(ring, -(count % size) if size else 0, axis=axis))
 
 
+def reference_factors(omega) -> np.ndarray:
+    """Lower factors L with L L^T = Omega of a stack (..., p, p) of reference
+    covariances, so that `Z @ L.T` maps standard normal (w, p) draws Z to
+    N(0, Omega) windows.
+
+    Each is the Cholesky factor, or for a PSD but singular Omega the eigen
+    square root V sqrt(max(lambda, 0)). An Omega that is not PSD raises
+    `ConfigurationError`. A stack gives its matrices' factors bit for bit.
+    """
+    omega = np.asarray(omega, dtype=float)
+    sym = 0.5 * (omega + np.swapaxes(omega, -1, -2))
+    eig = np.linalg.eigvalsh(sym)
+    bad = eig[..., 0] < -1e-10 * np.maximum(1.0, np.abs(eig[..., -1]))
+    if bad.any():
+        raise ConfigurationError(f"reference covariance not PSD (min eig {eig[..., 0][bad][0]:g})")
+    try:
+        return np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        if omega.ndim > 2:   # factor one by one, so each singular one falls back alone
+            return np.stack([reference_factors(o) for o in omega])
+        vals, vecs = np.linalg.eigh(sym)
+        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+
+
 def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:
     """w i.i.d. draws from N(0, Omega) for the synthetic H0 reference."""
-    omega = np.asarray(omega, dtype=float)
-    eig = np.linalg.eigvalsh(0.5 * (omega + omega.T))
-    if eig[0] < -1e-10 * max(1.0, abs(eig[-1])):
-        raise ConfigurationError(f"reference covariance not PSD (min eig {eig[0]:g})")
-    try:
-        L = np.linalg.cholesky(omega)
-    except np.linalg.LinAlgError:
-        # PSD but singular: fall back to an eigen square root.
-        vals, vecs = np.linalg.eigh(0.5 * (omega + omega.T))
-        L = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-    return rng.standard_normal((w, omega.shape[0])) @ L.T
+    L = reference_factors(omega)
+    return rng.standard_normal((w, L.shape[0])) @ L.T
 
 
 def detect(value, delta: float) -> np.ndarray:

@@ -119,17 +119,24 @@ class NoiseSource:
         return self._cache[key]
 
     # Each draw equals multivariate_normal(mean, cov) bit for bit, with the
-    # method `_factor` picks, without factoring cov again.
+    # method `_factor` picks, without factoring cov again. Given `steps`, a
+    # draw returns the stream's next `steps` draws as (steps, dim), equal to
+    # `steps` single draws: `np.matvec(F, Z)` applies the factor row by row as
+    # `z @ F.T` does, where `Z @ F.T` would move last bits for dim >= 2.
     def draw_initial_state(self, model: ProcessModel) -> np.ndarray:
-        z = self.stream(STREAM_INITIAL_STATE).standard_normal(model.n)
-        return model.x0_mean + z @ model.P0_factor.T
+        return model.x0_mean + self._draw((STREAM_INITIAL_STATE,), model.P0_factor, None)
 
-    def draw_process_noise(self, model: ProcessModel) -> np.ndarray:
-        z = self.stream(STREAM_PROCESS).standard_normal(model.n)
-        return np.zeros(model.n) + z @ model.Q_factor.T
+    def draw_process_noise(self, model: ProcessModel, steps: int | None = None) -> np.ndarray:
+        # Zero mean added as multivariate_normal adds it: -0.0 entries become 0.0.
+        return 0.0 + self._draw((STREAM_PROCESS,), model.Q_factor, steps)
 
-    def draw_measurement_noise(self, sensor: SensorModel, node: int) -> np.ndarray:
-        return self.stream(STREAM_SENSOR, node).standard_normal(sensor.p) @ sensor.R_factor.T
+    def draw_measurement_noise(self, sensor: SensorModel, node: int,
+                               steps: int | None = None) -> np.ndarray:
+        return self._draw((STREAM_SENSOR, node), sensor.R_factor, steps)
+
+    def _draw(self, key, factor: np.ndarray, steps: int | None) -> np.ndarray:
+        shape = factor.shape[:1] if steps is None else (steps, len(factor))
+        return np.matvec(factor, self.stream(*key).standard_normal(shape))
 
 
 def _factor(m: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import ConfigurationError
 from .filtering import slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
+_SMALLEST = np.finfo(float).smallest_subnormal
 
 
 @dataclass
@@ -74,9 +75,14 @@ class DiscountedBelief:
         self._num = k * (self._num + k * stat)
         if self.mode == "normalized":
             self._den = k * (self._den + k)
-            self.value = self._num / self._den
+            # den is 0 exactly when kappa^2 underflows, and num with it: the
+            # newest statistic then carries all the weight.
+            value = self._num / self._den if k * k else np.asarray(stat, float)
         else:
-            self.value = self._num
+            value = self._num
+        # A tiny kappa and statistic underflow the sum to 0; the smallest
+        # positive float keeps the value in (0, 1] without moving any other.
+        self.value = np.maximum(value, _SMALLEST)[()]
         return self.value
 
 

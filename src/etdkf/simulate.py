@@ -28,7 +28,7 @@ import numpy as np
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
-from .detection import KnnWindowBank, detect, nominal_reference_window
+from .detection import KnnWindowBank, detect, reference_factors
 from .errors import ConfigurationError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
@@ -174,57 +174,88 @@ class _TwinData:
         return {p: [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T))
                     for g in range(r.shape[1])] for p, r in rec.items() if len(r) > 2}
 
+    @cached_property
+    def omega_factors(self) -> dict:  # p -> the reference factors of omega_hat, stacked
+        return {p: reference_factors(np.stack(o)) for p, o in self.omega_hat.items()}
+
 
 def covariance_schedule(cfg) -> list:
     """The half of the filter that no measurement, attack or belief reaches,
     computed once per run for both passes: per step, (P_prior, K, M, gamma,
-    P_post) with every node's P_prior, P_post and M = I - K C as (N, n, n),
-    the gains K as p -> (nodes with p channels, n, p) and the consensus gain
-    gamma a scalar, or (N, n, n). A singular innovation covariance raises
-    `NumericalError` naming the node.
+    P_post, L) with every node's P_prior, P_post and M = I - K C as (N, n, n),
+    the gains K as p -> (nodes with p channels, n, p), the consensus gain
+    gamma a scalar, or (N, n, n), and with a synthetic detector reference the
+    `reference_factors` of each node's Omega = C P_prior C^T + R as p -> (nodes
+    with p channels, p, p) (else L is empty). A singular innovation covariance
+    raises `NumericalError` naming the node.
     """
     A, n, N = cfg.process.A, cfg.process.n, cfg.graph.node_count
+    synthetic = cfg.detector.reference == "synthetic"
     groups, C, R = channel_groups(cfg.sensors)
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
     P_prior = np.tile(cfg.process.P0, (N, 1, 1))
     schedule = []
     for _ in range(cfg.steps):
-        K, M, P_post = {}, np.empty((N, n, n)), np.empty((N, n, n))
+        K, M, P_post, L = {}, np.empty((N, n, n)), np.empty((N, n, n)), {}
         for p, rows in groups.items():
             K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
             M[rows] = np.eye(n) - K[p] @ C[p]
             P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
+            if synthetic:
+                L[p] = reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
         gamma = (cfg.consensus.gamma if lam_L is None else
                  consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
-        schedule.append((P_prior, K, M, gamma, P_post))
+        schedule.append((P_prior, K, M, gamma, P_post, L))
         P_prior = prior_covariance(P_post, A, cfg.process.Q)
     return schedule
 
 
+def random_inputs(cfg):
+    """The plant's and sensors' noise of a run, each stream drawn once as a
+    block for both passes: (x0 (n,), w (steps, n), v p -> (steps, nodes with
+    p channels, p)), equal bit for bit to one draw per step."""
+    noise = NoiseSource(cfg.seed)
+    groups, _, _ = channel_groups(cfg.sensors)
+    v = {p: np.stack([noise.draw_measurement_noise(cfg.sensors[b], b + 1, cfg.steps)
+                      for b in rows.tolist()], axis=1) for p, rows in groups.items()}
+    return (noise.draw_initial_state(cfg.process),
+            noise.draw_process_noise(cfg.process, cfg.steps), v)
+
+
+# Overflow, and inf - inf or inf / inf, in a run's arithmetic: an injection
+# large enough to overflow reads as an infinite error or divergence (flagged
+# H1), so numpy's warnings about it are silenced within a run.
+_OVERFLOW_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
 def run_scenario(config) -> SimTrace:
-    """Validate, compute the covariance half once, run (with its attack-free
-    twin when required), return the trace."""
+    """Validate, compute the covariance half and draw the noise once, run
+    (with its attack-free twin when required), return the trace."""
     warnings = config.validate()
     schedule = covariance_schedule(config)
+    draws = random_inputs(config)
     twin, monitored, reference = None, config.bound_monitor_enabled(), config.detector.reference
-    # An attack-free shadow run that is neither resilient nor monitored is its own shadow.
-    if monitored or reference == "calibrated" or reference == "shadow" and (
-            config.attacks or config.filter_mode == "resilient"):
-        twin_cfg = replace(config, attacks=[], filter_mode="nominal",
-                           beliefs_pinned=False, bound_monitor=False)
-        _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, sample_b=monitored)
-    trace, _ = _engine(config, twin=twin, lite=False, schedule=schedule)
+    with np.errstate(**_OVERFLOW_QUIET):
+        # An attack-free shadow run that is neither resilient nor monitored is its own shadow.
+        if monitored or reference == "calibrated" or reference == "shadow" and (
+                config.attacks or config.filter_mode == "resilient"):
+            twin_cfg = replace(config, attacks=[], filter_mode="nominal",
+                               beliefs_pinned=False, bound_monitor=False)
+            _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, draws=draws,
+                              sample_b=monitored)
+        trace, _ = _engine(config, twin=twin, lite=False, schedule=schedule, draws=draws)
     trace.warnings = warnings + trace.warnings
     return trace
 
 
-def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
-    """One pass over the scenario and its `covariance_schedule`, so a step does
-    only data-dependent work; returns (trace, twin data). Every pass records
-    the innovations a later pass reads of its twin; `lite` (the attack-free
-    twin) skips detection, beliefs and the trace (None), and `sample_b`
-    records the increments the bound monitor's B comes from.
+def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
+    """One pass over the scenario, its `covariance_schedule` and its
+    `random_inputs`, so a step does only data-dependent work; returns (trace,
+    twin data). Every pass records the innovations a later pass reads of its
+    twin; `lite` (the attack-free twin) skips detection, beliefs and the trace
+    (None), and `sample_b` records the increments the bound monitor's B comes
+    from.
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -262,7 +293,7 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
     x_prior = np.tile(proc.x0_mean, (N, 1))
     x_post, x_pred, last_tx_prior = x_prior.copy(), x_prior.copy(), x_prior.copy()
     stored = np.tile(proc.x0_mean, (N, D, 1))   # neighbor predictions as each node holds them
-    x = noise.draw_initial_state(proc)
+    x, w, v_all = draws
 
     edge_plans = []
     for plan in cfg.attacks:
@@ -276,6 +307,14 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
     # `at` places each row in [nodes; channels], and its state in [x_prior;
     # stored channel predictions].
     shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
+    # A fresh reference window per node and step, from the node's own stream,
+    # N(0, Omega) through the factors of Omega: live ones from the schedule,
+    # or the twin's calibrated ones (R stands in on <= 2 steps), fixed per run.
+    if not (lite or shadow):
+        ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
+                       for p, rows in groups.items()}
+        fixed_L = None if synthetic else {p: twin.omega_factors[p] if p in twin.omega_factors
+                                          else reference_factors(R[p]) for p in groups}
     windows = []
     for p, rows in groups.items():
         keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if where[j][0] == p]
@@ -301,10 +340,9 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
     b_samples = []
     sampler_calls = sampler_fallbacks = 0
 
-    for k, (P_prior, K, M, gamma, P_post) in enumerate(schedule):
+    for k, (P_prior, K, M, gamma, P_post, live_L) in enumerate(schedule):
         t = k * cfg.dt
-        v = [noise.draw_measurement_noise(s, i) for i, s in zip(nodes, cfg.sensors)]
-        v = {p: np.array([v[b] for b in rows]) for p, rows in groups.items()}
+        v = {p: vp[k] for p, vp in v_all.items()}
         y_clean = {p: measure(C[p], x, v[p]) for p in groups}
         y = {p: yp.copy() for p, yp in y_clean.items()}
         for idx, plan in enumerate(cfg.attacks):   # at most one plan per node
@@ -361,15 +399,14 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
             for p, bank, owner, C_key, at in windows:
                 bank.push(innovation(y[p][owner], C_key, states[at]),
                           source[p][k][owner] if shadow else None)
-                if not shadow:   # Omega: live, or the twin's (R stands in on <= 2 steps)
-                    rows = groups[p]
-                    omegas = (innovation_covariance(P_prior[rows], C[p], R[p]) if synthetic
-                              else twin.omega_hat.get(p, R[p]))
-                    fresh = np.stack([nominal_reference_window(
-                        omega, det.window, noise.stream(STREAM_REFERENCE, i))
-                        for i, omega in zip((rows + 1).tolist(), omegas)])
+                fresh = None
+                if not shadow:   # every step draws, so each stream stays in step
+                    Z = np.stack([rng.standard_normal((det.window, p)) for rng in ref_streams[p]])
+                    if full:
+                        L = live_L[p] if synthetic else fixed_L[p]
+                        fresh = (Z @ np.swapaxes(L, -1, -2))[owner]
                 if full:
-                    d_hat[at] = est = bank.estimates(None if shadow else fresh[owner])
+                    d_hat[at] = est = bank.estimates(fresh)
                     phi[at] = bank.average(est)
             if track_beliefs:
                 beliefs.step(d_hat[:N], d_hat[N + windowed] if full else None)
@@ -424,8 +461,7 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
-        w_k = noise.draw_process_noise(proc)
-        prev_x, x = x, step_process(proc, x, w_k)
+        prev_x, x = x, step_process(proc, x, w[k])
 
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
@@ -436,6 +472,7 @@ def _engine(cfg, twin, lite: bool, schedule, sample_b: bool = False):
 # -- metrics -------------------------------------------------------------------
 
 
+@np.errstate(**_OVERFLOW_QUIET)
 def compute_metrics(trace: SimTrace) -> MetricsReport:
     """Pure aggregation over a trace; recomputable from the exported CSVs."""
     cfg = trace.config
@@ -485,18 +522,19 @@ def metrics_json(report: MetricsReport) -> str:
 
 
 def export_csv(trace: SimTrace, out_dir: str) -> dict:
-    """Write nodes.csv and edges.csv column by column from ndarray.tolist():
-    floats to 17 significant digits (NaN as nan), the rest by str(). Returns the paths."""
+    """Write nodes.csv and edges.csv, each with one `%` format of a row
+    template over the row-major cells of ndarray.tolist(): floats as %.17g
+    (17 significant digits, NaN as nan), the rest as %s. Returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     for key, header, edge in (("nodes", trace.node_columns(), False),
                               ("edges", EDGE_COLUMNS, True)):
-        cells = [map("{:.17g}".format if c.dtype.kind == "f" else str, c.ravel().tolist())
-                 for c in (trace.column(name, edge) for name in header)]
+        cols = [trace.column(name, edge).ravel() for name in header]
+        row = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in cols) + "\n"
+        cells = tuple(itertools.chain.from_iterable(zip(*(c.tolist() for c in cols))))
         paths[key] = os.path.join(out_dir, f"{key}.csv")
         with open(paths[key], "w") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+            fh.write(",".join(header) + "\n" + row * len(cols[0]) % cells)
     return paths
 
 

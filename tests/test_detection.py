@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, detect,
                              estimate_kl, kth_neighbor_distance,
-                             nominal_reference_window, pairwise_distances)
+                             nominal_reference_window, pairwise_distances,
+                             reference_factors)
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import innovation
 from etdkf.scenario import get_preset
@@ -177,6 +178,23 @@ class TestPairwiseDistances:
             assert np.array_equal(pairwise_distances(X, X),
                                   np.linalg.norm(X[:, None] - X[None], axis=-1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 9), st.integers(1, 12), st.integers(1, 12),
+           st.sampled_from([((), ()), ((3,), (3,)), ((3,), (1,)), ((1,), (4,)),
+                            ((), (2,)), ((2, 1), (1, 3))]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_norm_form(self, m, n1, n2, batch, seed):
+        """Any dimension m = 1...9 and broadcast leading axes, with exact
+        duplicates across X and Z: the `norm` form's bits."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((*batch[0], n1, m)) * 10.0 ** rng.uniform(-4, 4, m)
+        Z = rng.standard_normal((*batch[1], n2, m)) * 10.0 ** rng.uniform(-4, 4, m)
+        Z[..., 0, :] = X.reshape(-1, m)[0]
+        want = np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)
+        got = pairwise_distances(X, Z)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_broadcasts_over_leading_axes(self):
         rng = np.random.default_rng(30)
         X = rng.standard_normal((4, 9, 3))
@@ -228,9 +246,12 @@ class TestKnnWindowBank:
     def test_overflowing_distances_read_as_infinite_divergence(self):
         # Every 5th neighbor distance overflows, within X and into Z alike:
         # the log ratios are inf/inf, and the estimate reads +inf, not NaN.
+        # Called outside a run, numpy still reports the overflow; a run
+        # silences it (tests/test_integration.py).
         X = np.random.default_rng(32).standard_normal((10, 2))
         X[5:] = 1e200 * np.arange(1.0, 6.0)[:, None]
-        assert estimate_kl(X, X, 5) == np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert estimate_kl(X, X, 5) == np.inf
 
     @settings(max_examples=40, deadline=None)
     @given(streams())
@@ -348,6 +369,65 @@ class TestReferenceWindow:
         Z = nominal_reference_window(omega, 2000, np.random.default_rng(9))
         assert np.allclose(Z[:, 1], 0.0, atol=1e-12)
         assert np.std(Z[:, 0]) == pytest.approx(1.0, abs=0.1)
+
+
+def per_matrix_factor(omega):
+    """The factor one reference covariance got before factors were batched:
+    PSD check, Cholesky, eigen square root when singular."""
+    eig = np.linalg.eigvalsh(0.5 * (omega + omega.T))
+    if eig[0] < -1e-10 * max(1.0, abs(eig[-1])):
+        raise ConfigurationError(f"reference covariance not PSD (min eig {eig[0]:g})")
+    try:
+        return np.linalg.cholesky(omega)
+    except np.linalg.LinAlgError:
+        vals, vecs = np.linalg.eigh(0.5 * (omega + omega.T))
+        return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
+
+
+@st.composite
+def psd_stacks(draw):
+    """A stack of 1-6 p x p PSD matrices, p = 1...4, some singular (integer
+    factors of lower rank, so the singularity is exact)."""
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            B = rng.integers(-3, 4, (p, draw(st.integers(0, p - 1)) if p > 1 else 0))
+            stack.append((B @ B.T).astype(float))
+        else:
+            B = rng.standard_normal((p, p)) * 10.0 ** rng.uniform(-3, 3)
+            stack.append(B @ B.T + 1e-3 * np.eye(p))
+    return np.array(stack).reshape(-1, p, p)
+
+
+class TestReferenceFactors:
+    @settings(max_examples=80, deadline=None)
+    @given(psd_stacks(), st.integers(2, 40), st.integers(0, 2**32 - 1))
+    def test_batched_factors_equal_per_matrix(self, omegas, w, seed):
+        """The stacked factors, and windows drawn through them with one
+        stacked matmul, equal the per-matrix factors and windows bit for bit."""
+        L = reference_factors(omegas)
+        want = np.array([per_matrix_factor(o) for o in omegas])
+        assert L.tobytes() == want.tobytes()
+        Z = np.stack([np.random.default_rng([seed, g]).standard_normal((w, len(L[g])))
+                      for g in range(len(L))])
+        windows = Z @ np.swapaxes(L, -1, -2)
+        for g, omega in enumerate(omegas):
+            rng = np.random.default_rng([seed, g])
+            assert windows[g].tobytes() == (
+                rng.standard_normal((w, len(omega))) @ want[g].T).tobytes()
+            assert windows[g].tobytes() == nominal_reference_window(
+                omega, w, np.random.default_rng([seed, g])).tobytes()
+
+    def test_singular_and_not_psd(self):
+        singular = np.array([[[1.0, 0.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 2.0]]])
+        L = reference_factors(singular)
+        assert L.tobytes() == np.array([per_matrix_factor(o) for o in singular]).tobytes()
+        assert np.allclose(L @ np.swapaxes(L, -1, -2), singular)
+        not_psd = np.concatenate([singular, [[[1.0, 2.0], [2.0, 1.0]]]])
+        with pytest.raises(ConfigurationError, match="not PSD"):
+            reference_factors(not_psd)
 
 
 class TestNeighborInnovation:

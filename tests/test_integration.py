@@ -2,6 +2,8 @@
 detection and trust, and the soundness of unaffected nodes."""
 
 import dataclasses
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from etdkf import simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.graphs import Graph
+from etdkf.models import NoiseSource
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
 
@@ -143,6 +146,37 @@ def test_covariance_half_computed_once_per_run(monkeypatch):
     groups = len({s.p for s in cfg.sensors})
     assert calls == {"kalman_gain": 12 * groups, "posterior_covariance": 12 * groups,
                      "consensus_gain": 12}
+
+
+def test_overflowing_injection_writes_no_numpy_warning(tmp_path, capfd):
+    """`etdkf run` of that injection prints no raw numpy RuntimeWarning:
+    the run's arithmetic is silenced where it overflows by design."""
+    cfg = dataclasses.replace(get_preset("fig7"), steps=60, attacks=[AttackPlan(
+        kind="measurement_injection", node=2, onset=50, signal=SignalSpec(value=1e300))])
+    (tmp_path / "s.yaml").write_text(cfg.to_yaml())
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "etdkf.cli", "run",
+                           "--scenario", str(tmp_path / "s.yaml"), "--out", str(tmp_path / "o")],
+                          timeout=120)
+    assert done.returncode == 0
+    err = capfd.readouterr().err
+    assert "Warning" not in err, err
+
+
+def test_random_streams_drawn_once_per_run(monkeypatch):
+    """The initial state, the process noise and each sensor's noise are drawn
+    once per run, as one block each, and shared by the twin and main passes."""
+    calls = []
+    for name in ("draw_initial_state", "draw_process_noise", "draw_measurement_noise"):
+        def spy(self, *args, _real=getattr(NoiseSource, name), _name=name, **kwargs):
+            calls.append((_name, *args[1:2]) if _name == "draw_measurement_noise" else (_name,))
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(NoiseSource, name, spy)
+    cfg = get_preset("fig7")   # a resilient run with its attack-free twin
+    cfg.steps = 12
+    run_scenario(cfg)
+    nodes = list(cfg.graph.nodes)
+    assert sorted(calls) == sorted([("draw_initial_state",), ("draw_process_noise",)]
+                                   + [("draw_measurement_noise", i) for i in nodes])
 
 
 @st.composite

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etdkf.errors import ConfigurationError
-from etdkf.models import (STREAM_INITIAL_STATE, STREAM_PROCESS, NoiseSource,
-                          ProcessModel, SensorModel, is_collectively_observable,
-                          measure, observability_rank, step_process)
+from etdkf.models import (STREAM_INITIAL_STATE, STREAM_PROCESS, STREAM_SENSOR,
+                          NoiseSource, ProcessModel, SensorModel,
+                          is_collectively_observable, measure, observability_rank,
+                          step_process)
 
 
 def rotation(theta):
@@ -167,6 +170,31 @@ class TestNoise:
             for _ in range(50):
                 assert np.array_equal(draw(model),
                                       rng.multivariate_normal(mean, cov, method=method))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 60), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_block_draws_equal_per_step_draws(p, rank, steps, seed, scaled):
+    """A block of `steps` draws equals `steps` single draws `z @ F.T` from
+    the same stream bit for bit, for definite and singular (SVD-factored)
+    covariances."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((p, min(rank, p))) * (10.0 ** rng.uniform(-3, 3) if scaled else 1)
+    cov = B @ B.T
+    model = ProcessModel(A=np.eye(p), Q=cov, x0_mean=np.zeros(p), P0=cov)
+    sensor = SensorModel(C=np.eye(p), R=cov + np.eye(p))
+    # The single draws as the engine took them per step: process noise with
+    # its zero mean added, sensor noise without.
+    for stream, draw, block in (
+            ((STREAM_PROCESS,), lambda z: np.zeros(p) + z @ model.Q_factor.T,
+             NoiseSource(seed).draw_process_noise(model, steps)),
+            ((STREAM_SENSOR, 3), lambda z: z @ sensor.R_factor.T,
+             NoiseSource(seed).draw_measurement_noise(sensor, 3, steps))):
+        single = np.random.default_rng(np.random.SeedSequence([seed, *stream]))
+        want = np.array([draw(single.standard_normal(p)) for _ in range(steps)])
+        assert block.shape == (steps, p)
+        assert block.tobytes() == want.tobytes()
 
 
 class TestModelValidation:

@@ -106,6 +106,34 @@ def test_normalized_beliefs_stay_in_unit_interval(upsilon1, lambda1, kappa1, kap
             assert np.all((0.0 < value) & (value <= 1.0)), (value, node_div, edge_div)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.sampled_from(["normalized", "unnormalized"]),
+       st.lists(st.tuples(st.lists(st.floats(min_value=0.0), min_size=2, max_size=2),
+                          st.lists(st.floats(min_value=0.0), min_size=1, max_size=1)),
+                min_size=1, max_size=60))
+def test_beliefs_stay_positive_for_any_discount(kappa, discounting, steps):
+    """No kappa in (0, 1) and no divergence in [0, +inf] underflows beta or
+    sigma to 0 (or 0/0): they stay in (0, 1] normalized, and positive and
+    finite unnormalized."""
+    cfg = ResilientConfig(kappa1=kappa, kappa2=kappa, discounting=discounting)
+    bs = BeliefState([1, 2], [(1, 2)], cfg)
+    for node_div, edge_div in steps:
+        bs.step(node_div, edge_div)
+        for value in (bs.beta.value, bs.sigma.value):
+            assert np.all(0.0 < value) and np.all(np.isfinite(value)), (value, kappa)
+            if discounting == "normalized":
+                assert np.all(value <= 1.0), (value, kappa)
+
+
+def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
+    """kappa = 1e-9 with +inf from the start used to underflow beta to 0."""
+    bs = BeliefState([1], [(1, 1)], ResilientConfig(kappa1=1e-9, kappa2=1e-9))
+    for _ in range(200):
+        bs.step([np.inf], [np.inf])
+    assert bs.beta.value[0] > 0.0 and bs.sigma.value[0] > 0.0
+
+
 class TestWeightedNeighborEstimate:
     def test_unit_weights_recover_shared_value(self):
         xs = [np.array([1.0, 2.0]), np.array([1.0, 2.0])]

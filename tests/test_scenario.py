@@ -127,6 +127,17 @@ class TestConfigRoundTrip:
         clone = ScenarioConfig.from_yaml(cfg.to_yaml())
         assert clone.to_dict() == cfg.to_dict()
 
+    @pytest.mark.parametrize("name", list_presets())
+    def test_config_yaml_bytes_as_pure_python_yaml(self, name):
+        """config.yaml is written and read through libyaml where PyYAML has
+        it: the bytes are yaml.safe_dump's and the mapping yaml.safe_load's."""
+        cfg = get_preset(name)
+        text = cfg.to_yaml()
+        assert text == yaml.dump(cfg.to_dict(), Dumper=yaml.SafeDumper, sort_keys=False)
+        clone = ScenarioConfig.from_yaml(text)
+        assert clone.to_dict() == ScenarioConfig.from_dict(
+            yaml.load(text, Loader=yaml.SafeLoader)).to_dict() == cfg.to_dict()
+
     def test_validation_enumerates_all_violations(self):
         cfg = tiny_config()
         cfg.steps = -5
@@ -673,11 +684,15 @@ class TestCli:
                          str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["missing_keys", "top_level_list", "null_signal"])
+    @pytest.mark.parametrize("case", ["missing_keys", "top_level_list", "null_signal",
+                                      "bad_syntax"])
     def test_malformed_yaml_exits_2(self, case, tmp_path, capsys):
         import yaml
         d = tiny_config().to_dict()
-        if case == "missing_keys":
+        if case == "bad_syntax":
+            text = yaml.safe_dump(d).replace("steps:", "steps: [1,", 1)
+            want = "not valid YAML: "
+        elif case == "missing_keys":
             for key in ("trigger", "process", "graph", "sensors", "steps"):
                 del d[key]
             text, want = yaml.safe_dump(d), "missing required key 'steps'"
