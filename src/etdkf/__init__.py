@@ -4,8 +4,7 @@ based resilient estimation."""
 
 from .attacks import (AttackPlan, AttackRecursion, SignalSpec, corrupt_channel,
                       corrupt_measurement, craft_non_triggering, craft_replay)
-from .detection import (DetectorConfig, KnnWindowBank, detect, estimate_kl,
-                        nominal_reference_window)
+from .detection import DetectorConfig, KnnWindowBank, detect, estimate_kl
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (TriggerConfig, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,

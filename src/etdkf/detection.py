@@ -19,6 +19,7 @@ also keeps each row's last T estimates for the detectors' sliding mean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,13 +193,13 @@ class KnnWindowBank:
         z = None if reference is None else self._one_per_row(reference)
         s = self.count % self.window
         self._x[:, s] = x
-        d = pairwise_distances(x[:, None], self._x)[:, 0]
+        d = _distances_to(self._x, x)
         self._dxx[:, s, :] = d
         self._dxx[:, :, s] = d
         if z is not None:
             self._z[:, s] = z
-            self._dxz[:, s, :] = pairwise_distances(x[:, None], self._z)[:, 0]
-            self._dxz[:, :, s] = pairwise_distances(self._x, z[:, None])[..., 0]
+            self._dxz[:, s, :] = _distances_to(self._z, x)
+            self._dxz[:, :, s] = _distances_to(self._x, z)
         self.count += 1
 
     def estimates(self, reference=None) -> np.ndarray:
@@ -234,13 +235,40 @@ class KnnWindowBank:
         return np.mean(_oldest_first(self._raw[:, :self._averaged], self._averaged), axis=1)
 
 
-def _oldest_first(ring, count: int, axis: int = -1) -> np.ndarray:
-    """A ring written `count` times in slot order, oldest entry first, C-contiguous.
+def _distances_to(ring, q) -> np.ndarray:
+    """Distances (rows, w) from each row's samples in `ring` (rows, w, m) to
+    its one sample in `q` (rows, m), bit for bit
+    `pairwise_distances(q[:, None], ring)[:, 0]`: the same squares (ring - q
+    is -(q - ring) exactly) summed plane by plane in the same order, read
+    from the ring in place."""
+    if ring.shape[-1] >= 8:
+        return pairwise_distances(q[:, None], ring)[:, 0]
+    d = ring - q[:, None]
+    np.multiply(d, d, out=d)
+    if d.shape[-1] == 1:
+        return np.sqrt(d[..., 0])
+    total = np.add(d[..., 0], d[..., 1])
+    for c in range(2, d.shape[-1]):
+        np.add(total, d[..., c], out=total)
+    return np.sqrt(total, out=total)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ring_order(size: int, oldest: int) -> np.ndarray:
+    """Slot indices of a ring of `size` slots, oldest (slot `oldest`) first."""
+    order = (np.arange(size) + oldest) % size
+    order.setflags(write=False)
+    return order
+
+
+def _oldest_first(ring, count: int) -> np.ndarray:
+    """A ring (..., size) written `count` times in slot order, oldest entry
+    first along the last axis, C-contiguous (a gather, as `np.roll` gives it).
 
     Once the ring is full, slot `count % size` holds the oldest entry.
     """
-    size = ring.shape[axis]
-    return np.ascontiguousarray(np.roll(ring, -(count % size) if size else 0, axis=axis))
+    size = ring.shape[-1]
+    return np.take(ring, _ring_order(size, count % size), axis=-1)
 
 
 def reference_factors(omega) -> np.ndarray:
@@ -265,12 +293,6 @@ def reference_factors(omega) -> np.ndarray:
             return np.stack([reference_factors(o) for o in omega])
         vals, vecs = np.linalg.eigh(sym)
         return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
-
-
-def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:
-    """w i.i.d. draws from N(0, Omega) for the synthetic H0 reference."""
-    L = reference_factors(omega)
-    return rng.standard_normal((w, L.shape[0])) @ L.T
 
 
 def detect(value, delta: float) -> np.ndarray:

@@ -53,10 +53,12 @@ def divergence_statistic(divergence, scale: float):
     """chi (or theta): scale / (scale + D), D the divergence clipped to [0,
     the largest finite float], so +inf stays in (0, 1]; NaN maps to 1.
 
-    Elementwise over an array of divergences; a scalar gives a scalar.
+    A tiny scale with a huge D underflows the ratio to 0; it is floored at
+    the smallest positive float, as the beliefs are. Elementwise over an
+    array of divergences; a scalar gives a scalar.
     """
     d = np.minimum(np.maximum(np.asarray(divergence, float), 0.0), np.finfo(float).max)
-    return np.where(np.isnan(d), 1.0, scale / (scale + d))[()]
+    return np.maximum(np.where(np.isnan(d), 1.0, scale / (scale + d)), _SMALLEST)[()]
 
 
 @dataclass

@@ -188,6 +188,14 @@ def covariance_schedule(cfg) -> list:
     `reference_factors` of each node's Omega = C P_prior C^T + R as p -> (nodes
     with p channels, p, p) (else L is empty). A singular innovation covariance
     raises `NumericalError` naming the node.
+
+    Every entry is a pure function of its P_prior. Once the Riccati step
+    returns the same P_prior bit for bit (the steady-state filter; every
+    preset gets there by step 12), every later entry would equal the current
+    one, so that one tuple object fills the rest of the schedule. A P_prior
+    that never settles (an unstable mode no sensor sees, a last-bit limit
+    cycle) is stepped to the end. The arrays are read-only, since one entry
+    may serve many steps.
     """
     A, n, N = cfg.process.A, cfg.process.n, cfg.graph.node_count
     synthetic = cfg.detector.reference == "synthetic"
@@ -196,7 +204,7 @@ def covariance_schedule(cfg) -> list:
              if cfg.consensus.mode == "matrix" else None)
     P_prior = np.tile(cfg.process.P0, (N, 1, 1))
     schedule = []
-    for _ in range(cfg.steps):
+    while len(schedule) < cfg.steps:
         K, M, P_post, L = {}, np.empty((N, n, n)), np.empty((N, n, n)), {}
         for p, rows in groups.items():
             K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
@@ -206,8 +214,16 @@ def covariance_schedule(cfg) -> list:
                 L[p] = reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
         gamma = (cfg.consensus.gamma if lam_L is None else
                  consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
-        schedule.append((P_prior, K, M, gamma, P_post, L))
-        P_prior = prior_covariance(P_post, A, cfg.process.Q)
+        entry = (P_prior, K, M, gamma, P_post, L)
+        for a in (P_prior, M, P_post, gamma, *K.values(), *L.values()):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        schedule.append(entry)
+        P_next = prior_covariance(P_post, A, cfg.process.Q)
+        # Bit patterns, so that -0.0 and +0.0 (or two NaN payloads) differ.
+        if np.array_equal(P_next.view(np.int64), P_prior.view(np.int64)):
+            schedule += [entry] * (cfg.steps - len(schedule))
+        P_prior = P_next
     return schedule
 
 

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, detect,
-                             estimate_kl, kth_neighbor_distance,
-                             nominal_reference_window, pairwise_distances,
+                             estimate_kl, kth_neighbor_distance, pairwise_distances,
                              reference_factors)
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import innovation
@@ -344,6 +343,13 @@ class TestPhi:
             got = bank.average(history[t])
             for b in range(rows):
                 assert got[b] == np.mean(history[max(0, t + 1 - T):t + 1, b].tolist()), (t, b)
+
+
+def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:
+    """w i.i.d. draws from N(0, Omega) through the factor of one Omega: the
+    per-node window the engine's stacked draws must equal."""
+    L = reference_factors(omega)
+    return rng.standard_normal((w, L.shape[0])) @ L.T
 
 
 class TestReferenceWindow:

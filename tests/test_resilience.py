@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, measurement_update
 from etdkf.graphs import Graph
@@ -11,6 +14,7 @@ from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
                               divergence_statistic, trust_masked_laplacian,
                               update_confidence, update_trust,
                               weighted_neighbor_estimate)
+from etdkf.scenario import get_preset
 from etdkf.simulate import run_scenario
 
 from test_scenario import tiny_config
@@ -132,6 +136,36 @@ def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
     for _ in range(200):
         bs.step([np.inf], [np.inf])
     assert bs.beta.value[0] > 0.0 and bs.sigma.value[0] > 0.0
+
+
+@pytest.mark.parametrize("scale", ["upsilon1", "lambda1"])
+def test_tiny_divergence_scale_with_infinite_divergence_keeps_statistics_positive(scale):
+    """upsilon1 (or lambda1) = 1e-300 with +inf used to underflow chi (or
+    theta) to 0, which the confidence (trust) update rejects mid-run."""
+    bs = BeliefState([1, 2], [(1, 2), (2, 1)], ResilientConfig(**{scale: 1e-300}))
+    for _ in range(5):
+        bs.step([np.inf, 0.0], [np.inf, 0.0])
+        for value in (bs.chi, bs.theta, bs.beta.value, bs.sigma.value):
+            assert np.all((0.0 < value) & (value <= 1.0)), value
+    assert divergence_statistic(np.inf, 1e-300) == np.finfo(float).smallest_subnormal
+
+
+@pytest.mark.parametrize("scale", ["upsilon1", "lambda1"])
+def test_run_with_tiny_divergence_scale_and_overflowing_injection_completes(scale):
+    """A scenario that `validate` accepts, with a tiny divergence scale and an
+    injection that overflows the k-NN distances, runs to the end with every
+    confidence and trust in (0, 1]."""
+    fig7 = get_preset("fig7")
+    cfg = dataclasses.replace(
+        fig7, steps=60, resilient=dataclasses.replace(fig7.resilient, **{scale: 1e-300}),
+        detector=dataclasses.replace(fig7.detector, window=10, k_nn=3, average=3),
+        attacks=[AttackPlan(kind="measurement_injection", node=2, onset=30,
+                            signal=SignalSpec(value=1e300))])
+    cfg.validate()
+    trace = run_scenario(cfg)
+    assert trace.series("phi", 2)[-1] == np.inf
+    for value in (trace.column("beta"), trace.column("sigma", edge=True)):
+        assert np.all((0.0 < value) & (value <= 1.0))
 
 
 class TestWeightedNeighborEstimate:
