@@ -15,7 +15,6 @@ from .models import (NoiseSource, ProcessModel, SensorModel,
                      is_collectively_observable, measure, observability_rank,
                      step_process)
 from .resilience import (BeliefState, BoundMonitor, ResilientConfig,
-                         update_confidence, update_trust,
                          weighted_neighbor_estimate)
 from .scenario import ScenarioConfig, get_preset, list_presets
 from .simulate import (MetricsReport, SimTrace, compute_metrics, export_csv,

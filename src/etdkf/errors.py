@@ -14,4 +14,5 @@ class ValidationError(ConfigurationError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when a linear-algebra step fails (singular innovation covariance)."""
+    """Raised when a linear-algebra step fails (a singular innovation
+    covariance, a matrix consensus gain that overflows)."""

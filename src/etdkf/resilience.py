@@ -88,20 +88,6 @@ class DiscountedBelief:
         return self.value
 
 
-def update_confidence(beta: DiscountedBelief, chi_k):
-    """Advance a node's confidence (or every node's) with this step's statistic."""
-    if not np.all((0.0 < chi_k) & (chi_k <= 1.0)):
-        raise ConfigurationError(f"chi must lie in (0,1], got {chi_k}")
-    return beta.update(chi_k)
-
-
-def update_trust(sigma: DiscountedBelief, theta_k):
-    """Advance an edge's trust (or every edge's) with this step's statistic."""
-    if not np.all((0.0 < theta_k) & (theta_k <= 1.0)):
-        raise ConfigurationError(f"theta must lie in (0,1], got {theta_k}")
-    return sigma.update(theta_k)
-
-
 class BeliefState:
     """Confidence of every node and trust of every incoming edge, as arrays
     in the order of `nodes` and `incoming_edges`."""
@@ -119,10 +105,10 @@ class BeliefState:
         """Advance every node with its divergence, (N,) with NaN where there
         is none yet, and every edge with (E,) once the edge windows are full."""
         self.chi = divergence_statistic(node_divergence, self.config.upsilon1)
-        update_confidence(self.beta, self.chi)
+        self.beta.update(self.chi)
         if edge_divergence is not None:
             self.theta = divergence_statistic(edge_divergence, self.config.lambda1)
-            update_trust(self.sigma, self.theta)
+            self.sigma.update(self.theta)
 
 
 def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:

@@ -15,11 +15,13 @@ and "calibrated" draws from a twin-run sample covariance.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import os
 import typing
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
@@ -29,7 +31,7 @@ from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
 from .detection import KnnWindowBank, detect, reference_factors
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         kalman_gain, measurement_update, posterior_covariance,
                         prior_covariance, should_transmit, update_predictive,
@@ -117,14 +119,16 @@ class SimTrace:
                                                                     self.node_cols)
         if list(table.columns) != header:
             raise ValidationError([f"{table.path}: line 1: the header is not {','.join(header)}"])
-        want = self._grid(edge)
-        got, expected = (list(zip(*(columns[key].tolist() for key in want)))
-                         for columns in (table.columns, want))
-        if got != expected:
-            at, rows = next((at, rows) for at, rows in enumerate(
-                itertools.zip_longest(got, expected)) if rows[0] != rows[1])
-            found, wanted = (", ".join(map("{} {}".format, want, keys)) if keys
-                             else "the end of the file" for keys in rows)
+        want, got = self._grid(edge), table.columns
+        sizes = len(got["step"]), len(want["step"])
+        if sizes[0] != sizes[1] or not all(np.array_equal(got[key], want[key]) for key in want):
+            rows = min(sizes)
+            differ = np.flatnonzero(np.any([got[key][:rows] != want[key][:rows]
+                                            for key in want], axis=0))
+            at = int(differ[0]) if differ.size else rows   # else one grid ends first
+            found, wanted = (", ".join(f"{key} {keys[key][at]}" for key in want)
+                             if at < size else "the end of the file"
+                             for keys, size in zip((got, want), sizes))
             raise ValidationError([f"{table.path}: line {at + 2}: expected {wanted}; "
                                    f"found {found}"])
         for name in cols:
@@ -187,7 +191,8 @@ def covariance_schedule(cfg) -> list:
     gamma a scalar, or (N, n, n), and with a synthetic detector reference the
     `reference_factors` of each node's Omega = C P_prior C^T + R as p -> (nodes
     with p channels, p, p) (else L is empty). A singular innovation covariance
-    raises `NumericalError` naming the node.
+    raises `NumericalError` naming the node, and so does a matrix consensus
+    gain that overflows or whose SVD fails, naming the step.
 
     Every entry is a pure function of its P_prior. Once the Riccati step
     returns the same P_prior bit for bit (the steady-state filter; every
@@ -212,8 +217,13 @@ def covariance_schedule(cfg) -> list:
             P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
             if synthetic:
                 L[p] = reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
-        gamma = (cfg.consensus.gamma if lam_L is None else
-                 consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
+        try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
+            with np.errstate(over="raise", invalid="raise"):
+                gamma = (cfg.consensus.gamma if lam_L is None else
+                         consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"the matrix consensus gain could not be computed at step "
+                                 f"{len(schedule)} ({exc})") from None
         entry = (P_prior, K, M, gamma, P_post, L)
         for a in (P_prior, M, P_post, gamma, *K.values(), *L.values()):
             if isinstance(a, np.ndarray):
@@ -248,7 +258,7 @@ _OVERFLOW_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 def run_scenario(config) -> SimTrace:
     """Validate, compute the covariance half and draw the noise once, run
     (with its attack-free twin when required), return the trace."""
-    warnings = config.validate()
+    notes = config.validate()
     schedule = covariance_schedule(config)
     draws = random_inputs(config)
     twin, monitored, reference = None, config.bound_monitor_enabled(), config.detector.reference
@@ -261,7 +271,7 @@ def run_scenario(config) -> SimTrace:
             _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, draws=draws,
                               sample_b=monitored)
         trace, _ = _engine(config, twin=twin, lite=False, schedule=schedule, draws=draws)
-    trace.warnings = warnings + trace.warnings
+    trace.warnings = notes + trace.warnings
     return trace
 
 
@@ -555,33 +565,71 @@ def export_csv(trace: SimTrace, out_dir: str) -> dict:
 
 
 def load_trace_csv(nodes_path: str, edges_path: str):
-    """(node table, edge table) for SimTrace: each line split once, each
-    column converted once (INT_COLUMNS to int, `flag` kept as text, the rest to
-    float). A ragged line or a bad cell is a ValidationError naming its line."""
+    """(node table, edge table) for SimTrace: each file parsed by one
+    `np.loadtxt` call (INT_COLUMNS as int, `flag` kept as text, the rest as
+    float). A ragged or blank line or a bad cell is a ValidationError naming
+    its line."""
     return _read_table(nodes_path), _read_table(edges_path)
 
 
 def _read_table(path: str) -> TraceTable:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line.split(",") for line in fh.read().splitlines()]
+        body = fh.read()
+    lines = body.splitlines()
+    # Fields by position: a header name may be empty or repeated.
+    fields = [(f"f{i}", int if name in INT_COLUMNS else object if name == "flag" else float)
+              for i, name in enumerate(header)]
+    try:
+        if "" in lines:     # loadtxt skips a blank line, and warns on a file of them
+            raise ValueError("a blank line")
+        if "\x1f" in body:  # loadtxt strips it from a number as a space; int() does not
+            _check_cells(path, header, lines)
+        with warnings.catch_warnings():     # a numpy that reads '1.5' as int 1 warns
+            warnings.simplefilter("error", DeprecationWarning)
+            data = (np.loadtxt(io.StringIO(body), dtype=fields, delimiter=",", comments=None,
+                               quotechar=None, ndmin=1) if lines
+                    else np.empty(0, fields))   # loadtxt warns on a file without rows
+        if len(data) != len(lines):     # a line break that loadtxt does not split at
+            raise ValueError(f"{len(data)} rows in {len(lines)} lines")
+    except ValueError as exc:
+        _check_cells(path, header, lines)
+        raise ValidationError([f"{path}: {exc}"]) from None
+    return TraceTable(path, {name: data[f].tolist() if name == "flag"
+                             else np.ascontiguousarray(data[f])
+                             for name, (f, _) in zip(header, fields)})
+
+
+def _check_cells(path: str, header: list, lines: list):
+    """Raise the ValidationError naming the first line whose cell count
+    differs from the header's, else, column by column in header order, the
+    first cell that int() or float() rejects, else the first that they read
+    and loadtxt does not (`1_0`, a non-ASCII digit)."""
+    rows = [line.split(",") for line in lines]
     at = next((at for at, row in enumerate(rows) if len(row) != len(header)), None)
     if at is not None:
         raise ValidationError([f"{path}: line {at + 2}: {len(rows[at])} cells, "
                                f"the header has {len(header)}"])
-    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    for name, cells in columns.items():
-        kind = int if name in INT_COLUMNS else float
-        try:
-            columns[name] = cells if name == "flag" else np.array(cells, dtype=kind)
-        except ValueError:
-            for at, cell in enumerate(cells):
-                try:
-                    kind(cell)
-                except ValueError:
-                    raise ValidationError([f"{path}: line {at + 2}: cannot read {name} "
-                                           f"{cell!r} as {kind.__name__}"]) from None
-    return TraceTable(path, columns)
+    columns = [(name, int if name in INT_COLUMNS else float, cells)
+               for name, cells in dict(zip(header, zip(*rows))).items() if name != "flag"]
+    for readable in (_reads_as, _plain):
+        for name, kind, cells in columns:
+            at = next((at for at, cell in enumerate(cells) if not readable(cell, kind)), None)
+            if at is not None:
+                raise ValidationError([f"{path}: line {at + 2}: cannot read {name} "
+                                       f"{cells[at]!r} as {kind.__name__}"])
+
+
+def _reads_as(cell: str, kind: type) -> bool:
+    try:
+        kind(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _plain(cell: str, kind: type) -> bool:
+    return cell.isascii() and "_" not in cell
 
 
 def write_run_dir(trace: SimTrace, out_dir: str) -> dict:

@@ -23,7 +23,8 @@ from etdkf.detection import estimate_kl
 from etdkf.filtering import prior_covariance
 from etdkf.models import NoiseSource, ProcessModel, SensorModel
 from etdkf.scenario import get_preset
-from etdkf.simulate import compute_metrics, export_csv, metrics_json, run_scenario
+from etdkf.simulate import (SimTrace, compute_metrics, export_csv, load_trace_csv,
+                            metrics_json, run_scenario)
 
 from test_attacks import batched_two_node_sim, two_node_setup
 from test_filtering import TextbookKF, isolated_update, rotation
@@ -243,7 +244,8 @@ def test_criterion_11_weight_one_reduction(tmp_path):
 def test_criterion_12_determinism(tmp_path):
     """Same-seed reruns are byte-identical, and run `a` of every preset matches
     the SHA-256 digests pinned in `golden_sha256.json`: its trace CSVs and
-    the `metrics_json` of its report.
+    the `metrics_json` of its report, computed from the run and again from
+    the CSVs read back (`etdkf metrics` on a full-size run directory).
 
     The digests were taken with numpy 2.4.6 and Python 3.11.7 on Linux x86_64
     (glibc 2.36). A change that alters a trace on purpose regenerates them and
@@ -262,9 +264,11 @@ def test_criterion_12_determinism(tmp_path):
                 mismatches.append(f"{name}:{key}")
             if hashlib.sha256(data).hexdigest() != golden.get(name, {}).get(key):
                 drifted.append(f"{name}:{key}")
-        metrics = metrics_json(compute_metrics(trace)).encode()
-        if hashlib.sha256(metrics).hexdigest() != golden.get(name, {}).get("metrics"):
-            drifted.append(f"{name}:metrics")
+        reloaded = SimTrace(trace.config, *load_trace_csv(a["nodes"], a["edges"]))
+        for key, source in (("metrics", trace), ("reloaded metrics", reloaded)):
+            metrics = metrics_json(compute_metrics(source)).encode()
+            if hashlib.sha256(metrics).hexdigest() != golden.get(name, {}).get("metrics"):
+                drifted.append(f"{name}:{key}")
     report(12, not mismatches and not drifted,
            f"byte-identical reruns for all presets (mismatches: {mismatches or 'none'}), "
            f"golden digests (drifted: {drifted or 'none'})")

@@ -12,7 +12,6 @@ from etdkf.graphs import Graph
 from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
                               ResilientConfig, assumption4_satisfied,
                               divergence_statistic, trust_masked_laplacian,
-                              update_confidence, update_trust,
                               weighted_neighbor_estimate)
 from etdkf.scenario import get_preset
 from etdkf.simulate import run_scenario
@@ -24,7 +23,7 @@ class TestDiscountedBeliefs:
     def test_all_ones_converges_to_one(self):
         b = DiscountedBelief(kappa=0.5)
         for _ in range(60):
-            update_confidence(b, 1.0)
+            b.update(1.0)
         assert b.value == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_input_converges_to_constant(self):
@@ -38,9 +37,9 @@ class TestDiscountedBeliefs:
     def test_small_input_drives_belief_down(self):
         b = DiscountedBelief(kappa=0.5)
         for _ in range(30):
-            update_confidence(b, 1.0)
+            b.update(1.0)
         for _ in range(30):
-            update_confidence(b, 0.02)
+            b.update(0.02)
         assert b.value < 0.05
 
     def test_unnormalized_mode_matches_literal_sum(self):
@@ -55,15 +54,17 @@ class TestDiscountedBeliefs:
     def test_trust_mirrors_confidence(self):
         s = DiscountedBelief(kappa=0.3)
         for _ in range(100):
-            update_trust(s, 0.6)
+            s.update(0.6)
         assert s.value == pytest.approx(0.6, abs=1e-12)
 
-    def test_range_guard(self):
-        b = DiscountedBelief(kappa=0.5)
-        with pytest.raises(ConfigurationError):
-            update_confidence(b, 0.0)
-        with pytest.raises(ConfigurationError):
-            update_confidence(b, 1.5)
+    def test_divergence_statistic_in_unit_interval(self):
+        # Why BeliefState.step needs no range check before DiscountedBelief.update:
+        # every divergence, NaN and the infinities included, maps into (0, 1].
+        d = np.array([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-300, 1.0, 1e308])
+        for scale in (1e-300, 0.5, 1 - 1e-16):
+            for stat in (divergence_statistic(d, scale),
+                         *(divergence_statistic(x, scale) for x in d.tolist())):
+                assert np.all((0.0 < stat) & (stat <= 1.0)), (scale, stat)
 
     def test_monotone_response_to_divergence(self):
         # pointwise larger divergences give pointwise smaller-or-equal beliefs

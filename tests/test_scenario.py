@@ -1,11 +1,13 @@
 import copy
 import hashlib
+import itertools
 import json
 import math
 import os
 import re
 import string
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +26,9 @@ from etdkf.models import ProcessModel, SensorModel
 from etdkf.resilience import ResilientConfig
 from etdkf.scenario import (ConsensusConfig, ScenarioConfig, _schema, get_preset,
                             list_presets, preset_fig3, preset_fig5, six_node_graph)
-from etdkf.simulate import (EDGE_COLUMNS, SimTrace, compute_metrics, export_csv,
-                            load_trace_csv, run_scenario, write_run_dir)
+from etdkf.simulate import (EDGE_COLUMNS, INT_COLUMNS, SimTrace, TraceTable,
+                            compute_metrics, export_csv, load_trace_csv, run_scenario,
+                            write_run_dir)
 
 
 def tiny_config(**overrides):
@@ -511,6 +514,165 @@ class TestCsvExport:
         assert digest == "af52a90c2668d585"
 
 
+def cell_by_cell_table(path: str) -> TraceTable:
+    """The trace reader before numpy's C parser, kept as an oracle: each line
+    split once, each column converted with one np.array(cells, dtype), and a
+    ragged line or a bad cell named by its line."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.split(",") for line in fh.read().splitlines()]
+    at = next((at for at, row in enumerate(rows) if len(row) != len(header)), None)
+    if at is not None:
+        raise ValidationError([f"{path}: line {at + 2}: {len(rows[at])} cells, "
+                               f"the header has {len(header)}"])
+    columns = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    for name, cells in columns.items():
+        kind = int if name in INT_COLUMNS else float
+        try:
+            columns[name] = cells if name == "flag" else np.array(cells, dtype=kind)
+        except ValueError:
+            for at, cell in enumerate(cells):
+                try:
+                    kind(cell)
+                except ValueError:
+                    raise ValidationError([f"{path}: line {at + 2}: cannot read {name} "
+                                           f"{cell!r} as {kind.__name__}"]) from None
+    return TraceTable(path, columns)
+
+
+def cell_by_cell_load(cfg, paths):
+    """Loading a run directory the way it was done before numpy's C parser:
+    the oracle's tables, their rows compared with the grid as tuples."""
+    tables = [cell_by_cell_table(paths[key]) for key in ("nodes", "edges")]
+    blank = SimTrace(cfg)
+    for table, header, edge in zip(tables, (blank.node_columns(), EDGE_COLUMNS), (False, True)):
+        if list(table.columns) != header:
+            break               # SimTrace names the header
+        want = blank._grid(edge)
+        got, expected = (list(zip(*(columns[key].tolist() for key in want)))
+                         for columns in (table.columns, want))
+        if got != expected:
+            at, rows = next((at, rows) for at, rows in enumerate(
+                itertools.zip_longest(got, expected)) if rows[0] != rows[1])
+            found, wanted = (", ".join(map("{} {}".format, want, keys)) if keys
+                             else "the end of the file" for keys in rows)
+            raise ValidationError([f"{table.path}: line {at + 2}: expected {wanted}; "
+                                   f"found {found}"])
+    return SimTrace(cfg, *tables)
+
+
+def loaded_or_error(load):
+    """Every stored column of the loaded trace as (dtype, bytes), or the
+    ValidationError text; a warning fails the test. Warnings are recorded,
+    not raised, so that none turns into an error inside the load."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            trace = load()
+        except ValidationError as exc:
+            trace = str(exc)
+    assert not caught, [str(w.message) for w in caught]
+    if isinstance(trace, str):
+        return trace
+    return {(kind, name): (col.dtype, col.tobytes()) for kind, cols in (
+        ("node", trace.node_cols), ("edge", trace.edge_cols), ("step", trace.step_cols))
+        for name, col in cols.items()}
+
+
+# Cells Python's int() and float() read but numpy's parser does not.
+STRICTER_CELLS = ["1_0", "\u0661"]
+
+
+DAMAGES = ["blank_line", "truncated_line", "long_line", "cell", "int_cell", "stricter_cell",
+           "delete_row", "duplicate_row", "swap_rows", "crlf", "no_final_newline"]
+
+
+@st.composite
+def damaged_files(draw, lines: list, damage: str):
+    """`lines` (a CSV's, with their line ends) after `damage`, at a random
+    row (the header, in a file without rows), and whether it wrote a
+    stricter cell."""
+    lines, rows = list(lines), range(1, len(lines)) or [0]
+    header = lines[0].rstrip("\n").split(",")
+    at = draw(st.sampled_from(rows))
+    cells = lines[at].rstrip("\n").split(",")
+    if damage == "blank_line":
+        lines.insert(draw(st.integers(0, len(lines))), "\n")
+    elif damage == "truncated_line":
+        lines[at] = ",".join(cells[:draw(st.integers(0, len(cells) - 1))]) + "\n"
+    elif damage == "long_line":
+        lines[at] = ",".join(cells + ["0.5"] * draw(st.integers(1, 3))) + "\n"
+    elif damage in ("cell", "int_cell", "stricter_cell"):
+        numeric = [c for c, name in enumerate(header) if name != "flag"]
+        column = draw(st.sampled_from(
+            {"cell": range(len(cells)), "stricter_cell": numeric,
+             "int_cell": [c for c in numeric if header[c] in INT_COLUMNS]}[damage]))
+        cells[column] = draw(st.sampled_from({"cell": ["garbage", "", "#", "1\x1f"],
+                                              "int_cell": ["1.0", "nan"],
+                                              "stricter_cell": STRICTER_CELLS}[damage]))
+        lines[at] = ",".join(cells) + "\n"
+    elif damage == "delete_row":
+        del lines[at]
+    elif damage == "duplicate_row":
+        lines.insert(at, lines[at])
+    elif damage == "swap_rows":
+        other = draw(st.sampled_from(rows))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif damage == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    else:
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines), damage == "stricter_cell"
+
+
+class TestTraceReader:
+    @settings(max_examples=100, deadline=None)
+    @given(short_runs(), st.sampled_from(["nodes", "edges"]), st.sampled_from(DAMAGES),
+           st.data())
+    def test_damaged_file_reads_as_cell_by_cell(self, cfg, key, damage, data):
+        """After one damage to one of a run's CSVs, loading it gives the
+        columns the cell-by-cell reader gives, in dtype and bytes, or the same
+        error text; a stricter cell is an error either way."""
+        with tempfile.TemporaryDirectory() as out:
+            paths = export_csv(run_scenario(cfg), out)
+            with open(paths[key], newline="") as fh:
+                lines = fh.readlines()
+            text, stricter = data.draw(damaged_files(lines, damage))
+            with open(paths[key], "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            got = loaded_or_error(lambda: SimTrace(cfg, *load_trace_csv(paths["nodes"],
+                                                                        paths["edges"])))
+            want = loaded_or_error(lambda: cell_by_cell_load(cfg, paths))
+        if stricter:
+            assert isinstance(got, str), got
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("cell", ["1.5", "1.0", "1e3", "nan", "1\x1f", *STRICTER_CELLS])
+    def test_unreadable_int_cell_names_its_line(self, cell, tmp_path):
+        """A zeta cell that is not a plain integer is an error naming its
+        line, with no warnings filter of the test's own: the text the
+        cell-by-cell reader gave, or, for a stricter cell it took, the same
+        form."""
+        cfg = tiny_config(steps=3)
+        paths = export_csv(run_scenario(cfg), str(tmp_path))
+        lines = Path(paths["nodes"]).read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[2] = cell             # zeta
+        lines[1] = ",".join(cells)
+        Path(paths["nodes"]).write_text("".join(lines), encoding="utf-8")
+        want = f"{paths['nodes']}: line 2: cannot read zeta {cell!r} as int"
+        with pytest.raises(ValidationError) as got:
+            load_trace_csv(paths["nodes"], paths["edges"])
+        assert str(got.value) == want
+        if cell in STRICTER_CELLS:
+            assert isinstance(cell_by_cell_load(cfg, paths), SimTrace)
+        else:
+            with pytest.raises(ValidationError) as oracle:
+                cell_by_cell_load(cfg, paths)
+            assert str(oracle.value) == want
+
+
 class TestDeterminism:
     def test_same_seed_identical_csv(self, tmp_path):
         cfg = preset_fig3()
@@ -645,6 +807,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"error: {out_dir}/{want}\n"    # one line, naming the file
 
+    @pytest.mark.parametrize("cell", ["1.5", "1.0", "1e3", "nan", "1_0"])
+    def test_metrics_on_non_integral_cell_exits_2(self, cell, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert cli_main(["run", "--scenario", str(self._tiny_yaml(tmp_path)), "--steps", "4",
+                         "--out", str(out_dir)]) == 0
+        lines = (out_dir / "nodes.csv").read_text().splitlines(keepends=True)
+        cells = lines[4].split(",")
+        cells[2] = cell             # zeta
+        lines[4] = ",".join(cells)
+        (out_dir / "nodes.csv").write_text("".join(lines))
+        capsys.readouterr()
+        assert cli_main(["metrics", "--run-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {out_dir}/nodes.csv: line 5: cannot read zeta '{cell}' as int\n"
+
     @staticmethod
     def _tiny_yaml(tmp_path):
         spath = tmp_path / "scn.yaml"
@@ -769,6 +946,28 @@ class TestCli:
         assert rc == 4
         assert err.startswith("error: numerical failure: singular innovation covariance at node 2")
         assert len(err.strip().splitlines()) == 1
+
+    def test_collapsing_matrix_consensus_exits_4(self, tmp_path, capsys):
+        # A stable plant with q = 0: P_prior collapses towards 0 until the
+        # matrix consensus gain's pinv overflows, which used to end the run
+        # with a LinAlgError traceback after `validate` had passed it.
+        cfg = tiny_config(steps=300, graph={"nodes": 2, "edges": [[1, 2]]},
+                          process={"a": [[0.1005, -0.1056], [0.512, 0.0839]],
+                                   "q": [[0.0, 0.0], [0.0, 0.0]], "x0_mean": [0.5, 0.0],
+                                   "p0": [[1.0, 0.0], [0.0, 1.0]]},
+                          sensors={"count": 2, "c": [[1.0, 0.0]], "r": [[1.0]]},
+                          consensus={"mode": "matrix", "gamma": 0.5})
+        spath = tmp_path / "collapsing.yaml"
+        spath.write_text(cfg.to_yaml())
+        assert cli_main(["validate", "--scenario", str(spath)]) == 0
+        capsys.readouterr()
+        rc = cli_main(["run", "--scenario", str(spath), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: numerical failure: the matrix consensus gain could "
+                              "not be computed at step 256 ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestReferenceModes:

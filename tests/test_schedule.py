@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from etdkf.detection import DetectorConfig, reference_factors
+from etdkf.errors import NumericalError
 from etdkf.filtering import (consensus_gain, innovation_covariance, kalman_gain,
                              posterior_covariance, prior_covariance)
 from etdkf.graphs import Graph, laplacian
@@ -52,20 +53,28 @@ def entry_bits(entry):
             bits(P_post), {p: bits(f) for p, f in L.items()})
 
 
+GAIN_FAILED = "the matrix consensus gain could not be computed"
+
+
 def outcome(schedule_of, cfg):
-    """The schedule, or the type and message of what computing it raised."""
+    """The schedule, or GAIN_FAILED. A covariance that collapses to 0
+    overflows pinv in the matrix consensus gain (a RuntimeWarning, which the
+    test configuration raises) or fails its SVD: the oracle raises either,
+    and the schedule a NumericalError naming the step."""
     try:
         return schedule_of(cfg)
-    # A covariance that collapses to 0 overflows pinv (a RuntimeWarning,
-    # which the test configuration raises) or fails its SVD.
-    except (np.linalg.LinAlgError, RuntimeWarning) as exc:
-        return type(exc), str(exc)
+    except (np.linalg.LinAlgError, RuntimeWarning):
+        return GAIN_FAILED
+    except NumericalError as exc:
+        if GAIN_FAILED not in str(exc):
+            raise
+        return GAIN_FAILED
 
 
 def assert_equals_oracle(cfg):
     """The schedule equals the oracle's entry by entry, or both raise alike."""
     got, want = outcome(covariance_schedule, cfg), outcome(per_step_schedule, cfg)
-    if isinstance(got, tuple) or isinstance(want, tuple):
+    if GAIN_FAILED in (got, want):
         assert got == want
         return []
     assert len(got) == len(want) == cfg.steps
@@ -149,6 +158,29 @@ def test_signed_zeros_are_not_a_fixed_point():
     schedule = assert_equals_oracle(cfg)
     assert np.array_equal(schedule[0][0], schedule[1][0]) and schedule[0] is not schedule[1]
     assert schedule[1] is schedule[2] is schedule[3]
+
+
+def collapsing_matrix_consensus(steps=300):
+    """A stable plant with q = 0 under matrix consensus: P_prior collapses
+    towards 0 until pinv(P_prior) overflows, at step 256."""
+    cfg = get_preset("fig3")
+    cfg.steps = steps
+    cfg.process = ProcessModel(A=[[0.1005, -0.1056], [0.512, 0.0839]], Q=np.zeros((2, 2)),
+                               x0_mean=[0.5, 0.0], P0=np.eye(2))
+    cfg.graph = Graph(2, {(1, 2)})
+    cfg.sensors = [SensorModel(C=[[1.0, 0.0]], R=[[1.0]])] * 2
+    cfg.consensus = ConsensusConfig(mode="matrix", gamma=0.5)
+    return cfg
+
+
+def test_collapsing_covariance_fails_the_gain_by_name():
+    """The overflow is a NumericalError naming the step, with no warning;
+    the oracle fails there too, and one step fewer runs through."""
+    cfg = collapsing_matrix_consensus()
+    with pytest.raises(NumericalError, match=f"^{GAIN_FAILED} at step 256 "):
+        covariance_schedule(cfg)
+    assert_equals_oracle(cfg)
+    assert len(assert_equals_oracle(collapsing_matrix_consensus(steps=256))) == 256
 
 
 @pytest.mark.parametrize("name", list_presets())
