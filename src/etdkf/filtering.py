@@ -41,11 +41,32 @@ def vector_norm(v) -> np.ndarray:
 def slot_sum(terms, mask, start) -> np.ndarray:
     """`start` plus the neighbor-slot terms (..., D, n) whose `mask` (..., D)
     is set, added one slot at a time in slot order, as a loop over each
-    node's neighbors adds them."""
+    node's neighbors adds them.
+
+    Every masked slot is filled with -0.0 and every slot added: x + (-0.0)
+    is x bit for bit for every x (-0.0, +-inf and quiet NaNs included), so a
+    masked slot leaves the sum as skipping it would. Only a signaling NaN
+    `start` would come back quieted; no sum of the update law starts at one.
+    """
+    terms = np.where(mask[..., None], terms, -0.0)
     acc = start
     for d in range(terms.shape[-2]):
-        acc = np.where(mask[..., d, None], acc + terms[..., d, :], acc)
+        acc = acc + terms[..., d, :]
     return acc
+
+
+def neighbor_slots(own, neighbor_preds, weights, mask):
+    """The neighbor arguments of the update law as stacks shaped after
+    `own` (..., n): predictions (..., D, n), weights (..., D) and the mask
+    (..., D), every slot when None. Float stacks of those shapes, as the
+    engine passes, are returned as they are."""
+    if (type(neighbor_preds) is type(weights) is type(mask) is np.ndarray
+            and neighbor_preds.dtype == weights.dtype == float
+            and neighbor_preds.ndim == weights.ndim + 1 == own.ndim + 1):
+        return neighbor_preds, weights, mask
+    preds = np.asarray(neighbor_preds, float).reshape(*own.shape[:-1], -1, own.shape[-1])
+    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
+    return preds, weights, np.ones(weights.shape, bool) if mask is None else np.asarray(mask, bool)
 
 
 @dataclass
@@ -132,16 +153,15 @@ def measurement_update(x_prior, K, gamma, y, C, m, beta, neighbor_preds, weights
     C = np.asarray(C, float)
     x_prior = np.asarray(x_prior, float)
     own = np.asarray(own_pred, float)
-    preds = np.asarray(neighbor_preds, float).reshape(*own.shape[:-1], -1, own.shape[-1])
-    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
-    mask = np.ones(weights.shape, bool) if mask is None else mask
+    preds, weights, mask = neighbor_slots(own, neighbor_preds, weights, mask)
     beta = np.asarray(beta, float)[..., None]
     blended = beta * np.asarray(y, float) + (1.0 - beta) * np.matvec(C, np.asarray(m, float))
     r = blended - np.matvec(C, x_prior)
     consensus = slot_sum(weights[..., None] * (preds - own[..., None, :]), mask,
-                         np.zeros_like(x_prior))
+                         np.zeros(x_prior.shape))
     # A scalar gamma multiplies, a matrix (stack) acts.
-    coupling = np.matvec(gamma, consensus) if np.ndim(gamma) >= 2 else gamma * consensus
+    gamma = np.asarray(gamma, float)
+    coupling = np.matvec(gamma, consensus) if gamma.ndim >= 2 else gamma * consensus
     return x_prior + np.matvec(np.asarray(K, float), r) + coupling
 
 

@@ -18,12 +18,12 @@ are reported unclipped by the detection layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .filtering import slot_sum
+from .filtering import neighbor_slots, slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
 _SMALLEST = np.finfo(float).smallest_subnormal
@@ -122,10 +122,7 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) ->
     node's own prior when it has no neighbors.
     """
     x_prior_i = np.asarray(x_prior_i, float)
-    preds = np.asarray(neighbor_preds, float).reshape(
-        *x_prior_i.shape[:-1], -1, x_prior_i.shape[-1])
-    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
-    mask = np.ones(weights.shape, bool) if mask is None else np.asarray(mask, bool)
+    preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
     if preds.shape[-2] == 0:
         return x_prior_i.copy()
     terms = weights[..., None] * preds
@@ -142,6 +139,9 @@ class BoundMonitor:
     Per step: bound(k+1) = A_o(k) * bound(k) + B_o(k) with
     A_o = max_i sigma_max(A M_i) and B_o combining the triggering backlog term
     and the confidence-deficit term. Reported non-contractive when A_o >= 1.
+    ||A||_2 is taken once, and A_o again only for a new `gains_M` or one
+    that can be written to: a read-only stack passed again (the engine's
+    covariance schedule shares one across its steady-state tail) keeps its A_o.
     """
 
     A: np.ndarray
@@ -153,6 +153,11 @@ class BoundMonitor:
     A_o: float = float("nan")
     B_o: float = float("nan")
     contractive: bool = True
+    _sA: float = field(init=False, repr=False, compare=False)   # ||A||_2
+    _gains_M: object = field(default=None, init=False, repr=False, compare=False)  # of A_o
+
+    def __post_init__(self):
+        self._sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
 
     def start(self, eta0_norm: float) -> None:
         self.bound = float(eta0_norm)
@@ -160,12 +165,14 @@ class BoundMonitor:
     def step(self, gains_M, laplacian_masked: np.ndarray, gamma_max: float,
              betas: list) -> float:
         """Advance one step; `gains_M` stacks every node's I - K_i C_i as (N, n, n)."""
-        A = np.asarray(self.A, float)
-        gains_M = np.asarray(gains_M, float)
+        gains_M = np.asarray(gains_M, float)     # a float array comes back as itself
+        if gains_M is not self._gains_M or gains_M.flags.writeable:
+            self._gains_M = gains_M
+            self.A_o = max(np.linalg.norm(np.asarray(self.A, float) @ gains_M, 2,
+                                          axis=(-2, -1)).tolist())
         N = len(gains_M)
-        self.A_o = max(np.linalg.norm(A @ gains_M, 2, axis=(-2, -1)).tolist())
         self.contractive = self.A_o < 1.0
-        sA = float(np.linalg.norm(A, 2))
+        sA = self._sA
         sL = float(np.linalg.norm(np.asarray(laplacian_masked, float), 2))
         trigger_term = sA * sL * gamma_max * np.sqrt(N) * (
             self.alpha / max(self.C_norms) + self.B)

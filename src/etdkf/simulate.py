@@ -279,9 +279,10 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
     """One pass over the scenario, its `covariance_schedule` and its
     `random_inputs`, so a step does only data-dependent work; returns (trace,
     twin data). Every pass records the innovations a later pass reads of its
-    twin; `lite` (the attack-free twin) skips detection, beliefs and the trace
-    (None), and `sample_b` records the increments the bound monitor's B comes
-    from.
+    twin; `lite` (the attack-free twin) computes nothing else but, with
+    `sample_b`, the increments the bound monitor's B comes from: it skips
+    detection, beliefs, the belief weights (its update law runs with unit
+    weights, as untracked beliefs give) and the trace (None).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -308,6 +309,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
         slot_node[i - 1, :len(nbrs[i])] = [j - 1 for j in nbrs[i]]
         mask[i - 1, :len(nbrs[i])] = True
     slot_of = np.nonzero(mask)[0]   # the node each channel's slot belongs to
+    slot_to = slot_node[mask]       # and the neighbor it holds
     E = len(slot_of)
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
@@ -317,7 +319,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
              for g, b in enumerate(rows.tolist())}
 
     x_prior = np.tile(proc.x0_mean, (N, 1))
-    x_post, x_pred, last_tx_prior = x_prior.copy(), x_prior.copy(), x_prior.copy()
+    x_pred, last_tx_prior = x_prior.copy(), x_prior.copy()
     stored = np.tile(proc.x0_mean, (N, D, 1))   # neighbor predictions as each node holds them
     x, w, v_all = draws
 
@@ -365,12 +367,31 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
     innovations_rec = {p: [] for p in groups}
     b_samples = []
     sampler_calls = sampler_fallbacks = 0
+    replaying = any(plan.kind == REPLAY for plan in cfg.attacks)
+    # A group's rows; one group of every node takes them as a slice, whose reads are views.
+    part = {p: slice(None) if len(groups) == 1 else rows for p, rows in groups.items()}
+    group_mask = {p: mask[rows] for p, rows in part.items()}
+    unit_w, unit_b = np.ones((N, D)), np.ones(N)   # the weights of untracked beliefs
+    if not lite:   # row k of each column is written at step k, or after the loop from `record`
+        cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
+        record = []     # per step (x, x_prior, x_post, x_pred, m)
+    seen = None
 
-    for k, (P_prior, K, M, gamma, P_post, live_L) in enumerate(schedule):
+    for k, entry in enumerate(schedule):
+        if entry is not seen:   # the schedule's steady-state tail is one shared entry
+            seen = entry
+            P_prior, K, M, gamma, P_post, live_L = entry
+            matrix_gamma = np.ndim(gamma) == 3
+            gamma_of = {p: gamma[rows] if matrix_gamma else gamma for p, rows in part.items()}
+            if monitor is not None:
+                gmax = (max(np.linalg.norm(gamma, 2, axis=(1, 2)).tolist())
+                        if matrix_gamma else abs(gamma))
+            if not lite:
+                trace_p = np.trace(P_post, axis1=1, axis2=2)
         t = k * cfg.dt
         v = {p: vp[k] for p, vp in v_all.items()}
         y_clean = {p: measure(C[p], x, v[p]) for p in groups}
-        y = {p: yp.copy() for p, yp in y_clean.items()}
+        y = {p: yp.copy() for p, yp in y_clean.items()} if cfg.attacks else y_clean
         for idx, plan in enumerate(cfg.attacks):   # at most one plan per node
             if plan.kind == CHANNEL_INJECTION or not plan.active(k):
                 continue
@@ -389,14 +410,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
                 y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
 
         # Innovations and the trigger barrier (everyone transmits at k = 0).
-        r = {}
-        attack_norm, innov = np.empty(N), np.empty(N)
         zeta = np.ones(N, dtype=int)
-        for p, rows in groups.items():
-            attack_norm[rows] = vector_norm(y[p] - y_clean[p])
-            r[p] = innovation(y[p], C[p], x_prior[rows])
-            innov[rows] = vector_norm(r[p])
-            innovations_rec[p].append(r[p])
+        for p, rows in part.items():
+            innovations_rec[p].append(innovation(y[p], C[p], x_prior[rows]))
+            if not lite:
+                cols["attack_norm"][k, rows] = vector_norm(y[p] - y_clean[p])
             if k and sample_b:
                 b_samples.append(vector_norm(x - prev_x + v[p]))
             if k:
@@ -411,9 +429,12 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
                 fbar = plan.signal.evaluate(t, n)
                 stored[i - 1, d] = corrupt_channel(stored[i - 1, d], fbar)
                 edge_attack_norm[e] = float(np.linalg.norm(fbar))
-        last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
+        if replaying:
+            last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
 
-        if not lite:
+        if lite:
+            weights, beta = unit_w, unit_b
+        else:
             # Divergence and its average over [nodes; channels], NaN until a window fills.
             d_hat, phi = np.full((2, N + E), math.nan)
             full = k + 1 >= det.window     # every bank fills at the same step
@@ -437,15 +458,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
             if track_beliefs:
                 beliefs.step(d_hat[:N], d_hat[N + windowed] if full else None)
 
-        # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
-        # untracked beliefs stay at one. An edge between sensors of unequal
-        # channel counts has no window, so its trust stays 1.
-        beta = beliefs.beta.value
-        sigma, theta = np.ones((2, E))          # per channel
-        sigma[windowed], theta[windowed] = beliefs.sigma.value, beliefs.theta
-        weights = np.ones((N, D))
-        weights[mask] = sigma
-        weights *= beta[slot_node]
+            # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
+            # untracked beliefs stay at one. An edge between sensors of unequal
+            # channel counts has no window, so its trust stays 1.
+            beta = beliefs.beta.value
+            sigma, theta = np.ones((2, E))          # per channel
+            sigma[windowed], theta[windowed] = beliefs.sigma.value, beliefs.theta
+            weights = np.ones((N, D))
+            weights[mask] = sigma
+            weights *= beta[slot_node]
 
         # Bound monitor: record the bound holding for this step, then advance.
         bound_now = realized = math.nan
@@ -455,40 +476,42 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
             if k == 0:
                 monitor.start(realized)
             bound_now = monitor.bound
-            gmax = (max(np.linalg.norm(gamma, 2, axis=(1, 2)).tolist())
-                    if np.ndim(gamma) == 3 else abs(gamma))
             W = np.zeros((N, N))
-            W[slot_of, slot_node[mask]] = weights[mask]
+            W[slot_of, slot_to] = weights[mask]
             monitor.step(M, trust_masked_laplacian(W), gmax, beta.tolist())
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
         m = weighted_neighbor_estimate(x_prior, stored, weights, mask)
-        w_upd, b_upd = (weights, beta) if beliefs_in_update else (np.ones((N, D)), np.ones(N))
-        for p, rows in groups.items():
+        w_upd, b_upd = (weights, beta) if beliefs_in_update else (unit_w, unit_b)
+        x_post = np.empty((N, n))
+        for p, rows in part.items():
             x_post[rows] = measurement_update(
-                x_prior[rows], K[p], gamma[rows] if np.ndim(gamma) == 3 else gamma, y[p],
-                C[p], m[rows], b_upd[rows], stored[rows], w_upd[rows], x_pred[rows], mask[rows])
+                x_prior[rows], K[p], gamma_of[p], y[p], C[p], m[rows], b_upd[rows],
+                stored[rows], w_upd[rows], x_pred[rows], group_mask[p])
 
         if not lite:
-            states = np.hstack([np.broadcast_to(x, (N, n)), x_prior, x_post, x_pred])
-            for cols, values in (
-                    (trace.node_cols, {
-                        "zeta": zeta, "innov_norm": innov, "err_norm": vector_norm(x_post - x),
-                        "trace_p": np.trace(P_post, axis1=1, axis2=2), "phi": phi[:N],
-                        "beta": beta, "chi": beliefs.chi, "eps_norm": vector_norm(m - x),
-                        "attack_norm": attack_norm,   # then x_true_*, xbar_*, xhat_*, xpred_*
-                        **dict(zip(trace.node_columns()[-4 * n:], states.T))}),
-                    (trace.edge_cols, {"psi": phi[N:], "sigma": sigma, "theta": theta,
-                                       "attack_norm": edge_attack_norm}),
-                    (trace.step_cols, {"bound": bound_now, "realized_err": realized})):
-                for name, value in values.items():
-                    cols[name][k] = value
+            record.append((x, x_prior, x_post, x_pred, m))
+            cols["zeta"][k], cols["trace_p"][k], cols["phi"][k] = zeta, trace_p, phi[:N]
+            cols["beta"][k], cols["chi"][k] = beta, beliefs.chi
+            edge_cols["psi"][k], edge_cols["sigma"][k] = phi[N:], sigma
+            edge_cols["theta"][k], edge_cols["attack_norm"][k] = theta, edge_attack_norm
+            step_cols["bound"][k], step_cols["realized_err"][k] = bound_now, realized
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
         prev_x, x = x, step_process(proc, x, w[k])
 
+    if not lite and record:   # the columns computed from whole-run stacks
+        x_true, xbar, xhat, xpred, m_all = (np.array(a) for a in zip(*record))
+        x_true = x_true[:, None]                    # (steps, 1, n): every node's truth
+        cols["err_norm"][:] = vector_norm(xhat - x_true)
+        cols["eps_norm"][:] = vector_norm(m_all - x_true)
+        for p, rows in groups.items():
+            cols["innov_norm"][:, rows] = vector_norm(np.array(innovations_rec[p]))
+        for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
+            for d in range(n):
+                cols[f"{prefix}_{d}"][:] = states[..., d]
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")

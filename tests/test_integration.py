@@ -17,6 +17,7 @@ from etdkf.graphs import Graph
 from etdkf.models import NoiseSource
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
+from test_engine_digests import scenario as engine_scenario
 
 
 def six_node_config(**overrides):
@@ -177,6 +178,46 @@ def test_random_streams_drawn_once_per_run(monkeypatch):
     nodes = list(cfg.graph.nodes)
     assert sorted(calls) == sorted([("draw_initial_state",), ("draw_process_noise",)]
                                    + [("draw_measurement_noise", i) for i in nodes])
+
+
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(get_preset("fig6"), steps=60),
+    engine_scenario("ring12-chords"),      # bound monitor on, matrix consensus
+], ids=["fig6", "ring12-chords"])
+def test_lite_pass_records_what_a_full_pass_does(cfg):
+    """The twin pass skips the trace, detection and belief weights; the
+    innovations and b samples a later pass reads of it stay the same bytes."""
+    twin_cfg = dataclasses.replace(cfg, attacks=[], filter_mode="nominal",
+                                   beliefs_pinned=False, bound_monitor=False)
+    schedule, draws = simulate.covariance_schedule(cfg), simulate.random_inputs(cfg)
+    with np.errstate(**simulate._OVERFLOW_QUIET):
+        lite, full = (simulate._engine(twin_cfg, None, skip, schedule=schedule, draws=draws,
+                                       sample_b=True)[1] for skip in (True, False))
+    assert lite.innovations.keys() == full.innovations.keys()
+    for p, stacks in lite.innovations.items():
+        assert len(stacks) == cfg.steps
+        assert np.array(stacks).tobytes() == np.array(full.innovations[p]).tobytes()
+    assert len(lite.b_samples) == len(full.b_samples) > 0
+    for a, b in zip(lite.b_samples, full.b_samples):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cfg, passes", [
+    (dataclasses.replace(get_preset("fig6"), steps=30), 2),   # shadow reference: a twin
+    (dataclasses.replace(engine_scenario("mixed-p-synthetic"), steps=30, bound_monitor=False),
+     1),                                                     # synthetic, unmonitored: none
+], ids=["twin", "synthetic"])
+def test_plant_stepped_once_per_step_and_pass(monkeypatch, cfg, passes):
+    """`step_process`, looked up in the `simulate` namespace, is called once
+    per simulated step of each pass; the benchmark times steps by these calls."""
+    calls = []
+
+    def counted(*args, _real=simulate.step_process):
+        calls.append(args)
+        return _real(*args)
+    monkeypatch.setattr(simulate, "step_process", counted)
+    run_scenario(cfg)
+    assert len(calls) == passes * cfg.steps
 
 
 @st.composite

@@ -290,6 +290,26 @@ class TestBoundMonitor:
         assert mon.A_o == pytest.approx(3.0)
 
 
+    def test_norms_reused_only_for_the_same_read_only_gains(self):
+        A = np.array([[0.9, 0.2], [0.0, 0.7]])
+        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, B=1.0, tau=1.0)
+        mon.start(1.0)
+        L = np.zeros((1, 1))
+
+        def A_o(M):
+            return max(np.linalg.norm(A @ M, 2, axis=(-2, -1)).tolist())
+        M = np.array([np.eye(2) * 0.5])
+        mon.step(M, L, 0.1, [1.0])
+        M *= 2.0                        # writable: changed in place, taken again
+        mon.step(M, L, 0.1, [1.0])
+        assert mon.A_o == A_o(M)
+        M.setflags(write=False)
+        mon.step(M, L, 0.1, [1.0])
+        assert mon.A_o == A_o(M)
+        mon.step(M / 2.0, L, 0.1, [1.0])     # a new stack
+        assert mon.A_o == A_o(M / 2.0)
+
+
 class TestTrustMaskedLaplacian:
     def test_unit_beliefs_give_plain_laplacian(self):
         from etdkf.graphs import laplacian

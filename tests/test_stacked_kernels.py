@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from etdkf.filtering import (consensus_gain, innovation, innovation_covariance,
                              kalman_gain, measurement_update, posterior_covariance,
-                             prior_covariance, should_transmit, sym, update_predictive,
-                             vector_norm)
+                             prior_covariance, should_transmit, slot_sum, sym,
+                             update_predictive, vector_norm)
 from etdkf.models import measure
 from etdkf.resilience import BoundMonitor, weighted_neighbor_estimate
 
@@ -130,6 +130,35 @@ def test_padded_neighbor_kernels_equal_per_node(net):
                                        net.C[b], net.beta[b], preds, weights, net.x_pred[b])
         assert np.array_equal(m[b], m_loop)
         assert np.array_equal(x_post[b], x_loop)
+
+
+
+def slot_sum_where_per_slot(terms, mask, start):
+    """The slot sum as one select per slot: a masked slot keeps the sum."""
+    acc = start
+    for d in range(terms.shape[-2]):
+        acc = np.where(mask[..., d, None], acc + terms[..., d, :], acc)
+    return acc
+
+
+# Signed zeros, infinities and NaNs, beside any float hypothesis draws.
+slot_values = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]),
+                        st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(0, 5), st.integers(1, 6), st.integers(1, 3))
+def test_slot_sum_equals_where_per_slot(data, D, rows, n):
+    terms = np.array(data.draw(st.lists(slot_values, min_size=rows * D * n,
+                                        max_size=rows * D * n))).reshape(rows, D, n)
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=rows * D,
+                                       max_size=rows * D)), bool).reshape(rows, D)
+    mask[data.draw(st.integers(0, rows - 1))] = False   # a row with no neighbor
+    start = np.full((rows, n), data.draw(st.sampled_from([0.0, -0.0])))
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf, and overflow
+        got, want = slot_sum(terms, mask, start), slot_sum_where_per_slot(terms, mask, start)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=80, deadline=None)
