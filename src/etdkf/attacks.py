@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .filtering import kalman_gain, sym
+from .filtering import nominal_covariances
 from .graphs import Graph, laplacian
 from .models import channel_groups
 
@@ -184,33 +184,30 @@ class AttackRecursion:
     G = -(L kron I_n) the consensus term sum_{r in N_i} (e_r - e_i) is
     [G e]_i, so each family is a few matrix products per step.
 
-    gain_mode "nominal": gains follow the attack-free covariance recursion,
-    matching an oblivious filter implementation. gain_mode "corrupted": gains
-    are recomputed from the corrupted prior moment each step.
+    The gains are the attack-free filter's, `nominal_covariances` step by
+    step, as an oblivious filter implementation keeps running them.
 
     Cross blocks start at zero and the diagonal at P0; with shared estimator
     initialization the true initial cross moment equals P0, so recursion and
     simulation agree only after the filter transient has washed out.
     """
 
-    def __init__(self, process, sensors, graph: Graph, gamma: float,
-                 gain_mode: str = "nominal"):
-        if gain_mode not in ("nominal", "corrupted"):
-            raise ConfigurationError(f"unknown gain_mode {gain_mode!r}")
+    def __init__(self, process, sensors, graph: Graph, gamma: float):
+        if len(sensors) != graph.node_count:
+            raise ConfigurationError(f"{len(sensors)} sensors for the {graph.node_count} "
+                                     f"nodes of the graph; one sensor per node")
         self.graph = graph
         self.gamma = float(gamma)
-        self.gain_mode = gain_mode
         self.N = N = graph.node_count
         self.n = n = process.n
         self._G = -np.kron(laplacian(graph), np.eye(n))
         self._AA = np.kron(np.eye(N), process.A)
         self._QQ = np.kron(np.ones((N, N)), process.Q)
-        self._Q_blk = np.kron(np.eye(N), process.Q)
         self._C = _blkdiag([s.C for s in sensors])
         self._R = _blkdiag([s.R for s in sensors])
         self._y_ofs = np.cumsum([0] + [s.p for s in sensors])
-        groups, C, R = channel_groups(sensors)
-        self._gain_groups = [(rows, C[p], R[p]) for p, rows in groups.items()]
+        self._groups = channel_groups(sensors)[0]
+        self._nominal, self._entry = nominal_covariances(process, sensors), None
         self._pairs = [(i, j) for i in graph.nodes for j in graph.nodes]
 
         self.k = 0
@@ -225,8 +222,6 @@ class AttackRecursion:
         self.e_post = np.zeros(N * n)
         # Held bias of channel j -> i at [j - 1, i - 1]; zero off the graph.
         self.f_tilde = np.zeros((N, N, n))
-        # Block-diagonal attack-free covariance recursion for gain_mode "nominal".
-        self._P_nominal = self.P_prior.copy()
         self.gains = {i: None for i in graph.nodes}
 
     def step(self, zetas: dict, f_meas: dict | None = None, f_chan: dict | None = None):
@@ -267,17 +262,16 @@ class AttackRecursion:
                 chan[j - 1, i - 1] = f
         self.f_tilde = np.where(z[:, None, None], chan, self.f_tilde)
 
-        P_gain = self._P_nominal if self.gain_mode == "nominal" else self.P_prior
-        r = np.arange(N)
-        P_diag = P_gain.reshape(N, n, N, n)[r, :, r, :]
-        gains = [None] * N
-        for idx, C, R in self._gain_groups:
-            for b, K_b in zip(idx, kalman_gain(P_diag[idx], C, R, nodes=[nodes[b] for b in idx])):
-                gains[b] = K_b
-        self.gains = dict(zip(nodes, gains))
-        K = _blkdiag(gains)
-        M = np.eye(N * n) - K @ self._C
-        KRK = K @ self._R @ K.T
+        entry = next(self._nominal)
+        if entry is not self._entry:   # the steady-state filter repeats one entry
+            self._entry, gains = entry, [None] * N
+            for p, rows in self._groups.items():
+                for b, K_b in zip(rows.tolist(), entry[1][p]):
+                    gains[b] = K_b
+            self.gains = dict(zip(nodes, gains))
+            K = _blkdiag(gains)
+            self._K, self._M, self._KRK = K, np.eye(N * n) - K @ self._C, K @ self._R @ K.T
+        K, M, KRK = self._K, self._M, self._KRK
         f_y = np.zeros(self._y_ofs[-1])
         for i, f in (f_meas or {}).items():
             f_y[self._y_ofs[i - 1]:self._y_ofs[i]] = f
@@ -290,15 +284,12 @@ class AttackRecursion:
                 + gamma * gamma * (G @ self.P_pred @ G.T) + KRK
                 + dcol * stoch_mean + stoch_mean[:, None] * d + dcol * d)
         blocks = post.reshape(N, n, N, n)
+        r = np.arange(N)
         diag = blocks[r, :, r, :]
         blocks[r, :, r, :] = 0.5 * (diag + diag.transpose(0, 2, 1))
         self.P_post = post
         self.e_post = stoch_mean + d
         self.X = M @ self.P_prior_pred + gamma * (G @ self.P_pred) + dcol * self.e_pred
-
-        if self.gain_mode == "nominal":
-            P_hat = sym(M @ self._P_nominal @ M.T + KRK)
-            self._P_nominal = sym(AA @ P_hat @ AA.T + self._Q_blk)
 
         self.k += 1
         return dict(zip(self._pairs, blocks.transpose(0, 2, 1, 3).reshape(N * N, n, n)))

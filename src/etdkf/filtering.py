@@ -14,11 +14,13 @@ last bits), and vector norms through `vector_norm`, never
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
+from .models import channel_groups
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -171,6 +173,37 @@ def posterior_covariance(P_prior, K, C, R) -> np.ndarray:
     K = np.asarray(K, float)
     M = np.eye(P_prior.shape[-1]) - K @ np.asarray(C, float)
     return sym(M @ P_prior @ _t(M) + K @ np.asarray(R, float) @ _t(K))
+
+
+def nominal_covariances(process, sensors):
+    """The attack-free Riccati recursion of every node, one step per item:
+    (P_prior, K, M, P_post) with every node's P_prior, P_post and M = I - K C
+    as (N, n, n) and the gains K as p -> (nodes with p channels, n, p). A
+    singular innovation covariance raises `NumericalError` naming the node.
+
+    Every item is a pure function of its P_prior. Once the next P_prior
+    equals it bit for bit (the steady-state filter), the same tuple repeats
+    without end; its arrays are read-only, since one item may serve many
+    steps. Read it as `zip(range(steps), ...)`, range first, so that no step
+    past the run is computed.
+    """
+    groups, C, R = channel_groups(sensors)
+    P_prior = np.tile(process.P0, (len(sensors), 1, 1))
+    while True:
+        K, M, P_post = {}, np.empty(P_prior.shape), np.empty(P_prior.shape)
+        for p, rows in groups.items():
+            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
+            M[rows] = np.eye(process.n) - K[p] @ C[p]
+            P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
+        for a in (P_prior, M, P_post, *K.values()):
+            a.setflags(write=False)
+        entry = (P_prior, K, M, P_post)
+        yield entry
+        P_next = prior_covariance(P_post, process.A, process.Q)
+        # Bit patterns, so that -0.0 and +0.0 (or two NaN payloads) differ.
+        if np.array_equal(P_next.view(np.int64), P_prior.view(np.int64)):
+            yield from itertools.repeat(entry)
+        P_prior = P_next
 
 
 def consensus_gain(M, A, P_priors, lam_L: float, fallback: float = 0.0):

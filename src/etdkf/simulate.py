@@ -23,7 +23,6 @@ import os
 import typing
 import warnings
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +32,8 @@ from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
 from .detection import KnnWindowBank, detect, reference_factors
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
-                        kalman_gain, measurement_update, posterior_covariance,
-                        prior_covariance, should_transmit, update_predictive,
-                        vector_norm)
+                        measurement_update, nominal_covariances, should_transmit,
+                        update_predictive, vector_norm)
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
                      measure, step_process)
@@ -158,82 +156,43 @@ class MetricsReport:
                 for f in fields(self)}
 
 
-@dataclass
-class _TwinData:
-    """What a later pass reads of the twin alone; its statistics are computed on first read."""
-
-    innovations: dict            # p -> one (nodes with p channels, p) stack per step
-    b_samples: list              # ||x(k+1)-x(k)+v(k+1)||, one array per step and p, if sampled
-
-    @cached_property
-    def B(self) -> float:        # 99.9th percentile of the b samples, in any order
-        return (float(np.percentile(np.concatenate(self.b_samples), 99.9))
-                if self.b_samples else 0.0)
-
-    @cached_property
-    def omega_hat(self) -> dict:  # p -> calibrated innovation covariances, none on <= 2 steps
-        # np.cov of each node's (steps, p) record laid out as its own array,
-        # so the sums run in the order they always have; a 1 x 1 result stays 2-D.
-        rec = {p: np.array(stacks) for p, stacks in self.innovations.items()}
-        return {p: [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T))
-                    for g in range(r.shape[1])] for p, r in rec.items() if len(r) > 2}
-
-    @cached_property
-    def omega_factors(self) -> dict:  # p -> the reference factors of omega_hat, stacked
-        return {p: reference_factors(np.stack(o)) for p, o in self.omega_hat.items()}
-
-
 def covariance_schedule(cfg) -> list:
     """The half of the filter that no measurement, attack or belief reaches,
     computed once per run for both passes: per step, (P_prior, K, M, gamma,
-    P_post, L) with every node's P_prior, P_post and M = I - K C as (N, n, n),
-    the gains K as p -> (nodes with p channels, n, p), the consensus gain
-    gamma a scalar, or (N, n, n), and with a synthetic detector reference the
-    `reference_factors` of each node's Omega = C P_prior C^T + R as p -> (nodes
-    with p channels, p, p) (else L is empty). A singular innovation covariance
-    raises `NumericalError` naming the node, and so does a matrix consensus
-    gain that overflows or whose SVD fails, naming the step.
+    P_post, L), the `nominal_covariances` item of that step with the
+    consensus gain gamma, a scalar or (N, n, n), and with a synthetic detector
+    reference the `reference_factors` of each node's Omega = C P_prior C^T + R
+    as p -> (nodes with p channels, p, p) (else L is empty). A matrix
+    consensus gain that overflows or whose SVD fails raises `NumericalError`
+    naming the step.
 
-    Every entry is a pure function of its P_prior. Once the Riccati step
-    returns the same P_prior bit for bit (the steady-state filter; every
-    preset gets there by step 12), every later entry would equal the current
-    one, so that one tuple object fills the rest of the schedule. A P_prior
-    that never settles (an unstable mode no sensor sees, a last-bit limit
-    cycle) is stepped to the end. The arrays are read-only, since one entry
-    may serve many steps.
+    The steady-state filter repeats one item, so gamma and L are computed
+    once per distinct item, and one tuple object fills the rest of the
+    schedule. Its arrays are read-only.
     """
-    A, n, N = cfg.process.A, cfg.process.n, cfg.graph.node_count
-    synthetic = cfg.detector.reference == "synthetic"
+    A, synthetic = cfg.process.A, cfg.detector.reference == "synthetic"
     groups, C, R = channel_groups(cfg.sensors)
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
-    P_prior = np.tile(cfg.process.P0, (N, 1, 1))
-    schedule = []
-    while len(schedule) < cfg.steps:
-        K, M, P_post, L = {}, np.empty((N, n, n)), np.empty((N, n, n)), {}
-        for p, rows in groups.items():
-            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
-            M[rows] = np.eye(n) - K[p] @ C[p]
-            P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
-            if synthetic:
-                L[p] = reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
-        try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
-            with np.errstate(over="raise", invalid="raise"):
-                gamma = (cfg.consensus.gamma if lam_L is None else
-                         consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
-        except (FloatingPointError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"the matrix consensus gain could not be computed at step "
-                                 f"{len(schedule)} ({exc})") from None
-        entry = (P_prior, K, M, gamma, P_post, L)
-        for a in (P_prior, M, P_post, gamma, *K.values(), *L.values()):
-            if isinstance(a, np.ndarray):
-                a.setflags(write=False)
+    schedule, seen = [], None
+    for k, nominal in zip(range(cfg.steps), nominal_covariances(cfg.process, cfg.sensors)):
+        if nominal is not seen:
+            seen = nominal
+            P_prior, K, M, P_post = nominal
+            L = {p: reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
+                 for p, rows in groups.items()} if synthetic else {}
+            try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
+                with np.errstate(over="raise", invalid="raise"):
+                    gamma = (cfg.consensus.gamma if lam_L is None else
+                             consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
+            except (FloatingPointError, np.linalg.LinAlgError) as exc:
+                raise NumericalError(f"the matrix consensus gain could not be computed at "
+                                     f"step {k} ({exc})") from None
+            for a in (gamma, *L.values()):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
+            entry = (P_prior, K, M, gamma, P_post, L)
         schedule.append(entry)
-        P_next = prior_covariance(P_post, A, cfg.process.Q)
-        # Bit patterns, so that -0.0 and +0.0 (or two NaN payloads) differ.
-        if np.array_equal(P_next.view(np.int64), P_prior.view(np.int64)):
-            schedule += [entry] * (cfg.steps - len(schedule))
-        P_prior = P_next
     return schedule
 
 
@@ -268,21 +227,21 @@ def run_scenario(config) -> SimTrace:
                 config.attacks or config.filter_mode == "resilient"):
             twin_cfg = replace(config, attacks=[], filter_mode="nominal",
                                beliefs_pinned=False, bound_monitor=False)
-            _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, draws=draws,
-                              sample_b=monitored)
+            _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, draws=draws)
         trace, _ = _engine(config, twin=twin, lite=False, schedule=schedule, draws=draws)
     trace.warnings = notes + trace.warnings
     return trace
 
 
-def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
+def _engine(cfg, twin, lite: bool, schedule, draws):
     """One pass over the scenario, its `covariance_schedule` and its
     `random_inputs`, so a step does only data-dependent work; returns (trace,
-    twin data). Every pass records the innovations a later pass reads of its
-    twin; `lite` (the attack-free twin) computes nothing else but, with
-    `sample_b`, the increments the bound monitor's B comes from: it skips
-    detection, beliefs, the belief weights (its update law runs with unit
-    weights, as untracked beliefs give) and the trace (None).
+    (path, innovations)): the plant's state of every step, (steps, n), and
+    every node's innovations, p -> (steps, nodes with p channels, p). A later
+    pass reads that record of its `twin`. `lite` (the attack-free twin)
+    computes nothing else: it skips detection, beliefs, the belief weights
+    (its update law runs with unit weights, as untracked beliefs give) and
+    the trace (None).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -337,44 +296,52 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
     shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
     # A fresh reference window per node and step, from the node's own stream,
     # N(0, Omega) through the factors of Omega: live ones from the schedule,
-    # or the twin's calibrated ones (R stands in on <= 2 steps), fixed per run.
+    # or fixed per run from the twin's innovations (np.cov of each node's
+    # (steps, p) record laid out as its own array; R stands in on <= 2 steps).
     if not (lite or shadow):
         ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
                        for p, rows in groups.items()}
-        fixed_L = None if synthetic else {p: twin.omega_factors[p] if p in twin.omega_factors
-                                          else reference_factors(R[p]) for p in groups}
-    windows = []
-    for p, rows in groups.items():
-        keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i] if where[j][0] == p]
-        windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
-                                         sliding_reference=shadow, average=det.average),
-                        np.array([where[i][1] for i, _ in keys]),
-                        C[p][[where[j][1] for _, j in keys]],
-                        np.array([place[key] for key in keys])))
-    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
-    windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
-    beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
+        fixed_L = None if synthetic else {p: reference_factors(np.stack(
+            [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T)) for g in range(r.shape[1])])
+            if len(r) > 2 else R[p]) for p, r in twin[1].items()}
+    if not lite:
+        windows = []
+        for p, rows in groups.items():
+            keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i]
+                    if where[j][0] == p]
+            windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
+                                             sliding_reference=shadow, average=det.average),
+                            np.array([where[i][1] for i, _ in keys]),
+                            C[p][[where[j][1] for _, j in keys]],
+                            np.array([place[key] for key in keys])))
+        edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
+        windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
+        beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
     monitor = None
     if cfg.bound_monitor_enabled():
         if twin is None:
             raise ConfigurationError("bound monitor needs the nominal twin pass")
+        # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps and nodes.
+        dx = np.diff(twin[0], axis=0)[:, None]
+        b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
         monitor = BoundMonitor(
             A=A, C_norms=[float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
-            alpha=alpha, B=twin.B, tau=cfg.resilient.tau)
+            alpha=alpha, B=float(np.percentile(b, 99.9)) if b.size else 0.0,
+            tau=cfg.resilient.tau)
 
     trace = None if lite else SimTrace(config=cfg)
-    innovations_rec = {p: [] for p in groups}
-    b_samples = []
+    path = np.empty((cfg.steps, n))   # the pass record; row k is written at step k
+    innovations = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
     sampler_calls = sampler_fallbacks = 0
     replaying = any(plan.kind == REPLAY for plan in cfg.attacks)
     # A group's rows; one group of every node takes them as a slice, whose reads are views.
     part = {p: slice(None) if len(groups) == 1 else rows for p, rows in groups.items()}
     group_mask = {p: mask[rows] for p, rows in part.items()}
     unit_w, unit_b = np.ones((N, D)), np.ones(N)   # the weights of untracked beliefs
-    if not lite:   # row k of each column is written at step k, or after the loop from `record`
+    if not lite:   # row k of each column is written at step k, or after the loop
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
-        record = []     # per step (x, x_prior, x_post, x_pred, m)
+        xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
     seen = None
 
     for k, entry in enumerate(schedule):
@@ -412,11 +379,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
         # Innovations and the trigger barrier (everyone transmits at k = 0).
         zeta = np.ones(N, dtype=int)
         for p, rows in part.items():
-            innovations_rec[p].append(innovation(y[p], C[p], x_prior[rows]))
+            innovations[p][k] = innovation(y[p], C[p], x_prior[rows])
             if not lite:
                 cols["attack_norm"][k, rows] = vector_norm(y[p] - y_clean[p])
-            if k and sample_b:
-                b_samples.append(vector_norm(x - prev_x + v[p]))
             if k:
                 zeta[rows] = should_transmit(y[p], C[p], x_pred[rows], alpha)
         x_pred = update_predictive(zeta, x_prior, x_pred, A)
@@ -441,7 +406,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
             # The shadow reference slides with the windows (the twin's
             # innovations, or the node's own without a twin); the other modes
             # draw a fresh window for every node at every step.
-            source = twin.innovations if twin is not None else innovations_rec
+            source = innovations if twin is None else twin[1]
             states = np.concatenate([x_prior, stored[mask]])
             for p, bank, owner, C_key, at in windows:
                 bank.push(innovation(y[p][owner], C_key, states[at]),
@@ -491,7 +456,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
                 stored[rows], w_upd[rows], x_pred[rows], group_mask[p])
 
         if not lite:
-            record.append((x, x_prior, x_post, x_pred, m))
+            xbar[k], xhat[k], xpred[k], m_all[k] = x_prior, x_post, x_pred, m
             cols["zeta"][k], cols["trace_p"][k], cols["phi"][k] = zeta, trace_p, phi[:N]
             cols["beta"][k], cols["chi"][k] = beta, beliefs.chi
             edge_cols["psi"][k], edge_cols["sigma"][k] = phi[N:], sigma
@@ -500,22 +465,21 @@ def _engine(cfg, twin, lite: bool, schedule, draws, sample_b: bool = False):
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
-        prev_x, x = x, step_process(proc, x, w[k])
+        path[k], x = x, step_process(proc, x, w[k])
 
-    if not lite and record:   # the columns computed from whole-run stacks
-        x_true, xbar, xhat, xpred, m_all = (np.array(a) for a in zip(*record))
-        x_true = x_true[:, None]                    # (steps, 1, n): every node's truth
+    if not lite:   # the columns computed from whole-run stacks
+        x_true = path[:, None]                      # (steps, 1, n): every node's truth
         cols["err_norm"][:] = vector_norm(xhat - x_true)
         cols["eps_norm"][:] = vector_norm(m_all - x_true)
         for p, rows in groups.items():
-            cols["innov_norm"][:, rows] = vector_norm(np.array(innovations_rec[p]))
+            cols["innov_norm"][:, rows] = vector_norm(innovations[p])
         for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
             for d in range(n):
                 cols[f"{prefix}_{d}"][:] = states[..., d]
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace, _TwinData(innovations=innovations_rec, b_samples=b_samples)
+    return trace, (path, innovations)
 
 
 # -- metrics -------------------------------------------------------------------

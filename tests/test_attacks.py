@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,10 @@ from etdkf.attacks import (AttackPlan, AttackRecursion, SignalSpec,
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, posterior_covariance, should_transmit
 from etdkf.graphs import Graph
-from etdkf.models import ProcessModel, SensorModel
+from etdkf.models import ProcessModel, SensorModel, channel_groups
 from etdkf.scenario import get_preset
+from etdkf.simulate import covariance_schedule
+from test_engine_digests import scenario as engine_scenario
 
 ORACLE = Path(__file__).parent / "data" / "recursion_oracle.npz"
 MOMENTS = ("P_prior", "P_post", "P_pred", "P_pred_prior", "P_prior_pred", "X",
@@ -224,24 +227,6 @@ class TestRecursionBranches:
             assert np.allclose(blk(rec.P_post, 1, 1), want, atol=1e-10)
             P_prior = model.A @ want @ model.A.T + model.Q
 
-    def test_corrupted_gain_mode_tracks_inflated_prior(self):
-        model, sensors, graph = two_node_setup()
-        f = np.array([4.0, 4.0])
-        nominal = AttackRecursion(model, sensors, graph, gamma=0.0, gain_mode="nominal")
-        literal = AttackRecursion(model, sensors, graph, gamma=0.0, gain_mode="corrupted")
-        for k in range(10):
-            nominal.step({1: 1, 2: 1}, f_meas={1: f})
-            literal.step({1: 1, 2: 1}, f_meas={1: f})
-        # under attack the self-consistent gain uses the larger corrupted prior
-        assert not np.allclose(nominal.gains[1], literal.gains[1], atol=1e-6)
-        # without attack the two modes coincide
-        a = AttackRecursion(model, sensors, graph, gamma=0.0, gain_mode="nominal")
-        b = AttackRecursion(model, sensors, graph, gamma=0.0, gain_mode="corrupted")
-        for k in range(10):
-            a.step({1: 1, 2: 1})
-            b.step({1: 1, 2: 1})
-        assert np.allclose(a.gains[1], b.gains[1], atol=1e-10)
-
     def test_step_returns_posterior_blocks(self):
         model, sensors, graph = two_node_setup()
         rec = AttackRecursion(model, sensors, graph, gamma=0.05)
@@ -294,6 +279,9 @@ class TestRecursionOracle:
                     out[f"{mode}_{name}"] = stack(getattr(rec, name))  # blocks -> Nn x Nn
                 out[f"{mode}_gains"] = np.array([rec.gains[i] for i in cfg.graph.nodes])
             np.savez_compressed("tests/data/recursion_oracle.npz", **out)
+
+        The `corrupted_*` arrays belong to a gain mode that is gone; they go
+        unread.
         """
         want = np.load(ORACLE)
         cfg = get_preset("fig3")
@@ -302,20 +290,41 @@ class TestRecursionOracle:
         def close(got, ref):
             return np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-        for mode in ("nominal", "corrupted"):
-            rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph,
-                                  gamma=cfg.consensus.gamma, gain_mode=mode)
-            for k, zetas in enumerate(want["schedule"]):
-                on = k >= 10
-                post = rec.step(dict(zip(nodes, zetas.tolist())),
-                                f_meas={2: want["f_meas_2"]} if on else None,
-                                f_chan={(2, 1): want["f_chan_2_1"]} if on else None)
-                got = np.block([[post[(i, j)] for j in nodes] for i in nodes])
-                assert close(got, want[f"{mode}_post"][k]), (mode, k)
-            for name in ("P_pred", "P_pred_prior", "P_prior_pred"):
-                assert close(getattr(rec, name), want[f"{mode}_{name}"]), (mode, name)
-            gains = np.array([rec.gains[i] for i in nodes])
-            assert close(gains, want[f"{mode}_gains"]), mode
+        rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph, gamma=cfg.consensus.gamma)
+        for k, zetas in enumerate(want["schedule"]):
+            on = k >= 10
+            post = rec.step(dict(zip(nodes, zetas.tolist())),
+                            f_meas={2: want["f_meas_2"]} if on else None,
+                            f_chan={(2, 1): want["f_chan_2_1"]} if on else None)
+            got = np.block([[post[(i, j)] for j in nodes] for i in nodes])
+            assert close(got, want["nominal_post"][k]), k
+        for name in ("P_pred", "P_pred_prior", "P_prior_pred"):
+            assert close(getattr(rec, name), want[f"nominal_{name}"]), name
+        assert close(np.array([rec.gains[i] for i in nodes]), want["nominal_gains"])
+
+
+@pytest.mark.parametrize("cfg", [get_preset("fig3"), engine_scenario("mixed-p-synthetic")],
+                         ids=["fig3", "mixed-p-synthetic"])
+def test_recursion_gains_are_the_schedule_gains(cfg):
+    """`AttackRecursion` runs the attack-free filter's gains: at every step
+    they equal `covariance_schedule`'s K bit for bit, one-channel sensors
+    among two-channel ones included."""
+    cfg = dataclasses.replace(cfg, steps=40)
+    groups = channel_groups(cfg.sensors)[0]
+    rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph, gamma=cfg.consensus.gamma)
+    for k, (_, K, *_) in enumerate(covariance_schedule(cfg)):
+        rec.step({i: k % 2 for i in cfg.graph.nodes})
+        for p, rows in groups.items():
+            got = np.array([rec.gains[b + 1] for b in rows.tolist()])
+            assert got.tobytes() == K[p].tobytes(), (k, p)
+
+
+def test_recursion_needs_one_sensor_per_node():
+    """Five sensors on fig3's six-node graph fail at construction, naming
+    both counts, not at the first step."""
+    cfg = get_preset("fig3")
+    with pytest.raises(ConfigurationError, match="5 sensors for the 6 nodes"):
+        AttackRecursion(cfg.process, cfg.sensors[:5], cfg.graph, gamma=cfg.consensus.gamma)
 
 
 @st.composite
@@ -340,8 +349,7 @@ def recursion_cases(draw):
     f_chan = {(sender, hit): rng.normal(0, 1, 2)}
     return dict(model=model, sensors=sensors, graph=Graph(N, edges), schedule=schedule,
                 gamma=draw(st.floats(0.0, 0.3)), onset=draw(st.integers(0, steps)),
-                f_meas=f_meas, f_chan=f_chan,
-                gain_mode=draw(st.sampled_from(["nominal", "corrupted"])))
+                f_meas=f_meas, f_chan=f_chan)
 
 
 class TestRecursionProperties:
@@ -349,7 +357,7 @@ class TestRecursionProperties:
     @given(recursion_cases())
     def test_cross_families_transpose_symmetric(self, case):
         rec = AttackRecursion(case["model"], case["sensors"], case["graph"],
-                              gamma=case["gamma"], gain_mode=case["gain_mode"])
+                              gamma=case["gamma"])
         for k, z in enumerate(case["schedule"]):
             on = k >= case["onset"]
             rec.step(dict(enumerate(z, start=1)), f_meas=case["f_meas"] if on else None,
@@ -362,7 +370,7 @@ class TestRecursionProperties:
     @given(recursion_cases())
     def test_diagonal_posterior_blocks_exactly_symmetric(self, case):
         rec = AttackRecursion(case["model"], case["sensors"], case["graph"],
-                              gamma=case["gamma"], gain_mode=case["gain_mode"])
+                              gamma=case["gamma"])
         for k, z in enumerate(case["schedule"]):
             on = k >= case["onset"]
             post = rec.step(dict(enumerate(z, start=1)),
@@ -379,8 +387,7 @@ class TestRecursionProperties:
         # gamma = 0, no injection, every node transmitting: each diagonal block
         # is its node's single-sensor Joseph-form recursion
         model, sensors = case["model"], case["sensors"]
-        rec = AttackRecursion(model, sensors, case["graph"], gamma=0.0,
-                              gain_mode=case["gain_mode"])
+        rec = AttackRecursion(model, sensors, case["graph"], gamma=0.0)
         P_prior = [model.P0.copy() for _ in sensors]
         for _ in case["schedule"]:
             post = rec.step({i: 1 for i in case["graph"].nodes})

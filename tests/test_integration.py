@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etdkf import simulate
+from etdkf import filtering, simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.graphs import Graph
-from etdkf.models import NoiseSource
+from etdkf.models import NoiseSource, channel_groups
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
 from test_engine_digests import scenario as engine_scenario
@@ -134,13 +134,15 @@ def test_overflowing_injection_is_flagged_and_distrusted(value):
 
 def test_covariance_half_computed_once_per_run(monkeypatch):
     """Gains, posterior covariances and matrix consensus gains are computed
-    once per step of a run, not once per pass: fig7 runs a twin."""
+    once per step of a run, not once per pass: fig7 runs a twin. The gains
+    and posterior covariances are `filtering.nominal_covariances`' calls."""
     calls = {}
-    for name in ("kalman_gain", "posterior_covariance", "consensus_gain"):
-        def counted(*args, _real=getattr(simulate, name), _name=name, **kwargs):
+    for module, name in ((filtering, "kalman_gain"), (filtering, "posterior_covariance"),
+                         (simulate, "consensus_gain")):
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = get_preset("fig7")
     cfg.steps, cfg.consensus.mode = 12, "matrix"
     run_scenario(cfg)
@@ -185,21 +187,21 @@ def test_random_streams_drawn_once_per_run(monkeypatch):
     engine_scenario("ring12-chords"),      # bound monitor on, matrix consensus
 ], ids=["fig6", "ring12-chords"])
 def test_lite_pass_records_what_a_full_pass_does(cfg):
-    """The twin pass skips the trace, detection and belief weights; the
-    innovations and b samples a later pass reads of it stay the same bytes."""
+    """The twin pass skips the trace, detection and belief weights; the plant
+    path and innovations a later pass reads of it stay the same bytes."""
     twin_cfg = dataclasses.replace(cfg, attacks=[], filter_mode="nominal",
                                    beliefs_pinned=False, bound_monitor=False)
     schedule, draws = simulate.covariance_schedule(cfg), simulate.random_inputs(cfg)
     with np.errstate(**simulate._OVERFLOW_QUIET):
-        lite, full = (simulate._engine(twin_cfg, None, skip, schedule=schedule, draws=draws,
-                                       sample_b=True)[1] for skip in (True, False))
-    assert lite.innovations.keys() == full.innovations.keys()
-    for p, stacks in lite.innovations.items():
-        assert len(stacks) == cfg.steps
-        assert np.array(stacks).tobytes() == np.array(full.innovations[p]).tobytes()
-    assert len(lite.b_samples) == len(full.b_samples) > 0
-    for a, b in zip(lite.b_samples, full.b_samples):
-        assert a.tobytes() == b.tobytes()
+        (lite_path, lite), (full_path, full) = (
+            simulate._engine(twin_cfg, None, skip, schedule=schedule, draws=draws)[1]
+            for skip in (True, False))
+    assert lite_path.shape == (cfg.steps, cfg.process.n)
+    assert lite_path.tobytes() == full_path.tobytes()
+    assert lite.keys() == full.keys()
+    for p, stack in lite.items():
+        assert stack.shape == (cfg.steps, len(channel_groups(cfg.sensors)[0][p]), p)
+        assert stack.tobytes() == full[p].tobytes()
 
 
 @pytest.mark.parametrize("cfg, passes", [
