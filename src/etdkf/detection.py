@@ -60,28 +60,42 @@ def pairwise_distances(X, Z) -> np.ndarray:
     """Euclidean distances between the rows of X (..., n1, m) and Z (..., n2, m).
 
     Returns (..., n1, n2), bit-identical to
-    `np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)` but
-    computed one coordinate plane at a time: `add.reduce` over a short last
-    axis costs more than the arithmetic. It sums fewer than 8 terms left to
-    right, which the plane sum repeats; longer axes are summed pairwise, so
-    they go through `norm` itself. Each plane is read from a contiguous copy
-    and subtracted, squared and added into two buffers allocated once.
+    `np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)`: the
+    root of `_squared_distances`.
+    """
+    squares = _squared_distances(X, Z)
+    return np.sqrt(squares, out=squares)
+
+
+def _squared_distances(X, Z, out=None) -> np.ndarray:
+    """The squared distances that `pairwise_distances` takes the root of.
+
+    They are computed one coordinate plane at a time: `add.reduce` over a
+    short last axis costs more than the arithmetic. It sums fewer than 8
+    terms left to right, which the plane sum repeats; longer axes are summed
+    pairwise, as `norm` sums them. Each plane is read from a contiguous copy
+    and subtracted, squared and added into two (..., n1, n2) buffers: `out`
+    (2, ..., n1, n2) when given, the result in out[0], else two allocated here.
     """
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     m = X.shape[-1]
     if m >= 8:
-        return np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)
+        diff = X[..., :, None, :] - Z[..., None, :, :]
+        return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1,
+                             out=None if out is None else out[0])
     Xc = np.ascontiguousarray(np.moveaxis(X, -1, 0))[..., :, None]   # (m, ..., n1, 1)
     Zc = np.ascontiguousarray(np.moveaxis(Z, -1, 0))[..., None, :]   # (m, ..., 1, n2)
-    total = np.subtract(Xc[0], Zc[0])
+    if out is None:
+        out = np.empty((2, *np.broadcast_shapes(Xc.shape[1:], Zc.shape[1:])))
+    total, d = out
+    np.subtract(Xc[0], Zc[0], out=total)
     np.multiply(total, total, out=total)
-    d = np.empty_like(total)
     for c in range(1, m):
         np.subtract(Xc[c], Zc[c], out=d)
         np.multiply(d, d, out=d)
         np.add(total, d, out=total)
-    return np.sqrt(total, out=total)
+    return total
 
 
 def kth_neighbor_distance(D, k_nn: int) -> np.ndarray:
@@ -94,7 +108,11 @@ def kth_neighbor_distance(D, k_nn: int) -> np.ndarray:
     # A full sort: on x86 numpy sorts float rows with SIMD kernels, which
     # measured faster than np.partition for w = 10-160, and the zero test then
     # reads one column instead of reducing over the k smallest.
-    S = np.sort(D, axis=-1)
+    return _kth_of_sorted(np.sort(D, axis=-1), k_nn)
+
+
+def _kth_of_sorted(S, k_nn: int) -> np.ndarray:
+    """`kth_neighbor_distance` of rows already sorted along the last axis."""
     return np.where(S[..., 0] == 0.0, S[..., k_nn], S[..., k_nn - 1])
 
 
@@ -164,7 +182,7 @@ class KnnWindowBank:
         self.count = 0
         self._x = np.zeros((rows, self.window, self.dim))
         self._dxx = np.zeros((rows, self.window, self.window))
-        self._z = self._dxz = None
+        self._z = self._dxz = self._cross = None   # _cross: fresh cross distances
         if sliding_reference:
             self._z = np.zeros_like(self._x)
             self._dxz = np.zeros_like(self._dxx)
@@ -213,7 +231,7 @@ class KnnWindowBank:
         if self._z is not None:
             if reference is not None:
                 raise ConfigurationError("a sliding-reference bank takes no reference window")
-            dxz, n2 = self._dxz, self.window
+            kth_z, n2 = kth_neighbor_distance(self._dxz, self.k_nn), self.window
         else:
             Z = np.asarray(reference, dtype=float)
             if Z.ndim != 3 or Z.shape[0] != len(self._x) or Z.shape[2] != self.dim \
@@ -221,9 +239,17 @@ class KnnWindowBank:
                 raise ConfigurationError(
                     f"reference of shape {Z.shape} for {len(self._x)} rows of dim "
                     f"{self.dim} and k_nn={self.k_nn}")
-            dxz, n2 = pairwise_distances(self._x, Z), Z.shape[1]
+            n2 = Z.shape[1]
+            if self._cross is None or self._cross.shape[-1] != n2:
+                self._cross = np.empty((2, *self._dxx.shape[:2], n2))
+            # The squares, sorted in place, and the root of the selected
+            # column only: sqrt is correctly rounded and non-decreasing, so it
+            # commutes with the sort, and a square is 0 exactly where its root is.
+            squares = _squared_distances(self._x, Z, self._cross)
+            squares.sort(axis=-1)
+            kth_z = np.sqrt(_kth_of_sorted(squares, self.k_nn))
         d_x = _oldest_first(kth_neighbor_distance(self._dxx, self.k_nn), self.count)
-        d_z = _oldest_first(kth_neighbor_distance(dxz, self.k_nn), self.count)
+        d_z = _oldest_first(kth_z, self.count)
         return _divergence(d_x, d_z, n2, self.epsilon_d, self.dim)
 
     def average(self, values) -> np.ndarray:

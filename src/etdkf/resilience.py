@@ -134,25 +134,29 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) ->
 
 @dataclass
 class BoundMonitor:
-    """Running uniform bound on the stacked prior error norm.
+    """Running uniform bound on the stacked prior error norm, in two halves.
 
     Per step: bound(k+1) = A_o(k) * bound(k) + B_o(k) with
     A_o = max_i sigma_max(A M_i) and B_o combining the triggering backlog term
-    and the confidence-deficit term. Reported non-contractive when A_o >= 1.
-    ||A||_2 is taken once, and A_o again only for a new `gains_M` or one
-    that can be written to: a read-only stack passed again (the engine's
-    covariance schedule shares one across its steady-state tail) keeps its A_o.
+    and the confidence-deficit term; non-contractive where A_o >= 1. B_o
+    scales with B, the bound on ||x(k+1) - x(k) + v(k+1)||, which takes the
+    whole plant path: `start` and `step` record what each step reads, and
+    `bounds(B)` runs the recursion after the run, in a step-by-step
+    monitor's order. ||A||_2 is taken once, and A_o again only for a new
+    `gains_M` or one that can be written to: a read-only stack passed again
+    (the engine's covariance schedule shares one across its steady-state
+    tail) keeps its A_o.
     """
 
     A: np.ndarray
     C_norms: list
     alpha: float
-    B: float            # empirical bound on ||x(k+1)-x(k)+v(k+1)||, from the twin run
     tau: float
-    bound: float = 0.0
-    A_o: float = float("nan")
-    B_o: float = float("nan")
-    contractive: bool = True
+    bound0: float = field(default=float("nan"), init=False)   # the first prior error norm
+    A_o: list = field(default_factory=list, init=False)        # per step taken
+    # Per step taken, the backlog term without its factor alpha / max(C_norms)
+    # + B, and the deficit term.
+    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
     _sA: float = field(init=False, repr=False, compare=False)   # ||A||_2
     _gains_M: object = field(default=None, init=False, repr=False, compare=False)  # of A_o
 
@@ -160,27 +164,36 @@ class BoundMonitor:
         self._sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
 
     def start(self, eta0_norm: float) -> None:
-        self.bound = float(eta0_norm)
+        self.bound0 = float(eta0_norm)
 
     def step(self, gains_M, laplacian_masked: np.ndarray, gamma_max: float,
-             betas: list) -> float:
-        """Advance one step; `gains_M` stacks every node's I - K_i C_i as (N, n, n)."""
+             betas: list) -> None:
+        """Record one step; `gains_M` stacks every node's I - K_i C_i as (N, n, n)."""
         gains_M = np.asarray(gains_M, float)     # a float array comes back as itself
         if gains_M is not self._gains_M or gains_M.flags.writeable:
             self._gains_M = gains_M
-            self.A_o = max(np.linalg.norm(np.asarray(self.A, float) @ gains_M, 2,
-                                          axis=(-2, -1)).tolist())
-        N = len(gains_M)
-        self.contractive = self.A_o < 1.0
-        sA = self._sA
+            A_o = max(np.linalg.norm(np.asarray(self.A, float) @ gains_M, 2,
+                                     axis=(-2, -1)).tolist())
+        else:
+            A_o = self.A_o[-1]
+        N, sA = len(gains_M), self._sA
         sL = float(np.linalg.norm(np.asarray(laplacian_masked, float), 2))
-        trigger_term = sA * sL * gamma_max * np.sqrt(N) * (
-            self.alpha / max(self.C_norms) + self.B)
         beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
-        deficit_term = (sA + self.A_o) * beta_bar * np.sqrt(N) * self.tau
-        self.B_o = trigger_term + deficit_term
-        self.bound = self.A_o * self.bound + self.B_o
-        return self.bound
+        self.A_o.append(A_o)
+        self._terms.append((sA * sL * gamma_max * np.sqrt(N),
+                            (sA + A_o) * beta_bar * np.sqrt(N) * self.tau))
+
+    def offsets(self, B: float) -> list:
+        """B_o of every step taken, for the increment bound B."""
+        factor = self.alpha / max(self.C_norms) + B
+        return [backlog * factor + deficit for backlog, deficit in self._terms]
+
+    def bounds(self, B: float) -> list:
+        """The bound holding at every step taken, bound(0) first."""
+        bound = [self.bound0]
+        for A_o, B_o in zip(self.A_o, self.offsets(B)):
+            bound.append(A_o * bound[-1] + B_o)
+        return bound[:len(self.A_o)]
 
 
 def trust_masked_laplacian(weights) -> np.ndarray:

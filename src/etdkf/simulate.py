@@ -7,10 +7,11 @@ is computed once per run, before the passes. Nodes are always iterated in
 ascending id so traces are reproducible bit-for-bit for a given seed and config.
 
 Reference windows for the detectors come from one of three sources: "shadow"
-uses the innovations of an attack-free twin run with identical noise streams
-(identical windows before any attack, hence the exact identity baseline),
-"synthetic" draws fresh Gaussian windows from the live innovation covariance,
-and "calibrated" draws from a twin-run sample covariance.
+uses the innovations of an attack-free twin with identical noise streams,
+carried as extra rows of the same pass (identical windows before any attack,
+hence the exact identity baseline), "synthetic" draws fresh Gaussian windows
+from the live innovation covariance, and "calibrated" draws from the sample
+covariance of a twin pass run first.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
 from .detection import KnnWindowBank, detect, reference_factors
-from .errors import ConfigurationError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         measurement_update, nominal_covariances, should_transmit,
                         update_predictive, vector_norm)
@@ -216,15 +217,14 @@ _OVERFLOW_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 def run_scenario(config) -> SimTrace:
     """Validate, compute the covariance half and draw the noise once, run
-    (with its attack-free twin when required), return the trace."""
+    (after an attack-free twin pass when the reference is calibrated: its
+    Omega-hat takes every step of the twin), return the trace."""
     notes = config.validate()
     schedule = covariance_schedule(config)
     draws = random_inputs(config)
-    twin, monitored, reference = None, config.bound_monitor_enabled(), config.detector.reference
+    twin = None
     with np.errstate(**_OVERFLOW_QUIET):
-        # An attack-free shadow run that is neither resilient nor monitored is its own shadow.
-        if monitored or reference == "calibrated" or reference == "shadow" and (
-                config.attacks or config.filter_mode == "resilient"):
+        if config.detector.reference == "calibrated":
             twin_cfg = replace(config, attacks=[], filter_mode="nominal",
                                beliefs_pinned=False, bound_monitor=False)
             _, twin = _engine(twin_cfg, twin=None, lite=True, schedule=schedule, draws=draws)
@@ -237,11 +237,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     """One pass over the scenario, its `covariance_schedule` and its
     `random_inputs`, so a step does only data-dependent work; returns (trace,
     (path, innovations)): the plant's state of every step, (steps, n), and
-    every node's innovations, p -> (steps, nodes with p channels, p). A later
-    pass reads that record of its `twin`. `lite` (the attack-free twin)
-    computes nothing else: it skips detection, beliefs, the belief weights
-    (its update law runs with unit weights, as untracked beliefs give) and
-    the trace (None).
+    the innovations of the pass's last network copy (below), p -> (steps,
+    nodes with p channels, p). A calibrated reference reads that record of a
+    `twin` pass. `lite` (the attack-free twin alone) computes nothing else:
+    it skips detection, beliefs, the belief weights (its update law runs
+    with unit weights, as untracked beliefs give) and the trace (None).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -249,6 +249,14 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     masked past its own; the unmasked slots, row by row, are the E channels
     (i, j) in ascending order. Sensors group by channel count p: whatever has
     a p axis is stacked per group.
+
+    A shadow reference is the innovation stream of an attack-free twin. With
+    attacks, resilient beliefs or the bound monitor the pass carries that
+    twin as a second copy of the network, rows N to 2N - 1 of every stacked
+    array, whose slots point at twin rows. It shares the plant, the noise and
+    the schedule, and runs the update law with unit weights and beta = 1;
+    attacks, detection, beliefs, the monitor and the trace read the first
+    copy only. Any other shadow run is its own twin.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -260,6 +268,12 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     track_beliefs = cfg.filter_mode in ("monitored", "resilient") and not cfg.beliefs_pinned
     beliefs_in_update = cfg.filter_mode == "resilient"
     det = cfg.detector
+    shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
+    monitored = cfg.bound_monitor_enabled()
+    copies = 1 + (shadow and bool(cfg.attacks or beliefs_in_update or monitored))
+
+    def stack(a):   # a copy's rows, for every copy
+        return a if copies == 1 else np.concatenate([a] * copies)
 
     D = max(map(len, nbrs.values()), default=0)
     slot_node = np.zeros((N, D), dtype=int)
@@ -270,16 +284,20 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     slot_of = np.nonzero(mask)[0]   # the node each channel's slot belongs to
     slot_to = slot_node[mask]       # and the neighbor it holds
     E = len(slot_of)
+    # Every copy's slots hold its own rows.
+    slot_rows = np.concatenate([slot_node + c * N for c in range(copies)])
+    masks = stack(mask)
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
         key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
     groups, C, R = channel_groups(cfg.sensors)       # p -> rows of its nodes
     where = {b + 1: (p, g) for p, rows in groups.items()     # node -> (p, index in group)
              for g, b in enumerate(rows.tolist())}
+    C_rows = {p: stack(Cp) for p, Cp in C.items()}   # of every copy's group rows
 
-    x_prior = np.tile(proc.x0_mean, (N, 1))
+    x_prior = np.tile(proc.x0_mean, (copies * N, 1))
     x_pred, last_tx_prior = x_prior.copy(), x_prior.copy()
-    stored = np.tile(proc.x0_mean, (N, D, 1))   # neighbor predictions as each node holds them
+    stored = np.tile(proc.x0_mean, (copies * N, D, 1))   # neighbor predictions, per row
     x, w, v_all = draws
 
     edge_plans = []
@@ -293,14 +311,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # with node i's reference. One bank per channel count holds them as rows;
     # `at` places each row in [nodes; channels], and its state in [x_prior;
     # stored channel predictions].
-    shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
-    # A fresh reference window per node and step, from the node's own stream,
-    # N(0, Omega) through the factors of Omega: live ones from the schedule,
-    # or fixed per run from the twin's innovations (np.cov of each node's
-    # (steps, p) record laid out as its own array; R stands in on <= 2 steps).
+    # A fresh reference window per node and step, from the node's own stream
+    # drawn into a (nodes, w, p) buffer kept per group, N(0, Omega) through the
+    # factors of Omega: live ones from the schedule, or fixed per run from the
+    # twin's innovations (np.cov of each node's (steps, p) record laid out as
+    # its own array; R stands in on <= 2 steps).
     if not (lite or shadow):
         ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
                        for p, rows in groups.items()}
+        ref_draws = {p: np.empty((len(rows), det.window, p)) for p, rows in groups.items()}
         fixed_L = None if synthetic else {p: reference_factors(np.stack(
             [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T)) for g in range(r.shape[1])])
             if len(r) > 2 else R[p]) for p, r in twin[1].items()}
@@ -309,36 +328,30 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         for p, rows in groups.items():
             keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i]
                     if where[j][0] == p]
+            owner = np.array([where[i][1] for i, _ in keys])
             windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
                                              sliding_reference=shadow, average=det.average),
-                            np.array([where[i][1] for i, _ in keys]),
+                            owner, owner + (copies - 1) * len(rows),   # and its twin row
                             C[p][[where[j][1] for _, j in keys]],
                             np.array([place[key] for key in keys])))
         edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
         windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
         beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
-    monitor = None
-    if cfg.bound_monitor_enabled():
-        if twin is None:
-            raise ConfigurationError("bound monitor needs the nominal twin pass")
-        # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps and nodes.
-        dx = np.diff(twin[0], axis=0)[:, None]
-        b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
-        monitor = BoundMonitor(
-            A=A, C_norms=[float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
-            alpha=alpha, B=float(np.percentile(b, 99.9)) if b.size else 0.0,
-            tau=cfg.resilient.tau)
+    monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
+                           alpha=alpha, tau=cfg.resilient.tau) if monitored else None
 
     trace = None if lite else SimTrace(config=cfg)
     path = np.empty((cfg.steps, n))   # the pass record; row k is written at step k
-    innovations = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
+    innovations = {p: np.empty((cfg.steps, copies * len(rows), p)) for p, rows in groups.items()}
     sampler_calls = sampler_fallbacks = 0
     replaying = any(plan.kind == REPLAY for plan in cfg.attacks)
-    # A group's rows; one group of every node takes them as a slice, whose reads are views.
-    part = {p: slice(None) if len(groups) == 1 else rows for p, rows in groups.items()}
-    group_mask = {p: mask[rows] for p, rows in part.items()}
-    unit_w, unit_b = np.ones((N, D)), np.ones(N)   # the weights of untracked beliefs
+    # A group's rows in every copy; one group of every node takes them as a
+    # slice, whose reads are views.
+    part = {p: slice(None) if len(groups) == 1 else
+            np.concatenate([rows + c * N for c in range(copies)]) for p, rows in groups.items()}
+    group_mask = {p: masks[rows] for p, rows in part.items()}
+    unit_w, unit_b = np.ones((copies * N, D)), np.ones(copies * N)   # untracked beliefs' weights
     if not lite:   # row k of each column is written at step k, or after the loop
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
         xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
@@ -349,7 +362,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             seen = entry
             P_prior, K, M, gamma, P_post, live_L = entry
             matrix_gamma = np.ndim(gamma) == 3
-            gamma_of = {p: gamma[rows] if matrix_gamma else gamma for p, rows in part.items()}
+            K_rows = {p: stack(Kp) for p, Kp in K.items()}
+            gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
+                          for p, rows in groups.items()}
             if monitor is not None:
                 gmax = (max(np.linalg.norm(gamma, 2, axis=(1, 2)).tolist())
                         if matrix_gamma else abs(gamma))
@@ -358,7 +373,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         t = k * cfg.dt
         v = {p: vp[k] for p, vp in v_all.items()}
         y_clean = {p: measure(C[p], x, v[p]) for p in groups}
-        y = {p: yp.copy() for p, yp in y_clean.items()} if cfg.attacks else y_clean
+        # Every copy measures the same; only the first is attacked.
+        y = {p: np.concatenate([yp] * copies) if cfg.attacks else stack(yp)
+             for p, yp in y_clean.items()}
         for idx, plan in enumerate(cfg.attacks):   # at most one plan per node
             if plan.kind == CHANNEL_INJECTION or not plan.active(k):
                 continue
@@ -377,17 +394,17 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
 
         # Innovations and the trigger barrier (everyone transmits at k = 0).
-        zeta = np.ones(N, dtype=int)
+        zeta = np.ones(copies * N, dtype=int)
         for p, rows in part.items():
-            innovations[p][k] = innovation(y[p], C[p], x_prior[rows])
+            innovations[p][k] = innovation(y[p], C_rows[p], x_prior[rows])
             if not lite:
-                cols["attack_norm"][k, rows] = vector_norm(y[p] - y_clean[p])
+                cols["attack_norm"][k, groups[p]] = vector_norm(y[p][:len(groups[p])] - y_clean[p])
             if k:
-                zeta[rows] = should_transmit(y[p], C[p], x_pred[rows], alpha)
+                zeta[rows] = should_transmit(y[p], C_rows[p], x_pred[rows], alpha)
         x_pred = update_predictive(zeta, x_prior, x_pred, A)
 
         # Exchange barrier.
-        stored = np.where(zeta[slot_node, None] == 1, x_prior[slot_node], np.matvec(A, stored))
+        stored = np.where(zeta[slot_rows, None] == 1, x_prior[slot_rows], np.matvec(A, stored))
         edge_attack_norm = np.zeros(E)
         for i, j, d, e, plan in edge_plans:
             if zeta[j - 1] and plan.active(k):
@@ -403,65 +420,63 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             # Divergence and its average over [nodes; channels], NaN until a window fills.
             d_hat, phi = np.full((2, N + E), math.nan)
             full = k + 1 >= det.window     # every bank fills at the same step
-            # The shadow reference slides with the windows (the twin's
-            # innovations, or the node's own without a twin); the other modes
+            # The shadow reference slides with the windows (the twin rows'
+            # innovations, or the node's own without them); the other modes
             # draw a fresh window for every node at every step.
-            source = innovations if twin is None else twin[1]
-            states = np.concatenate([x_prior, stored[mask]])
-            for p, bank, owner, C_key, at in windows:
+            states = np.concatenate([x_prior[:N], stored[:N][mask]])
+            for p, bank, owner, twin_row, C_key, at in windows:
                 bank.push(innovation(y[p][owner], C_key, states[at]),
-                          source[p][k][owner] if shadow else None)
-                fresh = None
+                          innovations[p][k][twin_row] if shadow else None)
                 if not shadow:   # every step draws, so each stream stays in step
-                    Z = np.stack([rng.standard_normal((det.window, p)) for rng in ref_streams[p]])
-                    if full:
-                        L = live_L[p] if synthetic else fixed_L[p]
-                        fresh = (Z @ np.swapaxes(L, -1, -2))[owner]
+                    for rng, z in zip(ref_streams[p], ref_draws[p]):
+                        rng.standard_normal(out=z)
                 if full:
+                    fresh = None if shadow else (ref_draws[p] @ np.swapaxes(
+                        live_L[p] if synthetic else fixed_L[p], -1, -2))[owner]
                     d_hat[at] = est = bank.estimates(fresh)
                     phi[at] = bank.average(est)
             if track_beliefs:
                 beliefs.step(d_hat[:N], d_hat[N + windowed] if full else None)
 
             # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
-            # untracked beliefs stay at one. An edge between sensors of unequal
-            # channel counts has no window, so its trust stays 1.
-            beta = beliefs.beta.value
+            # untracked beliefs, and the twin rows, stay at one. An edge
+            # between sensors of unequal channel counts has no window, so its
+            # trust stays 1.
             sigma, theta = np.ones((2, E))          # per channel
             sigma[windowed], theta[windowed] = beliefs.sigma.value, beliefs.theta
-            weights = np.ones((N, D))
-            weights[mask] = sigma
-            weights *= beta[slot_node]
+            weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
+            beta[:N] = beliefs.beta.value
+            weights[:N][mask] = sigma
+            weights[:N] *= beta[slot_node]
 
-        # Bound monitor: record the bound holding for this step, then advance.
-        bound_now = realized = math.nan
+        # Bound monitor: record what this step reads.
+        realized = math.nan
         if monitor is not None:
-            e_prior = x - x_prior
+            e_prior = x - x_prior[:N]
             realized = math.sqrt(sum(np.vecdot(e_prior, e_prior).tolist()))
             if k == 0:
                 monitor.start(realized)
-            bound_now = monitor.bound
             W = np.zeros((N, N))
-            W[slot_of, slot_to] = weights[mask]
-            monitor.step(M, trust_masked_laplacian(W), gmax, beta.tolist())
+            W[slot_of, slot_to] = weights[:N][mask]
+            monitor.step(M, trust_masked_laplacian(W), gmax, beta[:N].tolist())
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
-        m = weighted_neighbor_estimate(x_prior, stored, weights, mask)
+        m = weighted_neighbor_estimate(x_prior, stored, weights, masks)
         w_upd, b_upd = (weights, beta) if beliefs_in_update else (unit_w, unit_b)
-        x_post = np.empty((N, n))
+        x_post = np.empty((copies * N, n))
         for p, rows in part.items():
             x_post[rows] = measurement_update(
-                x_prior[rows], K[p], gamma_of[p], y[p], C[p], m[rows], b_upd[rows],
+                x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m[rows], b_upd[rows],
                 stored[rows], w_upd[rows], x_pred[rows], group_mask[p])
 
         if not lite:
-            xbar[k], xhat[k], xpred[k], m_all[k] = x_prior, x_post, x_pred, m
-            cols["zeta"][k], cols["trace_p"][k], cols["phi"][k] = zeta, trace_p, phi[:N]
-            cols["beta"][k], cols["chi"][k] = beta, beliefs.chi
+            xbar[k], xhat[k], xpred[k], m_all[k] = x_prior[:N], x_post[:N], x_pred[:N], m[:N]
+            cols["zeta"][k], cols["trace_p"][k], cols["phi"][k] = zeta[:N], trace_p, phi[:N]
+            cols["beta"][k], cols["chi"][k] = beta[:N], beliefs.chi
             edge_cols["psi"][k], edge_cols["sigma"][k] = phi[N:], sigma
             edge_cols["theta"][k], edge_cols["attack_norm"][k] = theta, edge_attack_norm
-            step_cols["bound"][k], step_cols["realized_err"][k] = bound_now, realized
+            step_cols["realized_err"][k] = realized
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
@@ -472,14 +487,20 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         cols["err_norm"][:] = vector_norm(xhat - x_true)
         cols["eps_norm"][:] = vector_norm(m_all - x_true)
         for p, rows in groups.items():
-            cols["innov_norm"][:, rows] = vector_norm(innovations[p])
+            cols["innov_norm"][:, rows] = vector_norm(innovations[p][:, :len(rows)])
         for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
             for d in range(n):
                 cols[f"{prefix}_{d}"][:] = states[..., d]
+    if monitor is not None:
+        # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps
+        # and nodes, from this pass's plant path: no filter reaches it.
+        dx = np.diff(path, axis=0)[:, None]
+        b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
+        step_cols["bound"][:] = monitor.bounds(float(np.percentile(b, 99.9)) if b.size else 0.0)
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")
-    return trace, (path, innovations)
+    return trace, (path, {p: innovations[p][:, -len(rows):] for p, rows in groups.items()})
 
 
 # -- metrics -------------------------------------------------------------------

@@ -285,6 +285,24 @@ class TestKnnWindowBank:
             for b in range(rows):
                 assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
 
+    @pytest.mark.parametrize("m", [2, 9])   # plane by plane, and a pairwise sum
+    def test_fresh_reference_of_changing_size_equals_estimate_kl(self, m):
+        # The bank keeps its cross-distance buffer between calls and
+        # replaces it when the reference size changes.
+        rng = np.random.default_rng(m)
+        w, k = 12, 3
+        X = rng.standard_normal((40, 2, m))
+        bank = KnnWindowBank(2, m, w, k)
+        for t in range(len(X)):
+            bank.push(X[t])
+            if bank.full:
+                windows = X[t + 1 - w:t + 1].transpose(1, 0, 2)
+                ref = rng.standard_normal((2, w + t % 3, m))
+                ref[:, 0] = windows[:, -1]          # a coincident copy
+                got = bank.estimates(ref)
+                for b in range(2):
+                    assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
+
     def test_identical_streams_sit_at_the_baseline(self):
         rng = np.random.default_rng(31)
         bank = KnnWindowBank(rows=2, dim=2, window=10, k_nn=3, sliding_reference=True)

@@ -17,6 +17,7 @@ from etdkf.graphs import Graph
 from etdkf.models import NoiseSource, channel_groups
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
+from test_engine_digests import ONE, TWO
 from test_engine_digests import scenario as engine_scenario
 
 
@@ -182,33 +183,47 @@ def test_random_streams_drawn_once_per_run(monkeypatch):
                                    + [("draw_measurement_noise", i) for i in nodes])
 
 
+FIG6 = get_preset("fig6")
+
+
 @pytest.mark.parametrize("cfg", [
-    dataclasses.replace(get_preset("fig6"), steps=60),
-    engine_scenario("ring12-chords"),      # bound monitor on, matrix consensus
-], ids=["fig6", "ring12-chords"])
-def test_lite_pass_records_what_a_full_pass_does(cfg):
-    """The twin pass skips the trace, detection and belief weights; the plant
-    path and innovations a later pass reads of it stay the same bytes."""
+    dataclasses.replace(FIG6, steps=60,                  # monitored, attacked from step 30
+                        attacks=[dataclasses.replace(FIG6.attacks[0], onset=30)]),
+    engine_scenario("ring12-chords"),      # resilient, bound monitor, matrix consensus
+    ScenarioConfig.from_dict({             # monitored; one-channel and two-channel sensors
+        **engine_scenario("example1-calibrated").to_dict(),
+        "sensors": [TWO] * 6 + [ONE, TWO]}),
+], ids=["fig6", "ring12-chords", "example1-calibrated-mixed-p"])
+def test_twin_rows_record_what_a_twin_pass_does(cfg):
+    """A shadow pass carries its attack-free twin as rows N to 2N - 1: their
+    plant path and innovations are the bytes of the twin-only pass that a
+    calibrated reference runs first."""
     twin_cfg = dataclasses.replace(cfg, attacks=[], filter_mode="nominal",
                                    beliefs_pinned=False, bound_monitor=False)
+    shadow = dataclasses.replace(cfg, detector=dataclasses.replace(cfg.detector,
+                                                                   reference="shadow"))
     schedule, draws = simulate.covariance_schedule(cfg), simulate.random_inputs(cfg)
     with np.errstate(**simulate._OVERFLOW_QUIET):
-        (lite_path, lite), (full_path, full) = (
-            simulate._engine(twin_cfg, None, skip, schedule=schedule, draws=draws)[1]
-            for skip in (True, False))
-    assert lite_path.shape == (cfg.steps, cfg.process.n)
-    assert lite_path.tobytes() == full_path.tobytes()
-    assert lite.keys() == full.keys()
-    for p, stack in lite.items():
+        (twin_path, twin), (path, rows) = (
+            simulate._engine(run_cfg, None, lite, schedule=schedule, draws=draws)[1]
+            for run_cfg, lite in ((twin_cfg, True), (shadow, False)))
+    assert twin_path.shape == (cfg.steps, cfg.process.n)
+    assert twin_path.tobytes() == path.tobytes()
+    assert twin.keys() == rows.keys()
+    for p, stack in twin.items():
         assert stack.shape == (cfg.steps, len(channel_groups(cfg.sensors)[0][p]), p)
-        assert stack.tobytes() == full[p].tobytes()
+        assert stack.tobytes() == rows[p].tobytes()
 
 
 @pytest.mark.parametrize("cfg, passes", [
-    (dataclasses.replace(get_preset("fig6"), steps=30), 2),   # shadow reference: a twin
+    (dataclasses.replace(get_preset("fig6"), steps=30), 1),   # shadow: twin rows, no twin pass
+    (dataclasses.replace(engine_scenario("example1-calibrated"), steps=30),
+     2),                                                     # calibrated: a twin pass first
+    (dataclasses.replace(engine_scenario("mixed-p-synthetic"), steps=30, bound_monitor=True),
+     1),                                                     # synthetic, monitored: no twin
     (dataclasses.replace(engine_scenario("mixed-p-synthetic"), steps=30, bound_monitor=False),
      1),                                                     # synthetic, unmonitored: none
-], ids=["twin", "synthetic"])
+], ids=["twin", "calibrated", "synthetic-monitored", "synthetic"])
 def test_plant_stepped_once_per_step_and_pass(monkeypatch, cfg, passes):
     """`step_process`, looked up in the `simulate` namespace, is called once
     per simulated step of each pass; the benchmark times steps by these calls."""

@@ -260,39 +260,39 @@ class TestBeliefTiming:
 class TestBoundMonitor:
     def test_no_deficit_reduces_to_trigger_term(self):
         A = np.eye(2) * 0.5
-        mon = BoundMonitor(A=A, C_norms=[5.0, 5.0], alpha=1.8, B=2.0, tau=10.0)
+        mon = BoundMonitor(A=A, C_norms=[5.0, 5.0], alpha=1.8, tau=10.0)
         mon.start(1.0)
         Ms = [np.eye(2) * 0.2, np.eye(2) * 0.2]
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
         mon.step(Ms, L, gamma_max=0.1, betas=[1.0, 1.0])
         sA, sL, N = 0.5, 2.0, 2
         want = sA * sL * 0.1 * np.sqrt(N) * (1.8 / 5.0 + 2.0)
-        assert mon.B_o == pytest.approx(want, abs=1e-12)
-        assert mon.contractive
+        assert mon.offsets(B=2.0) == [pytest.approx(want, abs=1e-12)]
+        assert mon.A_o[0] < 1.0
 
     def test_contractive_bound_converges_to_asymptote(self):
         A = np.eye(2) * 0.5
-        mon = BoundMonitor(A=A, C_norms=[5.0], alpha=1.8, B=2.0, tau=10.0)
+        mon = BoundMonitor(A=A, C_norms=[5.0], alpha=1.8, tau=10.0)
         mon.start(50.0)
         Ms = [np.eye(2) * 0.4]
         L = np.zeros((1, 1))
         for _ in range(200):
             mon.step(Ms, L, gamma_max=0.05, betas=[0.9])
         # geometric series limit: bound -> B_o / (1 - A_o)
-        assert mon.bound == pytest.approx(mon.B_o / (1.0 - mon.A_o), rel=1e-6)
+        B_o = mon.offsets(B=2.0)[-1]
+        assert mon.bounds(B=2.0)[-1] == pytest.approx(B_o / (1.0 - mon.A_o[-1]), rel=1e-6)
 
     def test_non_contractive_flagged(self):
         A = np.eye(2) * 3.0
-        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, B=1.0, tau=1.0)
+        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
         mon.start(1.0)
         mon.step([np.eye(2)], np.zeros((1, 1)), 0.0, [1.0])
-        assert not mon.contractive
-        assert mon.A_o == pytest.approx(3.0)
-
+        assert mon.A_o == [pytest.approx(3.0)]
+        assert mon.bounds(B=1.0) == [1.0]
 
     def test_norms_reused_only_for_the_same_read_only_gains(self):
         A = np.array([[0.9, 0.2], [0.0, 0.7]])
-        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, B=1.0, tau=1.0)
+        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
         mon.start(1.0)
         L = np.zeros((1, 1))
 
@@ -302,12 +302,73 @@ class TestBoundMonitor:
         mon.step(M, L, 0.1, [1.0])
         M *= 2.0                        # writable: changed in place, taken again
         mon.step(M, L, 0.1, [1.0])
-        assert mon.A_o == A_o(M)
+        assert mon.A_o[-1] == A_o(M)
         M.setflags(write=False)
         mon.step(M, L, 0.1, [1.0])
-        assert mon.A_o == A_o(M)
+        assert mon.A_o[-1] == A_o(M)
         mon.step(M / 2.0, L, 0.1, [1.0])     # a new stack
-        assert mon.A_o == A_o(M / 2.0)
+        assert mon.A_o[-1] == A_o(M / 2.0)
+
+
+class StepByStepMonitor:
+    """The bound recursion advanced at every step, the way the monitor ran
+    before `bounds` moved it after the run: the oracle of the split API."""
+
+    def __init__(self, A, C_norms, alpha, B, tau, eta0_norm):
+        self.A, self.C_norms, self.alpha, self.B, self.tau = A, C_norms, alpha, B, tau
+        self.bound = float(eta0_norm)
+
+    def step(self, gains_M, laplacian_masked, gamma_max, betas):
+        gains_M = np.asarray(gains_M, float)
+        A_o = max(np.linalg.norm(self.A @ gains_M, 2, axis=(-2, -1)).tolist())
+        N = len(gains_M)
+        sA = float(np.linalg.norm(self.A, 2))
+        sL = float(np.linalg.norm(laplacian_masked, 2))
+        trigger_term = sA * sL * gamma_max * np.sqrt(N) * (
+            self.alpha / max(self.C_norms) + self.B)
+        beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
+        deficit_term = (sA + A_o) * beta_bar * np.sqrt(N) * self.tau
+        self.B_o = trigger_term + deficit_term
+        self.bound = A_o * self.bound + self.B_o
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 12])
+@pytest.mark.parametrize("scale", [0.3, 3.0], ids=["contractive", "non-contractive"])
+@pytest.mark.parametrize("N, n", [(1, 1), (4, 2)])
+def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
+    """`bounds` after the run gives the bytes of the recursion advanced at
+    every step: with A_o < 1 and A_o >= 1, over 0 and 1 steps, and with the
+    gains shared read-only across steps as the schedule's steady-state tail
+    shares them."""
+    rng = np.random.default_rng([steps, N, n])
+
+    def orthogonal():
+        return np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A = scale * orthogonal()                 # ||A M_i||_2 = scale * |s_i|, s_i in [0.5, 1]
+    C_norms = rng.uniform(0.5, 5.0, 2).tolist()
+    alpha, B, tau = rng.uniform(0.5, 5.0, 3).tolist()
+    eta0 = float(rng.uniform(0.0, 10.0))
+    mon = BoundMonitor(A=A, C_norms=C_norms, alpha=alpha, tau=tau)
+    oracle = StepByStepMonitor(A, C_norms, alpha, B, tau, eta0)
+    shared = np.stack([rng.uniform(0.5, 1.0) * orthogonal() for _ in range(N)])
+    shared.setflags(write=False)
+    want, offsets = [], []
+    for k in range(steps):
+        if k == 0:
+            mon.start(eta0)
+        M = shared if k % 3 else np.stack([rng.uniform(0.5, 1.0) * orthogonal()
+                                           for _ in range(N)])
+        L = trust_masked_laplacian(rng.uniform(0.0, 1.0, (N, N)) * (1 - np.eye(N)))
+        gamma_max, betas = float(rng.uniform(0.0, 0.5)), rng.uniform(0.01, 1.0, N).tolist()
+        want.append(oracle.bound)
+        mon.step(M, L, gamma_max, betas)
+        oracle.step(M, L, gamma_max, betas)
+        offsets.append(oracle.B_o)
+    got = mon.bounds(B)
+    assert len(got) == steps
+    assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
+    assert np.array(mon.offsets(B), float).tobytes() == np.array(offsets, float).tobytes()
+    assert all((A_o >= 1.0) == (scale > 1.0) for A_o in mon.A_o)
 
 
 class TestTrustMaskedLaplacian:
