@@ -15,6 +15,17 @@ residuals produce those).
 sliding windows of a whole network and updates their distance matrices by one
 row and column per step; its estimates equal `estimate_kl`'s bit for bit. It
 also keeps each row's last T estimates for the detectors' sliding mean.
+
+A bank whose window is long enough for its k (`4 * (k_nn + 2) <= window`)
+slides its sorted rows as well: it keeps each query's k+1 smallest distances
+and, per push, inserts the one new entry of every row and re-sorts only the
+rows that lose an entry at or under their k+1-th smallest (or a NaN), plus
+the new sample's own row. The prefix it keeps equals the first k+1 entries
+of `np.sort` of the whole row bit for bit: order statistics are values,
+whichever algorithm finds them; distances are never -0.0; and `np.sort` puts
+NaN last, while a NaN never enters a kept prefix except through a re-sort.
+A shorter window sends about (k+2)/w of its rows back to the sort on every
+push, too many to gain, so its banks sort every whole row per estimate.
 """
 
 from __future__ import annotations
@@ -112,7 +123,8 @@ def kth_neighbor_distance(D, k_nn: int) -> np.ndarray:
 
 
 def _kth_of_sorted(S, k_nn: int) -> np.ndarray:
-    """`kth_neighbor_distance` of rows already sorted along the last axis."""
+    """`kth_neighbor_distance` of rows already sorted along the last axis
+    (at least their `k_nn + 1` smallest entries)."""
     return np.where(S[..., 0] == 0.0, S[..., k_nn], S[..., k_nn - 1])
 
 
@@ -160,6 +172,8 @@ class KnnWindowBank:
     each push also carries every row's newest reference sample, and the cross
     distances are kept the same way. Otherwise `estimates` takes freshly
     drawn reference windows and computes all rows' cross distances at once.
+    Each ring matrix reads its k-th neighbors through `_RingDistances`, which
+    slides the sorted prefix of its rows when `4 * (k_nn + 2) <= window`.
 
     `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
     order, against its reference window, bit for bit. `average` keeps the last
@@ -181,11 +195,13 @@ class KnnWindowBank:
         self.epsilon_d = epsilon_d
         self.count = 0
         self._x = np.zeros((rows, self.window, self.dim))
-        self._dxx = np.zeros((rows, self.window, self.window))
+        # One sort buffer for the bank's whole-row sorts, which run one matrix at a time.
+        sort_buffer = np.empty((rows * self.window, self.window))
+        self._dxx = _RingDistances(rows, self.window, self.k_nn, sort_buffer)
         self._z = self._dxz = self._cross = None   # _cross: fresh cross distances
         if sliding_reference:
             self._z = np.zeros_like(self._x)
-            self._dxz = np.zeros_like(self._dxx)
+            self._dxz = _RingDistances(rows, self.window, self.k_nn, sort_buffer)
         self._raw = np.zeros((rows, int(average)))
         self._averaged = 0
 
@@ -212,12 +228,10 @@ class KnnWindowBank:
         s = self.count % self.window
         self._x[:, s] = x
         d = _distances_to(self._x, x)
-        self._dxx[:, s, :] = d
-        self._dxx[:, :, s] = d
+        self._dxx.write(s, d, d)
         if z is not None:
             self._z[:, s] = z
-            self._dxz[:, s, :] = _distances_to(self._z, x)
-            self._dxz[:, :, s] = _distances_to(self._x, z)
+            self._dxz.write(s, _distances_to(self._z, x), _distances_to(self._x, z))
         self.count += 1
 
     def estimates(self, reference=None) -> np.ndarray:
@@ -231,7 +245,7 @@ class KnnWindowBank:
         if self._z is not None:
             if reference is not None:
                 raise ConfigurationError("a sliding-reference bank takes no reference window")
-            kth_z, n2 = kth_neighbor_distance(self._dxz, self.k_nn), self.window
+            kth_z, n2 = self._dxz.kth(), self.window
         else:
             Z = np.asarray(reference, dtype=float)
             if Z.ndim != 3 or Z.shape[0] != len(self._x) or Z.shape[2] != self.dim \
@@ -241,14 +255,14 @@ class KnnWindowBank:
                     f"{self.dim} and k_nn={self.k_nn}")
             n2 = Z.shape[1]
             if self._cross is None or self._cross.shape[-1] != n2:
-                self._cross = np.empty((2, *self._dxx.shape[:2], n2))
+                self._cross = np.empty((2, *self._x.shape[:2], n2))
             # The squares, sorted in place, and the root of the selected
             # column only: sqrt is correctly rounded and non-decreasing, so it
             # commutes with the sort, and a square is 0 exactly where its root is.
             squares = _squared_distances(self._x, Z, self._cross)
             squares.sort(axis=-1)
             kth_z = np.sqrt(_kth_of_sorted(squares, self.k_nn))
-        d_x = _oldest_first(kth_neighbor_distance(self._dxx, self.k_nn), self.count)
+        d_x = _oldest_first(self._dxx.kth(), self.count)
         d_z = _oldest_first(kth_z, self.count)
         return _divergence(d_x, d_z, n2, self.epsilon_d, self.dim)
 
@@ -259,6 +273,67 @@ class KnnWindowBank:
         self._raw[:, self._averaged % T] = values
         self._averaged += 1
         return np.mean(_oldest_first(self._raw[:, :self._averaged], self._averaged), axis=1)
+
+
+class _RingDistances:
+    """A ring-indexed (rows, w, w) distance matrix `d` and its rows' k-th
+    smallest entries under the zero rule, one query per (row, slot).
+
+    Once `kth` has read a full ring, a matrix with `4 * (k_nn + 2) <= w`
+    keeps `prefix`, (k+1, rows, w): plane j holds every query's j-th smallest
+    entry, equal to `np.sort(d, axis=-1)[..., j]` bit for bit. `write` then
+    moves it with the matrix. A push changes one entry of every query, in the
+    written column, and all of the written slot's own query. A query whose
+    evicted entry was strictly above its k+1-th smallest loses nothing from
+    its prefix, and the new entry is merged in; every other query is sorted
+    again from its whole row. That is about (k+2)/w of the queries per push,
+    so a shorter window sorts every whole row per `kth` instead. Whole rows
+    are sorted in `sort_buffer`, (rows * w, w), which a bank shares between
+    its matrices.
+    """
+
+    def __init__(self, rows: int, window: int, k_nn: int, sort_buffer: np.ndarray):
+        self.d = np.zeros((rows, window, window))
+        self.k_nn = k_nn
+        self.slides = 4 * (k_nn + 2) <= window
+        self.prefix = self._spare = None
+        self._buffer = sort_buffer
+
+    def write(self, s: int, row, column) -> None:
+        """Write slot s's query row (rows, w) and column (rows, w)."""
+        old = None if self.prefix is None else self.d[:, :, s].copy()
+        self.d[:, s, :] = row
+        self.d[:, :, s] = column
+        if old is not None:
+            self._slide(s, old, column)
+
+    def _slide(self, s: int, old, new) -> None:
+        P, k = self.prefix, self.k_nn
+        resort = ~(old > P[k])     # ties and NaN included
+        resort[:, s] = True
+        # Merge each query's new entry into its prefix. fmin keeps a NaN out:
+        # a prefix holds a NaN only where the whole row's sort put one there.
+        merged = np.fmin(new, P, out=self._spare)
+        np.maximum(P[:-1], merged[1:], out=merged[1:])
+        self.prefix, self._spare = merged, P
+        queries = np.flatnonzero(resort)
+        rows = self._buffer[:len(queries)]
+        np.take(self.d.reshape(-1, self.d.shape[-1]), queries, axis=0, out=rows)
+        rows.sort(axis=-1)
+        merged.reshape(k + 1, -1)[:, queries] = rows[:, :k + 1].T
+
+    def kth(self) -> np.ndarray:
+        """Each query's k-th neighbor distance, (rows, w); needs a full ring."""
+        k = self.k_nn
+        if self.prefix is None:
+            rows = self._buffer.reshape(self.d.shape)
+            np.copyto(rows, self.d)
+            rows.sort(axis=-1)
+            if not self.slides:
+                return _kth_of_sorted(rows, k)
+            self.prefix = np.ascontiguousarray(rows[..., :k + 1].transpose(2, 0, 1))
+            self._spare = np.empty_like(self.prefix)
+        return _kth_of_sorted(self.prefix.transpose(1, 2, 0), k)
 
 
 def _distances_to(ring, q) -> np.ndarray:

@@ -206,22 +206,42 @@ class TestPairwiseDistances:
 
 @st.composite
 def streams(draw):
-    """Sample streams for a bank: an identical-window prefix (shadow before
-    onset), exact repeats (replay), and several ring wrap-arounds."""
+    """Sample streams for a bank, with k and w on both sides of the rule that
+    lets a bank slide its sorted rows (4 (k + 2) <= w): an identical-window
+    prefix (shadow before onset), exact repeats (replay), echoes of a sample
+    still in the window, so that an evicted distance ties others of its row
+    (the k+1-th smallest among them), samples that overflow (1e200: inf
+    distances) or are inf or NaN, as an overflowing filter's innovations are
+    (inf - inf: NaN distances), several ring wrap-arounds, and a mask of
+    steps whose estimate is skipped once the ring is full."""
     k = draw(st.integers(1, 8))
-    w = draw(st.integers(k + 1, 50))
+    shortest_sliding = 4 * (k + 2)
+    w = draw(st.integers(shortest_sliding, 50) if draw(st.booleans())
+             else st.integers(k + 1, shortest_sliding - 1))
     m = draw(st.integers(1, 3))
     rows = draw(st.integers(1, 3))
     steps = w * draw(st.integers(2, 4)) + draw(st.integers(0, w - 1))
     prefix = draw(st.integers(0, steps))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = rng.standard_normal((steps, rows, m))
+    overflow = draw(st.sampled_from([0.0, 0.02, 0.2]))
+
+    def overflowing(A):
+        hit = rng.random(A.shape) < overflow
+        A[hit] = rng.choice([1e200, -3e200, np.inf, -np.inf, np.nan], hit.sum())
+        return A
+
+    X = overflowing(rng.standard_normal((steps, rows, m)))
     hold = rng.random(steps) < draw(st.sampled_from([0.0, 0.3, 0.9]))
     for t in np.flatnonzero(hold[1:]) + 1:
         X[t] = X[t - 1]
-    Z = rng.standard_normal((steps, rows, m)) * 1.5 + 0.5
+    echo = rng.random(steps) < draw(st.sampled_from([0.0, 0.2]))
+    lag = rng.integers(1, w, steps)
+    for t in np.flatnonzero(echo & (np.arange(steps) >= lag)):
+        X[t] = X[t - lag[t]]
+    Z = overflowing(rng.standard_normal((steps, rows, m)) * 1.5 + 0.5)
     Z[:prefix] = X[:prefix]
-    return k, w, X, Z, rng
+    skip = rng.random(steps) < draw(st.sampled_from([0.0, 0.5]))
+    return k, w, X, Z, skip, rng
 
 
 class TestKnnWindowBank:
@@ -254,12 +274,13 @@ class TestKnnWindowBank:
 
     @settings(max_examples=40, deadline=None)
     @given(streams())
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # overflowing samples
     def test_sliding_reference_equals_estimate_kl(self, case):
-        k, w, X, Z, _ = case
+        k, w, X, Z, skip, _ = case
         bank = KnnWindowBank(X.shape[1], X.shape[2], w, k, sliding_reference=True)
         for t in range(len(X)):
             bank.push(X[t], Z[t])
-            if not bank.full:
+            if not bank.full or skip[t]:
                 continue
             got = bank.estimates()
             windows = X[t + 1 - w:t + 1].transpose(1, 0, 2)
@@ -268,14 +289,15 @@ class TestKnnWindowBank:
 
     @settings(max_examples=40, deadline=None)
     @given(streams(), st.integers(0, 40))
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # overflowing samples
     def test_fresh_reference_equals_estimate_kl(self, case, extra):
-        k, w, X, _, rng = case
+        k, w, X, _, skip, rng = case
         rows, m = X.shape[1], X.shape[2]
         n2 = k + 1 + extra
         bank = KnnWindowBank(rows, m, w, k)
         for t in range(len(X)):
             bank.push(X[t])
-            if not bank.full:
+            if not bank.full or skip[t]:
                 continue
             windows = X[t + 1 - w:t + 1].transpose(1, 0, 2)
             ref = rng.standard_normal((rows, n2, m))
@@ -284,6 +306,29 @@ class TestKnnWindowBank:
             got = bank.estimates(ref)
             for b in range(rows):
                 assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams(), st.booleans())
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # overflowing samples
+    def test_prefix_equals_a_whole_sort_at_every_push(self, case, sliding):
+        """From a bank's first estimate on, the k+1 smallest distances it
+        keeps per query equal the first k+1 of the whole row's sort after
+        every push, bit for bit; a bank under the slide rule keeps none."""
+        k, w, X, Z, skip, rng = case
+        rows, m = X.shape[1], X.shape[2]
+        bank = KnnWindowBank(rows, m, w, k, sliding_reference=sliding)
+        matrices = [bank._dxx, bank._dxz] if sliding else [bank._dxx]
+        estimated = False
+        for t in range(len(X)):
+            bank.push(X[t], Z[t] if sliding else None)
+            for ring in matrices:
+                assert (ring.prefix is not None) == (estimated and 4 * (k + 2) <= w), t
+                if ring.prefix is not None:
+                    want = np.sort(ring.d, axis=-1)[..., :k + 1]
+                    assert ring.prefix.transpose(1, 2, 0).tobytes() == want.tobytes(), t
+            if bank.full and not skip[t]:
+                bank.estimates(None if sliding else rng.standard_normal((rows, k + 1, m)))
+                estimated = True
 
     @pytest.mark.parametrize("m", [2, 9])   # plane by plane, and a pairwise sum
     def test_fresh_reference_of_changing_size_equals_estimate_kl(self, m):
