@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .models import channel_groups
+from .models import model_groups
 
 
 def _t(m: np.ndarray) -> np.ndarray:
@@ -181,23 +181,28 @@ def nominal_covariances(process, sensors):
     as (N, n, n) and the gains K as p -> (nodes with p channels, n, p). A
     singular innovation covariance raises `NumericalError` naming the node.
 
+    The recursion reads (C, R) and no data, so it runs once per sensor model
+    (`sensor_models`): nodes that share one get equal inputs and so equal
+    bits. Each item gathers the models' rows to the nodes; a singular model
+    is named by its first node, the node a per-node recursion names.
+
     Every item is a pure function of its P_prior. Once the next P_prior
     equals it bit for bit (the steady-state filter), the same tuple repeats
     without end; its arrays are read-only, since one item may serve many
     steps. Read it as `zip(range(steps), ...)`, range first, so that no step
     past the run is computed.
     """
-    groups, C, R = channel_groups(sensors)
-    P_prior = np.tile(process.P0, (len(sensors), 1, 1))
+    first, model, groups, C, R, take = model_groups(sensors)
+    P_prior = np.tile(process.P0, (len(first), 1, 1))
     while True:
         K, M, P_post = {}, np.empty(P_prior.shape), np.empty(P_prior.shape)
         for p, rows in groups.items():
-            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=rows + 1)
+            K[p] = kalman_gain(P_prior[rows], C[p], R[p], nodes=first[rows] + 1)
             M[rows] = np.eye(process.n) - K[p] @ C[p]
             P_post[rows] = posterior_covariance(P_prior[rows], K[p], C[p], R[p])
-        for a in (P_prior, M, P_post, *K.values()):
+        entry = (P_prior[model], {p: K[p][take[p]] for p in K}, M[model], P_post[model])
+        for a in (entry[0], entry[2], entry[3], *entry[1].values()):
             a.setflags(write=False)
-        entry = (P_prior, K, M, P_post)
         yield entry
         P_next = prior_covariance(P_post, process.A, process.Q)
         # Bit patterns, so that -0.0 and +0.0 (or two NaN payloads) differ.

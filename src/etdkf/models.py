@@ -171,6 +171,39 @@ def channel_groups(sensors):
     return {p: np.array(rows) for p, rows in groups.items()}, C, R
 
 
+def sensor_models(sensors):
+    """The distinct sensor models: (first, model), with first[m] the position
+    of model m's first sensor, ascending, and model[b] the model of sensor b.
+
+    Two sensors share a model when their C and their R have the same shapes
+    and the same bytes, so -0.0 and +0.0 differ. Whatever reads only (C, R)
+    is then equal bit for bit across a model's sensors.
+    """
+    index, first, model = {}, [], []
+    for b, s in enumerate(sensors):
+        key = (s.C.shape, s.C.tobytes(), s.R.shape, s.R.tobytes())
+        if key not in index:
+            index[key] = len(first)
+            first.append(b)
+        model.append(index[key])
+    return np.array(first, dtype=int), np.array(model, dtype=int)
+
+
+def model_groups(sensors):
+    """The sensor models grouped by channel count, and the gathers back to
+    the sensors: (first, model, groups, C, R, take), with first and model as
+    `sensor_models` gives them, (groups, C, R) the models' `channel_groups`
+    (groups holding model rows) and take p -> the row in its group of each
+    p-channel sensor's model, in sensor order."""
+    first, model = sensor_models(sensors)
+    groups, C, R = channel_groups([sensors[b] for b in first])
+    row = np.empty(len(first), dtype=int)      # each model's row in its group
+    for rows in groups.values():
+        row[rows] = np.arange(len(rows))
+    channels = np.array([s.p for s in sensors])
+    return first, model, groups, C, R, {p: row[model[channels == p]] for p in groups}
+
+
 def measure(C, x: np.ndarray, v) -> np.ndarray:
     """Observations C x + v: of one sensor (C is p x n), or of a stack of
     sensors sharing the state x (C is N x p x n, v is N x p)."""

@@ -146,6 +146,10 @@ class BoundMonitor:
     `gains_M` or one that can be written to: a read-only stack passed again
     (the engine's covariance schedule shares one across its steady-state
     tail) keeps its A_o.
+
+    Only maxima over nodes are read of `gains_M` and `C_norms`, so each may
+    hold one entry per sensor model (`sensor_models`) rather than per node,
+    as the engine passes them: nodes of one model have equal entries.
     """
 
     A: np.ndarray
@@ -168,7 +172,8 @@ class BoundMonitor:
 
     def step(self, gains_M, laplacian_masked: np.ndarray, gamma_max: float,
              betas: list) -> None:
-        """Record one step; `gains_M` stacks every node's I - K_i C_i as (N, n, n)."""
+        """Record one step; `gains_M` stacks I - K_i C_i as (models, n, n), and
+        the masked Laplacian (N, N) gives the node count N."""
         gains_M = np.asarray(gains_M, float)     # a float array comes back as itself
         if gains_M is not self._gains_M or gains_M.flags.writeable:
             self._gains_M = gains_M
@@ -176,7 +181,7 @@ class BoundMonitor:
                                      axis=(-2, -1)).tolist())
         else:
             A_o = self.A_o[-1]
-        N, sA = len(gains_M), self._sA
+        N, sA = len(laplacian_masked), self._sA
         sL = float(np.linalg.norm(np.asarray(laplacian_masked, float), 2))
         beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
         self.A_o.append(A_o)

@@ -37,7 +37,7 @@ from .filtering import (consensus_gain, innovation, innovation_covariance,
                         update_predictive, vector_norm)
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
-                     measure, step_process)
+                     measure, model_groups, sensor_models, step_process)
 from .resilience import (BeliefState, BoundMonitor, assumption4_satisfied,
                          trust_masked_laplacian, weighted_neighbor_estimate)
 
@@ -167,12 +167,15 @@ def covariance_schedule(cfg) -> list:
     consensus gain that overflows or whose SVD fails raises `NumericalError`
     naming the step.
 
-    The steady-state filter repeats one item, so gamma and L are computed
-    once per distinct item, and one tuple object fills the rest of the
-    schedule. Its arrays are read-only.
+    gamma and L are computed on one row per sensor model (`sensor_models`)
+    and gathered to the nodes: nodes of one model have equal inputs, so
+    equal per-matrix results, and the gain's network-wide maximum over the
+    models is the maximum over the nodes. The steady-state filter repeats
+    one item, so gamma and L are computed once per distinct item, and one
+    tuple object fills the rest of the schedule. Its arrays are read-only.
     """
     A, synthetic = cfg.process.A, cfg.detector.reference == "synthetic"
-    groups, C, R = channel_groups(cfg.sensors)
+    first, model, groups, C, R, take = model_groups(cfg.sensors)
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
     schedule, seen = [], None
@@ -180,15 +183,19 @@ def covariance_schedule(cfg) -> list:
         if nominal is not seen:
             seen = nominal
             P_prior, K, M, P_post = nominal
-            L = {p: reference_factors(innovation_covariance(P_prior[rows], C[p], R[p]))
+            P_models = P_prior[first]
+            L = {p: reference_factors(innovation_covariance(P_models[rows], C[p], R[p]))[take[p]]
                  for p, rows in groups.items()} if synthetic else {}
             try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
                 with np.errstate(over="raise", invalid="raise"):
                     gamma = (cfg.consensus.gamma if lam_L is None else
-                             consensus_gain(M, A, P_prior, lam_L, fallback=cfg.consensus.gamma))
+                             consensus_gain(M[first], A, P_models, lam_L,
+                                            fallback=cfg.consensus.gamma))
             except (FloatingPointError, np.linalg.LinAlgError) as exc:
                 raise NumericalError(f"the matrix consensus gain could not be computed at "
                                      f"step {k} ({exc})") from None
+            if isinstance(gamma, np.ndarray):
+                gamma = gamma[model]
             for a in (gamma, *L.values()):
                 if isinstance(a, np.ndarray):
                     a.setflags(write=False)
@@ -338,7 +345,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
         beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
-    monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
+    # The monitor reads the covariance half once per sensor model: one row of
+    # each model's M and gamma, and each model's ||C||_2.
+    first = sensor_models(cfg.sensors)[0]
+    monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(cfg.sensors[b].C, 2))
+                                         for b in first.tolist()],
                            alpha=alpha, tau=cfg.resilient.tau) if monitored else None
 
     trace = None if lite else SimTrace(config=cfg)
@@ -366,8 +377,10 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
                           for p, rows in groups.items()}
             if monitor is not None:
-                gmax = (max(np.linalg.norm(gamma, 2, axis=(1, 2)).tolist())
+                gmax = (max(np.linalg.norm(gamma[first], 2, axis=(1, 2)).tolist())
                         if matrix_gamma else abs(gamma))
+                M_models = M[first]     # read-only, so the monitor keeps its A_o
+                M_models.setflags(write=False)
             if not lite:
                 trace_p = np.trace(P_post, axis1=1, axis2=2)
         t = k * cfg.dt
@@ -458,7 +471,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 monitor.start(realized)
             W = np.zeros((N, N))
             W[slot_of, slot_to] = weights[:N][mask]
-            monitor.step(M, trust_masked_laplacian(W), gmax, beta[:N].tolist())
+            monitor.step(M_models, trust_masked_laplacian(W), gmax, beta[:N].tolist())
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etdkf import filtering, simulate
+from etdkf import filtering, resilience, simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.graphs import Graph
 from etdkf.models import NoiseSource, channel_groups
@@ -150,6 +150,44 @@ def test_covariance_half_computed_once_per_run(monkeypatch):
     groups = len({s.p for s in cfg.sensors})
     assert calls == {"kalman_gain": 12 * groups, "posterior_covariance": 12 * groups,
                      "consensus_gain": 12}
+
+
+def ring_of_one_model(n=32, steps=20):
+    """fig7's resilient setup on a generated ring with links at +-1 and +-2
+    hops, every node with fig7's sensor, matrix consensus and the bound
+    monitor on."""
+    d = get_preset("fig7").to_dict()
+    d["graph"] = {"nodes": n, "edges": sorted([min(a, b), max(a, b)] for a in range(1, n + 1)
+                                              for b in {a % n + 1, (a + 1) % n + 1})}
+    d["sensors"] = [d["sensors"][0]] * n
+    d["consensus"]["mode"], d["bound_monitor"], d["steps"] = "matrix", True, steps
+    d["detector"].update(window=10, k_nn=3, average=5)
+    return ScenarioConfig.from_dict(d)
+
+
+def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
+    """Nodes that share (C, R) share the covariance half: on a ring of 32
+    equal sensors the gains, the consensus gain and the monitor's A_o see
+    one row per distinct schedule entry, and the monitor one ||C||_2."""
+    cfg = ring_of_one_model()
+    distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
+    rows = {"kalman_gain": [], "consensus_gain": []}
+    for module, name in ((filtering, "kalman_gain"), (simulate, "consensus_gain")):
+        def spy(stack, *args, _real=getattr(module, name), _name=name, **kwargs):
+            rows[_name].append(len(stack))
+            return _real(stack, *args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+    monitored = []
+
+    def step(self, gains_M, *args, _real=resilience.BoundMonitor.step):
+        monitored.append((len(self.C_norms), gains_M))
+        return _real(self, gains_M, *args)
+    monkeypatch.setattr(resilience.BoundMonitor, "step", step)
+    run_scenario(cfg)
+    assert rows == {"kalman_gain": [1] * distinct, "consensus_gain": [1] * distinct}
+    assert len(monitored) == cfg.steps
+    assert {(norms, len(M)) for norms, M in monitored} == {(1, 1)}
+    assert len({id(M) for _, M in monitored}) == distinct
 
 
 def test_overflowing_injection_writes_no_numpy_warning(tmp_path, capfd):

@@ -7,7 +7,7 @@ from etdkf.errors import ConfigurationError
 from etdkf.models import (STREAM_INITIAL_STATE, STREAM_PROCESS, STREAM_SENSOR,
                           NoiseSource, ProcessModel, SensorModel,
                           is_collectively_observable, measure, observability_rank,
-                          step_process)
+                          sensor_models, step_process)
 
 
 def rotation(theta):
@@ -209,3 +209,21 @@ class TestModelValidation:
     def test_shape_consistency(self):
         with pytest.raises(ConfigurationError):
             ProcessModel(A=np.eye(2), Q=np.eye(3), x0_mean=[0, 0], P0=np.eye(2))
+
+
+def test_sensor_models_key_on_shapes_and_bytes():
+    """Sensors share a model when C and R have equal shapes and bytes: a
+    shared C with another R and a C that differs only in the sign of a zero
+    are models of their own, equal matrices built apart are one. Models are
+    numbered by first sensor; a model's sensors need not be adjacent."""
+    C, R = [[5.0, 0.0], [0.0, 2.0]], np.eye(2)
+    sensors = [SensorModel(C=C, R=R),
+               SensorModel(C=C, R=2.0 * R),
+               SensorModel(C=[[5.0, -0.0], [0.0, 2.0]], R=R),
+               SensorModel(C=np.array(C), R=np.eye(2)),
+               SensorModel(C=[[5.0, 0.0]], R=[[1.0]]),
+               SensorModel(C=C, R=2.0 * R)]
+    first, model = sensor_models(sensors)
+    assert first.tolist() == [0, 1, 2, 4]
+    assert model.tolist() == [0, 1, 2, 0, 3, 1]
+    assert [b.tolist() for b in sensor_models([])] == [[], []]

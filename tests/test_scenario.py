@@ -947,6 +947,22 @@ class TestCli:
         assert err.startswith("error: numerical failure: singular innovation covariance at node 2")
         assert len(err.strip().splitlines()) == 1
 
+    def test_numerical_failure_names_a_shared_sensors_first_node(self, tmp_path, capsys):
+        # Nodes 1, 2 and 4 share the good sensor, nodes 3 and 5 the singular
+        # one: the recursion runs once per sensor model and still names node 3.
+        good = {"c": [[5.0, 0.0], [0.0, 2.0]], "r": np.eye(2).tolist()}
+        bad = {"c": [[1.0, 0.0], [1.0, 0.0]], "r": (1e-20 * np.eye(2)).tolist()}
+        cfg = tiny_config(sensors=[good, good, bad, good, bad],
+                          graph={"nodes": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5]]})
+        cfg.validate()
+        spath = tmp_path / "singular.yaml"
+        spath.write_text(cfg.to_yaml())
+        rc = cli_main(["run", "--scenario", str(spath), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("error: numerical failure: singular innovation covariance at node 3")
+        assert len(err.strip().splitlines()) == 1
+
     def test_collapsing_matrix_consensus_exits_4(self, tmp_path, capsys):
         # A stable plant with q = 0: P_prior collapses towards 0 until the
         # matrix consensus gain's pinv overflows, which used to end the run

@@ -14,7 +14,7 @@ from etdkf.errors import NumericalError
 from etdkf.filtering import (consensus_gain, innovation_covariance, kalman_gain,
                              posterior_covariance, prior_covariance)
 from etdkf.graphs import Graph, laplacian
-from etdkf.models import ProcessModel, SensorModel, channel_groups
+from etdkf.models import ProcessModel, SensorModel, channel_groups, sensor_models
 from etdkf.scenario import ConsensusConfig, get_preset, list_presets
 from etdkf.simulate import covariance_schedule
 
@@ -57,26 +57,27 @@ GAIN_FAILED = "the matrix consensus gain could not be computed"
 
 
 def outcome(schedule_of, cfg):
-    """The schedule, or GAIN_FAILED. A covariance that collapses to 0
-    overflows pinv in the matrix consensus gain (a RuntimeWarning, which the
-    test configuration raises) or fails its SVD: the oracle raises either,
-    and the schedule a NumericalError naming the step."""
+    """The schedule, GAIN_FAILED, or the text of a singular innovation
+    covariance's NumericalError. A covariance that collapses to 0 overflows
+    pinv in the matrix consensus gain (a RuntimeWarning, which the test
+    configuration raises) or fails its SVD: the oracle raises either, and
+    the schedule a NumericalError naming the step. A singular innovation
+    covariance is a NumericalError naming the node in both."""
     try:
         return schedule_of(cfg)
     except (np.linalg.LinAlgError, RuntimeWarning):
         return GAIN_FAILED
     except NumericalError as exc:
-        if GAIN_FAILED not in str(exc):
-            raise
-        return GAIN_FAILED
+        return GAIN_FAILED if GAIN_FAILED in str(exc) else str(exc)
 
 
 def assert_equals_oracle(cfg):
-    """The schedule equals the oracle's entry by entry, or both raise alike."""
+    """The schedule equals the oracle's entry by entry, or both raise alike;
+    returns the schedule, or the failure's text."""
     got, want = outcome(covariance_schedule, cfg), outcome(per_step_schedule, cfg)
-    if GAIN_FAILED in (got, want):
+    if isinstance(got, str) or isinstance(want, str):
         assert got == want
-        return []
+        return got
     assert len(got) == len(want) == cfg.steps
     for k, (a, b) in enumerate(zip(got, want)):
         assert entry_bits(a) == entry_bits(b), k
@@ -90,25 +91,42 @@ def spd(rng, size, floor):
 
 @st.composite
 def schedule_configs(draw):
-    """A random plant, sensors with mixed channel counts, a connected graph,
-    scalar or matrix consensus and any detector reference. With `unstable`
-    the plant's first state is a growing mode no sensor sees, so P_prior
-    never settles."""
+    """A random plant, a connected graph, scalar or matrix consensus and any
+    detector reference, with each node's sensor drawn from a pool of one to
+    three models of mixed channel counts, placed at shuffled nodes. A pool
+    may hold a pair that shares C but not R, a pair whose C differ only in
+    the sign of one zero, and a model whose innovation covariance is singular
+    (two equal rows of C, a negligible R). With `unstable` the plant's first
+    state is a growing mode no sensor sees, so P_prior never settles."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 3))
     unstable = n > 1 and draw(st.booleans())
     A = rng.standard_normal((n, n))
     A *= draw(st.floats(0.1, 0.95)) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
-    N = draw(st.integers(2, 5))
-    sensors = []
-    for _ in range(N):
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
         C = rng.standard_normal((draw(st.integers(1, 3)), n))
-        sensors.append(SensorModel(C=C, R=spd(rng, len(C), 0.5)))
+        pool.append((C, spd(rng, len(C), 0.5)))
+    if draw(st.integers(0, 2)) == 0:
+        C = rng.standard_normal((1, n))
+        pool[-1] = (np.vstack([C, C]), 1e-20 * np.eye(2))
     if unstable:
         A[0], A[:, 0] = 0.0, 0.0
         A[0, 0] = draw(st.floats(1.05, 1.5))
-        for s in sensors:
-            s.C[:, 0] = 0.0
+        for C, _ in pool:
+            C[:, 0] = 0.0
+    pair = draw(st.sampled_from(["none", "same C", "signed zero"])) if len(pool) > 1 else "none"
+    C, R = pool[0]
+    if pair == "same C":
+        pool[1] = (C, spd(rng, len(C), 0.5))
+    elif pair == "signed zero":     # a row that sees nothing, so the sign can reach K
+        C[0] = 0.0
+        pool[1] = (C.copy(), R)
+        pool[1][0][0, 0] = -0.0
+    N = draw(st.integers(2, 5))
+    sensors = [SensorModel(C=pool[g][0], R=pool[g][1])
+               for g in rng.permutation(np.arange(N) % len(pool))]
+    event(f"{len(sensor_models(sensors)[0])} of {N} sensors distinct, pair: {pair}")
     Q = spd(rng, n, 0.0) if draw(st.booleans()) else np.zeros((n, n))
     process = ProcessModel(A=A, Q=Q, x0_mean=np.zeros(n), P0=spd(rng, n, 0.1))
     graph = Graph(N, {(draw(st.integers(1, i - 1)), i) for i in range(2, N + 1)})
@@ -126,10 +144,13 @@ def schedule_configs(draw):
 def test_schedule_equals_per_step_recursion(cfg):
     """Entry by entry, bit for bit, the schedule equals the recursion stepped
     to the end; past the first entry whose successor P_prior repeats its own,
-    every step holds that one entry."""
-    ids = [id(entry) for entry in assert_equals_oracle(cfg)]
-    if not ids:
+    every step holds that one entry; or both fail with the same text, a
+    singular innovation covariance naming the same node."""
+    schedule = assert_equals_oracle(cfg)
+    if isinstance(schedule, str):
+        event(schedule.split(" (")[0])
         return
+    ids = [id(entry) for entry in schedule]
     distinct = len(set(ids))
     assert len(set(ids[:distinct])) == distinct
     assert ids[distinct:] == ids[distinct - 1:distinct] * (len(ids) - distinct)
