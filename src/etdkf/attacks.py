@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .filtering import nominal_covariances
 from .graphs import Graph, laplacian
 from .models import channel_groups
@@ -72,15 +72,18 @@ class AttackPlan:
     upsilon: object = None         # replay disruption (vector, or scalar norm)
 
     def __post_init__(self):
+        errors = []
         if self.kind not in ATTACK_KINDS:
-            raise ConfigurationError(f"unknown attack kind {self.kind!r}")
+            errors.append(f"unknown attack kind {self.kind!r}")
         if self.onset < 0:
-            raise ConfigurationError(f"onset must be >= 0, got {self.onset}")
+            errors.append(f"onset must be >= 0, got {self.onset}")
         if self.kind == CHANNEL_INJECTION:
             if self.edge is None:
-                raise ConfigurationError("channel_injection needs edge=(j, i)")
-        elif self.node is None:
-            raise ConfigurationError(f"{self.kind} needs a target node")
+                errors.append("channel_injection needs edge=(j, i)")
+        elif self.kind in ATTACK_KINDS and self.node is None:   # the target follows the kind
+            errors.append(f"{self.kind} needs a target node")
+        if errors:
+            raise ValidationError(errors)
 
     def active(self, k: int) -> bool:
         return k >= self.onset

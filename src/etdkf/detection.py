@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 H0 = "H0"
 H1 = "H1"
@@ -51,20 +51,20 @@ class DetectorConfig:
     reference: str = "shadow"  # "shadow" | "synthetic" | "calibrated"
 
     def __post_init__(self):
+        errors = []
         if not 1 <= self.k_nn < self.window:
-            raise ConfigurationError(
-                f"need 1 <= k_nn < window, got k_nn={self.k_nn}, window={self.window}"
-            )
+            errors.append(f"need 1 <= k_nn < window, got k_nn={self.k_nn}, window={self.window}")
         if self.average < 1:
-            raise ConfigurationError(f"average window T must be >= 1, got {self.average}")
-        baseline = np.log(self.window / (self.window - 1))
-        if self.delta <= baseline:
-            raise ConfigurationError(
-                f"delta={self.delta} must exceed the identical-window baseline "
-                f"log(w/(w-1))={baseline:.4g}"
-            )
+            errors.append(f"average window T must be >= 1, got {self.average}")
+        if self.window >= 2:   # else the window failed above, and the baseline has no value
+            baseline = np.log(self.window / (self.window - 1))
+            if self.delta <= baseline:
+                errors.append(f"delta={self.delta} must exceed the identical-window baseline "
+                              f"log(w/(w-1))={baseline:.4g}")
         if self.reference not in ("shadow", "synthetic", "calibrated"):
-            raise ConfigurationError(f"unknown reference mode {self.reference!r}")
+            errors.append(f"unknown reference mode {self.reference!r}")
+        if errors:
+            raise ValidationError(errors)
 
 
 def pairwise_distances(X, Z) -> np.ndarray:
@@ -72,38 +72,34 @@ def pairwise_distances(X, Z) -> np.ndarray:
 
     Returns (..., n1, n2), bit-identical to
     `np.linalg.norm(X[..., :, None, :] - Z[..., None, :, :], axis=-1)`: the
-    root of `_squared_distances`.
+    root of `_squared_distances` over the coordinate planes of X and Z.
     """
-    squares = _squared_distances(X, Z)
+    X = np.moveaxis(np.asarray(X, dtype=float), -1, 0)
+    Z = np.moveaxis(np.asarray(Z, dtype=float), -1, 0)
+    squares = _squared_distances(X[..., :, None], Z[..., None, :])
     return np.sqrt(squares, out=squares)
 
 
-def _squared_distances(X, Z, out=None) -> np.ndarray:
-    """The squared distances that `pairwise_distances` takes the root of.
+def _squared_distances(A, B) -> np.ndarray:
+    """The sum over coordinate planes c of (A[c] - B[c])**2, for plane-major A
+    and B, (m, ...), whose planes broadcast against each other: the squares
+    that `pairwise_distances` and a bank's rings take the roots of.
 
-    They are computed one coordinate plane at a time: `add.reduce` over a
-    short last axis costs more than the arithmetic. It sums fewer than 8
-    terms left to right, which the plane sum repeats; longer axes are summed
-    pairwise, as `norm` sums them. Each plane is read from a contiguous copy
-    and subtracted, squared and added into two (..., n1, n2) buffers: `out`
-    (2, ..., n1, n2) when given, the result in out[0], else two allocated here.
+    `add.reduce` over a short last axis costs more than the arithmetic, so the
+    planes are subtracted, squared and added one at a time: `norm` sums fewer
+    than 8 terms left to right, as this does. From 8 planes up `norm` sums
+    pairwise along a contiguous last axis, so the differences are laid out
+    that way (`order="C"`; numpy would otherwise keep plane-major inputs
+    plane-major) and reduced as `norm` reduces them. (a - b)**2 equals
+    (b - a)**2 exactly, so either order of the operands gives the same bits.
     """
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    m = X.shape[-1]
-    if m >= 8:
-        diff = X[..., :, None, :] - Z[..., None, :, :]
-        return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1,
-                             out=None if out is None else out[0])
-    Xc = np.ascontiguousarray(np.moveaxis(X, -1, 0))[..., :, None]   # (m, ..., n1, 1)
-    Zc = np.ascontiguousarray(np.moveaxis(Z, -1, 0))[..., None, :]   # (m, ..., 1, n2)
-    if out is None:
-        out = np.empty((2, *np.broadcast_shapes(Xc.shape[1:], Zc.shape[1:])))
-    total, d = out
-    np.subtract(Xc[0], Zc[0], out=total)
+    if len(A) >= 8:
+        diff = np.subtract(np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1), order="C")
+        return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1)
+    total, d = np.subtract(A[0], B[0]), None
     np.multiply(total, total, out=total)
-    for c in range(1, m):
-        np.subtract(Xc[c], Zc[c], out=d)
+    for c in range(1, len(A)):
+        d = np.subtract(A[c], B[c], out=d)
         np.multiply(d, d, out=d)
         np.add(total, d, out=total)
     return total
@@ -166,14 +162,18 @@ class KnnWindowBank:
 
     Row b of the bank is one window of `dim`-dimensional samples. Each `push`
     gives every row one sample, written to ring slot `count % window`, which
-    evicts the oldest once the ring is full. The within-window distances of
-    all rows live in a ring-indexed (rows, w, w) matrix, and a push writes
-    only the new sample's row and column of it. With a sliding reference,
-    each push also carries every row's newest reference sample, and the cross
-    distances are kept the same way. Otherwise `estimates` takes freshly
-    drawn reference windows and computes all rows' cross distances at once.
-    Each ring matrix reads its k-th neighbors through `_RingDistances`, which
-    slides the sorted prefix of its rows when `4 * (k_nn + 2) <= window`.
+    evicts the oldest once the ring is full. The rings are plane-major,
+    (dim, rows, w): each coordinate of all rows' samples is one contiguous
+    plane, which `_squared_distances` reads in place. The within-window
+    distances of all rows live in a ring-indexed (rows, w, w) matrix, and a
+    push writes only the new sample's row and column of it. With a sliding
+    reference, each push also carries every row's newest reference sample,
+    and the cross distances are kept the same way. Otherwise `estimates`
+    takes freshly drawn reference windows and computes all rows' cross
+    distances at once. Each ring matrix reads its k-th neighbors through
+    `_RingDistances`, which slides the sorted prefix of its rows when
+    `4 * (k_nn + 2) <= window`. Every other array is allocated where it is
+    used; the bank keeps no scratch buffers.
 
     `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
     order, against its reference window, bit for bit. `average` keeps the last
@@ -189,49 +189,50 @@ class KnnWindowBank:
                 f"need 1 <= k_nn < window, got k_nn={k_nn}, window={window}")
         if average < 1:
             raise ConfigurationError(f"average window T must be >= 1, got {average}")
+        self.rows = int(rows)
         self.dim = int(dim)
         self.window = int(window)
         self.k_nn = int(k_nn)
         self.epsilon_d = epsilon_d
         self.count = 0
-        self._x = np.zeros((rows, self.window, self.dim))
-        # One sort buffer for the bank's whole-row sorts, which run one matrix at a time.
-        sort_buffer = np.empty((rows * self.window, self.window))
-        self._dxx = _RingDistances(rows, self.window, self.k_nn, sort_buffer)
-        self._z = self._dxz = self._cross = None   # _cross: fresh cross distances
+        self._x = np.zeros((self.dim, self.rows, self.window))
+        self._dxx = _RingDistances(self.rows, self.window, self.k_nn)
+        self._z = self._dxz = None
         if sliding_reference:
             self._z = np.zeros_like(self._x)
-            self._dxz = _RingDistances(rows, self.window, self.k_nn, sort_buffer)
-        self._raw = np.zeros((rows, int(average)))
+            self._dxz = _RingDistances(self.rows, self.window, self.k_nn)
+        self._raw = np.zeros((self.rows, int(average)))
         self._averaged = 0
 
     @property
     def full(self) -> bool:
         return self.count >= self.window
 
-    def _one_per_row(self, samples) -> np.ndarray:
+    def _planes(self, samples) -> np.ndarray:
+        """One sample per row, (rows, dim), as planes (dim, rows, 1)."""
         s = np.asarray(samples, dtype=float)
-        if s.shape != (len(self._x), self.dim):
+        if s.shape != (self.rows, self.dim):
             raise ConfigurationError(
-                f"samples of shape {s.shape} for {len(self._x)} rows of dim {self.dim}")
-        return s
+                f"samples of shape {s.shape} for {self.rows} rows of dim {self.dim}")
+        return s.T[..., None]
 
     def push(self, samples, reference=None) -> None:
         """Append one sample per row, (rows, dim), and with a sliding reference
         one reference sample per row as well."""
-        x = self._one_per_row(samples)
+        x = self._planes(samples)
         if (reference is None) != (self._z is None):
             raise ConfigurationError(
                 "a reference sample goes with every push to a sliding-reference bank, "
                 "and only to one")
-        z = None if reference is None else self._one_per_row(reference)
+        z = None if reference is None else self._planes(reference)
         s = self.count % self.window
-        self._x[:, s] = x
-        d = _distances_to(self._x, x)
+        self._x[..., s:s + 1] = x
+        d = np.sqrt(_squared_distances(self._x, x))
         self._dxx.write(s, d, d)
         if z is not None:
-            self._z[:, s] = z
-            self._dxz.write(s, _distances_to(self._z, x), _distances_to(self._x, z))
+            self._z[..., s:s + 1] = z
+            self._dxz.write(s, np.sqrt(_squared_distances(self._z, x)),
+                            np.sqrt(_squared_distances(self._x, z)))
         self.count += 1
 
     def estimates(self, reference=None) -> np.ndarray:
@@ -248,18 +249,16 @@ class KnnWindowBank:
             kth_z, n2 = self._dxz.kth(), self.window
         else:
             Z = np.asarray(reference, dtype=float)
-            if Z.ndim != 3 or Z.shape[0] != len(self._x) or Z.shape[2] != self.dim \
+            if Z.ndim != 3 or Z.shape[0] != self.rows or Z.shape[2] != self.dim \
                     or Z.shape[1] <= self.k_nn:
                 raise ConfigurationError(
-                    f"reference of shape {Z.shape} for {len(self._x)} rows of dim "
+                    f"reference of shape {Z.shape} for {self.rows} rows of dim "
                     f"{self.dim} and k_nn={self.k_nn}")
             n2 = Z.shape[1]
-            if self._cross is None or self._cross.shape[-1] != n2:
-                self._cross = np.empty((2, *self._x.shape[:2], n2))
             # The squares, sorted in place, and the root of the selected
             # column only: sqrt is correctly rounded and non-decreasing, so it
             # commutes with the sort, and a square is 0 exactly where its root is.
-            squares = _squared_distances(self._x, Z, self._cross)
+            squares = _squared_distances(self._x[..., None], np.moveaxis(Z, -1, 0)[:, :, None])
             squares.sort(axis=-1)
             kth_z = np.sqrt(_kth_of_sorted(squares, self.k_nn))
         d_x = _oldest_first(self._dxx.kth(), self.count)
@@ -287,17 +286,16 @@ class _RingDistances:
     evicted entry was strictly above its k+1-th smallest loses nothing from
     its prefix, and the new entry is merged in; every other query is sorted
     again from its whole row. That is about (k+2)/w of the queries per push,
-    so a shorter window sorts every whole row per `kth` instead. Whole rows
-    are sorted in `sort_buffer`, (rows * w, w), which a bank shares between
-    its matrices.
+    so a shorter window sorts every whole row per `kth` instead. Each push
+    builds a new prefix, and each whole-row sort sorts a fresh copy of the
+    rows it reads.
     """
 
-    def __init__(self, rows: int, window: int, k_nn: int, sort_buffer: np.ndarray):
+    def __init__(self, rows: int, window: int, k_nn: int):
         self.d = np.zeros((rows, window, window))
         self.k_nn = k_nn
         self.slides = 4 * (k_nn + 2) <= window
-        self.prefix = self._spare = None
-        self._buffer = sort_buffer
+        self.prefix = None
 
     def write(self, s: int, row, column) -> None:
         """Write slot s's query row (rows, w) and column (rows, w)."""
@@ -313,45 +311,23 @@ class _RingDistances:
         resort[:, s] = True
         # Merge each query's new entry into its prefix. fmin keeps a NaN out:
         # a prefix holds a NaN only where the whole row's sort put one there.
-        merged = np.fmin(new, P, out=self._spare)
+        merged = np.fmin(new, P)
         np.maximum(P[:-1], merged[1:], out=merged[1:])
-        self.prefix, self._spare = merged, P
         queries = np.flatnonzero(resort)
-        rows = self._buffer[:len(queries)]
-        np.take(self.d.reshape(-1, self.d.shape[-1]), queries, axis=0, out=rows)
+        rows = self.d.reshape(-1, self.d.shape[-1])[queries]
         rows.sort(axis=-1)
         merged.reshape(k + 1, -1)[:, queries] = rows[:, :k + 1].T
+        self.prefix = merged
 
     def kth(self) -> np.ndarray:
         """Each query's k-th neighbor distance, (rows, w); needs a full ring."""
         k = self.k_nn
         if self.prefix is None:
-            rows = self._buffer.reshape(self.d.shape)
-            np.copyto(rows, self.d)
-            rows.sort(axis=-1)
+            rows = np.sort(self.d, axis=-1)
             if not self.slides:
                 return _kth_of_sorted(rows, k)
             self.prefix = np.ascontiguousarray(rows[..., :k + 1].transpose(2, 0, 1))
-            self._spare = np.empty_like(self.prefix)
         return _kth_of_sorted(self.prefix.transpose(1, 2, 0), k)
-
-
-def _distances_to(ring, q) -> np.ndarray:
-    """Distances (rows, w) from each row's samples in `ring` (rows, w, m) to
-    its one sample in `q` (rows, m), bit for bit
-    `pairwise_distances(q[:, None], ring)[:, 0]`: the same squares (ring - q
-    is -(q - ring) exactly) summed plane by plane in the same order, read
-    from the ring in place."""
-    if ring.shape[-1] >= 8:
-        return pairwise_distances(q[:, None], ring)[:, 0]
-    d = ring - q[:, None]
-    np.multiply(d, d, out=d)
-    if d.shape[-1] == 1:
-        return np.sqrt(d[..., 0])
-    total = np.add(d[..., 0], d[..., 1])
-    for c in range(2, d.shape[-1]):
-        np.add(total, d[..., c], out=total)
-    return np.sqrt(total, out=total)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ValidationError
 from .filtering import neighbor_slots, slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
@@ -39,14 +39,15 @@ class ResilientConfig:
     discounting: str = "normalized"
 
     def __post_init__(self):
-        for name in ("upsilon1", "lambda1", "kappa1", "kappa2"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0,1), got {v}")
+        errors = [f"{name} must lie in (0,1), got {v}"
+                  for name in ("upsilon1", "lambda1", "kappa1", "kappa2")
+                  if not 0.0 < (v := getattr(self, name)) < 1.0]
         if self.tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {self.tau}")
+            errors.append(f"tau must be positive, got {self.tau}")
         if self.discounting not in DISCOUNTING_MODES:
-            raise ConfigurationError(f"unknown discounting mode {self.discounting!r}")
+            errors.append(f"unknown discounting mode {self.discounting!r}")
+        if errors:
+            raise ValidationError(errors)
 
 
 def divergence_statistic(divergence, scale: float):

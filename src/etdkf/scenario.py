@@ -295,7 +295,7 @@ def _coerce(tp, value, path: str, errors: list):
             try:
                 return tp(**kwargs)
             except (TypeError, ValueError, OverflowError) as exc:   # ConfigurationError too
-                errors.append(f"{path}: {exc}")
+                errors.extend(f"{path}: {v}" for v in getattr(exc, "violations", [exc]))
         return None
     if tp == list[SensorModel] and isinstance(value, dict):   # {count, c, r}: equal sensors
         count = _coerce(int, value.pop("count", None), _join(path, "count"), errors)

@@ -521,7 +521,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
 
 @np.errstate(**_OVERFLOW_QUIET)
 def compute_metrics(trace: SimTrace) -> MetricsReport:
-    """Pure aggregation over a trace; recomputable from the exported CSVs."""
+    """Pure aggregation over a trace; recomputable from the exported CSVs.
+
+    A node flags H1 at a step where its phi exceeds `detector.delta`.
+    `detection_latency[i]` is the number of steps from attacked node i's
+    onset to its first H1 at or after the onset: 0 when it flags at the onset
+    step itself, None when it never does. `false_positive_count` is the
+    number of H1 flags, over all nodes, at steps before the first onset of
+    any attack (at every step of a run without attacks).
+    """
     cfg = trace.config
     nodes = sorted(cfg.graph.nodes)
     onsets = {p.node: p.onset for p in cfg.attacks if p.node is not None}
@@ -539,8 +547,8 @@ def compute_metrics(trace: SimTrace) -> MetricsReport:
     rate_pre, rate_post, err_pre, err_post = (means(a[:, part]) for a in (z, e)
                                               for part in (slice(cut), slice(cut, None)))
     h1 = trace.column("phi") > cfg.detector.delta        # the H1 flags, (steps, N)
-    latency = {i: next(iter((np.flatnonzero(h1[onset + 1:, i - 1]) + 1).tolist()), None)
-               for i, onset in onsets.items()}   # steps from the onset to the next H1
+    latency = {i: next(iter(np.flatnonzero(h1[onset:, i - 1]).tolist()), None)
+               for i, onset in onsets.items()}   # steps from the onset to its first H1
     silent = ([i for i, sent in zip(nodes, z[:, cut:].any(axis=1).tolist()) if not sent]
               if z.shape[1] > cut else [])
     return MetricsReport(

@@ -213,12 +213,13 @@ def streams(draw):
     (the k+1-th smallest among them), samples that overflow (1e200: inf
     distances) or are inf or NaN, as an overflowing filter's innovations are
     (inf - inf: NaN distances), several ring wrap-arounds, and a mask of
-    steps whose estimate is skipped once the ring is full."""
+    steps whose estimate is skipped once the ring is full. Dimensions 1-3 sum
+    their planes left to right; 9 takes `norm`'s pairwise sum."""
     k = draw(st.integers(1, 8))
     shortest_sliding = 4 * (k + 2)
     w = draw(st.integers(shortest_sliding, 50) if draw(st.booleans())
              else st.integers(k + 1, shortest_sliding - 1))
-    m = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([1, 2, 3, 9]))
     rows = draw(st.integers(1, 3))
     steps = w * draw(st.integers(2, 4)) + draw(st.integers(0, w - 1))
     prefix = draw(st.integers(0, steps))
@@ -332,8 +333,9 @@ class TestKnnWindowBank:
 
     @pytest.mark.parametrize("m", [2, 9])   # plane by plane, and a pairwise sum
     def test_fresh_reference_of_changing_size_equals_estimate_kl(self, m):
-        # The bank keeps its cross-distance buffer between calls and
-        # replaces it when the reference size changes.
+        # The bank computes each call's cross distances afresh from its
+        # plane-major ring, whatever the reference size. At m = 9 the
+        # differences must be laid out planes last, as `norm` sums them.
         rng = np.random.default_rng(m)
         w, k = 12, 3
         X = rng.standard_normal((40, 2, m))

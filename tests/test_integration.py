@@ -123,12 +123,12 @@ class TestEventTriggeredBehavior:
 @pytest.mark.parametrize("value", [1e155, 1e160, 1e300])
 def test_overflowing_injection_is_flagged_and_distrusted(value):
     """An injection so large that the k-NN distances overflow reads as an
-    infinite divergence: the run completes, flags the node one step after
-    the onset and drives its confidence to ~0."""
+    infinite divergence: the run completes, flags the node at the onset step
+    itself (latency 0) and drives its confidence to ~0."""
     cfg = dataclasses.replace(get_preset("fig7"), steps=120, attacks=[AttackPlan(
         kind="measurement_injection", node=2, onset=50, signal=SignalSpec(value=value))])
     trace = run_scenario(cfg)
-    assert compute_metrics(trace).detection_latency == {2: 1}
+    assert compute_metrics(trace).detection_latency == {2: 0}
     assert trace.series("phi", 2)[-1] == np.inf
     assert 0.0 < trace.series("beta", 2)[-1] < 1e-12
 

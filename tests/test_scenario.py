@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.cli import main as cli_main
 from etdkf.detection import DetectorConfig
-from etdkf.errors import ValidationError
+from etdkf.errors import ConfigurationError, ValidationError
 from etdkf.filtering import TriggerConfig
 from etdkf.graphs import Graph
 from etdkf.models import ProcessModel, SensorModel
@@ -108,6 +108,23 @@ SECTION_VIOLATIONS = {
                  ["trigger: alpha must be >= 0, got -1.0",
                   "detector: need 1 <= k_nn < window, got k_nn=99, window=40",
                   "resilient: kappa1 must lie in (0,1), got 2.0"]),
+    # Several violations of one section are all listed, each under its path.
+    "within_sections": ({"detector.k_nn": 0, "detector.average": 0,
+                         "detector.reference": "bogus", "resilient.upsilon1": 2,
+                         "resilient.kappa1": 5, "resilient.tau": -1, "trigger.alpha": -1},
+                        ["trigger: alpha must be >= 0, got -1.0",
+                         "detector: need 1 <= k_nn < window, got k_nn=0, window=40",
+                         "detector: average window T must be >= 1, got 0",
+                         "detector: unknown reference mode 'bogus'",
+                         "resilient: upsilon1 must lie in (0,1), got 2.0",
+                         "resilient: kappa1 must lie in (0,1), got 5.0",
+                         "resilient: tau must be positive, got -1.0"]),
+    # The delta check needs a window of 2 or more: log(w/(w-1)) has no value
+    # at w = 1 and warns at w = 0, so a failed window skips it.
+    "window_zero": ({"detector.window": 0},
+                    ["detector: need 1 <= k_nn < window, got k_nn=4, window=0"]),
+    "window_one": ({"detector.window": 1, "detector.delta": 0.0},
+                   ["detector: need 1 <= k_nn < window, got k_nn=4, window=1"]),
 }
 SCHEMA_VIOLATIONS = {**BOOL_STRINGS, **FRACTIONS, **UNKNOWN_KEYS, **SECTION_VIOLATIONS}
 
@@ -206,6 +223,30 @@ class TestConfigRoundTrip:
 
     def test_every_section_violation_listed(self):
         assert_violations(*SECTION_VIOLATIONS["sections"])
+
+    @pytest.mark.parametrize("case", ["within_sections", "window_zero", "window_one"])
+    def test_every_violation_within_a_section_listed(self, case):
+        assert_violations(*SECTION_VIOLATIONS[case])
+
+    @pytest.mark.parametrize("make, want", [
+        (lambda: DetectorConfig(k_nn=0, average=0, delta=0.0),
+         ["need 1 <= k_nn < window, got k_nn=0, window=40",
+          "average window T must be >= 1, got 0",
+          "delta=0.0 must exceed the identical-window baseline log(w/(w-1))=0.02532"]),
+        (lambda: ResilientConfig(lambda1=0.0, kappa2=1.0, discounting="bogus"),
+         ["lambda1 must lie in (0,1), got 0.0", "kappa2 must lie in (0,1), got 1.0",
+          "unknown discounting mode 'bogus'"]),
+        # An unknown kind says nothing of the target, which depends on the kind.
+        (lambda: AttackPlan(kind="bogus", onset=-1),
+         ["unknown attack kind 'bogus'", "onset must be >= 0, got -1"]),
+        (lambda: AttackPlan(kind="channel_injection", onset=-2),
+         ["onset must be >= 0, got -2", "channel_injection needs edge=(j, i)"]),
+    ], ids=["detector", "resilient", "unknown_kind", "channel"])
+    def test_direct_construction_lists_every_violation(self, make, want):
+        with pytest.raises(ConfigurationError) as err:
+            make()
+        assert isinstance(err.value, ValidationError)
+        assert err.value.violations == want
 
     def test_unknown_kind_and_type_suggested(self):
         d = fig6_with(**{"attacks.0.kind": "replai"})
@@ -433,7 +474,6 @@ class TestPresets:
             assert warnings == [], f"{name}: {warnings}"
 
     def test_unknown_preset(self):
-        from etdkf.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             get_preset("fig99")
 
@@ -738,6 +778,25 @@ class TestMetrics:
         trace.node_cols["err_norm"][:] = 0.0
         rep = compute_metrics(trace)
         assert rep.detection_latency[1] is None
+
+    def test_latency_counts_from_the_onset_step(self):
+        # Node 1 flags from its onset step on; node 2 flags before its onset
+        # (a false positive) and again at onset + 2. Latency counts from the
+        # onset step itself, so a flag there reads 0; flags before it do not count.
+        signal = {"type": "constant", "value": [1.0, 1.0]}
+        cfg = tiny_config(steps=6, attacks=[
+            {"kind": "measurement_injection", "node": 1, "onset": 2, "signal": signal},
+            {"kind": "measurement_injection", "node": 2, "onset": 3, "signal": signal}])
+        trace = SimTrace(config=cfg)
+        trace.node_cols["zeta"][:] = 1
+        trace.node_cols["err_norm"][:] = 0.0
+        trace.node_cols["phi"][:] = 0.0
+        trace.node_cols["phi"][2:, 0] = np.inf
+        trace.node_cols["phi"][[1, 5], 1] = cfg.detector.delta + 1.0
+        assert trace.series("flag", 1).tolist() == ["H0", "H0", "H1", "H1", "H1", "H1"]
+        rep = compute_metrics(trace)
+        assert rep.detection_latency == {1: 0, 2: 2}
+        assert rep.false_positive_count == 1   # node 2 at step 1, before the first onset
 
 
 class TestCli:
