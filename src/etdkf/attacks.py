@@ -233,16 +233,42 @@ class AttackRecursion:
         zetas: {node: 0 or 1} for this step. f_meas: {node: p-vector} direct
         measurement injections. f_chan: {(j, i): n-vector} channel injections.
         At k=0 every node is treated as transmitting regardless of `zetas`.
+        A channel off the graph is ignored; any other malformed input (a
+        missing trigger, an injection into no node, a vector of the wrong
+        length) raises ConfigurationError naming the node or channel.
         Returns the posterior moment as {(i, j): n x n block}.
         """
         N, n, gamma = self.N, self.n, self.gamma
         AA, QQ, G = self._AA, self._QQ, self._G
         nodes = self.graph.nodes
 
+        # The inputs are read before any moment moves, so a rejected step
+        # leaves the recursion as it was.
         if self.k == 0:
             z = np.ones(N, dtype=bool)
         else:
+            missing = [i for i in nodes if i not in zetas]
+            if missing:
+                raise ConfigurationError(f"zetas has no trigger for node(s) {missing}")
             z = np.array([bool(zetas[i]) for i in nodes])
+        chan = np.zeros((N, N, n))
+        for (j, i), f in (f_chan or {}).items():
+            if (min(i, j), max(i, j)) in self.graph.edges:
+                if np.shape(f) != (n,):
+                    raise ConfigurationError(f"f_chan for channel ({j}, {i}) has shape "
+                                             f"{np.shape(f)}, not the state's ({n},)")
+                chan[j - 1, i - 1] = f
+        f_y = np.zeros(self._y_ofs[-1])
+        for i, f in (f_meas or {}).items():
+            if i not in nodes:
+                raise ConfigurationError(f"f_meas for node {i!r}, not a node of the graph")
+            lo, hi = self._y_ofs[i - 1], self._y_ofs[i]
+            if np.shape(f) != (hi - lo,):
+                raise ConfigurationError(f"f_meas for node {i} has shape {np.shape(f)}, "
+                                         f"not its sensor's ({hi - lo},)")
+            f_y[lo:hi] = f
+
+        if self.k:
             self.P_prior = AA @ self.P_post @ AA.T + QQ
             self.e_prior = AA @ self.e_post
             # Branch table per pair (i, j): both triggering collapse onto the
@@ -259,10 +285,6 @@ class AttackRecursion:
             self.e_pred = np.where(rows[:, 0], self.e_prior, AA @ self.e_pred)
 
         # Held channel biases: refreshed when the sender transmits.
-        chan = np.zeros((N, N, n))
-        for (j, i), f in (f_chan or {}).items():
-            if (min(i, j), max(i, j)) in self.graph.edges:
-                chan[j - 1, i - 1] = f
         self.f_tilde = np.where(z[:, None, None], chan, self.f_tilde)
 
         entry = next(self._nominal)
@@ -275,9 +297,6 @@ class AttackRecursion:
             K = _blkdiag(gains)
             self._K, self._M, self._KRK = K, np.eye(N * n) - K @ self._C, K @ self._R @ K.T
         K, M, KRK = self._K, self._M, self._KRK
-        f_y = np.zeros(self._y_ofs[-1])
-        for i, f in (f_meas or {}).items():
-            f_y[self._y_ofs[i - 1]:self._y_ofs[i]] = f
         d = -(K @ f_y) - gamma * self.f_tilde.sum(axis=0).reshape(-1)
 
         stoch_mean = M @ self.e_prior + gamma * (G @ self.e_pred)

@@ -80,10 +80,18 @@ def pairwise_distances(X, Z) -> np.ndarray:
     return np.sqrt(squares, out=squares)
 
 
-def _squared_distances(A, B) -> np.ndarray:
+_PAIRWISE = 8   # planes from which `norm` sums pairwise
+
+
+def _squared_distances(A, B, out=None) -> np.ndarray:
     """The sum over coordinate planes c of (A[c] - B[c])**2, for plane-major A
     and B, (m, ...), whose planes broadcast against each other: the squares
     that `pairwise_distances` and a bank's rings take the roots of.
+
+    `out`, when given, is a pair (total, work) of C-contiguous float arrays
+    that the sum and its terms are written to: total of the result's shape,
+    and work of that shape too below 8 planes, or of that shape plus a last
+    axis of the m planes from 8 up. The sum is returned in total.
 
     `add.reduce` over a short last axis costs more than the arithmetic, so the
     planes are subtracted, squared and added one at a time: `norm` sums fewer
@@ -93,10 +101,11 @@ def _squared_distances(A, B) -> np.ndarray:
     plane-major) and reduced as `norm` reduces them. (a - b)**2 equals
     (b - a)**2 exactly, so either order of the operands gives the same bits.
     """
-    if len(A) >= 8:
-        diff = np.subtract(np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1), order="C")
-        return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1)
-    total, d = np.subtract(A[0], B[0]), None
+    total, work = (None, None) if out is None else out
+    if len(A) >= _PAIRWISE:
+        diff = np.subtract(np.moveaxis(A, 0, -1), np.moveaxis(B, 0, -1), out=work, order="C")
+        return np.add.reduce(np.multiply(diff, diff, out=diff), axis=-1, out=total)
+    total, d = np.subtract(A[0], B[0], out=total), work
     np.multiply(total, total, out=total)
     for c in range(1, len(A)):
         d = np.subtract(A[c], B[c], out=d)
@@ -172,8 +181,10 @@ class KnnWindowBank:
     takes freshly drawn reference windows and computes all rows' cross
     distances at once. Each ring matrix reads its k-th neighbors through
     `_RingDistances`, which slides the sorted prefix of its rows when
-    `4 * (k_nn + 2) <= window`. Every other array is allocated where it is
-    used; the bank keeps no scratch buffers.
+    `4 * (k_nn + 2) <= window`. The fresh cross squares, (rows, w, n2), and
+    their terms are written to one scratch pair kept by the bank and made
+    again only when n2 changes, so a steady step maps no new pages; every
+    other array is allocated where it is used.
 
     `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
     order, against its reference window, bit for bit. `average` keeps the last
@@ -203,6 +214,7 @@ class KnnWindowBank:
             self._dxz = _RingDistances(self.rows, self.window, self.k_nn)
         self._raw = np.zeros((self.rows, int(average)))
         self._averaged = 0
+        self._fresh = None   # the fresh cross squares and their terms, per n2
 
     @property
     def full(self) -> bool:
@@ -255,10 +267,15 @@ class KnnWindowBank:
                     f"reference of shape {Z.shape} for {self.rows} rows of dim "
                     f"{self.dim} and k_nn={self.k_nn}")
             n2 = Z.shape[1]
+            shape = (self.rows, self.window, n2)
+            if self._fresh is None or self._fresh[0].shape != shape:
+                self._fresh = (np.empty(shape),
+                               np.empty(shape + ((self.dim,) if self.dim >= _PAIRWISE else ())))
             # The squares, sorted in place, and the root of the selected
             # column only: sqrt is correctly rounded and non-decreasing, so it
             # commutes with the sort, and a square is 0 exactly where its root is.
-            squares = _squared_distances(self._x[..., None], np.moveaxis(Z, -1, 0)[:, :, None])
+            squares = _squared_distances(self._x[..., None], np.moveaxis(Z, -1, 0)[:, :, None],
+                                         out=self._fresh)
             squares.sort(axis=-1)
             kth_z = np.sqrt(_kth_of_sorted(squares, self.k_nn))
         d_x = _oldest_first(self._dxx.kth(), self.count)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 # Singular values below RANK_RTOL * sigma_max count as zero in rank tests.
 RANK_RTOL = 1e-9
@@ -44,21 +44,36 @@ class ProcessModel:
     P0: np.ndarray
 
     def __post_init__(self):
-        self.A = _as_matrix(self.A, "A")
-        self.Q = _as_matrix(self.Q, "Q")
-        self.x0_mean = _as_matrix(np.reshape(self.x0_mean, (1, -1)), "x0_mean")[0]
-        self.P0 = _as_matrix(self.P0, "P0")
-        n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise ConfigurationError(f"A must be square, got {self.A.shape}")
-        if self.Q.shape != (n, n):
-            raise ConfigurationError(f"Q shape {self.Q.shape} incompatible with n={n}")
-        if self.x0_mean.shape != (n,):
-            raise ConfigurationError(f"x0_mean length {self.x0_mean.shape[0]} != n={n}")
-        if self.P0.shape != (n, n):
-            raise ConfigurationError(f"P0 shape {self.P0.shape} incompatible with n={n}")
-        _check_symmetric_psd(self.Q, "Q")
-        _check_symmetric_psd(self.P0, "P0")
+        errors = []
+
+        def checked(check, *args):   # check's result, or None with its violation listed
+            try:
+                return check(*args)
+            except ConfigurationError as exc:
+                errors.append(str(exc))
+                return None
+
+        def square(m, name):   # an n x n matrix, symmetric PSD unless its shape failed
+            m = checked(_as_matrix, m, name)
+            if m is not None and n is not None and m.shape != (n, n):
+                errors.append(f"{name} shape {m.shape} incompatible with n={n}")
+            elif m is not None:
+                checked(_check_symmetric_psd, m, name)
+            return m
+
+        self.A = checked(_as_matrix, self.A, "A")
+        n = None if self.A is None else self.A.shape[0]
+        if n is not None and self.A.shape != (n, n):
+            errors.append(f"A must be square, got {self.A.shape}")
+            n = None
+        self.Q = square(self.Q, "Q")
+        x0 = checked(_as_matrix, np.reshape(self.x0_mean, (1, -1)), "x0_mean")
+        self.x0_mean = None if x0 is None else x0[0]
+        if x0 is not None and n is not None and self.x0_mean.shape != (n,):
+            errors.append(f"x0_mean length {self.x0_mean.shape[0]} != n={n}")
+        self.P0 = square(self.P0, "P0")
+        if errors:
+            raise ValidationError(errors)
         # Factors F with F F^T = Q (P0): every draw reuses them.
         self.Q_factor, self.P0_factor = _factor(self.Q), _factor(self.P0)
 

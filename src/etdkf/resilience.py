@@ -146,7 +146,9 @@ class BoundMonitor:
     monitor's order. ||A||_2 is taken once, and A_o again only for a new
     `gains_M` or one that can be written to: a read-only stack passed again
     (the engine's covariance schedule shares one across its steady-state
-    tail) keeps its A_o.
+    tail) keeps its A_o. ||L_masked||_2 is kept the same way: a read-only
+    Laplacian passed again (the engine builds one per distinct vector of
+    trust weights) keeps its norm.
 
     Only maxima over nodes are read of `gains_M` and `C_norms`, so each may
     hold one entry per sensor model (`sensor_models`) rather than per node,
@@ -164,6 +166,8 @@ class BoundMonitor:
     _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
     _sA: float = field(init=False, repr=False, compare=False)   # ||A||_2
     _gains_M: object = field(default=None, init=False, repr=False, compare=False)  # of A_o
+    _laplacian: object = field(default=None, init=False, repr=False, compare=False)  # of _sL
+    _sL: float = field(default=float("nan"), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
@@ -182,8 +186,11 @@ class BoundMonitor:
                                      axis=(-2, -1)).tolist())
         else:
             A_o = self.A_o[-1]
-        N, sA = len(laplacian_masked), self._sA
-        sL = float(np.linalg.norm(np.asarray(laplacian_masked, float), 2))
+        laplacian_masked = np.asarray(laplacian_masked, float)
+        if laplacian_masked is not self._laplacian or laplacian_masked.flags.writeable:
+            self._laplacian = laplacian_masked
+            self._sL = float(np.linalg.norm(laplacian_masked, 2))
+        N, sA, sL = len(laplacian_masked), self._sA, self._sL
         beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
         self.A_o.append(A_o)
         self._terms.append((sA * sL * gamma_max * np.sqrt(N),

@@ -366,7 +366,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     if not lite:   # row k of each column is written at step k, or after the loop
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
         xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
-    seen = None
+    seen = w_seen = None
 
     for k, entry in enumerate(schedule):
         if entry is not seen:   # the schedule's steady-state tail is one shared entry
@@ -469,9 +469,16 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             realized = math.sqrt(sum(np.vecdot(e_prior, e_prior).tolist()))
             if k == 0:
                 monitor.start(realized)
-            W = np.zeros((N, N))
-            W[slot_of, slot_to] = weights[:N][mask]
-            monitor.step(M_models, trust_masked_laplacian(W), gmax, beta[:N].tolist())
+            # The Laplacian is built again only when the trust weights move
+            # by a bit; passed again read-only, it keeps the monitor's norm.
+            w_edges = weights[:N][mask]
+            if (key := w_edges.tobytes()) != w_seen:
+                w_seen = key
+                W = np.zeros((N, N))
+                W[slot_of, slot_to] = w_edges
+                L_masked = trust_masked_laplacian(W)
+                L_masked.setflags(write=False)
+            monitor.step(M_models, L_masked, gmax, beta[:N].tolist())
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.

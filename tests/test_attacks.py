@@ -145,6 +145,26 @@ class TestRecursionSignals:
                 assert np.array_equal(getattr(zero, name), getattr(clean, name)), name
         assert not zero.e_post.any()
 
+    @pytest.mark.parametrize("zetas, kwargs, match", [
+        ({1: 1, 2: 1}, {"f_meas": {-1: np.zeros(2)}}, "f_meas for node -1,"),
+        ({1: 1, 2: 1}, {"f_meas": {3: np.zeros(2)}}, "f_meas for node 3,"),
+        ({1: 1, 2: 1}, {"f_meas": {2: np.zeros(3)}}, r"f_meas for node 2 has shape \(3,\)"),
+        ({1: 1, 2: 1}, {"f_chan": {(1, 2): np.zeros(1)}}, r"f_chan for channel \(1, 2\)"),
+        ({1: 1}, {}, r"no trigger for node\(s\) \[2\]"),
+    ], ids=["node_-1", "node_N+1", "meas_length", "chan_length", "zetas"])
+    def test_malformed_input_rejected_by_name(self, zetas, kwargs, match):
+        # Rejected before any moment moves: the recursion then steps on as
+        # one that never saw the call.
+        rec, clean = self.pair()
+        for r in (rec, clean):
+            r.step({1: 1, 2: 1})
+        with pytest.raises(ConfigurationError, match=match):
+            rec.step(zetas, **kwargs)
+        for r in (rec, clean):
+            r.step({1: 0, 2: 1})
+        for name in MOMENTS:
+            assert np.array_equal(getattr(rec, name), getattr(clean, name)), name
+
     def test_direct_attack_shifts_mean_by_gain(self):
         # intact neighbors, zero means at k = 0: the attack shifts only node 1's
         # posterior error mean, by exactly -K_1 f

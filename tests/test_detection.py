@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -349,6 +351,26 @@ class TestKnnWindowBank:
                 got = bank.estimates(ref)
                 for b in range(2):
                     assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
+
+    @pytest.mark.parametrize("m", [2, 9])
+    def test_steady_fresh_estimates_allocate_no_cross_matrix(self, m):
+        # The fresh cross squares and their terms go to the bank's scratch
+        # pair, made at the first estimate: a steady call allocates less than
+        # one (rows, w, n2) array, so a run's steps map no new pages.
+        rng = np.random.default_rng(m)
+        rows, w = 26, 40
+        bank = KnnWindowBank(rows, m, w, 4)
+        for _ in range(w):
+            bank.push(rng.standard_normal((rows, m)))
+        Z = rng.standard_normal((2, rows, w, m))
+        bank.estimates(Z[0])
+        tracemalloc.start()
+        try:
+            bank.estimates(Z[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * w * w * 8, peak
 
     def test_identical_streams_sit_at_the_baseline(self):
         rng = np.random.default_rng(31)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from etdkf import filtering, resilience, simulate
 from etdkf.attacks import AttackPlan, SignalSpec
-from etdkf.graphs import Graph
+from etdkf.graphs import Graph, neighbors
 from etdkf.models import NoiseSource, channel_groups
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
@@ -188,6 +188,40 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     assert len(monitored) == cfg.steps
     assert {(norms, len(M)) for norms, M in monitored} == {(1, 1)}
     assert len({id(M) for _, M in monitored}) == distinct
+
+
+@pytest.mark.parametrize("overrides, builds", [
+    ({"beliefs_pinned": True}, 1),
+    ({"filter_mode": "nominal", "bound_monitor": True}, 1),
+    ({}, None),   # one per distinct vector of trust weights, from the trace
+], ids=["pinned", "nominal", "resilient"])
+def test_laplacian_built_once_per_distinct_trust_weights(monkeypatch, overrides, builds):
+    """The monitor's trust-masked Laplacian is built at a step whose weights
+    w_ij = sigma_ij * beta_j differ by a bit from the step before, and the
+    built one is passed again, read-only, while they hold still."""
+    cfg = dataclasses.replace(get_preset("fig7"), steps=100, **overrides)
+    built, passed = [], []
+
+    def build(W, _real=simulate.trust_masked_laplacian):
+        built.append(_real(W))
+        return built[-1]
+    monkeypatch.setattr(simulate, "trust_masked_laplacian", build)
+
+    def step(self, gains_M, laplacian_masked, *args, _real=resilience.BoundMonitor.step):
+        passed.append(laplacian_masked)
+        return _real(self, gains_M, laplacian_masked, *args)
+    monkeypatch.setattr(resilience.BoundMonitor, "step", step)
+    trace = run_scenario(cfg)
+    if builds is None:
+        nodes = sorted(cfg.graph.nodes)
+        to = [j - 1 for i in nodes for j in sorted(neighbors(cfg.graph, i))]
+        w = trace.edge_cols["sigma"] * trace.node_cols["beta"][:, to]
+        builds = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(w[1:], w[:-1]))
+        assert builds < cfg.steps
+    assert len(built) == builds
+    assert len(passed) == cfg.steps
+    assert len({id(L) for L in passed}) == builds
+    assert not any(L.flags.writeable for L in passed)
 
 
 def test_overflowing_injection_writes_no_numpy_warning(tmp_path, capfd):

@@ -290,7 +290,7 @@ class TestBoundMonitor:
         assert mon.A_o == [pytest.approx(3.0)]
         assert mon.bounds(B=1.0) == [1.0]
 
-    def test_norms_reused_only_for_the_same_read_only_gains(self):
+    def test_norms_reused_only_for_the_same_read_only_gains(self, monkeypatch):
         A = np.array([[0.9, 0.2], [0.0, 0.7]])
         mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
         mon.start(1.0)
@@ -308,6 +308,30 @@ class TestBoundMonitor:
         assert mon.A_o[-1] == A_o(M)
         mon.step(M / 2.0, L, 0.1, [1.0])     # a new stack
         assert mon.A_o[-1] == A_o(M / 2.0)
+
+        # ||L_masked||_2 likewise: each np.linalg.norm of L is counted, and
+        # the backlog term (B = 0, beta = 1) checked against the norm of L.
+        taken, real = [], np.linalg.norm
+
+        def norm(a, *args, **kwargs):
+            taken.append(a)
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", norm)
+
+        def backlog(L):   # sA * ||L||_2 * gamma_max * sqrt(N) * alpha / max(C_norms)
+            return float(real(A, 2)) * float(real(L, 2)) * 0.1 * np.sqrt(len(L))
+        L = trust_masked_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        mon.step(M, L, 0.1, [1.0])
+        L *= 2.0                        # writable: changed in place, taken again
+        mon.step(M, L, 0.1, [1.0])
+        assert mon.offsets(B=0.0)[-1] == backlog(L)
+        L.setflags(write=False)
+        mon.step(M, L, 0.1, [1.0])
+        mon.step(M, L, 0.1, [1.0])
+        assert sum(a is L for a in taken) == 2      # while writable only
+        assert mon.offsets(B=0.0)[-2:] == [backlog(L)] * 2
+        mon.step(M, L / 2.0, 0.1, [1.0])     # a new Laplacian
+        assert mon.offsets(B=0.0)[-1] == backlog(L / 2.0)
 
 
 class StepByStepMonitor:

@@ -119,6 +119,11 @@ SECTION_VIOLATIONS = {
                          "resilient: upsilon1 must lie in (0,1), got 2.0",
                          "resilient: kappa1 must lie in (0,1), got 5.0",
                          "resilient: tau must be positive, got -1.0"]),
+    # The process model lists the shape of each matrix that fails it, and
+    # skips the symmetry and PSD check of that matrix.
+    "process": ({"process.q": [[1, 0, 0]], "process.p0": [[1]]},
+                ["process: Q shape (1, 3) incompatible with n=2",
+                 "process: P0 shape (1, 1) incompatible with n=2"]),
     # The delta check needs a window of 2 or more: log(w/(w-1)) has no value
     # at w = 1 and warns at w = 0, so a failed window skips it.
     "window_zero": ({"detector.window": 0},
@@ -224,7 +229,7 @@ class TestConfigRoundTrip:
     def test_every_section_violation_listed(self):
         assert_violations(*SECTION_VIOLATIONS["sections"])
 
-    @pytest.mark.parametrize("case", ["within_sections", "window_zero", "window_one"])
+    @pytest.mark.parametrize("case", ["within_sections", "window_zero", "window_one", "process"])
     def test_every_violation_within_a_section_listed(self, case):
         assert_violations(*SECTION_VIOLATIONS[case])
 
@@ -241,7 +246,12 @@ class TestConfigRoundTrip:
          ["unknown attack kind 'bogus'", "onset must be >= 0, got -1"]),
         (lambda: AttackPlan(kind="channel_injection", onset=-2),
          ["onset must be >= 0, got -2", "channel_injection needs edge=(j, i)"]),
-    ], ids=["detector", "resilient", "unknown_kind", "channel"])
+        # A failed shape skips that matrix's symmetry and PSD check only.
+        (lambda: ProcessModel(np.eye(2), [[1.0, 0.0, 0.0]], [0.0, 0.0, 0.0],
+                              [[1.0, 2.0], [0.0, 1.0]]),
+         ["Q shape (1, 3) incompatible with n=2", "x0_mean length 3 != n=2",
+          "P0 must be symmetric"]),
+    ], ids=["detector", "resilient", "unknown_kind", "channel", "process"])
     def test_direct_construction_lists_every_violation(self, make, want):
         with pytest.raises(ConfigurationError) as err:
             make()
