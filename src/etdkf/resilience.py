@@ -14,11 +14,15 @@ behind `discounting` for fidelity studies.
 Divergence inputs are floored at zero before the chi/theta map so beliefs stay
 in (0,1] even when the k-NN estimator goes slightly negative; raw estimates
 are reported unclipped by the detection layer.
+
+The bound monitor runs after a run, over one record per step of what the
+run held: the gains, the consensus gain's norm, the trust-masked Laplacian
+and the confidences (`BoundMonitor.bounds`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,20 +139,15 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) ->
 
 @dataclass
 class BoundMonitor:
-    """Running uniform bound on the stacked prior error norm, in two halves.
+    """Running uniform bound on the stacked prior error norm, computed after
+    the run over one record per step.
 
     Per step: bound(k+1) = A_o(k) * bound(k) + B_o(k) with
     A_o = max_i sigma_max(A M_i) and B_o combining the triggering backlog term
     and the confidence-deficit term; non-contractive where A_o >= 1. B_o
     scales with B, the bound on ||x(k+1) - x(k) + v(k+1)||, which takes the
-    whole plant path: `start` and `step` record what each step reads, and
-    `bounds(B)` runs the recursion after the run, in a step-by-step
-    monitor's order. ||A||_2 is taken once, and A_o again only for a new
-    `gains_M` or one that can be written to: a read-only stack passed again
-    (the engine's covariance schedule shares one across its steady-state
-    tail) keeps its A_o. ||L_masked||_2 is kept the same way: a read-only
-    Laplacian passed again (the engine builds one per distinct vector of
-    trust weights) keeps its norm.
+    whole plant path, so `bounds` runs the recursion once, after the run, in
+    a step-by-step monitor's order.
 
     Only maxima over nodes are read of `gains_M` and `C_norms`, so each may
     hold one entry per sensor model (`sensor_models`) rather than per node,
@@ -159,54 +158,35 @@ class BoundMonitor:
     C_norms: list
     alpha: float
     tau: float
-    bound0: float = field(default=float("nan"), init=False)   # the first prior error norm
-    A_o: list = field(default_factory=list, init=False)        # per step taken
-    # Per step taken, the backlog term without its factor alpha / max(C_norms)
-    # + B, and the deficit term.
-    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
-    _sA: float = field(init=False, repr=False, compare=False)   # ||A||_2
-    _gains_M: object = field(default=None, init=False, repr=False, compare=False)  # of A_o
-    _laplacian: object = field(default=None, init=False, repr=False, compare=False)  # of _sL
-    _sL: float = field(default=float("nan"), init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
+    def bounds(self, eta0: float, records, B: float) -> list:
+        """The bound holding at every step recorded, bound(0) = `eta0` (the
+        first prior error norm) first.
 
-    def start(self, eta0_norm: float) -> None:
-        self.bound0 = float(eta0_norm)
-
-    def step(self, gains_M, laplacian_masked: np.ndarray, gamma_max: float,
-             betas: list) -> None:
-        """Record one step; `gains_M` stacks I - K_i C_i as (models, n, n), and
-        the masked Laplacian (N, N) gives the node count N."""
-        gains_M = np.asarray(gains_M, float)     # a float array comes back as itself
-        if gains_M is not self._gains_M or gains_M.flags.writeable:
-            self._gains_M = gains_M
-            A_o = max(np.linalg.norm(np.asarray(self.A, float) @ gains_M, 2,
-                                     axis=(-2, -1)).tolist())
-        else:
-            A_o = self.A_o[-1]
-        laplacian_masked = np.asarray(laplacian_masked, float)
-        if laplacian_masked is not self._laplacian or laplacian_masked.flags.writeable:
-            self._laplacian = laplacian_masked
-            self._sL = float(np.linalg.norm(laplacian_masked, 2))
-        N, sA, sL = len(laplacian_masked), self._sA, self._sL
-        beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
-        self.A_o.append(A_o)
-        self._terms.append((sA * sL * gamma_max * np.sqrt(N),
-                            (sA + A_o) * beta_bar * np.sqrt(N) * self.tau))
-
-    def offsets(self, B: float) -> list:
-        """B_o of every step taken, for the increment bound B."""
+        A record is one step's (gains_M, gamma_max, laplacian_masked, betas):
+        `gains_M` stacks I - K_i C_i as (models, n, n), and the masked
+        Laplacian (N, N) gives the node count N. ||A||_2 is taken once, A_o
+        only for a `gains_M` that is not the previous record's object (the
+        engine passes one per schedule entry), and ||L_masked||_2 likewise
+        (the engine passes one per distinct vector of trust weights).
+        """
+        A = np.asarray(self.A, float)
+        sA = float(np.linalg.norm(A, 2))
         factor = self.alpha / max(self.C_norms) + B
-        return [backlog * factor + deficit for backlog, deficit in self._terms]
-
-    def bounds(self, B: float) -> list:
-        """The bound holding at every step taken, bound(0) first."""
-        bound = [self.bound0]
-        for A_o, B_o in zip(self.A_o, self.offsets(B)):
-            bound.append(A_o * bound[-1] + B_o)
-        return bound[:len(self.A_o)]
+        bound, gains, laplacian = [float(eta0)], None, None
+        for gains_M, gamma_max, laplacian_masked, betas in records:
+            if gains_M is not gains:
+                gains = gains_M
+                A_o = max(np.linalg.norm(A @ gains_M, 2, axis=(-2, -1)).tolist())
+            if laplacian_masked is not laplacian:
+                laplacian = laplacian_masked
+                sL = float(np.linalg.norm(laplacian_masked, 2))
+            N = len(laplacian_masked)
+            beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
+            backlog = sA * sL * gamma_max * np.sqrt(N)
+            deficit = (sA + A_o) * beta_bar * np.sqrt(N) * self.tau
+            bound.append(A_o * bound[-1] + (backlog * factor + deficit))
+        return bound[:len(records)]
 
 
 def trust_masked_laplacian(weights) -> np.ndarray:

@@ -3,8 +3,10 @@
 Per-step pipeline (barriers in order): measure -> inject attacks -> trigger ->
 exchange -> detect -> update beliefs -> measurement update -> time update ->
 plant step. The filter's covariance half (P, K, gains) reads no data, so it
-is computed once per run, before the passes. Nodes are always iterated in
-ascending id so traces are reproducible bit-for-bit for a given seed and config.
+is computed once per run, before the passes; the error-bound monitor reads
+only whole-run records of a pass, so it runs once, after the step loop.
+Nodes are always iterated in ascending id so traces are reproducible
+bit-for-bit for a given seed and config.
 
 Reference windows for the detectors come from one of three sources: "shadow"
 uses the innovations of an attack-free twin with identical noise streams,
@@ -264,6 +266,10 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     the schedule, and runs the update law with unit weights and beta = 1;
     attacks, detection, beliefs, the monitor and the trace read the first
     copy only. Any other shadow run is its own twin.
+
+    The bound monitor is not a stage of the step loop: after the loop it
+    reads the plant path, `xbar`, the trace's `sigma` and `beta` columns and
+    the schedule, one record per step, in one `BoundMonitor.bounds` call.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -345,13 +351,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
         beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
 
-    # The monitor reads the covariance half once per sensor model: one row of
-    # each model's M and gamma, and each model's ||C||_2.
-    first = sensor_models(cfg.sensors)[0]
-    monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(cfg.sensors[b].C, 2))
-                                         for b in first.tolist()],
-                           alpha=alpha, tau=cfg.resilient.tau) if monitored else None
-
     trace = None if lite else SimTrace(config=cfg)
     path = np.empty((cfg.steps, n))   # the pass record; row k is written at step k
     innovations = {p: np.empty((cfg.steps, copies * len(rows), p)) for p, rows in groups.items()}
@@ -366,7 +365,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     if not lite:   # row k of each column is written at step k, or after the loop
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
         xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
-    seen = w_seen = None
+    seen = None
 
     for k, entry in enumerate(schedule):
         if entry is not seen:   # the schedule's steady-state tail is one shared entry
@@ -376,11 +375,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             K_rows = {p: stack(Kp) for p, Kp in K.items()}
             gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
                           for p, rows in groups.items()}
-            if monitor is not None:
-                gmax = (max(np.linalg.norm(gamma[first], 2, axis=(1, 2)).tolist())
-                        if matrix_gamma else abs(gamma))
-                M_models = M[first]     # read-only, so the monitor keeps its A_o
-                M_models.setflags(write=False)
             if not lite:
                 trace_p = np.trace(P_post, axis1=1, axis2=2)
         t = k * cfg.dt
@@ -462,24 +456,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             weights[:N][mask] = sigma
             weights[:N] *= beta[slot_node]
 
-        # Bound monitor: record what this step reads.
-        realized = math.nan
-        if monitor is not None:
-            e_prior = x - x_prior[:N]
-            realized = math.sqrt(sum(np.vecdot(e_prior, e_prior).tolist()))
-            if k == 0:
-                monitor.start(realized)
-            # The Laplacian is built again only when the trust weights move
-            # by a bit; passed again read-only, it keeps the monitor's norm.
-            w_edges = weights[:N][mask]
-            if (key := w_edges.tobytes()) != w_seen:
-                w_seen = key
-                W = np.zeros((N, N))
-                W[slot_of, slot_to] = w_edges
-                L_masked = trust_masked_laplacian(W)
-                L_masked.setflags(write=False)
-            monitor.step(M_models, L_masked, gmax, beta[:N].tolist())
-
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
         m = weighted_neighbor_estimate(x_prior, stored, weights, masks)
@@ -496,7 +472,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             cols["beta"][k], cols["chi"][k] = beta[:N], beliefs.chi
             edge_cols["psi"][k], edge_cols["sigma"][k] = phi[N:], sigma
             edge_cols["theta"][k], edge_cols["attack_norm"][k] = theta, edge_attack_norm
-            step_cols["realized_err"][k] = realized
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
@@ -511,12 +486,41 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
             for d in range(n):
                 cols[f"{prefix}_{d}"][:] = states[..., d]
-    if monitor is not None:
+    if monitored:
+        # The realized prior error norm of every step, summed over nodes in
+        # node order.
+        e_prior = path[:, None] - xbar
+        realized = [math.sqrt(sum(row)) for row in np.vecdot(e_prior, e_prior).tolist()]
+        step_cols["realized_err"][:] = realized
+        # One record per step. The monitor reads the covariance half once per
+        # sensor model (one row of each model's M and gamma, and each model's
+        # ||C||_2) and once per distinct schedule entry; the trust-masked
+        # Laplacian is built once per distinct vector of trust weights
+        # w_ij = sigma_ij * beta_j. A record repeating the previous record's
+        # object keeps the monitor's norm.
+        first = sensor_models(cfg.sensors)[0]
+        records, seen, w_seen = [], None, None
+        trust = edge_cols["sigma"] * cols["beta"][:, slot_to]
+        for entry, w_edges, betas in zip(schedule, trust, cols["beta"].tolist()):
+            if entry is not seen:
+                seen, M_models, gamma = entry, entry[2][first], entry[3]
+                gmax = (max(np.linalg.norm(gamma[first], 2, axis=(1, 2)).tolist())
+                        if np.ndim(gamma) == 3 else abs(gamma))
+            if (key := w_edges.tobytes()) != w_seen:
+                w_seen = key
+                W = np.zeros((N, N))
+                W[slot_of, slot_to] = w_edges
+                L_masked = trust_masked_laplacian(W)
+            records.append((M_models, gmax, L_masked, betas))
         # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps
         # and nodes, from this pass's plant path: no filter reaches it.
         dx = np.diff(path, axis=0)[:, None]
         b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
-        step_cols["bound"][:] = monitor.bounds(float(np.percentile(b, 99.9)) if b.size else 0.0)
+        monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(cfg.sensors[i].C, 2))
+                                             for i in first.tolist()],
+                               alpha=alpha, tau=cfg.resilient.tau)
+        step_cols["bound"][:] = monitor.bounds(realized[0] if realized else math.nan, records,
+                                               float(np.percentile(b, 99.9)) if b.size else 0.0)
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")

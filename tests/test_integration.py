@@ -165,10 +165,22 @@ def ring_of_one_model(n=32, steps=20):
     return ScenarioConfig.from_dict(d)
 
 
+def spy_on_bound_records(monkeypatch):
+    """The record lists `BoundMonitor.bounds` is called with, and the
+    monitors it is called on."""
+    calls = []
+
+    def bounds(self, eta0, records, B, _real=resilience.BoundMonitor.bounds):
+        calls.append((self, records))
+        return _real(self, eta0, records, B)
+    monkeypatch.setattr(resilience.BoundMonitor, "bounds", bounds)
+    return calls
+
+
 def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     """Nodes that share (C, R) share the covariance half: on a ring of 32
-    equal sensors the gains, the consensus gain and the monitor's A_o see
-    one row per distinct schedule entry, and the monitor one ||C||_2."""
+    equal sensors the gains, the consensus gain and the monitor's records
+    see one row per distinct schedule entry, and the monitor one ||C||_2."""
     cfg = ring_of_one_model()
     distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
     rows = {"kalman_gain": [], "consensus_gain": []}
@@ -177,17 +189,13 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
             rows[_name].append(len(stack))
             return _real(stack, *args, **kwargs)
         monkeypatch.setattr(module, name, spy)
-    monitored = []
-
-    def step(self, gains_M, *args, _real=resilience.BoundMonitor.step):
-        monitored.append((len(self.C_norms), gains_M))
-        return _real(self, gains_M, *args)
-    monkeypatch.setattr(resilience.BoundMonitor, "step", step)
+    calls = spy_on_bound_records(monkeypatch)
     run_scenario(cfg)
     assert rows == {"kalman_gain": [1] * distinct, "consensus_gain": [1] * distinct}
-    assert len(monitored) == cfg.steps
-    assert {(norms, len(M)) for norms, M in monitored} == {(1, 1)}
-    assert len({id(M) for _, M in monitored}) == distinct
+    [(monitor, records)] = calls
+    assert len(records) == cfg.steps and len(monitor.C_norms) == 1
+    assert {len(M) for M, *_ in records} == {1}
+    assert len({id(M) for M, *_ in records}) == distinct
 
 
 @pytest.mark.parametrize("overrides, builds", [
@@ -198,19 +206,15 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
 def test_laplacian_built_once_per_distinct_trust_weights(monkeypatch, overrides, builds):
     """The monitor's trust-masked Laplacian is built at a step whose weights
     w_ij = sigma_ij * beta_j differ by a bit from the step before, and the
-    built one is passed again, read-only, while they hold still."""
+    built one is recorded again while they hold still."""
     cfg = dataclasses.replace(get_preset("fig7"), steps=100, **overrides)
-    built, passed = [], []
+    built = []
 
     def build(W, _real=simulate.trust_masked_laplacian):
         built.append(_real(W))
         return built[-1]
     monkeypatch.setattr(simulate, "trust_masked_laplacian", build)
-
-    def step(self, gains_M, laplacian_masked, *args, _real=resilience.BoundMonitor.step):
-        passed.append(laplacian_masked)
-        return _real(self, gains_M, laplacian_masked, *args)
-    monkeypatch.setattr(resilience.BoundMonitor, "step", step)
+    calls = spy_on_bound_records(monkeypatch)
     trace = run_scenario(cfg)
     if builds is None:
         nodes = sorted(cfg.graph.nodes)
@@ -218,10 +222,10 @@ def test_laplacian_built_once_per_distinct_trust_weights(monkeypatch, overrides,
         w = trace.edge_cols["sigma"] * trace.node_cols["beta"][:, to]
         builds = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(w[1:], w[:-1]))
         assert builds < cfg.steps
+    [(_, records)] = calls
     assert len(built) == builds
-    assert len(passed) == cfg.steps
-    assert len({id(L) for L in passed}) == builds
-    assert not any(L.flags.writeable for L in passed)
+    assert len(records) == cfg.steps
+    assert len({id(L) for _, _, L, _ in records}) == builds
 
 
 def test_overflowing_injection_writes_no_numpy_warning(tmp_path, capfd):

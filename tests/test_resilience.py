@@ -1,21 +1,26 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etdkf import simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, measurement_update
 from etdkf.graphs import Graph
+from etdkf.models import channel_groups
 from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
                               ResilientConfig, assumption4_satisfied,
                               divergence_statistic, trust_masked_laplacian,
                               weighted_neighbor_estimate)
-from etdkf.scenario import get_preset
+from etdkf.scenario import ScenarioConfig, get_preset
 from etdkf.simulate import run_scenario
 
+from test_engine_digests import ONE, TWO
+from test_engine_digests import scenario as engine_scenario
 from test_scenario import tiny_config
 
 
@@ -261,77 +266,60 @@ class TestBoundMonitor:
     def test_no_deficit_reduces_to_trigger_term(self):
         A = np.eye(2) * 0.5
         mon = BoundMonitor(A=A, C_norms=[5.0, 5.0], alpha=1.8, tau=10.0)
-        mon.start(1.0)
         Ms = [np.eye(2) * 0.2, np.eye(2) * 0.2]
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        mon.step(Ms, L, gamma_max=0.1, betas=[1.0, 1.0])
+        records = [(Ms, 0.1, L, [1.0, 1.0])] * 2
         sA, sL, N = 0.5, 2.0, 2
         want = sA * sL * 0.1 * np.sqrt(N) * (1.8 / 5.0 + 2.0)
-        assert mon.offsets(B=2.0) == [pytest.approx(want, abs=1e-12)]
-        assert mon.A_o[0] < 1.0
+        assert mon.bounds(0.0, records, B=2.0) == [0.0, pytest.approx(want, abs=1e-12)]
+        # bound(1) - B_o = A_o * bound(0), with A_o = ||0.5 * 0.2 I||_2 < 1
+        A_o = mon.bounds(1.0, records, B=2.0)[1] - mon.bounds(0.0, records, B=2.0)[1]
+        assert A_o == pytest.approx(0.1, abs=1e-12)
 
     def test_contractive_bound_converges_to_asymptote(self):
         A = np.eye(2) * 0.5
         mon = BoundMonitor(A=A, C_norms=[5.0], alpha=1.8, tau=10.0)
-        mon.start(50.0)
-        Ms = [np.eye(2) * 0.4]
-        L = np.zeros((1, 1))
-        for _ in range(200):
-            mon.step(Ms, L, gamma_max=0.05, betas=[0.9])
-        # geometric series limit: bound -> B_o / (1 - A_o)
-        B_o = mon.offsets(B=2.0)[-1]
-        assert mon.bounds(B=2.0)[-1] == pytest.approx(B_o / (1.0 - mon.A_o[-1]), rel=1e-6)
+        records = [([np.eye(2) * 0.4], 0.05, np.zeros((1, 1)), [0.9])] * 200
+        # geometric series limit: bound -> B_o / (1 - A_o), A_o = 0.2
+        B_o = mon.bounds(0.0, records[:2], B=2.0)[1]
+        assert mon.bounds(50.0, records, B=2.0)[-1] == pytest.approx(B_o / (1.0 - 0.2), rel=1e-6)
 
     def test_non_contractive_flagged(self):
         A = np.eye(2) * 3.0
         mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
-        mon.start(1.0)
-        mon.step([np.eye(2)], np.zeros((1, 1)), 0.0, [1.0])
-        assert mon.A_o == [pytest.approx(3.0)]
-        assert mon.bounds(B=1.0) == [1.0]
+        record = ([np.eye(2)], 0.0, np.zeros((1, 1)), [1.0])
+        assert mon.bounds(1.0, [record], B=1.0) == [1.0]
+        assert mon.bounds(1.0, [record] * 3, B=1.0) == [1.0, pytest.approx(3.0),
+                                                         pytest.approx(9.0)]
 
-    def test_norms_reused_only_for_the_same_read_only_gains(self, monkeypatch):
+    def test_norms_taken_once_per_object_a_record_repeats(self, monkeypatch):
+        """A_o and ||L_masked||_2 are taken once for each run of records
+        holding one object; a new object with equal bytes is normed again,
+        and the reuse moves no bound bit."""
         A = np.array([[0.9, 0.2], [0.0, 0.7]])
         mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
-        mon.start(1.0)
-        L = np.zeros((1, 1))
-
-        def A_o(M):
-            return max(np.linalg.norm(A @ M, 2, axis=(-2, -1)).tolist())
         M = np.array([np.eye(2) * 0.5])
-        mon.step(M, L, 0.1, [1.0])
-        M *= 2.0                        # writable: changed in place, taken again
-        mon.step(M, L, 0.1, [1.0])
-        assert mon.A_o[-1] == A_o(M)
-        M.setflags(write=False)
-        mon.step(M, L, 0.1, [1.0])
-        assert mon.A_o[-1] == A_o(M)
-        mon.step(M / 2.0, L, 0.1, [1.0])     # a new stack
-        assert mon.A_o[-1] == A_o(M / 2.0)
-
-        # ||L_masked||_2 likewise: each np.linalg.norm of L is counted, and
-        # the backlog term (B = 0, beta = 1) checked against the norm of L.
+        L = trust_masked_laplacian(np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.2],
+                                             [0.0, 0.3, 0.0]]))
+        M2, L2 = M.copy(), L.copy()             # equal bytes, new objects
+        pairs = [(M, L), (M, L), (M2, L), (M2, L2), (M2, L2), (M2 / 2.0, L2)]
+        records = [(gains, 0.1, lap, [0.8, 1.0, 0.6]) for gains, lap in pairs]
         taken, real = [], np.linalg.norm
 
         def norm(a, *args, **kwargs):
             taken.append(a)
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "norm", norm)
-
-        def backlog(L):   # sA * ||L||_2 * gamma_max * sqrt(N) * alpha / max(C_norms)
-            return float(real(A, 2)) * float(real(L, 2)) * 0.1 * np.sqrt(len(L))
-        L = trust_masked_laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
-        mon.step(M, L, 0.1, [1.0])
-        L *= 2.0                        # writable: changed in place, taken again
-        mon.step(M, L, 0.1, [1.0])
-        assert mon.offsets(B=0.0)[-1] == backlog(L)
-        L.setflags(write=False)
-        mon.step(M, L, 0.1, [1.0])
-        mon.step(M, L, 0.1, [1.0])
-        assert sum(a is L for a in taken) == 2      # while writable only
-        assert mon.offsets(B=0.0)[-2:] == [backlog(L)] * 2
-        mon.step(M, L / 2.0, 0.1, [1.0])     # a new Laplacian
-        assert mon.offsets(B=0.0)[-1] == backlog(L / 2.0)
+        got = mon.bounds(1.0, records, B=0.5)
+        assert sum(a is A for a in taken) == 1                 # ||A||_2
+        assert sum(np.ndim(a) == 3 for a in taken) == 3        # M, M2, M2 / 2
+        assert [id(a) for a in taken if np.shape(a) == (3, 3)] == [id(L), id(L2)]
+        assert len(taken) == 6
+        # Every record with objects of its own: one norm each, the same bytes.
+        taken.clear()
+        fresh = [(gains.copy(), g, lap.copy(), betas) for gains, g, lap, betas in records]
+        assert np.array(mon.bounds(1.0, fresh, B=0.5)).tobytes() == np.array(got).tobytes()
+        assert len(taken) == 1 + 2 * len(records)
 
 
 class StepByStepMonitor:
@@ -360,10 +348,10 @@ class StepByStepMonitor:
 @pytest.mark.parametrize("scale", [0.3, 3.0], ids=["contractive", "non-contractive"])
 @pytest.mark.parametrize("N, n", [(1, 1), (4, 2)])
 def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
-    """`bounds` after the run gives the bytes of the recursion advanced at
-    every step: with A_o < 1 and A_o >= 1, over 0 and 1 steps, and with the
-    gains shared read-only across steps as the schedule's steady-state tail
-    shares them."""
+    """`bounds` over the run's records gives the bytes of the recursion
+    advanced at every step: with A_o < 1 and A_o >= 1, over 0 and 1 steps,
+    and with records repeating the previous record's gains or Laplacian as
+    the engine's schedule tail and steady trust weights repeat them."""
     rng = np.random.default_rng([steps, N, n])
 
     def orthogonal():
@@ -375,24 +363,65 @@ def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
     mon = BoundMonitor(A=A, C_norms=C_norms, alpha=alpha, tau=tau)
     oracle = StepByStepMonitor(A, C_norms, alpha, B, tau, eta0)
     shared = np.stack([rng.uniform(0.5, 1.0) * orthogonal() for _ in range(N)])
-    shared.setflags(write=False)
-    want, offsets = [], []
+    records, want = [], []
     for k in range(steps):
-        if k == 0:
-            mon.start(eta0)
         M = shared if k % 3 else np.stack([rng.uniform(0.5, 1.0) * orthogonal()
                                            for _ in range(N)])
-        L = trust_masked_laplacian(rng.uniform(0.0, 1.0, (N, N)) * (1 - np.eye(N)))
+        L = (records[-1][2] if k % 2 else
+             trust_masked_laplacian(rng.uniform(0.0, 1.0, (N, N)) * (1 - np.eye(N))))
         gamma_max, betas = float(rng.uniform(0.0, 0.5)), rng.uniform(0.01, 1.0, N).tolist()
+        records.append((M, gamma_max, L, betas))
         want.append(oracle.bound)
-        mon.step(M, L, gamma_max, betas)
         oracle.step(M, L, gamma_max, betas)
-        offsets.append(oracle.B_o)
-    got = mon.bounds(B)
+    got = mon.bounds(eta0, records, B)
     assert len(got) == steps
     assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
-    assert np.array(mon.offsets(B), float).tobytes() == np.array(offsets, float).tobytes()
-    assert all((A_o >= 1.0) == (scale > 1.0) for A_o in mon.A_o)
+    assert all((max(np.linalg.norm(A @ M, 2, axis=(-2, -1))) >= 1.0) == (scale > 1.0)
+               for M, *_ in records)
+
+
+def monitored_runs():
+    fig7 = dataclasses.replace(get_preset("fig7"), steps=150)
+    mixed_p = ScenarioConfig.from_dict({**engine_scenario("example1-calibrated").to_dict(),
+                                        "sensors": [TWO] * 6 + [ONE, TWO],
+                                        "bound_monitor": True})
+    return [fig7, engine_scenario("ring12-chords"), mixed_p]
+
+
+@pytest.mark.parametrize("cfg", monitored_runs(),
+                         ids=["fig7", "ring12-chords", "example1-calibrated-mixed-p"])
+def test_bound_and_realized_error_recomputed_from_the_trace(cfg):
+    """A run's `realized_err` and `bound` equal, byte for byte, what a
+    step-by-step monitor gives on inputs read back from the trace's own
+    columns (plant path, priors, trust and confidence), the covariance
+    schedule and the run's noise, one row per node and a Laplacian per step."""
+    trace = run_scenario(cfg)
+    nodes, n, steps = sorted(cfg.graph.nodes), cfg.process.n, cfg.steps
+    x_true = np.stack([trace.column(f"x_true_{d}")[:, 0] for d in range(n)], axis=-1)
+    xbar = np.stack([trace.column(f"xbar_{d}") for d in range(n)], axis=-1)
+    realized = [math.sqrt(sum(float(e @ e) for e in x_true[k] - xbar[k])) for k in range(steps)]
+    assert np.array(realized).tobytes() == trace.step_cols["realized_err"].tobytes()
+
+    # B: the 99.9th percentile of ||x(k+1) - x(k) + v_i(k+1)|| over steps and nodes.
+    _, _, v = simulate.random_inputs(cfg)
+    rows = {i: (p, g) for p, group in channel_groups(cfg.sensors)[0].items()
+            for g, i in enumerate((group + 1).tolist())}
+    increments = [float(np.linalg.norm(x_true[k + 1] - x_true[k] + v[p][k + 1, g]))
+                  for k in range(steps - 1) for p, g in rows.values()]
+    B = float(np.percentile(increments, 99.9))
+    oracle = StepByStepMonitor(cfg.process.A, [float(np.linalg.norm(s.C, 2)) for s in cfg.sensors],
+                               cfg.trigger.alpha, B, cfg.resilient.tau, realized[0])
+    beta = trace.column("beta")
+    want = []
+    for k, (_, _, M, gamma, _, _) in enumerate(simulate.covariance_schedule(cfg)):
+        W = np.zeros((len(nodes), len(nodes)))
+        for i, j in trace.edges:
+            W[i - 1, j - 1] = trace.edge_series("sigma", i, j)[k] * beta[k, j - 1]
+        gamma_max = (max(float(np.linalg.norm(g, 2)) for g in gamma) if np.ndim(gamma) == 3
+                     else abs(gamma))
+        want.append(oracle.bound)
+        oracle.step(M, trust_masked_laplacian(W), gamma_max, beta[k].tolist())
+    assert np.array(want).tobytes() == trace.step_cols["bound"].tobytes()
 
 
 class TestTrustMaskedLaplacian:
