@@ -158,8 +158,6 @@ def craft_replay(x_prior_last, C, upsilon) -> np.ndarray:
     return np.asarray(C, float) @ np.asarray(x_prior_last, float) + np.asarray(upsilon, float)
 
 
-
-
 def _blkdiag(blocks) -> np.ndarray:
     """Block-diagonal matrix of 2-D blocks of any shapes."""
     blocks = list(blocks)

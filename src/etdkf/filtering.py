@@ -220,14 +220,19 @@ def consensus_gain(M, A, P_priors, lam_L: float, fallback: float = 0.0):
     for a run, so the caller computes it once) and pseudo-inverses where
     blocks are singular. If every block is degenerate the configured scalar
     `fallback` is returned instead.
+
+    With a leading entry axis, (E, N, n, n), each entry gets its own
+    lambda_max(Gamma^+) and fallback: a list of E results, each the call on
+    that entry alone bit for bit.
     """
-    A = np.asarray(A, float)
-    M = np.asarray(M, float)
+    A, M = np.asarray(A, float), np.asarray(M, float)
+    if M.ndim == 3:   # one entry
+        return consensus_gain(M[None], A, np.asarray(P_priors)[None], lam_L, fallback)[0]
     Gammas = _t(M) @ A.T @ np.linalg.pinv(np.asarray(P_priors, float)) @ A @ M
     G_pinvs = np.linalg.pinv(Gammas)
     # Python's max, in node order, as a loop over nodes takes it.
-    lam_Ginv = max([0.0, *np.linalg.eigvalsh(sym(G_pinvs))[..., -1].reshape(-1).tolist()])
-    denom = lam_L * lam_Ginv
-    if denom <= 0 or not np.isfinite(denom):
-        return fallback
-    return 2.0 * M @ G_pinvs / denom
+    denoms = [lam_L * max([0.0, *lam]) for lam in
+              np.linalg.eigvalsh(sym(G_pinvs))[..., -1].tolist()]
+    keep = [not (denom <= 0 or not np.isfinite(denom)) for denom in denoms]
+    gains = iter(2.0 * M[keep] @ G_pinvs[keep] / np.array(denoms)[keep][:, None, None, None])
+    return [next(gains) if kept else fallback for kept in keep]

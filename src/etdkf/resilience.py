@@ -15,9 +15,9 @@ Divergence inputs are floored at zero before the chi/theta map so beliefs stay
 in (0,1] even when the k-NN estimator goes slightly negative; raw estimates
 are reported unclipped by the detection layer.
 
-The bound monitor runs after a run, over one record per step of what the
-run held: the gains, the consensus gain's norm, the trust-masked Laplacian
-and the confidences (`BoundMonitor.bounds`).
+The bound monitor runs after a run, over one record of scalars per step:
+the norms of what the run held (its gains, consensus gain and trust-masked
+Laplacian) and the confidences (`BoundMonitor.bounds`).
 """
 
 from __future__ import annotations
@@ -116,15 +116,18 @@ class BeliefState:
             self.sigma.update(self.theta)
 
 
-def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:
+def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None,
+                               degree=None) -> np.ndarray:
     """m_i: belief-weighted average of neighbor predictive estimates.
 
     `neighbor_preds` (..., D, n) holds each node's neighbor predictions in
     slots, `weights` (..., D) the matching w_ij = sigma_ij * beta_j and
     `mask` (..., D) which slots hold a neighbor (all of them when omitted).
-    Follows the stated 1/|N_i| normalization, so down-weighted neighbors
-    shrink the average rather than renormalizing it. Falls back to the
-    node's own prior when it has no neighbors.
+    `degree` (..., 1) is the mask's row sums, which a caller that keeps one
+    mask for many calls counts once. Follows the stated 1/|N_i|
+    normalization, so down-weighted neighbors shrink the average rather
+    than renormalizing it. Falls back to the node's own prior when it has no
+    neighbors.
     """
     x_prior_i = np.asarray(x_prior_i, float)
     preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
@@ -133,7 +136,9 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) ->
     terms = weights[..., None] * preds
     # The sum starts from the first neighbor's term, as a per-node loop does.
     acc = slot_sum(terms[..., 1:, :], mask[..., 1:], terms[..., 0, :])
-    degree = mask.sum(axis=-1)[..., None]
+    degree = mask.sum(axis=-1, keepdims=True) if degree is None else degree
+    if degree.all():   # every row has a neighbor
+        return acc / degree
     return np.where(degree > 0, acc / np.maximum(degree, 1), x_prior_i)
 
 
@@ -149,9 +154,9 @@ class BoundMonitor:
     whole plant path, so `bounds` runs the recursion once, after the run, in
     a step-by-step monitor's order.
 
-    Only maxima over nodes are read of `gains_M` and `C_norms`, so each may
-    hold one entry per sensor model (`sensor_models`) rather than per node,
-    as the engine passes them: nodes of one model have equal entries.
+    Only the maximum over nodes is read of `C_norms`, so it may hold one
+    entry per sensor model (`sensor_models`) rather than per node, as the
+    engine passes it: nodes of one model have equal entries.
     """
 
     A: np.ndarray
@@ -163,25 +168,18 @@ class BoundMonitor:
         """The bound holding at every step recorded, bound(0) = `eta0` (the
         first prior error norm) first.
 
-        A record is one step's (gains_M, gamma_max, laplacian_masked, betas):
-        `gains_M` stacks I - K_i C_i as (models, n, n), and the masked
-        Laplacian (N, N) gives the node count N. ||A||_2 is taken once, A_o
-        only for a `gains_M` that is not the previous record's object (the
-        engine passes one per schedule entry), and ||L_masked||_2 likewise
-        (the engine passes one per distinct vector of trust weights).
+        A record is one step's scalars (A_o, gamma_max, sL, betas): A_o =
+        max_i sigma_max(A M_i) over that step's gains, gamma_max the largest
+        ||gamma_i||_2, sL = ||L_masked||_2 of the trust-masked Laplacian, and
+        betas every node's confidence, whose count is the node count N. The
+        engine takes each of A_o, gamma_max and sL in one stacked norm over
+        the run's distinct values; ||A||_2 is taken here, once.
         """
-        A = np.asarray(self.A, float)
-        sA = float(np.linalg.norm(A, 2))
+        sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
         factor = self.alpha / max(self.C_norms) + B
-        bound, gains, laplacian = [float(eta0)], None, None
-        for gains_M, gamma_max, laplacian_masked, betas in records:
-            if gains_M is not gains:
-                gains = gains_M
-                A_o = max(np.linalg.norm(A @ gains_M, 2, axis=(-2, -1)).tolist())
-            if laplacian_masked is not laplacian:
-                laplacian = laplacian_masked
-                sL = float(np.linalg.norm(laplacian_masked, 2))
-            N = len(laplacian_masked)
+        bound = [float(eta0)]
+        for A_o, gamma_max, sL, betas in records:
+            N = len(betas)
             beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
             backlog = sA * sL * gamma_max * np.sqrt(N)
             deficit = (sA + A_o) * beta_bar * np.sqrt(N) * self.tau
@@ -192,14 +190,17 @@ class BoundMonitor:
 def trust_masked_laplacian(weights) -> np.ndarray:
     """Laplacian of the belief-weighted graph from its directed weights,
     `weights[i-1, j-1]` = w_ij = sigma_(i,j) * beta_j on each edge and 0 off
-    the graph.
+    the graph, or of each graph of a stack (..., N, N).
 
     The two directions are averaged so the result stays a valid Laplacian of
-    an undirected weighted graph.
+    an undirected weighted graph. It is diag(row sums) - W elementwise, so
+    every off-diagonal entry is 0.0 - w (+0.0 where w is +0.0, not -0.0).
     """
     W = np.asarray(weights, float)
-    W = 0.5 * (W + W.T)
-    return np.diag(W.sum(axis=1)) - W
+    W = 0.5 * (W + np.swapaxes(W, -1, -2))
+    diag, i = np.zeros(W.shape), np.arange(W.shape[-1])
+    diag[..., i, i] = W.sum(axis=-1)
+    return diag - W
 
 
 def assumption4_satisfied(graph, compromised) -> dict:

@@ -33,7 +33,7 @@ from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
 from .detection import KnnWindowBank, detect, reference_factors
-from .errors import NumericalError, ValidationError
+from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         measurement_update, nominal_covariances, should_transmit,
                         update_predictive, vector_norm)
@@ -111,9 +111,6 @@ class SimTrace:
     def series(self, column: str, node: int) -> np.ndarray:
         return self.column(column)[:, node - 1]
 
-    def edge_series(self, column: str, node: int, neighbor: int) -> np.ndarray:
-        return self.column(column, edge=True)[:, self.edges.index((node, neighbor))]
-
     def _fill(self, table: TraceTable, edge: bool):
         """Take a table with its CSV's header and the config's exact grid of rows."""
         header, cols = (EDGE_COLUMNS, self.edge_cols) if edge else (self.node_columns(),
@@ -172,37 +169,53 @@ def covariance_schedule(cfg) -> list:
     gamma and L are computed on one row per sensor model (`sensor_models`)
     and gathered to the nodes: nodes of one model have equal inputs, so
     equal per-matrix results, and the gain's network-wide maximum over the
-    models is the maximum over the nodes. The steady-state filter repeats
-    one item, so gamma and L are computed once per distinct item, and one
-    tuple object fills the rest of the schedule. Its arrays are read-only.
+    models is the maximum over the nodes. gamma and L are computed over the
+    stack of distinct items, one `consensus_gain` call and one
+    `reference_factors` call per p-group; a failing stack is replayed item
+    by item, to raise the error a per-step loop meets first. The
+    steady-state filter repeats one item, so one tuple object fills the rest
+    of the schedule. Its arrays are read-only.
     """
     A, synthetic = cfg.process.A, cfg.detector.reference == "synthetic"
     first, model, groups, C, R, take = model_groups(cfg.sensors)
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
-    schedule, seen = [], None
-    for k, nominal in zip(range(cfg.steps), nominal_covariances(cfg.process, cfg.sensors)):
-        if nominal is not seen:
-            seen = nominal
-            P_prior, K, M, P_post = nominal
-            P_models = P_prior[first]
-            L = {p: reference_factors(innovation_covariance(P_models[rows], C[p], R[p]))[take[p]]
-                 for p, rows in groups.items()} if synthetic else {}
-            try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
-                with np.errstate(over="raise", invalid="raise"):
-                    gamma = (cfg.consensus.gamma if lam_L is None else
-                             consensus_gain(M[first], A, P_models, lam_L,
-                                            fallback=cfg.consensus.gamma))
-            except (FloatingPointError, np.linalg.LinAlgError) as exc:
-                raise NumericalError(f"the matrix consensus gain could not be computed at "
-                                     f"step {k} ({exc})") from None
-            if isinstance(gamma, np.ndarray):
-                gamma = gamma[model]
-            for a in (gamma, *L.values()):
-                if isinstance(a, np.ndarray):
-                    a.setflags(write=False)
-            entry = (P_prior, K, M, gamma, P_post, L)
-        schedule.append(entry)
+    items = []   # item k serves step k: a new one each step until one repeats without end
+
+    def factors_and_gains(e):   # (L, gamma) of the items e stacked, L first as a step takes it
+        P, M = (np.stack([item[i][first] for item in items[e]]) for i in (0, 2))
+        L = {p: reference_factors(innovation_covariance(P[:, rows], C[p], R[p]))[:, take[p]]
+             for p, rows in groups.items()} if synthetic else {}
+        try:    # a P_prior collapsing to 0 overflows pinv, or fails its SVD
+            with np.errstate(over="raise", invalid="raise"):
+                gamma = ([cfg.consensus.gamma] * len(P) if lam_L is None else
+                         consensus_gain(M, A, P, lam_L, fallback=cfg.consensus.gamma))
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"the matrix consensus gain could not be computed at "
+                                 f"step {e.start} ({exc})") from None
+        gamma = [g[model] if isinstance(g, np.ndarray) else g for g in gamma]
+        for a in (*L.values(), *gamma):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return L, gamma
+
+    try:
+        for nominal in itertools.islice(nominal_covariances(cfg.process, cfg.sensors), cfg.steps):
+            if items and nominal is items[-1]:
+                break
+            items.append(nominal)
+    finally:   # a singular model raises here, after the gains of the steps before it
+        if items:
+            try:
+                L, gamma = factors_and_gains(slice(0, len(items)))
+            except (ConfigurationError, NumericalError, np.linalg.LinAlgError):
+                # Raise the error that a step-by-step schedule meets first.
+                for k in range(len(items)):
+                    factors_and_gains(slice(k, k + 1))
+                raise
+    schedule = [(P_prior, K, M, gamma[k], P_post, {p: f[k] for p, f in L.items()})
+                for k, (P_prior, K, M, P_post) in enumerate(items)]
+    schedule += schedule[-1:] * (cfg.steps - len(schedule))
     return schedule
 
 
@@ -269,7 +282,8 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
 
     The bound monitor is not a stage of the step loop: after the loop it
     reads the plant path, `xbar`, the trace's `sigma` and `beta` columns and
-    the schedule, one record per step, in one `BoundMonitor.bounds` call.
+    the schedule's distinct entries, each spectral norm in one stacked call,
+    and runs one `BoundMonitor.bounds` call over one record per step.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -300,6 +314,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # Every copy's slots hold its own rows.
     slot_rows = np.concatenate([slot_node + c * N for c in range(copies)])
     masks = stack(mask)
+    degree = masks.sum(axis=1, keepdims=True).astype(float)   # each row's neighbor count
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
         key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
@@ -365,11 +380,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     if not lite:   # row k of each column is written at step k, or after the loop
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
         xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
-    seen = None
+    seen, starts = None, np.zeros(cfg.steps, bool)   # the steps that start a distinct entry
 
     for k, entry in enumerate(schedule):
         if entry is not seen:   # the schedule's steady-state tail is one shared entry
-            seen = entry
+            seen, starts[k] = entry, True
             P_prior, K, M, gamma, P_post, live_L = entry
             matrix_gamma = np.ndim(gamma) == 3
             K_rows = {p: stack(Kp) for p, Kp in K.items()}
@@ -458,7 +473,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
-        m = weighted_neighbor_estimate(x_prior, stored, weights, masks)
+        m = weighted_neighbor_estimate(x_prior, stored, weights, masks, degree)
         w_upd, b_upd = (weights, beta) if beliefs_in_update else (unit_w, unit_b)
         x_post = np.empty((copies * N, n))
         for p, rows in part.items():
@@ -486,32 +501,37 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
             for d in range(n):
                 cols[f"{prefix}_{d}"][:] = states[..., d]
-    if monitored:
+    if monitored and cfg.steps:
         # The realized prior error norm of every step, summed over nodes in
         # node order.
         e_prior = path[:, None] - xbar
         realized = [math.sqrt(sum(row)) for row in np.vecdot(e_prior, e_prior).tolist()]
         step_cols["realized_err"][:] = realized
-        # One record per step. The monitor reads the covariance half once per
-        # sensor model (one row of each model's M and gamma, and each model's
-        # ||C||_2) and once per distinct schedule entry; the trust-masked
-        # Laplacian is built once per distinct vector of trust weights
-        # w_ij = sigma_ij * beta_j. A record repeating the previous record's
-        # object keeps the monitor's norm.
+        # One record of scalars per step, each kind taken in one stacked norm:
+        # A_o and gamma_max once per distinct schedule entry, over one row per
+        # sensor model (and ||C||_2 once per model), and ||L_masked||_2 once
+        # per step whose trust weights w_ij = sigma_ij * beta_j differ by a
+        # bit from the step before. Maxima are Python's, in model order.
         first = sensor_models(cfg.sensors)[0]
-        records, seen, w_seen = [], None, None
+        entries = [schedule[k] for k in np.flatnonzero(starts).tolist()]
+        A_o = [max(row) for row in np.linalg.norm(
+            A @ np.stack([entry[2][first] for entry in entries]), 2, axis=(-2, -1)).tolist()]
+        gammas = [entry[3] for entry in entries]
+        matrix = [g[first] for g in gammas if np.ndim(g) == 3]
+        norms = iter(np.linalg.norm(np.stack(matrix), 2, axis=(-2, -1)).tolist() if matrix else ())
+        gmax = [max(next(norms)) if np.ndim(g) == 3 else abs(g) for g in gammas]
         trust = edge_cols["sigma"] * cols["beta"][:, slot_to]
-        for entry, w_edges, betas in zip(schedule, trust, cols["beta"].tolist()):
-            if entry is not seen:
-                seen, M_models, gamma = entry, entry[2][first], entry[3]
-                gmax = (max(np.linalg.norm(gamma[first], 2, axis=(1, 2)).tolist())
-                        if np.ndim(gamma) == 3 else abs(gamma))
-            if (key := w_edges.tobytes()) != w_seen:
-                w_seen = key
-                W = np.zeros((N, N))
-                W[slot_of, slot_to] = w_edges
-                L_masked = trust_masked_laplacian(W)
-            records.append((M_models, gmax, L_masked, betas))
+        moved = np.ones(cfg.steps, bool)
+        moved[1:] = (trust[1:].view(np.int64) != trust[:-1].view(np.int64)).any(axis=1)
+        trust, sL = trust[moved], []
+        block = max(1, 2**20 // N**2)   # Laplacians per norm call, 8 MB of them
+        for c in range(0, len(trust), block):
+            W = np.zeros((len(trust[c:c + block]), N, N))
+            W[:, slot_of, slot_to] = trust[c:c + block]
+            sL += np.linalg.norm(trust_masked_laplacian(W), 2, axis=(-2, -1)).tolist()
+        records = [(A_o[e], gmax[e], sL[j], betas) for e, j, betas in zip(
+            (np.cumsum(starts) - 1).tolist(), (np.cumsum(moved) - 1).tolist(),
+            cols["beta"].tolist())]
         # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps
         # and nodes, from this pass's plant path: no filter reaches it.
         dx = np.diff(path, axis=0)[:, None]
@@ -519,7 +539,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(cfg.sensors[i].C, 2))
                                              for i in first.tolist()],
                                alpha=alpha, tau=cfg.resilient.tau)
-        step_cols["bound"][:] = monitor.bounds(realized[0] if realized else math.nan, records,
+        step_cols["bound"][:] = monitor.bounds(realized[0], records,
                                                float(np.percentile(b, 99.9)) if b.size else 0.0)
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "

@@ -13,6 +13,8 @@ from etdkf.filtering import innovation
 from etdkf.scenario import get_preset
 from etdkf.simulate import run_scenario
 
+from helpers import edge_series
+
 
 def brute_force_knn(samples, index, k):
     """Plain-python sort oracle."""
@@ -558,7 +560,7 @@ class TestDetect:
         for i in (1, 2):
             phi = trace.series("phi", i)
             assert np.all(np.isnan(phi[:full])) and np.all(np.isfinite(phi[full:]))
-        psi = trace.edge_series("psi", 2, 1)
+        psi = edge_series(trace, "psi", 2, 1)
         assert np.all(np.isnan(psi[:full])) and np.all(np.isfinite(psi[full:]))
 
     def test_config_guards(self):

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from etdkf import filtering, resilience, simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.graphs import Graph, neighbors
-from etdkf.models import NoiseSource, channel_groups
+from etdkf.models import NoiseSource, channel_groups, sensor_models
 from etdkf.scenario import ScenarioConfig, get_preset, six_node_graph
 from etdkf.simulate import compute_metrics, export_csv, run_scenario
+from helpers import edge_series
 from test_engine_digests import ONE, TWO
 from test_engine_digests import scenario as engine_scenario
 
@@ -63,18 +64,18 @@ class TestChannelAttack:
         assert self.trace.series("xhat_0", 2)[k] != clean.series("xhat_0", 2)[k]
 
     def test_attacked_channel_flagged_and_distrusted(self):
-        psi = self.trace.edge_series("psi", 2, 1)
-        sigma = self.trace.edge_series("sigma", 2, 1)
+        psi = edge_series(self.trace, "psi", 2, 1)
+        sigma = edge_series(self.trace, "sigma", 2, 1)
         tail = slice(self.onset + 80, None)
         assert np.nanmin(psi[tail]) > self.cfg.detector.delta
         assert sigma[tail].max() < 0.5
 
     def test_clean_edges_keep_trust(self):
-        sigma_43 = self.trace.edge_series("sigma", 4, 3)
+        sigma_43 = edge_series(self.trace, "sigma", 4, 3)
         assert sigma_43[-60:].min() > 0.6
 
     def test_edge_attack_norm_logged(self):
-        norms = self.trace.edge_series("attack_norm", 2, 1)
+        norms = edge_series(self.trace, "attack_norm", 2, 1)
         assert norms[: self.onset].max() == 0.0
         assert norms[self.onset:].max() > 0.0
 
@@ -134,22 +135,27 @@ def test_overflowing_injection_is_flagged_and_distrusted(value):
 
 
 def test_covariance_half_computed_once_per_run(monkeypatch):
-    """Gains, posterior covariances and matrix consensus gains are computed
-    once per step of a run, not once per pass: fig7 runs a twin. The gains
-    and posterior covariances are `filtering.nominal_covariances`' calls."""
+    """Gains and posterior covariances are computed once per step of a run,
+    not once per pass (fig7 runs a twin), and the matrix consensus gains in
+    one `consensus_gain` call over the stack of the run's distinct schedule
+    entries, one row per sensor model. The gains and posterior covariances
+    are `filtering.nominal_covariances`' calls."""
+    cfg = get_preset("fig7")
+    cfg.steps, cfg.consensus.mode = 12, "matrix"
+    distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
     calls = {}
     for module, name in ((filtering, "kalman_gain"), (filtering, "posterior_covariance"),
                          (simulate, "consensus_gain")):
-        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _real(*args, **kwargs)
+        def counted(stack, *args, _real=getattr(module, name), _name=name, **kwargs):
+            calls.setdefault(_name, []).append(np.shape(stack))
+            return _real(stack, *args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    cfg = get_preset("fig7")
-    cfg.steps, cfg.consensus.mode = 12, "matrix"
     run_scenario(cfg)
     groups = len({s.p for s in cfg.sensors})
-    assert calls == {"kalman_gain": 12 * groups, "posterior_covariance": 12 * groups,
-                     "consensus_gain": 12}
+    models, n = len(sensor_models(cfg.sensors)[0]), cfg.process.n
+    assert {name: len(shapes) for name, shapes in calls.items()} == {
+        "kalman_gain": 12 * groups, "posterior_covariance": 12 * groups, "consensus_gain": 1}
+    assert calls["consensus_gain"] == [(distinct, models, n, n)]
 
 
 def ring_of_one_model(n=32, steps=20):
@@ -177,25 +183,75 @@ def spy_on_bound_records(monkeypatch):
     return calls
 
 
+def spy_on_norms(monkeypatch):
+    """The (shape, ord) of every `np.linalg.norm` call, in call order."""
+    taken = []
+
+    def norm(x, ord=None, *args, _real=np.linalg.norm, **kwargs):
+        taken.append((np.shape(x), ord))
+        return _real(x, ord, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    return taken
+
+
+def trust_weights(cfg, trace):
+    """Each step's (N, N) matrix of belief weights w_ij = sigma_ij * beta_j,
+    read back from the trace."""
+    nodes = sorted(cfg.graph.nodes)
+    edges = [(i - 1, j - 1) for i in nodes for j in sorted(neighbors(cfg.graph, i))]
+    fro, to = np.array(edges, dtype=int).reshape(-1, 2).T
+    W = np.zeros((cfg.steps, len(nodes), len(nodes)))
+    W[:, fro, to] = trace.edge_cols["sigma"] * trace.node_cols["beta"][:, to]
+    return W
+
+
 def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     """Nodes that share (C, R) share the covariance half: on a ring of 32
-    equal sensors the gains, the consensus gain and the monitor's records
-    see one row per distinct schedule entry, and the monitor one ||C||_2."""
+    equal sensors the gains see one row per distinct schedule entry, the
+    consensus gain one stack of one row per distinct entry, and the monitor
+    one ||C||_2."""
     cfg = ring_of_one_model()
     distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
     rows = {"kalman_gain": [], "consensus_gain": []}
     for module, name in ((filtering, "kalman_gain"), (simulate, "consensus_gain")):
         def spy(stack, *args, _real=getattr(module, name), _name=name, **kwargs):
-            rows[_name].append(len(stack))
+            rows[_name].append(np.shape(stack)[:-2])
             return _real(stack, *args, **kwargs)
         monkeypatch.setattr(module, name, spy)
     calls = spy_on_bound_records(monkeypatch)
     run_scenario(cfg)
-    assert rows == {"kalman_gain": [1] * distinct, "consensus_gain": [1] * distinct}
+    assert rows == {"kalman_gain": [(1,)] * distinct, "consensus_gain": [(distinct, 1)]}
     [(monitor, records)] = calls
     assert len(records) == cfg.steps and len(monitor.C_norms) == 1
-    assert {len(M) for M, *_ in records} == {1}
-    assert len({id(M) for M, *_ in records}) == distinct
+
+
+def test_monitor_norms_one_stacked_call_per_quantity(monkeypatch):
+    """The monitor takes each spectral norm in one call over a stack, not
+    once per step or per repeated object: A_o and gamma_max over the run's
+    distinct schedule entries, one row per sensor model, ||L_masked||_2
+    over its distinct vectors of trust weights; then each model's ||C||_2
+    and ||A||_2, once each. The records hold each step's own values."""
+    cfg = ring_of_one_model()
+    schedule = simulate.covariance_schedule(cfg)
+    distinct = len({id(entry) for entry in schedule})
+    norms = spy_on_norms(monkeypatch)
+    calls = spy_on_bound_records(monkeypatch)
+    trace = run_scenario(cfg)
+    spectral = [shape for shape, ord in norms if ord == 2]
+    W = trust_weights(cfg, trace)
+    moved = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(W[1:], W[:-1]))
+    N, n = cfg.graph.node_count, cfg.process.n
+    assert 1 < moved < cfg.steps
+    assert spectral == [(distinct, 1, n, n), (distinct, 1, n, n), (moved, N, N),
+                        cfg.sensors[0].C.shape, (n, n)]
+    [(_, records)] = calls
+    A = cfg.process.A
+    want = [(max(float(np.linalg.norm(A @ M_i, 2)) for M_i in M),
+             max(float(np.linalg.norm(g_i, 2)) for g_i in gamma),
+             float(np.linalg.norm(resilience.trust_masked_laplacian(W_k), 2)), betas)
+            for (_, _, M, gamma, _, _), W_k, betas in zip(schedule, W,
+                                                          trace.node_cols["beta"].tolist())]
+    assert records == want
 
 
 @pytest.mark.parametrize("overrides, builds", [
@@ -204,28 +260,28 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     ({}, None),   # one per distinct vector of trust weights, from the trace
 ], ids=["pinned", "nominal", "resilient"])
 def test_laplacian_built_once_per_distinct_trust_weights(monkeypatch, overrides, builds):
-    """The monitor's trust-masked Laplacian is built at a step whose weights
-    w_ij = sigma_ij * beta_j differ by a bit from the step before, and the
-    built one is recorded again while they hold still."""
+    """The monitor's trust-masked Laplacians are built in one call over a
+    stack, one for each step whose weights w_ij = sigma_ij * beta_j differ
+    by a bit from the step before, and each step's record holds the norm of
+    its own weights' Laplacian."""
     cfg = dataclasses.replace(get_preset("fig7"), steps=100, **overrides)
     built = []
 
     def build(W, _real=simulate.trust_masked_laplacian):
-        built.append(_real(W))
-        return built[-1]
+        built.append(np.shape(W))
+        return _real(W)
     monkeypatch.setattr(simulate, "trust_masked_laplacian", build)
     calls = spy_on_bound_records(monkeypatch)
     trace = run_scenario(cfg)
+    W = trust_weights(cfg, trace)
     if builds is None:
-        nodes = sorted(cfg.graph.nodes)
-        to = [j - 1 for i in nodes for j in sorted(neighbors(cfg.graph, i))]
-        w = trace.edge_cols["sigma"] * trace.node_cols["beta"][:, to]
-        builds = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(w[1:], w[:-1]))
+        builds = 1 + sum(a.tobytes() != b.tobytes() for a, b in zip(W[1:], W[:-1]))
         assert builds < cfg.steps
+    N = cfg.graph.node_count
+    assert built == [(builds, N, N)]
     [(_, records)] = calls
-    assert len(built) == builds
-    assert len(records) == cfg.steps
-    assert len({id(L) for _, _, L, _ in records}) == builds
+    want = [float(np.linalg.norm(resilience.trust_masked_laplacian(W_k), 2)) for W_k in W]
+    assert np.array([sL for _, _, sL, _ in records]).tobytes() == np.array(want).tobytes()
 
 
 def test_overflowing_injection_writes_no_numpy_warning(tmp_path, capfd):

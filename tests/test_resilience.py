@@ -19,6 +19,7 @@ from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
 from etdkf.scenario import ScenarioConfig, get_preset
 from etdkf.simulate import run_scenario
 
+from helpers import edge_series
 from test_engine_digests import ONE, TWO
 from test_engine_digests import scenario as engine_scenario
 from test_scenario import tiny_config
@@ -255,8 +256,8 @@ class TestBeliefTiming:
                 assert beta[k] == want, (i, k)
             assert np.all(chi[:full] == 1.0)
         for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
-            sigma = trace.edge_series("sigma", i, j)
-            theta = trace.edge_series("theta", i, j)
+            sigma = edge_series(trace, "sigma", i, j)
+            theta = edge_series(trace, "theta", i, j)
             assert np.all(sigma[:full] == 1.0) and np.all(theta[:full] == 1.0)
             first = DiscountedBelief(cfg.resilient.kappa2, discounting).update(theta[full])
             assert sigma[full] == first
@@ -266,20 +267,19 @@ class TestBoundMonitor:
     def test_no_deficit_reduces_to_trigger_term(self):
         A = np.eye(2) * 0.5
         mon = BoundMonitor(A=A, C_norms=[5.0, 5.0], alpha=1.8, tau=10.0)
-        Ms = [np.eye(2) * 0.2, np.eye(2) * 0.2]
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        records = [(Ms, 0.1, L, [1.0, 1.0])] * 2
         sA, sL, N = 0.5, 2.0, 2
+        # A_o = ||0.5 * 0.2 I||_2 < 1, and ||[[1, -1], [-1, 1]]||_2 = 2
+        records = [(0.1, 0.1, sL, [1.0, 1.0])] * 2
         want = sA * sL * 0.1 * np.sqrt(N) * (1.8 / 5.0 + 2.0)
         assert mon.bounds(0.0, records, B=2.0) == [0.0, pytest.approx(want, abs=1e-12)]
-        # bound(1) - B_o = A_o * bound(0), with A_o = ||0.5 * 0.2 I||_2 < 1
+        # bound(1) - B_o = A_o * bound(0)
         A_o = mon.bounds(1.0, records, B=2.0)[1] - mon.bounds(0.0, records, B=2.0)[1]
         assert A_o == pytest.approx(0.1, abs=1e-12)
 
     def test_contractive_bound_converges_to_asymptote(self):
         A = np.eye(2) * 0.5
         mon = BoundMonitor(A=A, C_norms=[5.0], alpha=1.8, tau=10.0)
-        records = [([np.eye(2) * 0.4], 0.05, np.zeros((1, 1)), [0.9])] * 200
+        records = [(0.2, 0.05, 0.0, [0.9])] * 200
         # geometric series limit: bound -> B_o / (1 - A_o), A_o = 0.2
         B_o = mon.bounds(0.0, records[:2], B=2.0)[1]
         assert mon.bounds(50.0, records, B=2.0)[-1] == pytest.approx(B_o / (1.0 - 0.2), rel=1e-6)
@@ -287,39 +287,34 @@ class TestBoundMonitor:
     def test_non_contractive_flagged(self):
         A = np.eye(2) * 3.0
         mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
-        record = ([np.eye(2)], 0.0, np.zeros((1, 1)), [1.0])
+        record = (3.0, 0.0, 0.0, [1.0])
         assert mon.bounds(1.0, [record], B=1.0) == [1.0]
         assert mon.bounds(1.0, [record] * 3, B=1.0) == [1.0, pytest.approx(3.0),
                                                          pytest.approx(9.0)]
 
-    def test_norms_taken_once_per_object_a_record_repeats(self, monkeypatch):
-        """A_o and ||L_masked||_2 are taken once for each run of records
-        holding one object; a new object with equal bytes is normed again,
-        and the reuse moves no bound bit."""
+    def test_records_are_read_as_per_step_scalars(self, monkeypatch):
+        """`bounds` takes one norm, ||A||_2, however many records; each
+        record's A_o, gamma_max and ||L_masked||_2 enter as given, and the
+        node count is its number of confidences."""
         A = np.array([[0.9, 0.2], [0.0, 0.7]])
-        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
-        M = np.array([np.eye(2) * 0.5])
-        L = trust_masked_laplacian(np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.2],
-                                             [0.0, 0.3, 0.0]]))
-        M2, L2 = M.copy(), L.copy()             # equal bytes, new objects
-        pairs = [(M, L), (M, L), (M2, L), (M2, L2), (M2, L2), (M2 / 2.0, L2)]
-        records = [(gains, 0.1, lap, [0.8, 1.0, 0.6]) for gains, lap in pairs]
+        mon = BoundMonitor(A=A, C_norms=[1.0, 2.0], alpha=1.0, tau=3.0)
+        records = [(0.4, 0.1, 1.5, [0.8, 1.0, 0.6]), (1.2, 0.0, 0.0, [1.0]),
+                   (0.7, 0.3, 2.5, [0.5, 0.5])]
         taken, real = [], np.linalg.norm
 
         def norm(a, *args, **kwargs):
             taken.append(a)
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "norm", norm)
-        got = mon.bounds(1.0, records, B=0.5)
-        assert sum(a is A for a in taken) == 1                 # ||A||_2
-        assert sum(np.ndim(a) == 3 for a in taken) == 3        # M, M2, M2 / 2
-        assert [id(a) for a in taken if np.shape(a) == (3, 3)] == [id(L), id(L2)]
-        assert len(taken) == 6
-        # Every record with objects of its own: one norm each, the same bytes.
-        taken.clear()
-        fresh = [(gains.copy(), g, lap.copy(), betas) for gains, g, lap, betas in records]
-        assert np.array(mon.bounds(1.0, fresh, B=0.5)).tobytes() == np.array(got).tobytes()
-        assert len(taken) == 1 + 2 * len(records)
+        got = mon.bounds(2.0, records, B=0.5)
+        assert len(taken) == 1 and taken[0] is A
+        sA, want = real(A, 2), [2.0]
+        for A_o, gamma_max, sL, betas in records[:-1]:
+            N = len(betas)
+            B_o = (sA * sL * gamma_max * np.sqrt(N) * (1.0 / 2.0 + 0.5)
+                   + (sA + A_o) * (1.0 - min(betas)) * np.sqrt(N) * 3.0)
+            want.append(A_o * want[-1] + B_o)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class StepByStepMonitor:
@@ -348,10 +343,13 @@ class StepByStepMonitor:
 @pytest.mark.parametrize("scale", [0.3, 3.0], ids=["contractive", "non-contractive"])
 @pytest.mark.parametrize("N, n", [(1, 1), (4, 2)])
 def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
-    """`bounds` over the run's records gives the bytes of the recursion
-    advanced at every step: with A_o < 1 and A_o >= 1, over 0 and 1 steps,
-    and with records repeating the previous record's gains or Laplacian as
-    the engine's schedule tail and steady trust weights repeat them."""
+    """`bounds` over the run's per-step scalars gives the bytes of the
+    recursion advanced at every step: with A_o < 1 and A_o >= 1, over 0 and
+    1 steps, and with steps repeating the previous step's gains or Laplacian
+    as the engine's schedule tail and steady trust weights repeat them. The
+    scalars are taken as the engine takes them, each kind in one stacked
+    norm over the distinct gains and Laplacians, Python's max over nodes;
+    the oracle takes its norms one step at a time."""
     rng = np.random.default_rng([steps, N, n])
 
     def orthogonal():
@@ -363,21 +361,24 @@ def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
     mon = BoundMonitor(A=A, C_norms=C_norms, alpha=alpha, tau=tau)
     oracle = StepByStepMonitor(A, C_norms, alpha, B, tau, eta0)
     shared = np.stack([rng.uniform(0.5, 1.0) * orthogonal() for _ in range(N)])
-    records, want = [], []
+    Ms, Ls, at, want = [], [], [], []       # distinct gains and Laplacians, each step's
     for k in range(steps):
-        M = shared if k % 3 else np.stack([rng.uniform(0.5, 1.0) * orthogonal()
-                                           for _ in range(N)])
-        L = (records[-1][2] if k % 2 else
-             trust_masked_laplacian(rng.uniform(0.0, 1.0, (N, N)) * (1 - np.eye(N))))
+        if k % 3 == 0 or not Ms or Ms[-1] is not shared:
+            Ms.append(shared if k % 3 else np.stack([rng.uniform(0.5, 1.0) * orthogonal()
+                                                     for _ in range(N)]))
+        if k % 2 == 0:
+            Ls.append(trust_masked_laplacian(rng.uniform(0.0, 1.0, (N, N)) * (1 - np.eye(N))))
         gamma_max, betas = float(rng.uniform(0.0, 0.5)), rng.uniform(0.01, 1.0, N).tolist()
-        records.append((M, gamma_max, L, betas))
+        at.append((len(Ms) - 1, len(Ls) - 1, gamma_max, betas))
         want.append(oracle.bound)
-        oracle.step(M, L, gamma_max, betas)
-    got = mon.bounds(eta0, records, B)
+        oracle.step(Ms[-1], Ls[-1], gamma_max, betas)
+    A_o = [max(row) for row in np.linalg.norm(A @ np.array(Ms).reshape(-1, N, n, n), 2,
+                                              axis=(-2, -1)).tolist()]
+    sL = np.linalg.norm(np.array(Ls).reshape(-1, N, N), 2, axis=(-2, -1)).tolist()
+    got = mon.bounds(eta0, [(A_o[m], g, sL[l], betas) for m, l, g, betas in at], B)
     assert len(got) == steps
     assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
-    assert all((max(np.linalg.norm(A @ M, 2, axis=(-2, -1))) >= 1.0) == (scale > 1.0)
-               for M, *_ in records)
+    assert all((a >= 1.0) == (scale > 1.0) for a in A_o)
 
 
 def monitored_runs():
@@ -416,7 +417,7 @@ def test_bound_and_realized_error_recomputed_from_the_trace(cfg):
     for k, (_, _, M, gamma, _, _) in enumerate(simulate.covariance_schedule(cfg)):
         W = np.zeros((len(nodes), len(nodes)))
         for i, j in trace.edges:
-            W[i - 1, j - 1] = trace.edge_series("sigma", i, j)[k] * beta[k, j - 1]
+            W[i - 1, j - 1] = edge_series(trace, "sigma", i, j)[k] * beta[k, j - 1]
         gamma_max = (max(float(np.linalg.norm(g, 2)) for g in gamma) if np.ndim(gamma) == 3
                      else abs(gamma))
         want.append(oracle.bound)
@@ -453,6 +454,22 @@ class TestTrustMaskedLaplacian:
         L = trust_masked_laplacian(W)
         assert np.allclose(L.sum(axis=1), 0.0, atol=1e-12)
         assert np.allclose(L, L.T, atol=1e-15)
+
+
+    def test_stack_equals_each_matrix_bit_for_bit(self):
+        """A stack (S, N, N) gives each matrix's Laplacian, and each is
+        diag(row sums) - W elementwise: +0.0 off the graph, where -W would
+        write -0.0."""
+        rng = np.random.default_rng(11)
+        W = rng.uniform(0.0, 1.0, (5, 4, 4)) * (rng.uniform(size=(5, 4, 4)) < 0.5)
+        W *= 1 - np.eye(4)
+        got = trust_masked_laplacian(W)
+        for W_k, L_k in zip(W, got):
+            sym = 0.5 * (W_k + W_k.T)
+            want = np.diag(sym.sum(axis=1)) - sym
+            assert L_k.tobytes() == want.tobytes()
+        zero = 0.5 * (W + W.swapaxes(1, 2)) == 0
+        assert zero.any() and not np.signbit(got[zero]).any()
 
 
 class TestAssumption4:

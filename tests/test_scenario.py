@@ -30,6 +30,8 @@ from etdkf.simulate import (EDGE_COLUMNS, INT_COLUMNS, SimTrace, TraceTable,
                             compute_metrics, export_csv, load_trace_csv, run_scenario,
                             write_run_dir)
 
+from helpers import edge_series
+
 
 def tiny_config(**overrides):
     d = {
@@ -745,7 +747,7 @@ class TestDeterminism:
         ])
         base_trace = run_scenario(base)
         assert np.isfinite(base_trace.series("phi", 2)).sum() == 21
-        assert np.isfinite(base_trace.edge_series("psi", 2, 1)).sum() == 21
+        assert np.isfinite(edge_series(base_trace, "psi", 2, 1)).sum() == 21
         pa = export_csv(base_trace, str(tmp_path / "base"))
         pb = export_csv(run_scenario(attacked), str(tmp_path / "zero"))
         assert open(pa["nodes"], "rb").read() == open(pb["nodes"], "rb").read()
@@ -1093,8 +1095,8 @@ class TestMixedChannelCounts:
         trace = run_scenario(cfg)
         assert trace.column("zeta").shape == (30, 3)
         for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
-            assert np.all(trace.edge_series("sigma", i, j) == 1.0)
-            assert np.all(np.isnan(trace.edge_series("psi", i, j)))
+            assert np.all(edge_series(trace, "sigma", i, j) == 1.0)
+            assert np.all(np.isnan(edge_series(trace, "psi", i, j)))
         assert np.isfinite(trace.series("phi", 2)[-1])
         assert np.isfinite(trace.series("err_norm", 2)).all()
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from etdkf.detection import DetectorConfig, reference_factors
 from etdkf.errors import NumericalError
 from etdkf.filtering import (consensus_gain, innovation_covariance, kalman_gain,
-                             posterior_covariance, prior_covariance)
+                             nominal_covariances, posterior_covariance, prior_covariance)
 from etdkf.graphs import Graph, laplacian
 from etdkf.models import ProcessModel, SensorModel, channel_groups, sensor_models
 from etdkf.scenario import ConsensusConfig, get_preset, list_presets
@@ -44,10 +44,13 @@ def per_step_schedule(cfg) -> list:
     return schedule
 
 
+def bits(a):
+    """An array's or scalar's type, shape and bytes."""
+    return type(a).__name__, np.shape(a), np.asarray(a).tobytes()
+
+
 def entry_bits(entry):
     """An entry's types, shapes and bytes, gamma's and each p-group's too."""
-    def bits(a):
-        return type(a).__name__, np.shape(a), np.asarray(a).tobytes()
     P_prior, K, M, gamma, P_post, L = entry
     return (bits(P_prior), {p: bits(k) for p, k in K.items()}, bits(M), bits(gamma),
             bits(P_post), {p: bits(f) for p, f in L.items()})
@@ -155,6 +158,48 @@ def test_schedule_equals_per_step_recursion(cfg):
     assert len(set(ids[:distinct])) == distinct
     assert ids[distinct:] == ids[distinct - 1:distinct] * (len(ids) - distinct)
     event("shared steady-state entry" if distinct < len(ids) else "every step its own entry")
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedule_configs(), st.data())
+def test_stacked_gain_equals_per_entry_calls(cfg, data):
+    """`consensus_gain` over a stack of a run's distinct items, one row per
+    sensor model, equals the call on each item alone bit for bit, with an
+    entry whose blocks are all degenerate (M = 0) placed anywhere in the
+    stack falling back to the scalar alone; or, where an item's call fails
+    (a collapsing P_prior), the stacked call fails too."""
+    first = sensor_models(cfg.sensors)[0]
+    items = []
+    try:
+        for _, item in zip(range(cfg.steps), nominal_covariances(cfg.process, cfg.sensors)):
+            if not items or item is not items[-1]:
+                items.append(item)
+    except NumericalError:
+        pass
+    if not items:
+        event("singular at the first step")
+        return
+    P, M = (np.stack([item[i][first] for item in items]) for i in (0, 2))
+    at = data.draw(st.integers(0, len(items)), label="fallback entry")
+    P = np.concatenate([P[:at], P[:1], P[at:]])
+    M = np.concatenate([M[:at], np.zeros_like(M[:1]), M[at:]])
+    lam_L = float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
+
+    def gain(M, P):
+        with np.errstate(over="raise", invalid="raise"):
+            return consensus_gain(M, cfg.process.A, P, lam_L, fallback=0.25)
+    failures = (FloatingPointError, np.linalg.LinAlgError)
+    try:
+        want = [gain(M_e, P_e) for M_e, P_e in zip(M, P)]
+    except failures:
+        event("an item's gain fails")
+        with pytest.raises(failures):
+            gain(M, P)
+        return
+    got = gain(M, P)
+    assert [bits(g) for g in got] == [bits(g) for g in want]
+    assert got[at] == 0.25
+    event(f"{sum(np.ndim(g) == 0 for g in got)} of {len(got)} entries fall back")
 
 
 def test_unobserved_growing_mode_runs_to_the_end():

@@ -192,15 +192,21 @@ def test_consensus_gain_and_monitor_equal_per_node(net):
     got = consensus_gain(M, net.A, net.P, float(np.max(np.linalg.eigvalsh(L))), fallback=0.05)
     assert np.array_equal(got, consensus_gain_per_node(M, net.A, net.P, L, 0.05))
     # Gains with one row per sensor model (M) and gathered to nodes that
-    # share them give the monitor equal bytes; with gamma_max = 0 and
-    # beta = 1, bound(1) = A_o * bound(0) = A_o.
+    # share them give the monitor equal bytes: A_o as the engine takes it,
+    # one stacked norm over entries and Python's max in row order, equals
+    # the per-node maximum; with gamma_max = 0 and beta = 1, bound(1) =
+    # A_o * bound(0) = A_o.
     mon = BoundMonitor(A=net.A, C_norms=[1.0] * net.N, alpha=1.0, tau=1.0)
     per_node = np.concatenate([M, M[::-1]])
-    got = [mon.bounds(1.0, [(gains, g, L, betas)] * 2, B=1.0)
-           for gains in (per_node, M) for g, betas in ((0.1, net.beta.tolist()),
-                                                       (0.0, [1.0] * net.N))]
+    A_o = [max(row) for row in np.linalg.norm(net.A @ np.stack([per_node, per_node[::-1]]), 2,
+                                              axis=(-2, -1)).tolist()]
+    A_o.append(max(np.linalg.norm(net.A @ M, 2, axis=(-2, -1)).tolist()))
+    assert A_o == [max(float(np.linalg.norm(net.A @ Mb, 2)) for Mb in per_node)] * 3
+    sL = float(np.linalg.norm(L, 2))
+    got = [mon.bounds(1.0, [(a, g, sL, betas)] * 2, B=1.0)
+           for a in A_o[1:] for g, betas in ((0.1, net.beta.tolist()), (0.0, [1.0] * net.N))]
     assert np.array(got[:2]).tobytes() == np.array(got[2:]).tobytes()
-    assert got[1][1] == max(float(np.linalg.norm(net.A @ Mb, 2)) for Mb in per_node)
+    assert got[1][1] == A_o[0]
 
 
 @settings(max_examples=40, deadline=None)
