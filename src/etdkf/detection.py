@@ -143,7 +143,7 @@ def _divergence(d_x, d_z, n2: int, epsilon_d: float, m: int):
     """
     n1 = d_x.shape[-1]
     ratio = np.maximum(d_z, epsilon_d) / np.maximum(d_x, epsilon_d)
-    d = m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
+    d = m / n1 * np.add.reduce(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
     return np.where(np.isfinite(d), d, np.inf)
 
 
@@ -284,11 +284,13 @@ class KnnWindowBank:
 
     def average(self, values) -> np.ndarray:
         """Record one estimate per row, (rows,), and return each row's mean of
-        its last <= T estimates, summed oldest first as `np.mean` sums them."""
+        its last <= T estimates, summed oldest first: `np.mean`'s own reduce
+        and division, without its argument handling."""
         T = self._raw.shape[1]
         self._raw[:, self._averaged % T] = values
         self._averaged += 1
-        return np.mean(_oldest_first(self._raw[:, :self._averaged], self._averaged), axis=1)
+        count = min(self._averaged, T)
+        return np.add.reduce(_oldest_first(self._raw[:, :count], self._averaged), axis=1) / count
 
 
 class _RingDistances:

@@ -15,6 +15,10 @@ Divergence inputs are floored at zero before the chi/theta map so beliefs stay
 in (0,1] even when the k-NN estimator goes slightly negative; raw estimates
 are reported unclipped by the detection layer.
 
+`BeliefState` is one vector over [nodes; edges]: a step is one
+`divergence_statistic` call and one `DiscountedBelief` update, with each
+entry's scale (upsilon1 or lambda1) and discount (kappa1 or kappa2).
+
 The bound monitor runs after a run, over one record of scalars per step:
 the norms of what the run held (its gains, consensus gain and trust-masked
 Laplacian) and the confidences (`BoundMonitor.bounds`).
@@ -30,7 +34,7 @@ from .errors import ValidationError
 from .filtering import neighbor_slots, slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
-_SMALLEST = np.finfo(float).smallest_subnormal
+_SMALLEST, _LARGEST = np.finfo(float).smallest_subnormal, np.finfo(float).max
 
 
 @dataclass
@@ -54,22 +58,22 @@ class ResilientConfig:
             raise ValidationError(errors)
 
 
-def divergence_statistic(divergence, scale: float):
+def divergence_statistic(divergence, scale):
     """chi (or theta): scale / (scale + D), D the divergence clipped to [0,
-    the largest finite float], so +inf stays in (0, 1]; NaN maps to 1.
+    the largest finite float], so +inf stays in (0, 1] and NaN maps to 1.
 
     A tiny scale with a huge D underflows the ratio to 0; it is floored at
     the smallest positive float, as the beliefs are. Elementwise over an
-    array of divergences; a scalar gives a scalar.
+    array of divergences, with one scale or one each; a scalar gives a scalar.
     """
-    d = np.minimum(np.maximum(np.asarray(divergence, float), 0.0), np.finfo(float).max)
-    return np.maximum(np.where(np.isnan(d), 1.0, scale / (scale + d)), _SMALLEST)[()]
+    d = np.fmin(np.fmax(np.asarray(divergence, float), 0.0), _LARGEST)
+    return np.maximum(scale / (scale + d), _SMALLEST)[()]
 
 
 @dataclass
 class DiscountedBelief:
     """A recursively-updated discounted belief value, or an array of them
-    (one per node or edge) advanced elementwise."""
+    (one per node or edge, with one `kappa` or one each) advanced elementwise."""
 
     kappa: float
     mode: str = "normalized"
@@ -82,9 +86,11 @@ class DiscountedBelief:
         self._num = k * (self._num + k * stat)
         if self.mode == "normalized":
             self._den = k * (self._den + k)
-            # den is 0 exactly when kappa^2 underflows, and num with it: the
+            # den is 0 exactly where kappa^2 underflows, and num with it: the
             # newest statistic then carries all the weight.
-            value = self._num / self._den if k * k else np.asarray(stat, float)
+            value = np.empty_like(self._num)
+            value[...] = stat
+            np.divide(self._num, self._den, out=value, where=self._den != 0)
         else:
             value = self._num
         # A tiny kappa and statistic underflow the sum to 0; the smallest
@@ -94,26 +100,32 @@ class DiscountedBelief:
 
 
 class BeliefState:
-    """Confidence of every node and trust of every incoming edge, as arrays
-    in the order of `nodes` and `incoming_edges`."""
+    """Confidence of every node and trust of every incoming edge as one
+    vector over [nodes; edges], in the order of `nodes` and
+    `incoming_edges`: `stat` holds chi then theta, and `belief.value` beta
+    then sigma, each as long as the last step's input."""
 
     def __init__(self, nodes, incoming_edges, config: ResilientConfig):
-        self.config = config
-        N, E = len(nodes), len(incoming_edges)
-        self.chi, self.theta = np.ones(N), np.ones(E)
-        self.beta = DiscountedBelief(config.kappa1, config.discounting,
-                                     np.ones(N), np.zeros(N), np.zeros(N))
-        self.sigma = DiscountedBelief(config.kappa2, config.discounting,
-                                      np.ones(E), np.zeros(E), np.zeros(E))
+        sizes = [len(nodes), len(incoming_edges)]
+        self.scale = np.repeat([config.upsilon1, config.lambda1], sizes)
+        self.kappa = np.repeat([config.kappa1, config.kappa2], sizes)
+        self.stat = np.ones(0)
+        self.belief = DiscountedBelief(self.kappa[:0], config.discounting, *np.empty((3, 0)))
 
-    def step(self, node_divergence, edge_divergence=None) -> None:
-        """Advance every node with its divergence, (N,) with NaN where there
-        is none yet, and every edge with (E,) once the edge windows are full."""
-        self.chi = divergence_statistic(node_divergence, self.config.upsilon1)
-        self.beta.update(self.chi)
-        if edge_divergence is not None:
-            self.theta = divergence_statistic(edge_divergence, self.config.lambda1)
-            self.sigma.update(self.theta)
+    def step(self, divergence) -> None:
+        """Advance the first entries with their divergences, NaN where there
+        is none yet: (N,) the nodes alone, (N + E,) every entry, as the engine
+        does once the edge windows are full. An entry joins at its first
+        step, from its initial state (belief 1, empty discounted sums), and
+        advances at every step after: the input never shrinks."""
+        d = np.asarray(divergence, float)
+        b, grow = self.belief, len(d) - len(self.belief.value)
+        if grow:
+            self.belief = b = DiscountedBelief(self.kappa[:len(d)], b.mode, *(
+                np.concatenate([a, np.full(grow, fill)])
+                for a, fill in ((b.value, 1.0), (b._num, 0.0), (b._den, 0.0))))
+        self.stat = divergence_statistic(d, self.scale[:len(d)])
+        b.update(self.stat)
 
 
 def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None,
@@ -133,9 +145,9 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None,
     preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
     if preds.shape[-2] == 0:
         return x_prior_i.copy()
-    terms = weights[..., None] * preds
-    # The sum starts from the first neighbor's term, as a per-node loop does.
-    acc = slot_sum(terms[..., 1:, :], mask[..., 1:], terms[..., 0, :])
+    # The sum starts from -0.0, which the first unmasked term replaces bit
+    # for bit, as a per-node loop starting from that term does.
+    acc = slot_sum(weights[..., None] * preds, mask, -0.0)
     degree = mask.sum(axis=-1, keepdims=True) if degree is None else degree
     if degree.all():   # every row has a neighbor
         return acc / degree

@@ -280,10 +280,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     attacks, detection, beliefs, the monitor and the trace read the first
     copy only. Any other shadow run is its own twin.
 
-    The bound monitor is not a stage of the step loop: after the loop it
-    reads the plant path, `xbar`, the trace's `sigma` and `beta` columns and
-    the schedule's distinct entries, each spectral norm in one stacked call,
-    and runs one `BoundMonitor.bounds` call over one record per step.
+    A step does only what a later step reads and writes row k of whole-run
+    records; the trace's columns are filled from them after the loop:
+    `zeta`, `phi`, `psi`, `beta`, `sigma`, `chi`, `theta`, the norms and the
+    states, `trace_p` once per distinct schedule entry, and the nodes'
+    `attack_norm` as the recorded y less one stacked `measure`. The bound
+    monitor runs there too: it reads the plant path, `xbar`, the `sigma` and
+    `beta` columns and the schedule's distinct entries, each spectral norm in
+    one stacked call, and makes one `BoundMonitor.bounds` call over one
+    record per step.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -365,6 +370,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
         windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
         beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
+        filled = np.concatenate([np.arange(N), N + windowed])   # its entries in [nodes; channels]
 
     trace = None if lite else SimTrace(config=cfg)
     path = np.empty((cfg.steps, n))   # the pass record; row k is written at step k
@@ -376,10 +382,22 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     part = {p: slice(None) if len(groups) == 1 else
             np.concatenate([rows + c * N for c in range(copies)]) for p, rows in groups.items()}
     group_mask = {p: masks[rows] for p, rows in part.items()}
-    unit_w, unit_b = np.ones((copies * N, D)), np.ones(copies * N)   # untracked beliefs' weights
-    if not lite:   # row k of each column is written at step k, or after the loop
+    # Belief weights w_ij = sigma_ij * beta_j; untracked beliefs, and the
+    # twin rows, stay at one.
+    weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
+    w_upd, b_upd = (weights, beta) if beliefs_in_update else (weights.copy(), beta.copy())
+    x_post = np.empty((copies * N, n))
+    zetas = np.ones((cfg.steps, copies * N), dtype=int)   # everyone transmits at k = 0
+    if not lite:
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
         xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
+        y_rec = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
+        # Over [nodes; channels]: the divergences and their averages, NaN
+        # until the windows fill, and the beliefs (beta; sigma) and their
+        # statistics (chi; theta), 1 until they advance.
+        d_hat, phi = np.full((2, cfg.steps, N + E), math.nan)
+        values, stats = np.ones((2, cfg.steps, N + E))
+        edge_cols["attack_norm"][:] = 0.0
     seen, starts = None, np.zeros(cfg.steps, bool)   # the steps that start a distinct entry
 
     for k, entry in enumerate(schedule):
@@ -390,11 +408,8 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             K_rows = {p: stack(Kp) for p, Kp in K.items()}
             gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
                           for p, rows in groups.items()}
-            if not lite:
-                trace_p = np.trace(P_post, axis1=1, axis2=2)
         t = k * cfg.dt
-        v = {p: vp[k] for p, vp in v_all.items()}
-        y_clean = {p: measure(C[p], x, v[p]) for p in groups}
+        y_clean = {p: measure(C[p], x, vp[k]) for p, vp in v_all.items()}
         # Every copy measures the same; only the first is attacked.
         y = {p: np.concatenate([yp] * copies) if cfg.attacks else stack(yp)
              for p, yp in y_clean.items()}
@@ -415,32 +430,27 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             elif plan.kind == REPLAY:
                 y[p][g] = craft_replay(last_tx_prior[i - 1], C[p][g], plan.upsilon_vector(p))
 
-        # Innovations and the trigger barrier (everyone transmits at k = 0).
-        zeta = np.ones(copies * N, dtype=int)
+        # Innovations and the trigger barrier.
+        zeta = zetas[k]
         for p, rows in part.items():
             innovations[p][k] = innovation(y[p], C_rows[p], x_prior[rows])
             if not lite:
-                cols["attack_norm"][k, groups[p]] = vector_norm(y[p][:len(groups[p])] - y_clean[p])
+                y_rec[p][k] = y[p][:len(groups[p])]
             if k:
                 zeta[rows] = should_transmit(y[p], C_rows[p], x_pred[rows], alpha)
         x_pred = update_predictive(zeta, x_prior, x_pred, A)
 
         # Exchange barrier.
         stored = np.where(zeta[slot_rows, None] == 1, x_prior[slot_rows], np.matvec(A, stored))
-        edge_attack_norm = np.zeros(E)
         for i, j, d, e, plan in edge_plans:
             if zeta[j - 1] and plan.active(k):
                 fbar = plan.signal.evaluate(t, n)
                 stored[i - 1, d] = corrupt_channel(stored[i - 1, d], fbar)
-                edge_attack_norm[e] = float(np.linalg.norm(fbar))
+                edge_cols["attack_norm"][k, e] = float(np.linalg.norm(fbar))
         if replaying:
             last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
 
-        if lite:
-            weights, beta = unit_w, unit_b
-        else:
-            # Divergence and its average over [nodes; channels], NaN until a window fills.
-            d_hat, phi = np.full((2, N + E), math.nan)
+        if not lite:
             full = k + 1 >= det.window     # every bank fills at the same step
             # The shadow reference slides with the windows (the twin rows'
             # innovations, or the node's own without them); the other modes
@@ -455,27 +465,18 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 if full:
                     fresh = None if shadow else (ref_draws[p] @ np.swapaxes(
                         live_L[p] if synthetic else fixed_L[p], -1, -2))[owner]
-                    d_hat[at] = est = bank.estimates(fresh)
-                    phi[at] = bank.average(est)
-            if track_beliefs:
-                beliefs.step(d_hat[:N], d_hat[N + windowed] if full else None)
-
-            # Belief weights w_ij = sigma_ij * beta_j, computed once per step;
-            # untracked beliefs, and the twin rows, stay at one. An edge
-            # between sensors of unequal channel counts has no window, so its
-            # trust stays 1.
-            sigma, theta = np.ones((2, E))          # per channel
-            sigma[windowed], theta[windowed] = beliefs.sigma.value, beliefs.theta
-            weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
-            beta[:N] = beliefs.beta.value
-            weights[:N][mask] = sigma
-            weights[:N] *= beta[slot_node]
+                    d_hat[k, at] = est = bank.estimates(fresh)
+                    phi[k, at] = bank.average(est)
+            if track_beliefs:   # a channel without a window keeps trust 1
+                at = filled if full else slice(N)   # the nodes until the windows fill
+                beliefs.step(d_hat[k, at])
+                values[k, at], stats[k, at] = beliefs.belief.value, beliefs.stat
+                beta[:N] = values[k, :N]
+                weights[:N][mask] = values[k, N:] * beta[slot_to]
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every weight is one.
         m = weighted_neighbor_estimate(x_prior, stored, weights, masks, degree)
-        w_upd, b_upd = (weights, beta) if beliefs_in_update else (unit_w, unit_b)
-        x_post = np.empty((copies * N, n))
         for p, rows in part.items():
             x_post[rows] = measurement_update(
                 x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m[rows], b_upd[rows],
@@ -483,21 +484,26 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
 
         if not lite:
             xbar[k], xhat[k], xpred[k], m_all[k] = x_prior[:N], x_post[:N], x_pred[:N], m[:N]
-            cols["zeta"][k], cols["trace_p"][k], cols["phi"][k] = zeta[:N], trace_p, phi[:N]
-            cols["beta"][k], cols["chi"][k] = beta[:N], beliefs.chi
-            edge_cols["psi"][k], edge_cols["sigma"][k] = phi[N:], sigma
-            edge_cols["theta"][k], edge_cols["attack_norm"][k] = theta, edge_attack_norm
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
         path[k], x = x, step_process(proc, x, w[k])
 
+    entries = [schedule[k] for k in np.flatnonzero(starts).tolist()]
     if not lite:   # the columns computed from whole-run stacks
         x_true = path[:, None]                      # (steps, 1, n): every node's truth
+        cols["zeta"][:] = zetas[:, :N]
+        for name, edge_name, a in (("phi", "psi", phi), ("beta", "sigma", values),
+                                   ("chi", "theta", stats)):
+            cols[name][:], edge_cols[edge_name][:] = a[:, :N], a[:, N:]
+        if entries:   # trace(P_post) once per distinct entry
+            cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in entries]),
+                                          axis1=2, axis2=3)[np.cumsum(starts) - 1]
         cols["err_norm"][:] = vector_norm(xhat - x_true)
         cols["eps_norm"][:] = vector_norm(m_all - x_true)
         for p, rows in groups.items():
             cols["innov_norm"][:, rows] = vector_norm(innovations[p][:, :len(rows)])
+            cols["attack_norm"][:, rows] = vector_norm(y_rec[p] - measure(C[p], x_true, v_all[p]))
         for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
             for d in range(n):
                 cols[f"{prefix}_{d}"][:] = states[..., d]
@@ -513,7 +519,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         # per step whose trust weights w_ij = sigma_ij * beta_j differ by a
         # bit from the step before. Maxima are Python's, in model order.
         first = sensor_models(cfg.sensors)[0]
-        entries = [schedule[k] for k in np.flatnonzero(starts).tolist()]
         A_o = [max(row) for row in np.linalg.norm(
             A @ np.stack([entry[2][first] for entry in entries]), 2, axis=(-2, -1)).tolist()]
         gammas = [entry[3] for entry in entries]

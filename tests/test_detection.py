@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, detect,
+from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, _divergence, detect,
                              estimate_kl, kth_neighbor_distance, pairwise_distances,
                              reference_factors)
 from etdkf.errors import ConfigurationError
@@ -432,6 +432,36 @@ class TestPhi:
             got = bank.average(history[t])
             for b in range(rows):
                 assert got[b] == np.mean(history[max(0, t + 1 - T):t + 1, b].tolist()), (t, b)
+
+
+# Finite values, the infinities, NaN, and values whose sums overflow.
+EXTREME = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                    st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 8.9e307]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 3), st.data())
+def test_reductions_equal_numpy_mean_and_sum_bit_for_bit(T, rows, data):
+    """`KnnWindowBank.average` is `np.mean` of each row's last <= T values,
+    and `_divergence` its `np.sum` form, in bytes: both take the ufunc
+    reduce that those wrappers make."""
+    bank = KnnWindowBank(rows=rows, dim=1, window=2, k_nn=1, average=T)
+    history = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(data.draw(st.integers(1, 3 * T))):
+            history.append(data.draw(st.lists(EXTREME, min_size=rows, max_size=rows)))
+            got = bank.average(history[-1])
+            want = [np.mean(np.array(history[-T:])[:, b]) for b in range(rows)]
+            assert got.tobytes() == np.array(want).tobytes(), (history, got, want)
+        # Random distance rows, with a few entries floored, zero or infinite.
+        n1, n2, m = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 50)), 1 + rows % 3
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        d_x, d_z = rng.lognormal(0.0, 3.0, (2, rows, n1))
+        d_x[rng.random(d_x.shape) < 0.1] = data.draw(st.sampled_from([0.0, 1e-13, np.inf]))
+        ratio = np.maximum(d_z, 1e-12) / np.maximum(d_x, 1e-12)
+        want = m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
+        want = np.where(np.isfinite(want), want, np.inf)
+        assert _divergence(d_x, d_z, n2, 1e-12, m).tobytes() == want.tobytes()
 
 
 def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:

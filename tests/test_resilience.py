@@ -12,8 +12,8 @@ from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, measurement_update
 from etdkf.graphs import Graph
 from etdkf.models import channel_groups
-from etdkf.resilience import (BeliefState, BoundMonitor, DiscountedBelief,
-                              ResilientConfig, assumption4_satisfied,
+from etdkf.resilience import (DISCOUNTING_MODES, BeliefState, BoundMonitor,
+                              DiscountedBelief, ResilientConfig, assumption4_satisfied,
                               divergence_statistic, trust_masked_laplacian,
                               weighted_neighbor_estimate)
 from etdkf.scenario import ScenarioConfig, get_preset
@@ -89,9 +89,10 @@ class TestDiscountedBeliefs:
         cfg = ResilientConfig()
         bs = BeliefState([1, 2], [(1, 2)], cfg)
         for d in (float("nan"), 0.3, -0.2, 10.0):
-            bs.step([d, 0.0], [d])
-            assert 0.0 < bs.beta.value[0] <= 1.0
-            assert 0.0 < bs.sigma.value[0] <= 1.0
+            bs.step([d, 0.0, d])
+            beta, sigma = bs.belief.value[:2], bs.belief.value[2:]
+            assert 0.0 < beta[0] <= 1.0
+            assert 0.0 < sigma[0] <= 1.0
         # negative divergence floors to statistic 1
         assert divergence_statistic(-3.0, 0.5) == 1.0
         assert divergence_statistic(float("nan"), 0.5) == 1.0
@@ -112,8 +113,8 @@ def test_normalized_beliefs_stay_in_unit_interval(upsilon1, lambda1, kappa1, kap
     cfg = ResilientConfig(upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2)
     bs = BeliefState([1, 2, 3], [(1, 2), (2, 1)], cfg)
     for node_div, edge_div in steps:
-        bs.step(node_div, edge_div)
-        for value in (bs.chi, bs.theta, bs.beta.value, bs.sigma.value):
+        bs.step(node_div + edge_div)
+        for value in (bs.stat, bs.belief.value):   # chi and theta, beta and sigma
             assert np.all((0.0 < value) & (value <= 1.0)), (value, node_div, edge_div)
 
 
@@ -130,19 +131,53 @@ def test_beliefs_stay_positive_for_any_discount(kappa, discounting, steps):
     cfg = ResilientConfig(kappa1=kappa, kappa2=kappa, discounting=discounting)
     bs = BeliefState([1, 2], [(1, 2)], cfg)
     for node_div, edge_div in steps:
-        bs.step(node_div, edge_div)
-        for value in (bs.beta.value, bs.sigma.value):
+        bs.step(node_div + edge_div)
+        for value in (bs.belief.value[:2], bs.belief.value[2:]):   # beta, sigma
             assert np.all(0.0 < value) and np.all(np.isfinite(value)), (value, kappa)
             if discounting == "normalized":
                 assert np.all(value <= 1.0), (value, kappa)
+
+
+# kappa in (0, 1), with one whose square is subnormal and one whose square is 0.
+discounts = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled_from(
+    [1e-160, 1e-200])
+any_divergence = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 8), st.sampled_from(DISCOUNTING_MODES),
+       st.lists(discounts, min_size=2, max_size=2, unique=True),
+       st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=2, max_size=2,
+                unique=True), st.data())
+def test_belief_vector_equals_per_entry_beliefs(N, E, mode, kappas, scales, data):
+    """One `BeliefState` step equals, in bytes, a scalar `DiscountedBelief`
+    per entry fed the scalar `divergence_statistic` of its divergence, with
+    the channels advancing only from the fill step F on."""
+    (kappa1, kappa2), (upsilon1, lambda1) = kappas, scales
+    bs = BeliefState(range(N), range(E), ResilientConfig(
+        upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2, discounting=mode))
+    oracles = [DiscountedBelief(kappa, mode) for kappa in [kappa1] * N + [kappa2] * E]
+    scale = [upsilon1] * N + [lambda1] * E
+    steps = data.draw(st.integers(1, 12))
+    fill = data.draw(st.integers(0, steps))
+    for k in range(steps):
+        size = N + E if k >= fill else N
+        divergence = data.draw(st.lists(any_divergence, min_size=size, max_size=size))
+        bs.step(divergence)
+        stat = [divergence_statistic(d, s) for d, s in zip(divergence, scale)]
+        for oracle, chi in zip(oracles, stat):
+            oracle.update(chi)
+        assert bs.stat.tobytes() == np.array(stat).tobytes()
+        assert bs.belief.value.tobytes() == np.array([o.value for o in oracles[:size]]).tobytes()
 
 
 def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
     """kappa = 1e-9 with +inf from the start used to underflow beta to 0."""
     bs = BeliefState([1], [(1, 1)], ResilientConfig(kappa1=1e-9, kappa2=1e-9))
     for _ in range(200):
-        bs.step([np.inf], [np.inf])
-    assert bs.beta.value[0] > 0.0 and bs.sigma.value[0] > 0.0
+        bs.step([np.inf, np.inf])
+    beta, sigma = bs.belief.value
+    assert beta > 0.0 and sigma > 0.0
 
 
 @pytest.mark.parametrize("scale", ["upsilon1", "lambda1"])
@@ -151,8 +186,8 @@ def test_tiny_divergence_scale_with_infinite_divergence_keeps_statistics_positiv
     theta) to 0, which the confidence (trust) update rejects mid-run."""
     bs = BeliefState([1, 2], [(1, 2), (2, 1)], ResilientConfig(**{scale: 1e-300}))
     for _ in range(5):
-        bs.step([np.inf, 0.0], [np.inf, 0.0])
-        for value in (bs.chi, bs.theta, bs.beta.value, bs.sigma.value):
+        bs.step([np.inf, 0.0, np.inf, 0.0])
+        for value in (bs.stat, bs.belief.value):   # chi and theta, beta and sigma
             assert np.all((0.0 < value) & (value <= 1.0)), value
     assert divergence_statistic(np.inf, 1e-300) == np.finfo(float).smallest_subnormal
 
@@ -196,6 +231,11 @@ class TestWeightedNeighborEstimate:
     def test_isolated_node_falls_back_to_prior(self):
         m = weighted_neighbor_estimate([3.0, -1.0], [], [])
         assert np.array_equal(m, [3.0, -1.0])
+
+    def test_unset_first_slot_leaves_the_average(self):
+        m = weighted_neighbor_estimate(np.zeros(2), [[1.0, 1.0], [3.0, 3.0]], [1.0, 1.0],
+                                       [False, True])
+        assert m.tolist() == [3.0, 3.0]
 
 
 class TestResilientUpdate:
