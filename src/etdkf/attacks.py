@@ -141,8 +141,9 @@ def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     if not sampler:
         return direct(), False
 
-    a = phi - np.linalg.norm(target) + np.linalg.norm(y)
-    b = phi + np.linalg.norm(target) - np.linalg.norm(y)
+    norm_target, norm_y = np.linalg.norm(target), np.linalg.norm(y)
+    a = phi - norm_target + norm_y
+    b = phi + norm_target - norm_y
     if a >= b:
         return direct(), True
     theta = rng.uniform(a, b)

@@ -171,15 +171,17 @@ class KnnWindowBank:
 
     Row b of the bank is one window of `dim`-dimensional samples. Each `push`
     gives every row one sample, written to ring slot `count % window`, which
-    evicts the oldest once the ring is full. The rings are plane-major,
-    (dim, rows, w): each coordinate of all rows' samples is one contiguous
-    plane, which `_squared_distances` reads in place. The within-window
-    distances of all rows live in a ring-indexed (rows, w, w) matrix, and a
-    push writes only the new sample's row and column of it. With a sliding
-    reference, each push also carries every row's newest reference sample,
-    and the cross distances are kept the same way. Otherwise `estimates`
-    takes freshly drawn reference windows and computes all rows' cross
-    distances at once. Each ring matrix reads its k-th neighbors through
+    evicts the oldest once the ring is full. The rings are plane-major and
+    stacked, (dim, rings, rows, w), the sample ring first and a sliding
+    reference's ring second: each coordinate of all rows' samples is one
+    contiguous plane, which `_squared_distances` reads in place, and a push
+    takes the new sample's distances to every ring in one call. The
+    within-window distances of all rows live in a ring-indexed (rows, w, w)
+    matrix, and a push writes only the new sample's row and column of it.
+    With a sliding reference, each push also carries every row's newest
+    reference sample, and the cross distances are kept the same way.
+    Otherwise `estimates` takes freshly drawn reference windows and computes
+    all rows' cross distances at once. Each ring matrix reads its k-th neighbors through
     `_RingDistances`, which slides the sorted prefix of its rows when
     `4 * (k_nn + 2) <= window`. The fresh cross squares, (rows, w, n2), and
     their terms are written to one scratch pair kept by the bank and made
@@ -206,11 +208,13 @@ class KnnWindowBank:
         self.k_nn = int(k_nn)
         self.epsilon_d = epsilon_d
         self.count = 0
-        self._x = np.zeros((self.dim, self.rows, self.window))
+        # The sample ring, then the reference ring of a sliding reference.
+        self._rings = np.zeros((self.dim, 1 + bool(sliding_reference), self.rows, self.window))
+        self._x = self._rings[:, 0]
         self._dxx = _RingDistances(self.rows, self.window, self.k_nn)
         self._z = self._dxz = None
         if sliding_reference:
-            self._z = np.zeros_like(self._x)
+            self._z = self._rings[:, 1]
             self._dxz = _RingDistances(self.rows, self.window, self.k_nn)
         self._raw = np.zeros((self.rows, int(average)))
         self._averaged = 0
@@ -239,12 +243,13 @@ class KnnWindowBank:
         z = None if reference is None else self._planes(reference)
         s = self.count % self.window
         self._x[..., s:s + 1] = x
-        d = np.sqrt(_squared_distances(self._x, x))
-        self._dxx.write(s, d, d)
         if z is not None:
             self._z[..., s:s + 1] = z
-            self._dxz.write(s, np.sqrt(_squared_distances(self._z, x)),
-                            np.sqrt(_squared_distances(self._x, z)))
+        # The new sample's distances to every ring in one call.
+        d = np.sqrt(_squared_distances(self._rings, x[:, None]))
+        self._dxx.write(s, d[0], d[0])
+        if z is not None:
+            self._dxz.write(s, d[1], np.sqrt(_squared_distances(self._x, z)))
         self.count += 1
 
     def estimates(self, reference=None) -> np.ndarray:

@@ -59,16 +59,20 @@ def slot_sum(terms, mask, start) -> np.ndarray:
 
 def neighbor_slots(own, neighbor_preds, weights, mask):
     """The neighbor arguments of the update law as stacks shaped after
-    `own` (..., n): predictions (..., D, n), weights (..., D) and the mask
-    (..., D), every slot when None. Float stacks of those shapes, as the
-    engine passes, are returned as they are."""
-    if (type(neighbor_preds) is type(weights) is type(mask) is np.ndarray
-            and neighbor_preds.dtype == weights.dtype == float
-            and neighbor_preds.ndim == weights.ndim + 1 == own.ndim + 1):
+    `own` (..., n): predictions (..., D, n), weights (..., D), None (every
+    weight one) kept as None, and the mask (..., D), every slot when None.
+    Float stacks of those shapes, as the engine passes, are returned as
+    they are."""
+    if (type(neighbor_preds) is type(mask) is np.ndarray and neighbor_preds.dtype == float
+            and neighbor_preds.ndim == own.ndim + 1 and (weights is None or (
+                type(weights) is np.ndarray and weights.dtype == float
+                and weights.ndim == own.ndim))):
         return neighbor_preds, weights, mask
     preds = np.asarray(neighbor_preds, float).reshape(*own.shape[:-1], -1, own.shape[-1])
-    weights = np.asarray(weights, float).reshape(preds.shape[:-1])
-    return preds, weights, np.ones(weights.shape, bool) if mask is None else np.asarray(mask, bool)
+    if weights is not None:
+        weights = np.asarray(weights, float).reshape(preds.shape[:-1])
+    return preds, weights, (np.ones(preds.shape[:-1], bool) if mask is None
+                            else np.asarray(mask, bool))
 
 
 @dataclass
@@ -148,18 +152,26 @@ def measurement_update(x_prior, K, gamma, y, C, m, beta, neighbor_preds, weights
     holds the latest predictive estimate of each neighbor as seen by this
     node (non-transmitting neighbors already extrapolated), in ascending
     neighbor order, `weights` (..., D) the matching w_ij, and `mask` (..., D)
-    which slots hold a neighbor (all of them when omitted). With beta = 1 and
-    every weight 1 this is the nominal update x_prior + K (y - C x_prior) +
-    gamma sum_j (x_j - own_pred), bit for bit.
+    which slots hold a neighbor (all of them when omitted).
+
+    A row whose beta is exactly 1 takes y unblended, so its `m` is never
+    read: (1 - beta) C m would be 0 * inf = NaN once C m overflows. With
+    `beta` and `weights` None every belief is one, `m` is not read, and this
+    is the nominal update x_prior + K (y - C x_prior) + gamma sum_j (x_j -
+    own_pred), with no unit factor formed; unit arrays give the same bits.
     """
     C = np.asarray(C, float)
     x_prior = np.asarray(x_prior, float)
     own = np.asarray(own_pred, float)
     preds, weights, mask = neighbor_slots(own, neighbor_preds, weights, mask)
-    beta = np.asarray(beta, float)[..., None]
-    blended = beta * np.asarray(y, float) + (1.0 - beta) * np.matvec(C, np.asarray(m, float))
-    r = blended - np.matvec(C, x_prior)
-    consensus = slot_sum(weights[..., None] * (preds - own[..., None, :]), mask,
+    y = np.asarray(y, float)
+    if beta is not None:
+        beta = np.asarray(beta, float)[..., None]
+        y = np.where(beta == 1.0, y,
+                     beta * y + (1.0 - beta) * np.matvec(C, np.asarray(m, float)))
+    r = y - np.matvec(C, x_prior)
+    terms = preds - own[..., None, :]
+    consensus = slot_sum(terms if weights is None else weights[..., None] * terms, mask,
                          np.zeros(x_prior.shape))
     # A scalar gamma multiplies, a matrix (stack) acts.
     gamma = np.asarray(gamma, float)

@@ -262,8 +262,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     the innovations of the pass's last network copy (below), p -> (steps,
     nodes with p channels, p). A calibrated reference reads that record of a
     `twin` pass. `lite` (the attack-free twin alone) computes nothing else:
-    it skips detection, beliefs, the belief weights (its update law runs
-    with unit weights, as untracked beliefs give) and the trace (None).
+    it skips detection, beliefs and the trace (None).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -280,11 +279,18 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     attacks, detection, beliefs, the monitor and the trace read the first
     copy only. Any other shadow run is its own twin.
 
+    Beliefs enter the update law only in resilient mode, so only there does
+    a step build the belief weights and the neighbor average m; every other
+    mode, and the lite pass, omits them and runs the nominal law.
+
     A step does only what a later step reads and writes row k of whole-run
     records; the trace's columns are filled from them after the loop:
     `zeta`, `phi`, `psi`, `beta`, `sigma`, `chi`, `theta`, the norms and the
-    states, `trace_p` once per distinct schedule entry, and the nodes'
-    `attack_norm` as the recorded y less one stacked `measure`. The bound
+    states, `trace_p` once per distinct schedule entry, the nodes'
+    `attack_norm` as the recorded y less one stacked `measure`, and
+    `eps_norm` from one `weighted_neighbor_estimate` call over the first
+    copy's recorded neighbor slots, (steps, N, D, n), its weights rebuilt
+    from the recorded beliefs as a step builds them. The bound
     monitor runs there too: it reads the plant path, `xbar`, the `sigma` and
     `beta` columns and the schedule's distinct entries, each spectral norm in
     one stacked call, and makes one `BoundMonitor.bounds` call over one
@@ -298,11 +304,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     nbrs = {i: sorted(neighbors(cfg.graph, i)) for i in nodes}
     alpha = cfg.trigger.alpha
     track_beliefs = cfg.filter_mode in ("monitored", "resilient") and not cfg.beliefs_pinned
-    beliefs_in_update = cfg.filter_mode == "resilient"
+    beliefs_in_update = track_beliefs and cfg.filter_mode == "resilient"
     det = cfg.detector
     shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
     monitored = cfg.bound_monitor_enabled()
-    copies = 1 + (shadow and bool(cfg.attacks or beliefs_in_update or monitored))
+    copies = 1 + (shadow and bool(cfg.attacks or cfg.filter_mode == "resilient" or monitored))
 
     def stack(a):   # a copy's rows, for every copy
         return a if copies == 1 else np.concatenate([a] * copies)
@@ -344,15 +350,18 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # with node i's reference. One bank per channel count holds them as rows;
     # `at` places each row in [nodes; channels], and its state in [x_prior;
     # stored channel predictions].
-    # A fresh reference window per node and step, from the node's own stream
-    # drawn into a (nodes, w, p) buffer kept per group, N(0, Omega) through the
-    # factors of Omega: live ones from the schedule, or fixed per run from the
-    # twin's innovations (np.cov of each node's (steps, p) record laid out as
-    # its own array; R stands in on <= 2 steps).
+    # A fresh reference window per node and step, from the node's own stream,
+    # N(0, Omega) through the factors of Omega: live ones from the schedule,
+    # or fixed per run from the twin's innovations (np.cov of each node's
+    # (steps, p) record laid out as its own array; R stands in on <= 2
+    # steps). Each stream draws a block of steps at a time into a (nodes,
+    # steps, w, p) buffer of about 256 KB kept per group: one (T, w, p) draw
+    # equals T (w, p) draws bit for bit.
     if not (lite or shadow):
         ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
                        for p, rows in groups.items()}
-        ref_draws = {p: np.empty((len(rows), det.window, p)) for p, rows in groups.items()}
+        ref_draws = {p: np.empty((len(rows), max(1, min(cfg.steps, 2**15 // (
+            len(rows) * det.window * p))), det.window, p)) for p, rows in groups.items()}
         fixed_L = None if synthetic else {p: reference_factors(np.stack(
             [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T)) for g in range(r.shape[1])])
             if len(r) > 2 else R[p]) for p, r in twin[1].items()}
@@ -382,15 +391,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     part = {p: slice(None) if len(groups) == 1 else
             np.concatenate([rows + c * N for c in range(copies)]) for p, rows in groups.items()}
     group_mask = {p: masks[rows] for p, rows in part.items()}
-    # Belief weights w_ij = sigma_ij * beta_j; untracked beliefs, and the
-    # twin rows, stay at one.
+    # Belief weights w_ij = sigma_ij * beta_j, built where the update law
+    # reads them; the twin rows stay at one.
     weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
-    w_upd, b_upd = (weights, beta) if beliefs_in_update else (weights.copy(), beta.copy())
     x_post = np.empty((copies * N, n))
     zetas = np.ones((cfg.steps, copies * N), dtype=int)   # everyone transmits at k = 0
     if not lite:
         cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
-        xbar, xhat, xpred, m_all = np.empty((4, cfg.steps, N, n))
+        xbar, xhat, xpred = np.empty((3, cfg.steps, N, n))
+        slots = np.empty((cfg.steps, N, D, n))   # the first copy's neighbor predictions
         y_rec = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
         # Over [nodes; channels]: the divergences and their averages, NaN
         # until the windows fill, and the beliefs (beta; sigma) and their
@@ -460,10 +469,12 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 bank.push(innovation(y[p][owner], C_key, states[at]),
                           innovations[p][k][twin_row] if shadow else None)
                 if not shadow:   # every step draws, so each stream stays in step
-                    for rng, z in zip(ref_streams[p], ref_draws[p]):
-                        rng.standard_normal(out=z)
+                    block = ref_draws[p]
+                    if k % block.shape[1] == 0:   # each stream's next block of steps
+                        for rng, z in zip(ref_streams[p], block):
+                            rng.standard_normal(out=z[:cfg.steps - k])
                 if full:
-                    fresh = None if shadow else (ref_draws[p] @ np.swapaxes(
+                    fresh = None if shadow else (block[:, k % block.shape[1]] @ np.swapaxes(
                         live_L[p] if synthetic else fixed_L[p], -1, -2))[owner]
                     d_hat[k, at] = est = bank.estimates(fresh)
                     phi[k, at] = bank.average(est)
@@ -471,19 +482,22 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 at = filled if full else slice(N)   # the nodes until the windows fill
                 beliefs.step(d_hat[k, at])
                 values[k, at], stats[k, at] = beliefs.belief.value, beliefs.stat
-                beta[:N] = values[k, :N]
-                weights[:N][mask] = values[k, N:] * beta[slot_to]
+                if beliefs_in_update:
+                    beta[:N] = values[k, :N]
+                    weights[:N][mask] = values[k, N:] * beta[slot_to]
 
         # Measurement update barrier: one law; beliefs enter it only in
-        # resilient mode, elsewhere every weight is one.
-        m = weighted_neighbor_estimate(x_prior, stored, weights, masks, degree)
+        # resilient mode, elsewhere every belief is one and it omits them.
+        law = ((weighted_neighbor_estimate(x_prior, stored, weights, masks, degree), beta,
+                weights) if beliefs_in_update else None)
         for p, rows in part.items():
+            m_p, beta_p, w_p = (None,) * 3 if law is None else (a[rows] for a in law)
             x_post[rows] = measurement_update(
-                x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m[rows], b_upd[rows],
-                stored[rows], w_upd[rows], x_pred[rows], group_mask[p])
+                x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m_p, beta_p,
+                stored[rows], w_p, x_pred[rows], group_mask[p])
 
         if not lite:
-            xbar[k], xhat[k], xpred[k], m_all[k] = x_prior[:N], x_post[:N], x_pred[:N], m[:N]
+            xbar[k], xhat[k], xpred[k], slots[k] = x_prior[:N], x_post[:N], x_pred[:N], stored[:N]
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
@@ -500,6 +514,11 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in entries]),
                                           axis1=2, axis2=3)[np.cumsum(starts) - 1]
         cols["err_norm"][:] = vector_norm(xhat - x_true)
+        # m_i of every step in one call, its weights rebuilt from the beliefs
+        # as the loop builds them (all 1 where beliefs are not tracked).
+        w_all = np.ones((cfg.steps, N, D))
+        w_all[:, mask] = values[:, N:] * values[:, slot_to]
+        m_all = weighted_neighbor_estimate(xbar, slots, w_all, mask, degree[:N])
         cols["eps_norm"][:] = vector_norm(m_all - x_true)
         for p, rows in groups.items():
             cols["innov_norm"][:, rows] = vector_norm(innovations[p][:, :len(rows)])

@@ -134,6 +134,54 @@ def test_overflowing_injection_is_flagged_and_distrusted(value):
     assert 0.0 < trace.series("beta", 2)[-1] < 1e-12
 
 
+def test_overflowing_channel_injection_keeps_the_nominal_update():
+    """A nominal node's update reads no neighbor estimate m: a channel
+    injection that overflows C m leaves the receiving node's estimate
+    finite, as the nominal formula gives it (it once read 0 * inf = NaN)."""
+    cfg = dataclasses.replace(get_preset("fig7"), steps=40, filter_mode="nominal", attacks=[
+        AttackPlan(kind="channel_injection", edge=(2, 1), onset=30,
+                   signal=SignalSpec(value=[1.7e308, 0.0]))])
+    trace = run_scenario(cfg)
+    xhat = [trace.series(f"xhat_{d}", 1)[30] for d in range(2)]
+    assert xhat[0] == pytest.approx(1.7e307) and xhat[1] == pytest.approx(4.5387364)
+    assert trace.series("eps_norm", 1)[30] == np.inf
+
+
+@pytest.mark.parametrize("source", ["fig6", "ring12-chords"])
+@pytest.mark.parametrize("mode", ["nominal", "monitored", "pinned", "resilient"])
+def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
+    """eps_norm, filled after the step loop in one call over a whole-run
+    record, equals ||m_i - x|| taken step by step and node by node from the
+    priors and neighbor slots that the loop held at its update barrier, with
+    w_ij = sigma_ij * beta_j read from the trace."""
+    cfg = get_preset("fig6") if source == "fig6" else engine_scenario(source)
+    cfg = dataclasses.replace(cfg, steps=50, beliefs_pinned=mode == "pinned",
+                              filter_mode="resilient" if mode == "pinned" else mode)
+    assert len(channel_groups(cfg.sensors)[0]) == 1   # one update call per step
+    held, real = [], simulate.measurement_update
+
+    def spy(x_prior, K, gamma, y, C, m, beta, neighbor_preds, *args):
+        held.append((x_prior.copy(), neighbor_preds.copy()))
+        return real(x_prior, K, gamma, y, C, m, beta, neighbor_preds, *args)
+
+    monkeypatch.setattr(simulate, "measurement_update", spy)
+    trace = run_scenario(cfg)
+    assert len(held) == cfg.steps
+    beta, sigma = trace.column("beta"), trace.column("sigma", edge=True)
+    x_true = np.stack([trace.column(f"x_true_{d}") for d in range(cfg.process.n)], axis=-1)
+    want = np.empty(trace.column("eps_norm").shape)
+    for k, (x_prior, slots) in enumerate(held):
+        for i in cfg.graph.nodes:
+            nbrs = sorted(neighbors(cfg.graph, i))
+            weights = [sigma[k, trace.edges.index((i, j))] * beta[k, j - 1] for j in nbrs]
+            m = resilience.weighted_neighbor_estimate(x_prior[i - 1],
+                                                      list(slots[i - 1, :len(nbrs)]), weights)
+            want[k, i - 1] = np.linalg.norm(m - x_true[k, i - 1])
+    assert trace.column("eps_norm").tobytes() == want.tobytes()
+    if mode in ("nominal", "pinned"):
+        assert (beta == 1.0).all() and (sigma == 1.0).all()
+
+
 def test_covariance_half_computed_once_per_run(monkeypatch):
     """Gains and posterior covariances are computed once per step of a run,
     not once per pass (fig7 runs a twin), and the matrix consensus gains in

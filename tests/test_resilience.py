@@ -237,6 +237,38 @@ class TestWeightedNeighborEstimate:
                                        [False, True])
         assert m.tolist() == [3.0, 3.0]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 12), st.integers(1, 3), st.booleans())
+    def test_whole_run_stack_equals_per_step_calls(self, seed, steps, N, D, n, counted):
+        """The engine takes m_i of every step in one call over (steps, N, D,
+        n): bit for bit the per-step calls, with NaN, +-inf and -0.0 among
+        the predictions, priors and weights, and rows without neighbors.
+        Only a NaN's sign may differ: where two NaNs are added, numpy's
+        loops keep either one's, even within one call, and a trace writes
+        every NaN as nan."""
+        rng = np.random.default_rng(seed)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308])
+
+        def values(shape):
+            a = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+            hit = rng.random(shape) < 0.1
+            a[hit] = rng.choice(special, hit.sum())
+            return a
+
+        mask = rng.random((N, D)) < 0.7
+        mask[rng.random(N) < 0.3] = False
+        degree = mask.sum(axis=1, keepdims=True).astype(float) if counted else None
+        x_prior, preds, weights = values((steps, N, n)), values((steps, N, D, n)), values(
+            (steps, N, D))
+        with np.errstate(all="ignore"):   # inf - inf, inf * 0 and overflow
+            whole = weighted_neighbor_estimate(x_prior, preds, weights, mask, degree)
+            per_step = np.stack([weighted_neighbor_estimate(x_prior[k], preds[k], weights[k],
+                                                            mask, degree) for k in range(steps)])
+        nan = np.isnan(whole)
+        assert np.array_equal(nan, np.isnan(per_step))
+        assert whole[~nan].tobytes() == per_step[~nan].tobytes()
+
 
 class TestResilientUpdate:
     def test_unit_beliefs_reduce_to_nominal_bitwise(self):
@@ -262,6 +294,54 @@ class TestResilientUpdate:
                                     [], [], x_prior)
         want = x_prior + K @ (C @ m - C @ x_prior)
         assert np.allclose(x_post, want, atol=1e-15)
+
+    def test_unit_confidence_ignores_an_overflowed_neighbor_estimate(self):
+        """beta = 1 is the nominal update whatever m is: (1 - beta) C m is
+        never formed, so an overflowed m cannot make it 0 * inf = NaN."""
+        C, K = np.array([[5.0, 0.0], [0.0, 2.0]]), np.array([[0.1, 0.0], [0.02, 0.3]])
+        x_prior, y = np.array([0.4, 0.1]), np.array([2.3, -0.7])
+        own, others = np.array([0.3, 0.2]), [np.array([0.5, 0.3]), np.array([0.2, -0.2])]
+        nominal = (x_prior + K @ (y - C @ x_prior)
+                   + 0.1 * (np.zeros(2) + (others[0] - own) + (others[1] - own)))
+        for beta, weights in ((1.0, [1.0, 1.0]), (None, None)):
+            with np.errstate(invalid="ignore"):   # C m is [inf, nan]
+                x_post = measurement_update(x_prior, K, 0.1, y, C, np.array([np.inf, 0.0]),
+                                            beta, others, weights, own)
+            assert np.array_equal(x_post, nominal)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4),
+           st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]), st.booleans())
+    def test_omitted_beliefs_equal_unit_arrays(self, seed, N, D, shape, matrix_gamma):
+        """With beta and weights omitted the law is the nominal formula, and
+        bit for bit the call with unit beta and weights, over a stack with
+        masked slots, an m whose C m is finite or not, and -0.0 and +-inf
+        among the inputs."""
+        rng = np.random.default_rng(seed)
+        n, p = shape
+        x_prior, own = rng.standard_normal((2, N, n))
+        y = rng.standard_normal((N, p)) * 5.0
+        y[rng.random((N, p)) < 0.1] = -0.0
+        C, K = rng.standard_normal((N, p, n)), rng.standard_normal((N, n, p))
+        preds = rng.standard_normal((N, D, n)) * 5.0
+        preds[rng.random((N, D, n)) < 0.05] = np.inf
+        mask = rng.random((N, D)) < 0.7
+        gamma = rng.standard_normal((N, n, n)) if matrix_gamma else float(rng.uniform(0, 1))
+        m = rng.standard_normal((N, n))
+        m[rng.random((N, n)) < 0.3] = rng.choice([np.inf, -np.inf, np.nan, 1e308])
+        with np.errstate(all="ignore"):
+            omitted = measurement_update(x_prior, K, gamma, y, C, None, None, preds, None, own,
+                                         mask)
+            unit = measurement_update(x_prior, K, gamma, y, C, m, np.ones(N), preds,
+                                      np.ones((N, D)), own, mask)
+            assert omitted.tobytes() == unit.tobytes()
+            for b in range(N):
+                consensus = np.zeros(n)
+                for d in np.flatnonzero(mask[b]).tolist():
+                    consensus = consensus + (preds[b, d] - own[b])
+                coupling = gamma[b] @ consensus if matrix_gamma else gamma * consensus
+                want = x_prior[b] + K[b] @ (y[b] - C[b] @ x_prior[b]) + coupling
+                assert np.array_equal(omitted[b], want, equal_nan=True)
 
     def test_weights_scale_consensus_terms(self):
         own = np.array([1.0, 1.0])
