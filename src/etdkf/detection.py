@@ -13,8 +13,8 @@ residuals produce those).
 
 `estimate_kl` evaluates one pair of sample sets. `KnnWindowBank` keeps the
 sliding windows of a whole network and updates their distance matrices by one
-row and column per step; its estimates equal `estimate_kl`'s bit for bit. It
-also keeps each row's last T estimates for the detectors' sliding mean.
+row and column per step; its estimates equal `estimate_kl`'s bit for bit.
+`sliding_mean` takes the detectors' T-step mean over a whole run's estimates.
 
 A bank whose window is long enough for its k (`4 * (k_nn + 2) <= window`)
 slides its sorted rows as well: it keeps each query's k+1 smallest distances
@@ -189,19 +189,15 @@ class KnnWindowBank:
     other array is allocated where it is used.
 
     `estimates()[b]` equals `estimate_kl` of row b's window, in chronological
-    order, against its reference window, bit for bit. `average` keeps the last
-    `average` (T) estimates of every row in a (rows, T) ring and returns their
-    means, each equal to `np.mean` of the row's last <= T estimates.
+    order, against its reference window, bit for bit. The bank keeps no
+    estimates: the detectors' mean over them is `sliding_mean`'s.
     """
 
     def __init__(self, rows: int, dim: int, window: int, k_nn: int,
-                 epsilon_d: float = DetectorConfig.epsilon_d, sliding_reference: bool = False,
-                 average: int = 1):
+                 epsilon_d: float = DetectorConfig.epsilon_d, sliding_reference: bool = False):
         if not 1 <= k_nn < window:
             raise ConfigurationError(
                 f"need 1 <= k_nn < window, got k_nn={k_nn}, window={window}")
-        if average < 1:
-            raise ConfigurationError(f"average window T must be >= 1, got {average}")
         self.rows = int(rows)
         self.dim = int(dim)
         self.window = int(window)
@@ -216,8 +212,6 @@ class KnnWindowBank:
         if sliding_reference:
             self._z = self._rings[:, 1]
             self._dxz = _RingDistances(self.rows, self.window, self.k_nn)
-        self._raw = np.zeros((self.rows, int(average)))
-        self._averaged = 0
         self._fresh = None   # the fresh cross squares and their terms, per n2
 
     @property
@@ -286,16 +280,6 @@ class KnnWindowBank:
         d_x = _oldest_first(self._dxx.kth(), self.count)
         d_z = _oldest_first(kth_z, self.count)
         return _divergence(d_x, d_z, n2, self.epsilon_d, self.dim)
-
-    def average(self, values) -> np.ndarray:
-        """Record one estimate per row, (rows,), and return each row's mean of
-        its last <= T estimates, summed oldest first: `np.mean`'s own reduce
-        and division, without its argument handling."""
-        T = self._raw.shape[1]
-        self._raw[:, self._averaged % T] = values
-        self._averaged += 1
-        count = min(self._averaged, T)
-        return np.add.reduce(_oldest_first(self._raw[:, :count], self._averaged), axis=1) / count
 
 
 class _RingDistances:
@@ -370,6 +354,22 @@ def _oldest_first(ring, count: int) -> np.ndarray:
     """
     size = ring.shape[-1]
     return np.take(ring, _ring_order(size, count % size), axis=-1)
+
+
+def sliding_mean(values, T: int, first: int = 0) -> np.ndarray:
+    """Each entry's mean of its last <= T values, per row of a whole-run
+    record (steps, entries), counting from row `first`: row k >= first is
+    `np.mean(values[max(first, k + 1 - T):k + 1], axis=0)` bit for bit, and
+    the rows before `first` are NaN. Row by row, each window is summed
+    oldest first along a contiguous last axis with `np.mean`'s own reduce
+    and division, so one (entries, T) window is gathered at a time.
+    """
+    values = np.asarray(values, dtype=float)
+    out = np.full(values.shape, np.nan)
+    for k in range(first, len(values)):
+        window = values[max(first, k + 1 - T):k + 1]
+        out[k] = np.add.reduce(np.ascontiguousarray(window.T), axis=-1) / len(window)
+    return out
 
 
 def reference_factors(omega) -> np.ndarray:

@@ -128,18 +128,15 @@ class BeliefState:
         b.update(self.stat)
 
 
-def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None,
-                               degree=None) -> np.ndarray:
+def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:
     """m_i: belief-weighted average of neighbor predictive estimates.
 
     `neighbor_preds` (..., D, n) holds each node's neighbor predictions in
     slots, `weights` (..., D) the matching w_ij = sigma_ij * beta_j and
     `mask` (..., D) which slots hold a neighbor (all of them when omitted).
-    `degree` (..., 1) is the mask's row sums, which a caller that keeps one
-    mask for many calls counts once. Follows the stated 1/|N_i|
-    normalization, so down-weighted neighbors shrink the average rather
-    than renormalizing it. Falls back to the node's own prior when it has no
-    neighbors.
+    Follows the stated 1/|N_i| normalization, so down-weighted neighbors
+    shrink the average rather than renormalizing it. Falls back to the
+    node's own prior when it has no neighbors.
     """
     x_prior_i = np.asarray(x_prior_i, float)
     preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
@@ -148,7 +145,7 @@ def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None,
     # The sum starts from -0.0, which the first unmasked term replaces bit
     # for bit, as a per-node loop starting from that term does.
     acc = slot_sum(weights[..., None] * preds, mask, -0.0)
-    degree = mask.sum(axis=-1, keepdims=True) if degree is None else degree
+    degree = mask.sum(axis=-1, keepdims=True)
     if degree.all():   # every row has a neighbor
         return acc / degree
     return np.where(degree > 0, acc / np.maximum(degree, 1), x_prior_i)

@@ -32,7 +32,7 @@ import numpy as np
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
                       REPLAY, corrupt_channel, corrupt_measurement,
                       craft_non_triggering, craft_replay)
-from .detection import KnnWindowBank, detect, reference_factors
+from .detection import KnnWindowBank, detect, reference_factors, sliding_mean
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         measurement_update, nominal_covariances, should_transmit,
@@ -41,7 +41,8 @@ from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
                      measure, model_groups, sensor_models, step_process)
 from .resilience import (BeliefState, BoundMonitor, assumption4_satisfied,
-                         trust_masked_laplacian, weighted_neighbor_estimate)
+                         divergence_statistic, trust_masked_laplacian,
+                         weighted_neighbor_estimate)
 
 NODE_BASE_COLUMNS = ["step", "node", "zeta", "innov_norm", "err_norm", "trace_p",
                      "phi", "flag", "beta", "chi", "eps_norm", "attack_norm",
@@ -261,8 +262,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     (path, innovations)): the plant's state of every step, (steps, n), and
     the innovations of the pass's last network copy (below), p -> (steps,
     nodes with p channels, p). A calibrated reference reads that record of a
-    `twin` pass. `lite` (the attack-free twin alone) computes nothing else:
-    it skips detection, beliefs and the trace (None).
+    `twin` pass. `lite` marks that pass, the attack-free twin alone: the
+    same loop without detector banks or reference streams, which records
+    and fills its trace like any pass (phi and psi stay NaN).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -272,29 +274,31 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     a p axis is stacked per group.
 
     A shadow reference is the innovation stream of an attack-free twin. With
-    attacks, resilient beliefs or the bound monitor the pass carries that
-    twin as a second copy of the network, rows N to 2N - 1 of every stacked
-    array, whose slots point at twin rows. It shares the plant, the noise and
-    the schedule, and runs the update law with unit weights and beta = 1;
-    attacks, detection, beliefs, the monitor and the trace read the first
-    copy only. Any other shadow run is its own twin.
+    attacks or resilient beliefs the pass carries that twin as a second copy
+    of the network, rows N to 2N - 1 of every stacked array, whose slots
+    point at twin rows. It shares the plant, the noise and the schedule, and
+    runs the update law with unit weights and beta = 1; attacks, detection,
+    beliefs, the monitor and the trace read the first copy only. Any other
+    shadow run is its own twin.
 
     Beliefs enter the update law only in resilient mode, so only there does
     a step build the belief weights and the neighbor average m; every other
-    mode, and the lite pass, omits them and runs the nominal law.
+    mode omits them and runs the nominal law.
 
-    A step does only what a later step reads and writes row k of whole-run
-    records; the trace's columns are filled from them after the loop:
-    `zeta`, `phi`, `psi`, `beta`, `sigma`, `chi`, `theta`, the norms and the
-    states, `trace_p` once per distinct schedule entry, the nodes'
-    `attack_norm` as the recorded y less one stacked `measure`, and
+    A step does only feedback work (divergences, beliefs, the update law)
+    and writes row k of whole-run records; the trace's columns are filled
+    from them after the loop: `zeta`, `beta`, `sigma`, the norms and the
+    states; `phi` and `psi` by one `sliding_mean`, and `chi` and `theta` by
+    one `divergence_statistic` call (1 where beliefs are not tracked), over
+    the divergences; `trace_p` once per distinct schedule entry; the nodes'
+    `attack_norm` as the recorded y less one stacked `measure`; and
     `eps_norm` from one `weighted_neighbor_estimate` call over the first
-    copy's recorded neighbor slots, (steps, N, D, n), its weights rebuilt
-    from the recorded beliefs as a step builds them. The bound
-    monitor runs there too: it reads the plant path, `xbar`, the `sigma` and
-    `beta` columns and the schedule's distinct entries, each spectral norm in
-    one stacked call, and makes one `BoundMonitor.bounds` call over one
-    record per step.
+    copy's recorded neighbor slots, (steps, N, D, n), with the weights
+    w_ij = sigma_ij * beta_j rebuilt once from the recorded beliefs, as a
+    step builds them. The bound monitor runs there too: it reads the plant
+    path, `xbar`, those weights, the `beta` column and the schedule's
+    distinct entries, each spectral norm in one stacked call, and makes one
+    `BoundMonitor.bounds` call over one record per step.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -307,8 +311,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     beliefs_in_update = track_beliefs and cfg.filter_mode == "resilient"
     det = cfg.detector
     shadow, synthetic = det.reference == "shadow", det.reference == "synthetic"
-    monitored = cfg.bound_monitor_enabled()
-    copies = 1 + (shadow and bool(cfg.attacks or cfg.filter_mode == "resilient" or monitored))
+    copies = 1 + (shadow and bool(cfg.attacks or cfg.filter_mode == "resilient"))
 
     def stack(a):   # a copy's rows, for every copy
         return a if copies == 1 else np.concatenate([a] * copies)
@@ -325,7 +328,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # Every copy's slots hold its own rows.
     slot_rows = np.concatenate([slot_node + c * N for c in range(copies)])
     masks = stack(mask)
-    degree = masks.sum(axis=1, keepdims=True).astype(float)   # each row's neighbor count
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
         key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
@@ -357,31 +359,32 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # steps). Each stream draws a block of steps at a time into a (nodes,
     # steps, w, p) buffer of about 256 KB kept per group: one (T, w, p) draw
     # equals T (w, p) draws bit for bit.
-    if not (lite or shadow):
-        ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
-                       for p, rows in groups.items()}
-        ref_draws = {p: np.empty((len(rows), max(1, min(cfg.steps, 2**15 // (
-            len(rows) * det.window * p))), det.window, p)) for p, rows in groups.items()}
-        fixed_L = None if synthetic else {p: reference_factors(np.stack(
-            [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T)) for g in range(r.shape[1])])
-            if len(r) > 2 else R[p]) for p, r in twin[1].items()}
-    if not lite:
-        windows = []
+    windows = []
+    if not lite:   # the twin-only pass detects nothing
         for p, rows in groups.items():
             keys = [(i, j) for i in (rows + 1).tolist() for j in [i] + nbrs[i]
                     if where[j][0] == p]
             owner = np.array([where[i][1] for i, _ in keys])
             windows.append((p, KnnWindowBank(len(keys), p, det.window, det.k_nn, det.epsilon_d,
-                                             sliding_reference=shadow, average=det.average),
+                                             sliding_reference=shadow),
                             owner, owner + (copies - 1) * len(rows),   # and its twin row
                             C[p][[where[j][1] for _, j in keys]],
                             np.array([place[key] for key in keys])))
-        edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
-        windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
-        beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
-        filled = np.concatenate([np.arange(N), N + windowed])   # its entries in [nodes; channels]
+        if not shadow:
+            ref_streams = {p: [noise.stream(STREAM_REFERENCE, i) for i in (rows + 1).tolist()]
+                           for p, rows in groups.items()}
+            ref_draws = {p: np.empty((len(rows), max(1, min(cfg.steps, 2**15 // (
+                len(rows) * det.window * p))), det.window, p)) for p, rows in groups.items()}
+            fixed_L = None if synthetic else {p: reference_factors(np.stack(
+                [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T))
+                 for g in range(r.shape[1])]) if len(r) > 2 else R[p]) for p, r in twin[1].items()}
+    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
+    windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
+    beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
+    filled = np.concatenate([np.arange(N), N + windowed])   # its entries in [nodes; channels]
 
-    trace = None if lite else SimTrace(config=cfg)
+    trace = SimTrace(config=cfg)
+    cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
     path = np.empty((cfg.steps, n))   # the pass record; row k is written at step k
     innovations = {p: np.empty((cfg.steps, copies * len(rows), p)) for p, rows in groups.items()}
     sampler_calls = sampler_fallbacks = 0
@@ -396,17 +399,14 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
     x_post = np.empty((copies * N, n))
     zetas = np.ones((cfg.steps, copies * N), dtype=int)   # everyone transmits at k = 0
-    if not lite:
-        cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
-        xbar, xhat, xpred = np.empty((3, cfg.steps, N, n))
-        slots = np.empty((cfg.steps, N, D, n))   # the first copy's neighbor predictions
-        y_rec = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
-        # Over [nodes; channels]: the divergences and their averages, NaN
-        # until the windows fill, and the beliefs (beta; sigma) and their
-        # statistics (chi; theta), 1 until they advance.
-        d_hat, phi = np.full((2, cfg.steps, N + E), math.nan)
-        values, stats = np.ones((2, cfg.steps, N + E))
-        edge_cols["attack_norm"][:] = 0.0
+    xbar, xhat, xpred = np.empty((3, cfg.steps, N, n))
+    slots = np.empty((cfg.steps, N, D, n))   # the first copy's neighbor predictions
+    y_rec = {p: np.empty((cfg.steps, len(rows), p)) for p, rows in groups.items()}
+    # Over [nodes; channels]: the divergences, NaN until the windows fill,
+    # and the beliefs (beta; sigma), 1 until they advance.
+    d_hat = np.full((cfg.steps, N + E), math.nan)
+    values = np.ones((cfg.steps, N + E))
+    edge_cols["attack_norm"][:] = 0.0
     seen, starts = None, np.zeros(cfg.steps, bool)   # the steps that start a distinct entry
 
     for k, entry in enumerate(schedule):
@@ -443,8 +443,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         zeta = zetas[k]
         for p, rows in part.items():
             innovations[p][k] = innovation(y[p], C_rows[p], x_prior[rows])
-            if not lite:
-                y_rec[p][k] = y[p][:len(groups[p])]
+            y_rec[p][k] = y[p][:len(groups[p])]
             if k:
                 zeta[rows] = should_transmit(y[p], C_rows[p], x_pred[rows], alpha)
         x_pred = update_predictive(zeta, x_prior, x_pred, A)
@@ -459,74 +458,77 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         if replaying:
             last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
 
-        if not lite:
-            full = k + 1 >= det.window     # every bank fills at the same step
-            # The shadow reference slides with the windows (the twin rows'
-            # innovations, or the node's own without them); the other modes
-            # draw a fresh window for every node at every step.
+        # Detect barrier. The shadow reference slides with the windows (the
+        # twin rows' innovations, or the node's own without them); the other
+        # modes draw a fresh window for every node at every step.
+        full = k + 1 >= det.window     # every bank fills at the same step
+        if windows:
             states = np.concatenate([x_prior[:N], stored[:N][mask]])
-            for p, bank, owner, twin_row, C_key, at in windows:
-                bank.push(innovation(y[p][owner], C_key, states[at]),
-                          innovations[p][k][twin_row] if shadow else None)
-                if not shadow:   # every step draws, so each stream stays in step
-                    block = ref_draws[p]
-                    if k % block.shape[1] == 0:   # each stream's next block of steps
-                        for rng, z in zip(ref_streams[p], block):
-                            rng.standard_normal(out=z[:cfg.steps - k])
-                if full:
-                    fresh = None if shadow else (block[:, k % block.shape[1]] @ np.swapaxes(
-                        live_L[p] if synthetic else fixed_L[p], -1, -2))[owner]
-                    d_hat[k, at] = est = bank.estimates(fresh)
-                    phi[k, at] = bank.average(est)
-            if track_beliefs:   # a channel without a window keeps trust 1
-                at = filled if full else slice(N)   # the nodes until the windows fill
-                beliefs.step(d_hat[k, at])
-                values[k, at], stats[k, at] = beliefs.belief.value, beliefs.stat
-                if beliefs_in_update:
-                    beta[:N] = values[k, :N]
-                    weights[:N][mask] = values[k, N:] * beta[slot_to]
+        for p, bank, owner, twin_row, C_key, at in windows:
+            bank.push(innovation(y[p][owner], C_key, states[at]),
+                      innovations[p][k][twin_row] if shadow else None)
+            if not shadow:   # every step draws, so each stream stays in step
+                block = ref_draws[p]
+                if k % block.shape[1] == 0:   # each stream's next block of steps
+                    for rng, z in zip(ref_streams[p], block):
+                        rng.standard_normal(out=z[:cfg.steps - k])
+            if full:
+                fresh = None if shadow else (block[:, k % block.shape[1]] @ np.swapaxes(
+                    live_L[p] if synthetic else fixed_L[p], -1, -2))[owner]
+                d_hat[k, at] = bank.estimates(fresh)
+        if track_beliefs:   # a channel without a window keeps trust 1
+            at = filled if full else slice(N)   # the nodes until the windows fill
+            beliefs.step(d_hat[k, at])
+            values[k, at] = beliefs.belief.value
+            if beliefs_in_update:
+                beta[:N] = values[k, :N]
+                weights[:N][mask] = values[k, N:] * beta[slot_to]
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every belief is one and it omits them.
-        law = ((weighted_neighbor_estimate(x_prior, stored, weights, masks, degree), beta,
-                weights) if beliefs_in_update else None)
+        law = ((weighted_neighbor_estimate(x_prior, stored, weights, masks), beta, weights)
+               if beliefs_in_update else None)
         for p, rows in part.items():
             m_p, beta_p, w_p = (None,) * 3 if law is None else (a[rows] for a in law)
             x_post[rows] = measurement_update(
                 x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m_p, beta_p,
                 stored[rows], w_p, x_pred[rows], group_mask[p])
-
-        if not lite:
-            xbar[k], xhat[k], xpred[k], slots[k] = x_prior[:N], x_post[:N], x_pred[:N], stored[:N]
+        xbar[k], xhat[k], xpred[k], slots[k] = x_prior[:N], x_post[:N], x_pred[:N], stored[:N]
 
         # Time update (its covariance half is in the schedule) and plant step.
         x_prior = np.matvec(A, x_post)
         path[k], x = x, step_process(proc, x, w[k])
 
+    # The columns computed from whole-run stacks.
     entries = [schedule[k] for k in np.flatnonzero(starts).tolist()]
-    if not lite:   # the columns computed from whole-run stacks
-        x_true = path[:, None]                      # (steps, 1, n): every node's truth
-        cols["zeta"][:] = zetas[:, :N]
-        for name, edge_name, a in (("phi", "psi", phi), ("beta", "sigma", values),
-                                   ("chi", "theta", stats)):
-            cols[name][:], edge_cols[edge_name][:] = a[:, :N], a[:, N:]
-        if entries:   # trace(P_post) once per distinct entry
-            cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in entries]),
-                                          axis1=2, axis2=3)[np.cumsum(starts) - 1]
-        cols["err_norm"][:] = vector_norm(xhat - x_true)
-        # m_i of every step in one call, its weights rebuilt from the beliefs
-        # as the loop builds them (all 1 where beliefs are not tracked).
-        w_all = np.ones((cfg.steps, N, D))
-        w_all[:, mask] = values[:, N:] * values[:, slot_to]
-        m_all = weighted_neighbor_estimate(xbar, slots, w_all, mask, degree[:N])
-        cols["eps_norm"][:] = vector_norm(m_all - x_true)
-        for p, rows in groups.items():
-            cols["innov_norm"][:, rows] = vector_norm(innovations[p][:, :len(rows)])
-            cols["attack_norm"][:, rows] = vector_norm(y_rec[p] - measure(C[p], x_true, v_all[p]))
-        for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
-            for d in range(n):
-                cols[f"{prefix}_{d}"][:] = states[..., d]
-    if monitored and cfg.steps:
+    x_true = path[:, None]                      # (steps, 1, n): every node's truth
+    cols["zeta"][:] = zetas[:, :N]
+    # Each entry's mean of its last T divergences once its window fills, and
+    # the statistic its beliefs took (1, as the beliefs, where not tracked).
+    phi = sliding_mean(d_hat, det.average, det.window - 1)
+    stats = divergence_statistic(d_hat, np.repeat(
+        [cfg.resilient.upsilon1, cfg.resilient.lambda1], [N, E])) if track_beliefs else values
+    for name, edge_name, a in (("phi", "psi", phi), ("beta", "sigma", values),
+                               ("chi", "theta", stats)):
+        cols[name][:], edge_cols[edge_name][:] = a[:, :N], a[:, N:]
+    if entries:   # trace(P_post) once per distinct entry
+        cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in entries]),
+                                      axis1=2, axis2=3)[np.cumsum(starts) - 1]
+    cols["err_norm"][:] = vector_norm(xhat - x_true)
+    # The weights w_ij = sigma_ij * beta_j of every step as the loop builds
+    # them (all 1 where beliefs are not tracked), and m_i of every step.
+    trust = values[:, N:] * values[:, slot_to]
+    w_all = np.ones((cfg.steps, N, D))
+    w_all[:, mask] = trust
+    cols["eps_norm"][:] = vector_norm(weighted_neighbor_estimate(xbar, slots, w_all, mask)
+                                      - x_true)
+    for p, rows in groups.items():
+        cols["innov_norm"][:, rows] = vector_norm(innovations[p][:, :len(rows)])
+        cols["attack_norm"][:, rows] = vector_norm(y_rec[p] - measure(C[p], x_true, v_all[p]))
+    for prefix, states in zip(STATE_PREFIXES, (x_true, xbar, xhat, xpred)):
+        for d in range(n):
+            cols[f"{prefix}_{d}"][:] = states[..., d]
+    if cfg.bound_monitor_enabled() and cfg.steps:
         # The realized prior error norm of every step, summed over nodes in
         # node order.
         e_prior = path[:, None] - xbar
@@ -535,8 +537,8 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         # One record of scalars per step, each kind taken in one stacked norm:
         # A_o and gamma_max once per distinct schedule entry, over one row per
         # sensor model (and ||C||_2 once per model), and ||L_masked||_2 once
-        # per step whose trust weights w_ij = sigma_ij * beta_j differ by a
-        # bit from the step before. Maxima are Python's, in model order.
+        # per step whose trust weights differ by a bit from the step before.
+        # Maxima are Python's, in model order.
         first = sensor_models(cfg.sensors)[0]
         A_o = [max(row) for row in np.linalg.norm(
             A @ np.stack([entry[2][first] for entry in entries]), 2, axis=(-2, -1)).tolist()]
@@ -544,7 +546,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         matrix = [g[first] for g in gammas if np.ndim(g) == 3]
         norms = iter(np.linalg.norm(np.stack(matrix), 2, axis=(-2, -1)).tolist() if matrix else ())
         gmax = [max(next(norms)) if np.ndim(g) == 3 else abs(g) for g in gammas]
-        trust = edge_cols["sigma"] * cols["beta"][:, slot_to]
         moved = np.ones(cfg.steps, bool)
         moved[1:] = (trust[1:].view(np.int64) != trust[:-1].view(np.int64)).any(axis=1)
         trust, sL = trust[moved], []

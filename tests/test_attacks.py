@@ -269,6 +269,7 @@ class TestRecursionBranches:
                 np.trace(blk(clean.P_post, i, i)) - 1e-12
 
 
+@pytest.mark.bits
 class TestRecursionOracle:
     def test_matches_recorded_block_recursion(self):
         """The stacked recursion against outputs recorded from the per-block
@@ -323,6 +324,7 @@ class TestRecursionOracle:
         assert close(np.array([rec.gains[i] for i in nodes]), want["nominal_gains"])
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("cfg", [get_preset("fig3"), engine_scenario("mixed-p-synthetic")],
                          ids=["fig3", "mixed-p-synthetic"])
 def test_recursion_gains_are_the_schedule_gains(cfg):

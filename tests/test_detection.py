@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from etdkf.detection import (H0, H1, DetectorConfig, KnnWindowBank, _divergence, detect,
                              estimate_kl, kth_neighbor_distance, pairwise_distances,
-                             reference_factors)
+                             reference_factors, sliding_mean)
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import innovation
 from etdkf.scenario import get_preset
@@ -169,6 +169,7 @@ class TestWindow:
             KnnWindowBank(rows=1, dim=1, window=3, k_nn=3)
 
 
+@pytest.mark.bits
 class TestPairwiseDistances:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
     def test_bit_identical_to_norm(self, m):
@@ -277,6 +278,7 @@ class TestKnnWindowBank:
         with np.errstate(over="ignore", invalid="ignore"):
             assert estimate_kl(X, X, 5) == np.inf
 
+    @pytest.mark.bits
     @settings(max_examples=40, deadline=None)
     @given(streams())
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # overflowing samples
@@ -312,6 +314,7 @@ class TestKnnWindowBank:
             for b in range(rows):
                 assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
 
+    @pytest.mark.bits
     @settings(max_examples=40, deadline=None)
     @given(streams(), st.booleans())
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")   # overflowing samples
@@ -335,6 +338,7 @@ class TestKnnWindowBank:
                 bank.estimates(None if sliding else rng.standard_normal((rows, k + 1, m)))
                 estimated = True
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("m", [2, 9])   # plane by plane, and a pairwise sum
     def test_fresh_reference_of_changing_size_equals_estimate_kl(self, m):
         # The bank computes each call's cross distances afresh from its
@@ -354,6 +358,7 @@ class TestKnnWindowBank:
                 for b in range(2):
                     assert got[b] == estimate_kl(windows[b], ref[b], k), (t, b)
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("m", [2, 9])
     def test_steady_fresh_estimates_allocate_no_cross_matrix(self, m):
         # The fresh cross squares and their terms go to the bank's scratch
@@ -385,36 +390,31 @@ class TestKnnWindowBank:
 
 
 class TestPhi:
-    """The detectors' sliding mean, kept by the bank."""
+    """The detectors' sliding mean over a run's divergences."""
 
     def test_identical_windows_constant(self):
-        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=10)
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 2))
         ident = np.log(40.0 / 39.0)
-        for k in range(25):
-            val = bank.average([estimate_kl(X, X.copy(), 4)])[0]
+        phi = sliding_mean([[estimate_kl(X, X.copy(), 4)] for k in range(25)], 10)
+        for val in phi[:, 0]:
             assert val == pytest.approx(ident, abs=1e-12)
 
     def test_partial_average_then_t1(self):
-        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=3)
-        assert bank.average([1.0])[0] == pytest.approx(1.0)
-        assert bank.average([2.0])[0] == pytest.approx(1.5)
-        assert bank.average([3.0])[0] == pytest.approx(2.0)
-        assert bank.average([4.0])[0] == pytest.approx(3.0)  # window of 3
-        one = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=1)
-        assert one.average([0.7])[0] == pytest.approx(0.7)
+        phi = sliding_mean([[1.0], [2.0], [3.0], [4.0]], 3)[:, 0]
+        assert phi[0] == pytest.approx(1.0)
+        assert phi[1] == pytest.approx(1.5)
+        assert phi[2] == pytest.approx(2.0)
+        assert phi[3] == pytest.approx(3.0)  # window of 3
+        assert sliding_mean([[0.7]], 1)[0, 0] == pytest.approx(0.7)
 
     def test_grows_after_displacement(self):
-        bank = KnnWindowBank(rows=1, dim=2, window=40, k_nn=4, average=5)
         rng = np.random.default_rng(5)
         Z = rng.standard_normal((40, 2))
-        for k in range(10):
-            X = rng.standard_normal((40, 2))
-            calm = bank.average([estimate_kl(X, Z, 4)])[0]
-        for k in range(10, 25):
-            X = rng.standard_normal((40, 2)) + 6.0
-            latest = bank.average([estimate_kl(X, Z, 4)])[0]
+        history = [[estimate_kl(rng.standard_normal((40, 2)) + 6.0 * (k >= 10), Z, 4)]
+                   for k in range(25)]
+        phi = sliding_mean(history, 5)[:, 0]
+        calm, latest = phi[9], phi[24]
         assert latest > max(0.5, calm + 0.5)
         assert detect(latest, 0.5) == H1
 
@@ -423,15 +423,14 @@ class TestPhi:
            st.integers(0, 2**32 - 1))
     def test_equals_numpy_mean_of_the_last_t(self, T, rows, extra, seed):
         # every row's mean is np.mean over its last <= T estimates, bit for
-        # bit, through several ring wrap-arounds
+        # bit, over several multiples of T
         rng = np.random.default_rng(seed)
         steps = 3 * T + extra
         history = rng.standard_normal((steps, rows)) * 10.0 ** rng.uniform(-3, 3, (steps, rows))
-        bank = KnnWindowBank(rows=rows, dim=1, window=2, k_nn=1, average=T)
+        got = sliding_mean(history, T)
         for t in range(steps):
-            got = bank.average(history[t])
             for b in range(rows):
-                assert got[b] == np.mean(history[max(0, t + 1 - T):t + 1, b].tolist()), (t, b)
+                assert got[t, b] == np.mean(history[max(0, t + 1 - T):t + 1, b].tolist()), (t, b)
 
 
 # Finite values, the infinities, NaN, and values whose sums overflow.
@@ -439,20 +438,21 @@ EXTREME = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
                     st.sampled_from([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, 8.9e307]))
 
 
+@pytest.mark.bits
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 3), st.data())
 def test_reductions_equal_numpy_mean_and_sum_bit_for_bit(T, rows, data):
-    """`KnnWindowBank.average` is `np.mean` of each row's last <= T values,
-    and `_divergence` its `np.sum` form, in bytes: both take the ufunc
-    reduce that those wrappers make."""
-    bank = KnnWindowBank(rows=rows, dim=1, window=2, k_nn=1, average=T)
-    history = []
+    """`sliding_mean` is `np.mean` of each entry's last <= T values, and
+    `_divergence` its `np.sum` form, in bytes: both take the ufunc reduce
+    that those wrappers make."""
+    history = [data.draw(st.lists(EXTREME, min_size=rows, max_size=rows))
+               for _ in range(data.draw(st.integers(1, 3 * T)))]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(data.draw(st.integers(1, 3 * T))):
-            history.append(data.draw(st.lists(EXTREME, min_size=rows, max_size=rows)))
-            got = bank.average(history[-1])
-            want = [np.mean(np.array(history[-T:])[:, b]) for b in range(rows)]
-            assert got.tobytes() == np.array(want).tobytes(), (history, got, want)
+        got = sliding_mean(history, T)
+        for t in range(len(history)):
+            want = [np.mean(np.array(history[max(0, t + 1 - T):t + 1])[:, b])
+                    for b in range(rows)]
+            assert got[t].tobytes() == np.array(want).tobytes(), (history, got[t], want)
         # Random distance rows, with a few entries floored, zero or infinite.
         n1, n2, m = data.draw(st.integers(2, 12)), data.draw(st.integers(2, 50)), 1 + rows % 3
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -462,6 +462,39 @@ def test_reductions_equal_numpy_mean_and_sum_bit_for_bit(T, rows, data):
         want = m / n1 * np.sum(np.log(ratio), axis=-1) + np.log(n2 / (n1 - 1))
         want = np.where(np.isfinite(want), want, np.inf)
         assert _divergence(d_x, d_z, n2, 1e-12, m).tobytes() == want.tobytes()
+
+
+@pytest.mark.bits
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16), st.integers(0, 5), st.integers(0, 40), st.integers(1, 6),
+       st.data())
+def test_sliding_mean_equals_numpy_mean_from_the_first_row(T, first, steps, entries, data):
+    """Row k >= `first` of `sliding_mean` is a per-entry `np.mean` of the
+    values of rows max(first, k + 1 - T) to k, in bytes, and every row
+    before `first` is NaN (all of them when `first >= steps`)."""
+    values = np.array(data.draw(st.lists(st.lists(EXTREME, min_size=entries, max_size=entries),
+                                         min_size=steps, max_size=steps)),
+                      dtype=float).reshape(steps, entries)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = sliding_mean(values, T, first)
+        want = [[np.mean(values[max(first, k + 1 - T):k + 1, e]) if k >= first else np.nan
+                 for e in range(entries)] for k in range(steps)]
+    assert got.shape == (steps, entries)
+    assert got.tobytes() == np.array(want, dtype=float).reshape(steps, entries).tobytes()
+
+
+@pytest.mark.bits
+def test_sliding_mean_gathers_one_window_at_a_time():
+    """A long run's mean holds one (entries, T) window at a time beside its
+    input and output, never a (steps, entries, T) gather (T times the input)."""
+    values = np.random.default_rng(6).standard_normal((2000, 20))
+    tracemalloc.start()
+    try:
+        sliding_mean(values, 10, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * values.nbytes, peak
 
 
 def nominal_reference_window(omega, w: int, rng: np.random.Generator) -> np.ndarray:

@@ -20,6 +20,8 @@ from etdkf.errors import ValidationError
 from etdkf.scenario import ScenarioConfig, example1_graph, get_preset, six_node_graph
 from etdkf.simulate import export_csv, run_scenario
 
+pytestmark = pytest.mark.bits
+
 TH = 2.0 * np.pi / 400
 BASE = {
     "steps": 60,

@@ -134,6 +134,7 @@ def test_overflowing_injection_is_flagged_and_distrusted(value):
     assert 0.0 < trace.series("beta", 2)[-1] < 1e-12
 
 
+@pytest.mark.bits
 def test_overflowing_channel_injection_keeps_the_nominal_update():
     """A nominal node's update reads no neighbor estimate m: a channel
     injection that overflows C m leaves the receiving node's estimate
@@ -147,6 +148,7 @@ def test_overflowing_channel_injection_keeps_the_nominal_update():
     assert trace.series("eps_norm", 1)[30] == np.inf
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("source", ["fig6", "ring12-chords"])
 @pytest.mark.parametrize("mode", ["nominal", "monitored", "pinned", "resilient"])
 def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
@@ -182,6 +184,36 @@ def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
         assert (beta == 1.0).all() and (sigma == 1.0).all()
 
 
+@pytest.mark.bits
+@pytest.mark.parametrize("mode", ["monitored", "resilient"])
+def test_chi_and_theta_are_the_statistics_each_step_took(monkeypatch, mode):
+    """chi and theta, taken after the step loop from the recorded
+    divergences, equal in bytes the statistics `BeliefState.step` took at
+    each step, with distinct confidence and trust scales; theta is 1 until
+    the channel windows fill (every fig6 channel has one)."""
+    fig6 = get_preset("fig6")
+    cfg = dataclasses.replace(
+        fig6, steps=60, filter_mode=mode,
+        attacks=[dataclasses.replace(fig6.attacks[0], onset=30)],
+        resilient=dataclasses.replace(fig6.resilient, upsilon1=0.3, lambda1=0.7))
+    stats = []
+
+    class Recording(simulate.BeliefState):
+        def step(self, divergence):
+            super().step(divergence)
+            stats.append(self.stat.copy())
+
+    monkeypatch.setattr(simulate, "BeliefState", Recording)
+    trace = run_scenario(cfg)
+    got = np.hstack([trace.column("chi"), trace.column("theta", edge=True)])
+    want = np.ones(got.shape)
+    for k, stat in enumerate(stats):
+        want[k, :len(stat)] = stat
+    assert len(stats) == cfg.steps and len(stats[-1]) == got.shape[1]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.bits
 def test_covariance_half_computed_once_per_run(monkeypatch):
     """Gains and posterior covariances are computed once per step of a run,
     not once per pass (fig7 runs a twin), and the matrix consensus gains in
@@ -253,6 +285,7 @@ def trust_weights(cfg, trace):
     return W
 
 
+@pytest.mark.bits
 def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     """Nodes that share (C, R) share the covariance half: on a ring of 32
     equal sensors the gains see one row per distinct schedule entry, the
@@ -273,6 +306,7 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     assert len(records) == cfg.steps and len(monitor.C_norms) == 1
 
 
+@pytest.mark.bits
 def test_monitor_norms_one_stacked_call_per_quantity(monkeypatch):
     """The monitor takes each spectral norm in one call over a stack, not
     once per step or per repeated object: A_o and gamma_max over the run's
@@ -302,6 +336,7 @@ def test_monitor_norms_one_stacked_call_per_quantity(monkeypatch):
     assert records == want
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("overrides, builds", [
     ({"beliefs_pinned": True}, 1),
     ({"filter_mode": "nominal", "bound_monitor": True}, 1),
@@ -366,6 +401,7 @@ def test_random_streams_drawn_once_per_run(monkeypatch):
 FIG6 = get_preset("fig6")
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("cfg", [
     dataclasses.replace(FIG6, steps=60,                  # monitored, attacked from step 30
                         attacks=[dataclasses.replace(FIG6.attacks[0], onset=30)]),
@@ -395,6 +431,7 @@ def test_twin_rows_record_what_a_twin_pass_does(cfg):
         assert stack.tobytes() == rows[p].tobytes()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("cfg, passes", [
     (dataclasses.replace(get_preset("fig6"), steps=30), 1),   # shadow: twin rows, no twin pass
     (dataclasses.replace(engine_scenario("example1-calibrated"), steps=30),
@@ -415,6 +452,50 @@ def test_plant_stepped_once_per_step_and_pass(monkeypatch, cfg, passes):
     monkeypatch.setattr(simulate, "step_process", counted)
     run_scenario(cfg)
     assert len(calls) == passes * cfg.steps
+
+
+@pytest.mark.bits
+def test_monitored_shadow_run_is_its_own_twin(monkeypatch):
+    """The bound monitor reads the plant path and the first copy alone, so a
+    shadow run without attacks or resilient beliefs carries no twin rows
+    with it: the update law takes N rows per step, not 2N."""
+    cfg = dataclasses.replace(get_preset("fig3"), steps=20, bound_monitor=True)
+    assert not cfg.attacks and cfg.filter_mode == "nominal"
+    rows, real = [], simulate.measurement_update
+
+    def spy(x_prior, *args):
+        rows.append(len(x_prior))
+        return real(x_prior, *args)
+
+    monkeypatch.setattr(simulate, "measurement_update", spy)
+    trace = run_scenario(cfg)
+    assert rows == [cfg.graph.node_count] * cfg.steps
+    assert np.isfinite(trace.step_cols["bound"]).all()
+
+
+@pytest.mark.bits
+def test_twin_only_pass_builds_no_detector_bank(monkeypatch):
+    """A calibrated run's twin-only pass is the step loop without detector
+    banks; its main pass builds one bank per channel count."""
+    cfg = dataclasses.replace(ScenarioConfig.from_dict({
+        **engine_scenario("example1-calibrated").to_dict(), "sensors": [TWO] * 6 + [ONE, TWO]}),
+        steps=30)
+    passes, built = [], []
+
+    def engine(run_cfg, twin, lite, _real=simulate._engine, **kwargs):
+        passes.append(lite)
+        return _real(run_cfg, twin, lite, **kwargs)
+
+    def bank(*args, _real=simulate.KnnWindowBank, **kwargs):
+        built.append(passes[-1])
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_engine", engine)
+    monkeypatch.setattr(simulate, "KnnWindowBank", bank)
+    run_scenario(cfg)
+    assert passes == [True, False]
+    assert len(channel_groups(cfg.sensors)[0]) == 2
+    assert built == [False, False]   # both banks built in the main pass
 
 
 @st.composite

@@ -144,6 +144,7 @@ discounts = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.sampled
 any_divergence = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0])
 
 
+@pytest.mark.bits
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 8), st.sampled_from(DISCOUNTING_MODES),
        st.lists(discounts, min_size=2, max_size=2, unique=True),
@@ -152,7 +153,11 @@ any_divergence = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0
 def test_belief_vector_equals_per_entry_beliefs(N, E, mode, kappas, scales, data):
     """One `BeliefState` step equals, in bytes, a scalar `DiscountedBelief`
     per entry fed the scalar `divergence_statistic` of its divergence, with
-    the channels advancing only from the fill step F on."""
+    the channels advancing only from the fill step F on. The engine's
+    chi and theta, one `divergence_statistic` call after the run over the
+    whole-run record of divergences (NaN where a step passed none, and on a
+    channel without a window), are the statistics each step produced, and 1
+    where it produced none."""
     (kappa1, kappa2), (upsilon1, lambda1) = kappas, scales
     bs = BeliefState(range(N), range(E), ResilientConfig(
         upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2, discounting=mode))
@@ -160,15 +165,20 @@ def test_belief_vector_equals_per_entry_beliefs(N, E, mode, kappas, scales, data
     scale = [upsilon1] * N + [lambda1] * E
     steps = data.draw(st.integers(1, 12))
     fill = data.draw(st.integers(0, steps))
+    record = np.full((steps, N + E + 1), np.nan)   # the last channel has no window
+    produced = np.ones((steps, N + E + 1))
     for k in range(steps):
         size = N + E if k >= fill else N
         divergence = data.draw(st.lists(any_divergence, min_size=size, max_size=size))
         bs.step(divergence)
+        record[k, :size], produced[k, :size] = divergence, bs.stat
         stat = [divergence_statistic(d, s) for d, s in zip(divergence, scale)]
         for oracle, chi in zip(oracles, stat):
             oracle.update(chi)
         assert bs.stat.tobytes() == np.array(stat).tobytes()
         assert bs.belief.value.tobytes() == np.array([o.value for o in oracles[:size]]).tobytes()
+    after = divergence_statistic(record, np.repeat([upsilon1, lambda1], [N, E + 1]))
+    assert after.tobytes() == produced.tobytes()
 
 
 def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
@@ -237,10 +247,11 @@ class TestWeightedNeighborEstimate:
                                        [False, True])
         assert m.tolist() == [3.0, 3.0]
 
+    @pytest.mark.bits
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
-           st.integers(0, 12), st.integers(1, 3), st.booleans())
-    def test_whole_run_stack_equals_per_step_calls(self, seed, steps, N, D, n, counted):
+           st.integers(0, 12), st.integers(1, 3))
+    def test_whole_run_stack_equals_per_step_calls(self, seed, steps, N, D, n):
         """The engine takes m_i of every step in one call over (steps, N, D,
         n): bit for bit the per-step calls, with NaN, +-inf and -0.0 among
         the predictions, priors and weights, and rows without neighbors.
@@ -258,13 +269,12 @@ class TestWeightedNeighborEstimate:
 
         mask = rng.random((N, D)) < 0.7
         mask[rng.random(N) < 0.3] = False
-        degree = mask.sum(axis=1, keepdims=True).astype(float) if counted else None
         x_prior, preds, weights = values((steps, N, n)), values((steps, N, D, n)), values(
             (steps, N, D))
         with np.errstate(all="ignore"):   # inf - inf, inf * 0 and overflow
-            whole = weighted_neighbor_estimate(x_prior, preds, weights, mask, degree)
+            whole = weighted_neighbor_estimate(x_prior, preds, weights, mask)
             per_step = np.stack([weighted_neighbor_estimate(x_prior[k], preds[k], weights[k],
-                                                            mask, degree) for k in range(steps)])
+                                                            mask) for k in range(steps)])
         nan = np.isnan(whole)
         assert np.array_equal(nan, np.isnan(per_step))
         assert whole[~nan].tobytes() == per_step[~nan].tobytes()
@@ -295,6 +305,7 @@ class TestResilientUpdate:
         want = x_prior + K @ (C @ m - C @ x_prior)
         assert np.allclose(x_post, want, atol=1e-15)
 
+    @pytest.mark.bits
     def test_unit_confidence_ignores_an_overflowed_neighbor_estimate(self):
         """beta = 1 is the nominal update whatever m is: (1 - beta) C m is
         never formed, so an overflowed m cannot make it 0 * inf = NaN."""
@@ -309,6 +320,7 @@ class TestResilientUpdate:
                                             beta, others, weights, own)
             assert np.array_equal(x_post, nominal)
 
+    @pytest.mark.bits
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(0, 4),
            st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]), st.booleans())
@@ -459,6 +471,7 @@ class StepByStepMonitor:
         self.bound = A_o * self.bound + self.B_o
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("steps", [0, 1, 2, 12])
 @pytest.mark.parametrize("scale", [0.3, 3.0], ids=["contractive", "non-contractive"])
 @pytest.mark.parametrize("N, n", [(1, 1), (4, 2)])
@@ -509,6 +522,7 @@ def monitored_runs():
     return [fig7, engine_scenario("ring12-chords"), mixed_p]
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("cfg", monitored_runs(),
                          ids=["fig7", "ring12-chords", "example1-calibrated-mixed-p"])
 def test_bound_and_realized_error_recomputed_from_the_trace(cfg):

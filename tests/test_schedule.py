@@ -142,6 +142,7 @@ def schedule_configs(draw):
                                consensus=consensus, detector=detector)
 
 
+@pytest.mark.bits
 @settings(max_examples=60, deadline=None)
 @given(schedule_configs())
 def test_schedule_equals_per_step_recursion(cfg):
@@ -160,6 +161,7 @@ def test_schedule_equals_per_step_recursion(cfg):
     event("shared steady-state entry" if distinct < len(ids) else "every step its own entry")
 
 
+@pytest.mark.bits
 @settings(max_examples=60, deadline=None)
 @given(schedule_configs(), st.data())
 def test_stacked_gain_equals_per_entry_calls(cfg, data):

@@ -7,6 +7,7 @@ golden traces rely on these equalities holding under `np.array_equal`.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,8 @@ from etdkf.filtering import (consensus_gain, innovation, innovation_covariance,
                              update_predictive, vector_norm)
 from etdkf.models import measure
 from etdkf.resilience import BoundMonitor, weighted_neighbor_estimate
+
+pytestmark = pytest.mark.bits
 
 SHAPES = [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)]
 
