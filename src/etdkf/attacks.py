@@ -1,11 +1,13 @@
 """Attack injection (false-data, channel, non-triggering, replay) and the
 corrupted-filter moment recursions used to predict estimator degradation.
 
-The signal side corrupts measurements and transmitted priors; nodes keep
-running the nominal filter code on whatever they receive. The recursion side
-(`AttackRecursion`) advances the corrupted error first and second moments,
-including the three cross-covariance families between predictive and prior
-errors, for deterministic attack signals and a given trigger schedule.
+The signal side crafts the measurements of the non-triggering and replay
+attacks; the engine adds injected signals to measurements and transmitted
+priors itself. Nodes keep running the nominal filter code on whatever they
+receive. The recursion side (`AttackRecursion`) advances the corrupted error
+first and second moments, including the three cross-covariance families
+between predictive and prior errors, for deterministic attack signals and a
+given trigger schedule.
 """
 
 from __future__ import annotations
@@ -101,16 +103,6 @@ class AttackPlan:
         return u
 
 
-def corrupt_measurement(y, f) -> np.ndarray:
-    """y^a = y + f."""
-    return np.asarray(y, float) + np.asarray(f, float)
-
-
-def corrupt_channel(x_prior, f_bar) -> np.ndarray:
-    """Transmitted prior with injected bias: x^a = x_prior + f_bar."""
-    return np.asarray(x_prior, float) + np.asarray(f_bar, float)
-
-
 def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     """Crafted measurement keeping the trigger residual at or below phi < alpha.
 
@@ -119,7 +111,8 @@ def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     uniform interval whose endpoints depend on ||C x_pred|| and ||y||; the
     interval is empty unless ||y|| < ||C x_pred||, and even when nonempty the
     draw does not always respect the phi budget, so any violation falls back
-    to the direct construction.
+    to the direct construction. So does an interval too wide for a uniform
+    draw, whose width overflows once ||C x_pred|| does.
 
     Returns (y_a, fell_back); the engine counts the fallbacks of a run.
     """
@@ -144,7 +137,7 @@ def craft_non_triggering(y, C, x_pred_prev, phi, rng, sampler=False):
     norm_target, norm_y = np.linalg.norm(target), np.linalg.norm(y)
     a = phi - norm_target + norm_y
     b = phi + norm_target - norm_y
-    if a >= b:
+    if not (a < b and math.isfinite(b - a)):
         return direct(), True
     theta = rng.uniform(a, b)
     y_a = y + theta * np.ones(p)

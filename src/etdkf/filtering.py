@@ -4,7 +4,9 @@ Every kernel is pure and stack-native: a leading batch axis of nodes
 broadcasts through it, and one node is the case without that axis. Per-node
 vectors stack as (N, n) or (N, p), matrices as (N, rows, cols); a matrix
 shared by every node (A, Q) broadcasts as one 2-D array. Covariances are
-re-symmetrized after every update.
+re-symmetrized after every update. The update law forms the neighbor
+average m_i itself (`weighted_neighbor_estimate`), so the whole law,
+neighbor slots included, lives in this module.
 
 A stacked call equals the per-node calls bit for bit. Matrix-vector products
 go through `np.matvec`, never `X @ A.T` (a different BLAS path that moves
@@ -142,23 +144,49 @@ def innovation_covariance(P_prior, C, R) -> np.ndarray:
     return sym(C @ np.asarray(P_prior, float) @ _t(C) + np.asarray(R, float))
 
 
-def measurement_update(x_prior, K, gamma, y, C, m, beta, neighbor_preds, weights,
-                       own_pred, mask=None) -> np.ndarray:
+def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:
+    """m_i: belief-weighted average of neighbor predictive estimates.
+
+    `neighbor_preds` (..., D, n) holds each node's neighbor predictions in
+    slots, `weights` (..., D) the matching w_ij = sigma_ij * beta_j and
+    `mask` (..., D) which slots hold a neighbor (all of them when omitted).
+    Follows the stated 1/|N_i| normalization, so down-weighted neighbors
+    shrink the average rather than renormalizing it. Falls back to the
+    node's own prior when it has no neighbors.
+    """
+    x_prior_i = np.asarray(x_prior_i, float)
+    preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
+    if preds.shape[-2] == 0:
+        return x_prior_i.copy()
+    # The sum starts from -0.0, which the first unmasked term replaces bit
+    # for bit, as a per-node loop starting from that term does.
+    acc = slot_sum(weights[..., None] * preds, mask, -0.0)
+    degree = mask.sum(axis=-1, keepdims=True)
+    if degree.all():   # every row has a neighbor
+        return acc / degree
+    return np.where(degree > 0, acc / np.maximum(degree, 1), x_prior_i)
+
+
+def measurement_update(x_prior, K, gamma, y, C, beta, neighbor_preds, weights, own_pred,
+                       mask=None) -> np.ndarray:
     """Posterior update law of every filter mode; returns x_post.
 
-    The measurement is blended with the weighted neighbor estimate `m` by the
-    node's own confidence `beta`, and each consensus term is scaled by its
-    belief weight w_ij = sigma_ij * beta_j. `neighbor_preds` (..., D, n)
-    holds the latest predictive estimate of each neighbor as seen by this
-    node (non-transmitting neighbors already extrapolated), in ascending
-    neighbor order, `weights` (..., D) the matching w_ij, and `mask` (..., D)
-    which slots hold a neighbor (all of them when omitted).
+    The measurement is blended, by the node's own confidence `beta`, with
+    m_i = `weighted_neighbor_estimate` of its priors and neighbor slots,
+    and each consensus term is scaled by its belief weight w_ij = sigma_ij *
+    beta_j. `neighbor_preds` (..., D, n) holds the latest predictive
+    estimate of each neighbor as seen by this node (non-transmitting
+    neighbors already extrapolated), in ascending neighbor order, `weights`
+    (..., D) the matching w_ij, and `mask` (..., D) which slots hold a
+    neighbor (all of them when omitted). `beta` and `weights` are given
+    together, or both None.
 
-    A row whose beta is exactly 1 takes y unblended, so its `m` is never
+    A row whose beta is exactly 1 takes y unblended, so its m_i is never
     read: (1 - beta) C m would be 0 * inf = NaN once C m overflows. With
-    `beta` and `weights` None every belief is one, `m` is not read, and this
-    is the nominal update x_prior + K (y - C x_prior) + gamma sum_j (x_j -
-    own_pred), with no unit factor formed; unit arrays give the same bits.
+    `beta` and `weights` None every belief is one, m_i is not formed, and
+    this is the nominal update x_prior + K (y - C x_prior) + gamma sum_j
+    (x_j - own_pred), with no unit factor formed; unit arrays give the same
+    bits.
     """
     C = np.asarray(C, float)
     x_prior = np.asarray(x_prior, float)
@@ -166,9 +194,9 @@ def measurement_update(x_prior, K, gamma, y, C, m, beta, neighbor_preds, weights
     preds, weights, mask = neighbor_slots(own, neighbor_preds, weights, mask)
     y = np.asarray(y, float)
     if beta is not None:
+        m = weighted_neighbor_estimate(x_prior, preds, weights, mask)
         beta = np.asarray(beta, float)[..., None]
-        y = np.where(beta == 1.0, y,
-                     beta * y + (1.0 - beta) * np.matvec(C, np.asarray(m, float)))
+        y = np.where(beta == 1.0, y, beta * y + (1.0 - beta) * np.matvec(C, m))
     r = y - np.matvec(C, x_prior)
     terms = preds - own[..., None, :]
     consensus = slot_sum(terms if weights is None else weights[..., None] * terms, mask,

@@ -1,4 +1,4 @@
-"""Second-order inference: confidence/trust beliefs, belief weights, the bound monitor.
+"""Second-order inference: confidence/trust beliefs, belief weights, the error bound.
 
 Belief statistics map divergences through chi = U1 / (U1 + D) and are
 accumulated with a normalized discounted sum
@@ -19,9 +19,10 @@ are reported unclipped by the detection layer.
 `divergence_statistic` call and one `DiscountedBelief` update, with each
 entry's scale (upsilon1 or lambda1) and discount (kappa1 or kappa2).
 
-The bound monitor runs after a run, over one record of scalars per step:
+The error bound is taken after a run, over one record of scalars per step:
 the norms of what the run held (its gains, consensus gain and trust-masked
-Laplacian) and the confidences (`BoundMonitor.bounds`).
+Laplacian) and the confidences (`error_bounds`). The neighbor average m_i
+that the beliefs weight is part of the update law, in `filtering`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .filtering import neighbor_slots, slot_sum
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
 _SMALLEST, _LARGEST = np.finfo(float).smallest_subnormal, np.finfo(float).max
@@ -128,72 +128,37 @@ class BeliefState:
         b.update(self.stat)
 
 
-def weighted_neighbor_estimate(x_prior_i, neighbor_preds, weights, mask=None) -> np.ndarray:
-    """m_i: belief-weighted average of neighbor predictive estimates.
+def error_bounds(A, C_norms, alpha: float, tau: float, eta0: float, records, B: float) -> list:
+    """The uniform bound on the stacked prior error norm holding at every
+    step recorded, bound(0) = `eta0` (the first prior error norm) first.
 
-    `neighbor_preds` (..., D, n) holds each node's neighbor predictions in
-    slots, `weights` (..., D) the matching w_ij = sigma_ij * beta_j and
-    `mask` (..., D) which slots hold a neighbor (all of them when omitted).
-    Follows the stated 1/|N_i| normalization, so down-weighted neighbors
-    shrink the average rather than renormalizing it. Falls back to the
-    node's own prior when it has no neighbors.
+    Per step: bound(k+1) = A_o(k) * bound(k) + B_o(k) with A_o = max_i
+    sigma_max(A M_i) and B_o combining the triggering backlog term and the
+    confidence-deficit term; non-contractive where A_o >= 1. B_o scales with
+    B, the bound on ||x(k+1) - x(k) + v(k+1)||, which takes the whole plant
+    path, so the recursion runs once, after the run, in a step-by-step
+    monitor's order.
+
+    A record is one step's scalars (A_o, gamma_max, sL, betas): A_o over
+    that step's gains, gamma_max the largest ||gamma_i||_2, sL =
+    ||L_masked||_2 of the trust-masked Laplacian, and betas every node's
+    confidence, whose count is the node count N. The engine takes each of
+    A_o, gamma_max and sL in one stacked norm over the run's distinct
+    values; ||A||_2 is taken here, once. Only the maximum over nodes is read
+    of `C_norms`, so it may hold one entry per sensor model (`sensor_models`)
+    rather than per node, as the engine passes it: nodes of one model have
+    equal entries.
     """
-    x_prior_i = np.asarray(x_prior_i, float)
-    preds, weights, mask = neighbor_slots(x_prior_i, neighbor_preds, weights, mask)
-    if preds.shape[-2] == 0:
-        return x_prior_i.copy()
-    # The sum starts from -0.0, which the first unmasked term replaces bit
-    # for bit, as a per-node loop starting from that term does.
-    acc = slot_sum(weights[..., None] * preds, mask, -0.0)
-    degree = mask.sum(axis=-1, keepdims=True)
-    if degree.all():   # every row has a neighbor
-        return acc / degree
-    return np.where(degree > 0, acc / np.maximum(degree, 1), x_prior_i)
-
-
-@dataclass
-class BoundMonitor:
-    """Running uniform bound on the stacked prior error norm, computed after
-    the run over one record per step.
-
-    Per step: bound(k+1) = A_o(k) * bound(k) + B_o(k) with
-    A_o = max_i sigma_max(A M_i) and B_o combining the triggering backlog term
-    and the confidence-deficit term; non-contractive where A_o >= 1. B_o
-    scales with B, the bound on ||x(k+1) - x(k) + v(k+1)||, which takes the
-    whole plant path, so `bounds` runs the recursion once, after the run, in
-    a step-by-step monitor's order.
-
-    Only the maximum over nodes is read of `C_norms`, so it may hold one
-    entry per sensor model (`sensor_models`) rather than per node, as the
-    engine passes it: nodes of one model have equal entries.
-    """
-
-    A: np.ndarray
-    C_norms: list
-    alpha: float
-    tau: float
-
-    def bounds(self, eta0: float, records, B: float) -> list:
-        """The bound holding at every step recorded, bound(0) = `eta0` (the
-        first prior error norm) first.
-
-        A record is one step's scalars (A_o, gamma_max, sL, betas): A_o =
-        max_i sigma_max(A M_i) over that step's gains, gamma_max the largest
-        ||gamma_i||_2, sL = ||L_masked||_2 of the trust-masked Laplacian, and
-        betas every node's confidence, whose count is the node count N. The
-        engine takes each of A_o, gamma_max and sL in one stacked norm over
-        the run's distinct values; ||A||_2 is taken here, once.
-        """
-        sA = float(np.linalg.norm(np.asarray(self.A, float), 2))
-        factor = self.alpha / max(self.C_norms) + B
-        bound = [float(eta0)]
-        for A_o, gamma_max, sL, betas in records:
-            N = len(betas)
-            beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
-            backlog = sA * sL * gamma_max * np.sqrt(N)
-            deficit = (sA + A_o) * beta_bar * np.sqrt(N) * self.tau
-            bound.append(A_o * bound[-1] + (backlog * factor + deficit))
-        return bound[:len(records)]
+    sA = float(np.linalg.norm(np.asarray(A, float), 2))
+    factor = alpha / max(C_norms) + B
+    bound = [float(eta0)]
+    for A_o, gamma_max, sL, betas in records:
+        N = len(betas)
+        beta_bar = max(0.0, 1.0 - min(betas)) if betas else 0.0
+        backlog = sA * sL * gamma_max * np.sqrt(N)
+        deficit = (sA + A_o) * beta_bar * np.sqrt(N) * tau
+        bound.append(A_o * bound[-1] + (backlog * factor + deficit))
+    return bound[:len(records)]
 
 
 def trust_masked_laplacian(weights) -> np.ndarray:

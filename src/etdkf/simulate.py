@@ -30,19 +30,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .attacks import (CHANNEL_INJECTION, MEASUREMENT_INJECTION, NON_TRIGGERING,
-                      REPLAY, corrupt_channel, corrupt_measurement,
-                      craft_non_triggering, craft_replay)
+                      REPLAY, craft_non_triggering, craft_replay)
 from .detection import KnnWindowBank, detect, reference_factors, sliding_mean
 from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import (consensus_gain, innovation, innovation_covariance,
                         measurement_update, nominal_covariances, should_transmit,
-                        update_predictive, vector_norm)
+                        update_predictive, vector_norm, weighted_neighbor_estimate)
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
                      measure, model_groups, sensor_models, step_process)
-from .resilience import (BeliefState, BoundMonitor, assumption4_satisfied,
-                         divergence_statistic, trust_masked_laplacian,
-                         weighted_neighbor_estimate)
+from .resilience import (BeliefState, assumption4_satisfied, divergence_statistic,
+                         error_bounds, trust_masked_laplacian)
 
 NODE_BASE_COLUMNS = ["step", "node", "zeta", "innov_norm", "err_norm", "trace_p",
                      "phi", "flag", "beta", "chi", "eps_norm", "attack_norm",
@@ -282,7 +280,8 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     shadow run is its own twin.
 
     Beliefs enter the update law only in resilient mode, so only there does
-    a step build the belief weights and the neighbor average m; every other
+    a step build the belief weights and pass them, with the confidences, to
+    the law, which forms the neighbor average m_i from them; every other
     mode omits them and runs the nominal law.
 
     A step does only feedback work (divergences, beliefs, the update law)
@@ -298,7 +297,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     step builds them. The bound monitor runs there too: it reads the plant
     path, `xbar`, those weights, the `beta` column and the schedule's
     distinct entries, each spectral norm in one stacked call, and makes one
-    `BoundMonitor.bounds` call over one record per step.
+    `error_bounds` call over one record per step.
     """
     noise = NoiseSource(cfg.seed)
     proc = cfg.process
@@ -327,7 +326,6 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     E = len(slot_of)
     # Every copy's slots hold its own rows.
     slot_rows = np.concatenate([slot_node + c * N for c in range(copies)])
-    masks = stack(mask)
     # Node i and channel (i, j) in one [nodes; channels] vector.
     place = {(i, i): i - 1 for i in nodes} | {
         key: N + c for c, key in enumerate((i, j) for i in nodes for j in nbrs[i])}
@@ -393,7 +391,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # slice, whose reads are views.
     part = {p: slice(None) if len(groups) == 1 else
             np.concatenate([rows + c * N for c in range(copies)]) for p, rows in groups.items()}
-    group_mask = {p: masks[rows] for p, rows in part.items()}
+    group_mask = {p: stack(mask)[rows] for p, rows in part.items()}
     # Belief weights w_ij = sigma_ij * beta_j, built where the update law
     # reads them; the twin rows stay at one.
     weights, beta = np.ones((copies * N, D)), np.ones(copies * N)
@@ -418,17 +416,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
                           for p, rows in groups.items()}
         t = k * cfg.dt
-        y_clean = {p: measure(C[p], x, vp[k]) for p, vp in v_all.items()}
         # Every copy measures the same; only the first is attacked.
-        y = {p: np.concatenate([yp] * copies) if cfg.attacks else stack(yp)
-             for p, yp in y_clean.items()}
+        y = {p: stack(measure(C[p], x, vp[k])) for p, vp in v_all.items()}
         for idx, plan in enumerate(cfg.attacks):   # at most one plan per node
             if plan.kind == CHANNEL_INJECTION or not plan.active(k):
                 continue
             i = plan.node
             p, g = where[i]
             if plan.kind == MEASUREMENT_INJECTION:
-                y[p][g] = corrupt_measurement(y[p][g], plan.signal.evaluate(t, p))
+                y[p][g] = y[p][g] + plan.signal.evaluate(t, p)
             elif plan.kind == NON_TRIGGERING:
                 rng = noise.stream(STREAM_ATTACK, idx)
                 y[p][g], fell_back = craft_non_triggering(
@@ -453,7 +449,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         for i, j, d, e, plan in edge_plans:
             if zeta[j - 1] and plan.active(k):
                 fbar = plan.signal.evaluate(t, n)
-                stored[i - 1, d] = corrupt_channel(stored[i - 1, d], fbar)
+                stored[i - 1, d] = stored[i - 1, d] + fbar
                 edge_cols["attack_norm"][k, e] = float(np.linalg.norm(fbar))
         if replaying:
             last_tx_prior = np.where(zeta[:, None] == 1, x_prior, last_tx_prior)
@@ -486,12 +482,10 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
 
         # Measurement update barrier: one law; beliefs enter it only in
         # resilient mode, elsewhere every belief is one and it omits them.
-        law = ((weighted_neighbor_estimate(x_prior, stored, weights, masks), beta, weights)
-               if beliefs_in_update else None)
         for p, rows in part.items():
-            m_p, beta_p, w_p = (None,) * 3 if law is None else (a[rows] for a in law)
+            beta_p, w_p = (beta[rows], weights[rows]) if beliefs_in_update else (None, None)
             x_post[rows] = measurement_update(
-                x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], m_p, beta_p,
+                x_prior[rows], K_rows[p], gamma_rows[p], y[p], C_rows[p], beta_p,
                 stored[rows], w_p, x_pred[rows], group_mask[p])
         xbar[k], xhat[k], xpred[k], slots[k] = x_prior[:N], x_post[:N], x_pred[:N], stored[:N]
 
@@ -561,11 +555,10 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         # and nodes, from this pass's plant path: no filter reaches it.
         dx = np.diff(path, axis=0)[:, None]
         b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
-        monitor = BoundMonitor(A=A, C_norms=[float(np.linalg.norm(cfg.sensors[i].C, 2))
-                                             for i in first.tolist()],
-                               alpha=alpha, tau=cfg.resilient.tau)
-        step_cols["bound"][:] = monitor.bounds(realized[0], records,
-                                               float(np.percentile(b, 99.9)) if b.size else 0.0)
+        C_norms = [float(np.linalg.norm(cfg.sensors[i].C, 2)) for i in first.tolist()]
+        B = float(np.percentile(b, 99.9)) if b.size else 0.0
+        step_cols["bound"][:] = error_bounds(A, C_norms, alpha, cfg.resilient.tau, realized[0],
+                                             records, B)
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")

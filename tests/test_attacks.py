@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etdkf.attacks import (AttackPlan, AttackRecursion, SignalSpec,
-                           corrupt_channel, corrupt_measurement,
                            craft_non_triggering, craft_replay)
 from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, posterior_covariance, should_transmit
 from etdkf.graphs import Graph
-from etdkf.models import ProcessModel, SensorModel, channel_groups
+from etdkf.models import ProcessModel, SensorModel, channel_groups, measure
 from etdkf.scenario import get_preset
-from etdkf.simulate import covariance_schedule
+from etdkf.simulate import covariance_schedule, random_inputs, run_scenario
 from test_engine_digests import scenario as engine_scenario
 
 ORACLE = Path(__file__).parent / "data" / "recursion_oracle.npz"
@@ -41,11 +40,6 @@ def blk(M, i, j, n=2):
 
 
 class TestSignalInjection:
-    def test_zero_signal_noop(self):
-        y = np.array([1.0, -2.0])
-        assert np.array_equal(corrupt_measurement(y, np.zeros(2)), y)
-        assert np.array_equal(corrupt_channel(y, np.zeros(2)), y)
-
     def test_sinusoid_evaluation(self):
         sig = SignalSpec(kind="sinusoid", offset=2.0, amplitude=10.0, frequency=100.0)
         t = 3.0
@@ -53,10 +47,23 @@ class TestSignalInjection:
         assert np.allclose(sig.evaluate(t, 2), want, atol=1e-15)
 
     def test_constant_bias_additive_oracle(self):
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal(3)
-        f = rng.standard_normal(3)
-        assert np.allclose(corrupt_measurement(y, f), y + f, atol=0)
+        """The attacked node measures y^a = y + f from the onset on, y
+        recomputed from the plant path and the run's noise: its attack_norm
+        is ||y^a - y|| and its innovation norm ||y^a - C xbar||."""
+        f = np.random.default_rng(0).standard_normal(2)
+        cfg = dataclasses.replace(get_preset("fig6"), steps=40, attacks=[AttackPlan(
+            kind="measurement_injection", node=2, onset=15, signal=SignalSpec(value=f.tolist()))])
+        trace = run_scenario(cfg)
+        [p] = channel_groups(cfg.sensors)[0]
+        x_true, xbar = (np.stack([trace.series(f"{prefix}_{d}", 2) for d in range(cfg.process.n)],
+                                 -1) for prefix in ("x_true", "xbar"))
+        C = cfg.sensors[1].C
+        y = measure(C, x_true, random_inputs(cfg)[2][p][:, 1])
+        y_a = y + np.where(np.arange(cfg.steps)[:, None] >= 15, f, 0.0)
+        assert trace.series("attack_norm", 2).tolist() == [
+            float(np.linalg.norm(row)) for row in y_a - y]
+        assert trace.series("innov_norm", 2).tolist() == [
+            float(np.linalg.norm(y_k - C @ x_k)) for y_k, x_k in zip(y_a, xbar)]
 
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):

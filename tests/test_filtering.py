@@ -38,7 +38,7 @@ class TextbookKF:
 def isolated_update(x_prior, P_prior, y, C, R):
     """One measurement update of a node without neighbors: (x_post, P_post)."""
     K = kalman_gain(P_prior, C, R)
-    x_post = measurement_update(x_prior, K, 0.0, y, C, x_prior, 1.0, [], [], x_prior)
+    x_post = measurement_update(x_prior, K, 0.0, y, C, 1.0, [], [], x_prior)
     return x_post, posterior_covariance(P_prior, K, C, R)
 
 
@@ -193,7 +193,7 @@ class TestMeasurementUpdate:
         R = np.eye(2)
         K = kalman_gain(2 * np.eye(2), C, R)
         y = np.array([1.0, -2.0])
-        x_post = measurement_update(x_prior, K, 0.0, y, C, x_prior, 1.0, [], [], x_prior)
+        x_post = measurement_update(x_prior, K, 0.0, y, C, 1.0, [], [], x_prior)
         want = x_prior + K @ (y - C @ x_prior)
         assert np.array_equal(x_post, want)
 
@@ -201,8 +201,8 @@ class TestMeasurementUpdate:
         x_prior = np.array([1.0, 1.0])
         C = np.eye(2)
         shared = np.array([4.0, -4.0])
-        x_post = measurement_update(x_prior, np.zeros((2, 2)), 0.7, np.zeros(2), C, shared,
-                                    1.0, [shared, shared.copy()], [1.0, 1.0], shared)
+        x_post = measurement_update(x_prior, np.zeros((2, 2)), 0.7, np.zeros(2), C, 1.0,
+                                    [shared, shared.copy()], [1.0, 1.0], shared)
         assert np.array_equal(x_post, x_prior)
 
     def test_two_node_hand_case(self):
@@ -213,7 +213,7 @@ class TestMeasurementUpdate:
         y = np.array([3.0, 1.0])
         own = np.array([1.0, 0.0])
         other = np.array([2.0, 2.0])
-        x_post = measurement_update(x_prior, K, 0.25, y, C, own, 1.0, [other], [1.0], own)
+        x_post = measurement_update(x_prior, K, 0.25, y, C, 1.0, [other], [1.0], own)
         want = (np.array([1.0, 0.0])
                 + K @ (y - C @ np.array([1.0, 0.0]))
                 + 0.25 * (other - own))
@@ -224,7 +224,8 @@ class TestMeasurementUpdate:
     @given(st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
     def test_unit_beliefs_equal_nominal_formula(self, count, matrix_gamma, seed):
         # beta_i = 1 and every weight 1 give x_prior + K (y - C x_prior)
-        # + gamma sum_j (x_j - own), summed from zeros in neighbor order.
+        # + gamma sum_j (x_j - own), summed from zeros in neighbor order,
+        # whatever m_i the neighbor slots give.
         rng = np.random.default_rng(seed)
         n, p = 3, int(rng.integers(1, 4))
         gamma = rng.standard_normal((n, n)) if matrix_gamma else float(rng.uniform(0, 1))
@@ -234,9 +235,7 @@ class TestMeasurementUpdate:
         y = rng.standard_normal(p) * 10.0
         own = rng.standard_normal(n)
         preds = list(rng.standard_normal((count, n)) * 5.0)
-        m_i = rng.standard_normal(n) * 5.0
-        x_post = measurement_update(x_prior, K, gamma, y, C, m_i, 1.0, preds, [1.0] * count,
-                                    own)
+        x_post = measurement_update(x_prior, K, gamma, y, C, 1.0, preds, [1.0] * count, own)
         consensus = np.zeros(n)
         for xj in preds:
             consensus = consensus + (xj - own)
@@ -274,9 +273,9 @@ class TestConsensusGain:
         x_prior, K = np.zeros(2), np.zeros((2, 2))
         other = np.array([1.0, 2.0])
         own = np.zeros(2)
-        delta1 = measurement_update(x_prior, K, 0.05, np.zeros(2), np.eye(2), own, 1.0,
+        delta1 = measurement_update(x_prior, K, 0.05, np.zeros(2), np.eye(2), 1.0,
                                     [other], [1.0], own) - x_prior
-        delta2 = measurement_update(x_prior, K, 0.10, np.zeros(2), np.eye(2), own, 1.0,
+        delta2 = measurement_update(x_prior, K, 0.10, np.zeros(2), np.eye(2), 1.0,
                                     [other], [1.0], own) - x_prior
         assert np.allclose(delta2, 2.0 * delta1, atol=1e-15)
 

@@ -162,9 +162,9 @@ def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
     assert len(channel_groups(cfg.sensors)[0]) == 1   # one update call per step
     held, real = [], simulate.measurement_update
 
-    def spy(x_prior, K, gamma, y, C, m, beta, neighbor_preds, *args):
+    def spy(x_prior, K, gamma, y, C, beta, neighbor_preds, *args):
         held.append((x_prior.copy(), neighbor_preds.copy()))
-        return real(x_prior, K, gamma, y, C, m, beta, neighbor_preds, *args)
+        return real(x_prior, K, gamma, y, C, beta, neighbor_preds, *args)
 
     monkeypatch.setattr(simulate, "measurement_update", spy)
     trace = run_scenario(cfg)
@@ -176,8 +176,8 @@ def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
         for i in cfg.graph.nodes:
             nbrs = sorted(neighbors(cfg.graph, i))
             weights = [sigma[k, trace.edges.index((i, j))] * beta[k, j - 1] for j in nbrs]
-            m = resilience.weighted_neighbor_estimate(x_prior[i - 1],
-                                                      list(slots[i - 1, :len(nbrs)]), weights)
+            m = filtering.weighted_neighbor_estimate(x_prior[i - 1],
+                                                     list(slots[i - 1, :len(nbrs)]), weights)
             want[k, i - 1] = np.linalg.norm(m - x_true[k, i - 1])
     assert trace.column("eps_norm").tobytes() == want.tobytes()
     if mode in ("nominal", "pinned"):
@@ -252,14 +252,13 @@ def ring_of_one_model(n=32, steps=20):
 
 
 def spy_on_bound_records(monkeypatch):
-    """The record lists `BoundMonitor.bounds` is called with, and the
-    monitors it is called on."""
+    """The (C_norms, records) of every `error_bounds` call."""
     calls = []
 
-    def bounds(self, eta0, records, B, _real=resilience.BoundMonitor.bounds):
-        calls.append((self, records))
-        return _real(self, eta0, records, B)
-    monkeypatch.setattr(resilience.BoundMonitor, "bounds", bounds)
+    def bounds(A, C_norms, alpha, tau, eta0, records, B, _real=simulate.error_bounds):
+        calls.append((C_norms, records))
+        return _real(A, C_norms, alpha, tau, eta0, records, B)
+    monkeypatch.setattr(simulate, "error_bounds", bounds)
     return calls
 
 
@@ -302,8 +301,8 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     calls = spy_on_bound_records(monkeypatch)
     run_scenario(cfg)
     assert rows == {"kalman_gain": [(1,)] * distinct, "consensus_gain": [(distinct, 1)]}
-    [(monitor, records)] = calls
-    assert len(records) == cfg.steps and len(monitor.C_norms) == 1
+    [(C_norms, records)] = calls
+    assert len(records) == cfg.steps and len(C_norms) == 1
 
 
 @pytest.mark.bits

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -9,13 +10,12 @@ from hypothesis import strategies as st
 from etdkf import simulate
 from etdkf.attacks import AttackPlan, SignalSpec
 from etdkf.errors import ConfigurationError
-from etdkf.filtering import kalman_gain, measurement_update
+from etdkf.filtering import kalman_gain, measurement_update, weighted_neighbor_estimate
 from etdkf.graphs import Graph
 from etdkf.models import channel_groups
-from etdkf.resilience import (DISCOUNTING_MODES, BeliefState, BoundMonitor,
-                              DiscountedBelief, ResilientConfig, assumption4_satisfied,
-                              divergence_statistic, trust_masked_laplacian,
-                              weighted_neighbor_estimate)
+from etdkf.resilience import (DISCOUNTING_MODES, BeliefState, DiscountedBelief,
+                              ResilientConfig, assumption4_satisfied, divergence_statistic,
+                              error_bounds, trust_masked_laplacian)
 from etdkf.scenario import ScenarioConfig, get_preset
 from etdkf.simulate import run_scenario
 
@@ -290,8 +290,7 @@ class TestResilientUpdate:
 
         x_prior = np.array([0.4, 0.1])
         K = kalman_gain(np.eye(2), C, R)
-        m = weighted_neighbor_estimate(x_prior, others, [1.0, 1.0])
-        x_post = measurement_update(x_prior, K, 0.1, y, C, m, 1.0, others, [1.0, 1.0], own)
+        x_post = measurement_update(x_prior, K, 0.1, y, C, 1.0, others, [1.0, 1.0], own)
         nominal = (x_prior + K @ (y - C @ x_prior)
                    + 0.1 * (np.zeros(2) + (others[0] - own) + (others[1] - own)))
         assert np.array_equal(x_post, nominal)
@@ -299,25 +298,33 @@ class TestResilientUpdate:
     def test_zero_confidence_replaces_measurement(self):
         C = np.eye(2)
         x_prior, K = np.zeros(2), np.eye(2) * 0.5
-        m = np.array([4.0, 4.0])
-        x_post = measurement_update(x_prior, K, 0.0, np.array([100.0, 100.0]), C, m, 0.0,
-                                    [], [], x_prior)
+        # m_i = ([2, 6] + [6, 2]) / 2 = [4, 4], from the neighbor slots.
+        others, weights = [np.array([2.0, 6.0]), np.array([6.0, 2.0])], [1.0, 1.0]
+        m = weighted_neighbor_estimate(x_prior, others, weights)
+        assert m.tolist() == [4.0, 4.0]
+        x_post = measurement_update(x_prior, K, 0.0, np.array([100.0, 100.0]), C, 0.0,
+                                    others, weights, x_prior)
         want = x_prior + K @ (C @ m - C @ x_prior)
         assert np.allclose(x_post, want, atol=1e-15)
 
     @pytest.mark.bits
     def test_unit_confidence_ignores_an_overflowed_neighbor_estimate(self):
         """beta = 1 is the nominal update whatever m is: (1 - beta) C m is
-        never formed, so an overflowed m cannot make it 0 * inf = NaN."""
+        never formed, so an overflowed m cannot make it 0 * inf = NaN. Two
+        neighbor predictions of 1e308 overflow m's sum; equal to the node's
+        own prediction, they leave the consensus sum finite."""
         C, K = np.array([[5.0, 0.0], [0.0, 2.0]]), np.array([[0.1, 0.0], [0.02, 0.3]])
         x_prior, y = np.array([0.4, 0.1]), np.array([2.3, -0.7])
-        own, others = np.array([0.3, 0.2]), [np.array([0.5, 0.3]), np.array([0.2, -0.2])]
+        own, others = np.array([1e308, 0.2]), [np.array([1e308, 0.3]), np.array([1e308, -0.2])]
         nominal = (x_prior + K @ (y - C @ x_prior)
                    + 0.1 * (np.zeros(2) + (others[0] - own) + (others[1] - own)))
+        assert np.isfinite(nominal).all()
+        with np.errstate(over="ignore", invalid="ignore"):   # m is [inf, 0.05], C m [inf, nan]
+            m = weighted_neighbor_estimate(x_prior, others, [1.0, 1.0])
+            assert m[0] == np.inf and np.isnan(C @ m).any()
         for beta, weights in ((1.0, [1.0, 1.0]), (None, None)):
-            with np.errstate(invalid="ignore"):   # C m is [inf, nan]
-                x_post = measurement_update(x_prior, K, 0.1, y, C, np.array([np.inf, 0.0]),
-                                            beta, others, weights, own)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_post = measurement_update(x_prior, K, 0.1, y, C, beta, others, weights, own)
             assert np.array_equal(x_post, nominal)
 
     @pytest.mark.bits
@@ -327,8 +334,8 @@ class TestResilientUpdate:
     def test_omitted_beliefs_equal_unit_arrays(self, seed, N, D, shape, matrix_gamma):
         """With beta and weights omitted the law is the nominal formula, and
         bit for bit the call with unit beta and weights, over a stack with
-        masked slots, an m whose C m is finite or not, and -0.0 and +-inf
-        among the inputs."""
+        masked slots, neighbor slots whose m_i (and C m_i) is finite or not,
+        and -0.0 and +-inf among the inputs."""
         rng = np.random.default_rng(seed)
         n, p = shape
         x_prior, own = rng.standard_normal((2, N, n))
@@ -337,14 +344,14 @@ class TestResilientUpdate:
         C, K = rng.standard_normal((N, p, n)), rng.standard_normal((N, n, p))
         preds = rng.standard_normal((N, D, n)) * 5.0
         preds[rng.random((N, D, n)) < 0.05] = np.inf
+        # Some of m_i's entries non-finite, or overflowed from 1e308 slots.
+        hit = rng.random((N, n)) < 0.3
+        preds.transpose(0, 2, 1)[hit] = rng.choice([np.inf, -np.inf, np.nan, 1e308])
         mask = rng.random((N, D)) < 0.7
         gamma = rng.standard_normal((N, n, n)) if matrix_gamma else float(rng.uniform(0, 1))
-        m = rng.standard_normal((N, n))
-        m[rng.random((N, n)) < 0.3] = rng.choice([np.inf, -np.inf, np.nan, 1e308])
         with np.errstate(all="ignore"):
-            omitted = measurement_update(x_prior, K, gamma, y, C, None, None, preds, None, own,
-                                         mask)
-            unit = measurement_update(x_prior, K, gamma, y, C, m, np.ones(N), preds,
+            omitted = measurement_update(x_prior, K, gamma, y, C, None, preds, None, own, mask)
+            unit = measurement_update(x_prior, K, gamma, y, C, np.ones(N), preds,
                                       np.ones((N, D)), own, mask)
             assert omitted.tobytes() == unit.tobytes()
             for b in range(N):
@@ -355,11 +362,53 @@ class TestResilientUpdate:
                 want = x_prior[b] + K[b] @ (y[b] - C[b] @ x_prior[b]) + coupling
                 assert np.array_equal(omitted[b], want, equal_nan=True)
 
+    @pytest.mark.bits
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(0, 4),
+           st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2)]), st.booleans())
+    def test_law_with_beliefs_equals_the_closed_form_per_row(self, seed, N, D, shape,
+                                                             matrix_gamma):
+        """The law forms m_i itself: a stacked call with beliefs equals, byte
+        for byte, y_i blended as beta y + (1 - beta) C m_i (y itself where
+        beta is exactly 1) with m_i = `weighted_neighbor_estimate` of the
+        row's own slots, weights and mask, plus the weighted consensus sum
+        taken slot by slot. Rows have masked slots or no neighbor at all,
+        beta exactly 1 or inside (0, 1), and +-inf, -0.0 and 1e308 among the
+        predictions and priors."""
+        rng = np.random.default_rng(seed)
+        n, p = shape
+
+        def values(shape, scale):
+            a = rng.standard_normal(shape) * scale
+            hit = rng.random(shape) < 0.1
+            a[hit] = rng.choice([np.inf, -np.inf, -0.0, 1e308], hit.sum())
+            return a
+
+        x_prior, own, preds = values((N, n), 1.0), values((N, n), 1.0), values((N, D, n), 5.0)
+        y = rng.standard_normal((N, p)) * 5.0
+        C, K = rng.standard_normal((N, p, n)), rng.standard_normal((N, n, p))
+        mask = rng.random((N, D)) < 0.7
+        mask[rng.random(N) < 0.3] = False
+        weights = np.where(rng.random((N, D)) < 0.2, 1.0, rng.uniform(0.0, 1.0, (N, D)))
+        beta = np.where(rng.random(N) < 0.4, 1.0, rng.uniform(0.01, 0.99, N))
+        gamma = rng.standard_normal((N, n, n)) if matrix_gamma else float(rng.uniform(0, 1))
+        with np.errstate(all="ignore"):   # inf - inf, 0 * inf and overflow
+            got = measurement_update(x_prior, K, gamma, y, C, beta, preds, weights, own, mask)
+            for b in range(N):
+                m = weighted_neighbor_estimate(x_prior[b], preds[b], weights[b], mask[b])
+                y_b = y[b] if beta[b] == 1.0 else beta[b] * y[b] + (1.0 - beta[b]) * (C[b] @ m)
+                consensus = np.zeros(n)
+                for d in np.flatnonzero(mask[b]).tolist():
+                    consensus = consensus + weights[b, d] * (preds[b, d] - own[b])
+                coupling = gamma[b] @ consensus if matrix_gamma else gamma * consensus
+                want = x_prior[b] + K[b] @ (y_b - C[b] @ x_prior[b]) + coupling
+                assert got[b].tobytes() == want.tobytes(), b
+
     def test_weights_scale_consensus_terms(self):
         own = np.array([1.0, 1.0])
         others = [np.array([3.0, 1.0]), np.array([1.0, 5.0])]
         x_post = measurement_update(np.zeros(2), np.zeros((2, 2)), 0.5, np.zeros(2), np.eye(2),
-                                    own, 1.0, others, [0.5, 0.25], own)
+                                    1.0, others, [0.5, 0.25], own)
         assert np.array_equal(x_post, 0.5 * np.array([0.5 * 2.0, 0.25 * 4.0]))
 
 
@@ -398,38 +447,36 @@ class TestBeliefTiming:
 class TestBoundMonitor:
     def test_no_deficit_reduces_to_trigger_term(self):
         A = np.eye(2) * 0.5
-        mon = BoundMonitor(A=A, C_norms=[5.0, 5.0], alpha=1.8, tau=10.0)
+        bounds = functools.partial(error_bounds, A, [5.0, 5.0], 1.8, 10.0)
         sA, sL, N = 0.5, 2.0, 2
         # A_o = ||0.5 * 0.2 I||_2 < 1, and ||[[1, -1], [-1, 1]]||_2 = 2
         records = [(0.1, 0.1, sL, [1.0, 1.0])] * 2
         want = sA * sL * 0.1 * np.sqrt(N) * (1.8 / 5.0 + 2.0)
-        assert mon.bounds(0.0, records, B=2.0) == [0.0, pytest.approx(want, abs=1e-12)]
+        assert bounds(0.0, records, B=2.0) == [0.0, pytest.approx(want, abs=1e-12)]
         # bound(1) - B_o = A_o * bound(0)
-        A_o = mon.bounds(1.0, records, B=2.0)[1] - mon.bounds(0.0, records, B=2.0)[1]
+        A_o = bounds(1.0, records, B=2.0)[1] - bounds(0.0, records, B=2.0)[1]
         assert A_o == pytest.approx(0.1, abs=1e-12)
 
     def test_contractive_bound_converges_to_asymptote(self):
         A = np.eye(2) * 0.5
-        mon = BoundMonitor(A=A, C_norms=[5.0], alpha=1.8, tau=10.0)
+        bounds = functools.partial(error_bounds, A, [5.0], 1.8, 10.0)
         records = [(0.2, 0.05, 0.0, [0.9])] * 200
         # geometric series limit: bound -> B_o / (1 - A_o), A_o = 0.2
-        B_o = mon.bounds(0.0, records[:2], B=2.0)[1]
-        assert mon.bounds(50.0, records, B=2.0)[-1] == pytest.approx(B_o / (1.0 - 0.2), rel=1e-6)
+        B_o = bounds(0.0, records[:2], B=2.0)[1]
+        assert bounds(50.0, records, B=2.0)[-1] == pytest.approx(B_o / (1.0 - 0.2), rel=1e-6)
 
     def test_non_contractive_flagged(self):
         A = np.eye(2) * 3.0
-        mon = BoundMonitor(A=A, C_norms=[1.0], alpha=1.0, tau=1.0)
+        bounds = functools.partial(error_bounds, A, [1.0], 1.0, 1.0)
         record = (3.0, 0.0, 0.0, [1.0])
-        assert mon.bounds(1.0, [record], B=1.0) == [1.0]
-        assert mon.bounds(1.0, [record] * 3, B=1.0) == [1.0, pytest.approx(3.0),
-                                                         pytest.approx(9.0)]
+        assert bounds(1.0, [record], B=1.0) == [1.0]
+        assert bounds(1.0, [record] * 3, B=1.0) == [1.0, pytest.approx(3.0), pytest.approx(9.0)]
 
     def test_records_are_read_as_per_step_scalars(self, monkeypatch):
-        """`bounds` takes one norm, ||A||_2, however many records; each
-        record's A_o, gamma_max and ||L_masked||_2 enter as given, and the
-        node count is its number of confidences."""
+        """`error_bounds` takes one norm, ||A||_2, however many records;
+        each record's A_o, gamma_max and ||L_masked||_2 enter as given, and
+        the node count is its number of confidences."""
         A = np.array([[0.9, 0.2], [0.0, 0.7]])
-        mon = BoundMonitor(A=A, C_norms=[1.0, 2.0], alpha=1.0, tau=3.0)
         records = [(0.4, 0.1, 1.5, [0.8, 1.0, 0.6]), (1.2, 0.0, 0.0, [1.0]),
                    (0.7, 0.3, 2.5, [0.5, 0.5])]
         taken, real = [], np.linalg.norm
@@ -438,7 +485,7 @@ class TestBoundMonitor:
             taken.append(a)
             return real(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, "norm", norm)
-        got = mon.bounds(2.0, records, B=0.5)
+        got = error_bounds(A, [1.0, 2.0], 1.0, 3.0, 2.0, records, B=0.5)
         assert len(taken) == 1 and taken[0] is A
         sA, want = real(A, 2), [2.0]
         for A_o, gamma_max, sL, betas in records[:-1]:
@@ -451,7 +498,8 @@ class TestBoundMonitor:
 
 class StepByStepMonitor:
     """The bound recursion advanced at every step, the way the monitor ran
-    before `bounds` moved it after the run: the oracle of the split API."""
+    before `error_bounds` moved it after the run: the oracle of the split
+    API."""
 
     def __init__(self, A, C_norms, alpha, B, tau, eta0_norm):
         self.A, self.C_norms, self.alpha, self.B, self.tau = A, C_norms, alpha, B, tau
@@ -476,7 +524,7 @@ class StepByStepMonitor:
 @pytest.mark.parametrize("scale", [0.3, 3.0], ids=["contractive", "non-contractive"])
 @pytest.mark.parametrize("N, n", [(1, 1), (4, 2)])
 def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
-    """`bounds` over the run's per-step scalars gives the bytes of the
+    """`error_bounds` over the run's per-step scalars gives the bytes of the
     recursion advanced at every step: with A_o < 1 and A_o >= 1, over 0 and
     1 steps, and with steps repeating the previous step's gains or Laplacian
     as the engine's schedule tail and steady trust weights repeat them. The
@@ -491,7 +539,6 @@ def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
     C_norms = rng.uniform(0.5, 5.0, 2).tolist()
     alpha, B, tau = rng.uniform(0.5, 5.0, 3).tolist()
     eta0 = float(rng.uniform(0.0, 10.0))
-    mon = BoundMonitor(A=A, C_norms=C_norms, alpha=alpha, tau=tau)
     oracle = StepByStepMonitor(A, C_norms, alpha, B, tau, eta0)
     shared = np.stack([rng.uniform(0.5, 1.0) * orthogonal() for _ in range(N)])
     Ms, Ls, at, want = [], [], [], []       # distinct gains and Laplacians, each step's
@@ -508,7 +555,8 @@ def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
     A_o = [max(row) for row in np.linalg.norm(A @ np.array(Ms).reshape(-1, N, n, n), 2,
                                               axis=(-2, -1)).tolist()]
     sL = np.linalg.norm(np.array(Ls).reshape(-1, N, N), 2, axis=(-2, -1)).tolist()
-    got = mon.bounds(eta0, [(A_o[m], g, sL[l], betas) for m, l, g, betas in at], B)
+    got = error_bounds(A, C_norms, alpha, tau, eta0,
+                       [(A_o[m], g, sL[l], betas) for m, l, g, betas in at], B)
     assert len(got) == steps
     assert np.array(got, float).tobytes() == np.array(want, float).tobytes()
     assert all((a >= 1.0) == (scale > 1.0) for a in A_o)

@@ -1154,6 +1154,18 @@ class TestWarnings:
         cfg.attacks[0].sampler = False
         assert not any("sampler" in w for w in run_scenario(cfg).warnings)
 
+    @pytest.mark.parametrize("mode", ["nominal", "monitored", "resilient"])
+    def test_sampler_falls_back_once_the_predicted_output_overflows(self, mode):
+        # A 1e300 injection into the attacked node's channel from node 1
+        # overflows ||C x_pred||: the sampler's interval is then too wide for
+        # a uniform draw, so every sampler step takes the direct construction.
+        cfg = preset_fig5(sampler=True)
+        cfg.filter_mode, cfg.steps = mode, 120
+        cfg.attacks.append(AttackPlan(kind="channel_injection", edge=(1, 2), onset=50,
+                                      signal=SignalSpec(value=1e300)))
+        lines = [w for w in run_scenario(cfg).warnings if "sampler" in w]
+        assert lines == ["non-triggering sampler fell back on 20 of 20 steps"]
+
     def test_onset_beyond_run_warns(self):
         cfg = tiny_config(attacks=[{"kind": "measurement_injection", "node": 2,
                                     "onset": 999,

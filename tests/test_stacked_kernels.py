@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from etdkf.filtering import (consensus_gain, innovation, innovation_covariance,
                              kalman_gain, measurement_update, posterior_covariance,
                              prior_covariance, should_transmit, slot_sum, sym,
-                             update_predictive, vector_norm)
+                             update_predictive, vector_norm, weighted_neighbor_estimate)
 from etdkf.models import measure
-from etdkf.resilience import BoundMonitor, weighted_neighbor_estimate
+from etdkf.resilience import error_bounds
 
 pytestmark = pytest.mark.bits
 
@@ -120,14 +120,14 @@ def neighbor_loop(x_prior, K, gamma, y, C, beta, preds, weights, own):
 def test_padded_neighbor_kernels_equal_per_node(net):
     K = kalman_gain(net.P, net.C, net.R)
     m = weighted_neighbor_estimate(net.x_prior, net.preds, net.weights, net.mask)
-    x_post = measurement_update(net.x_prior, K, net.gamma, net.y, net.C, m, net.beta,
+    x_post = measurement_update(net.x_prior, K, net.gamma, net.y, net.C, net.beta,
                                 net.preds, net.weights, net.x_pred, net.mask)
     for b in range(net.N):
         preds, weights = net.neighbors_of(b)
         m_b = weighted_neighbor_estimate(net.x_prior[b], preds, weights)
         assert np.array_equal(m[b], m_b)
         assert np.array_equal(x_post[b], measurement_update(
-            net.x_prior[b], K[b], net.gamma_of(b), net.y[b], net.C[b], m_b, net.beta[b],
+            net.x_prior[b], K[b], net.gamma_of(b), net.y[b], net.C[b], net.beta[b],
             preds, weights, net.x_pred[b]))
         m_loop, x_loop = neighbor_loop(net.x_prior[b], K[b], net.gamma_of(b), net.y[b],
                                        net.C[b], net.beta[b], preds, weights, net.x_pred[b])
@@ -199,14 +199,13 @@ def test_consensus_gain_and_monitor_equal_per_node(net):
     # one stacked norm over entries and Python's max in row order, equals
     # the per-node maximum; with gamma_max = 0 and beta = 1, bound(1) =
     # A_o * bound(0) = A_o.
-    mon = BoundMonitor(A=net.A, C_norms=[1.0] * net.N, alpha=1.0, tau=1.0)
     per_node = np.concatenate([M, M[::-1]])
     A_o = [max(row) for row in np.linalg.norm(net.A @ np.stack([per_node, per_node[::-1]]), 2,
                                               axis=(-2, -1)).tolist()]
     A_o.append(max(np.linalg.norm(net.A @ M, 2, axis=(-2, -1)).tolist()))
     assert A_o == [max(float(np.linalg.norm(net.A @ Mb, 2)) for Mb in per_node)] * 3
     sL = float(np.linalg.norm(L, 2))
-    got = [mon.bounds(1.0, [(a, g, sL, betas)] * 2, B=1.0)
+    got = [error_bounds(net.A, [1.0] * net.N, 1.0, 1.0, 1.0, [(a, g, sL, betas)] * 2, B=1.0)
            for a in A_o[1:] for g, betas in ((0.1, net.beta.tolist()), (0.0, [1.0] * net.N))]
     assert np.array(got[:2]).tobytes() == np.array(got[2:]).tobytes()
     assert got[1][1] == A_o[0]
