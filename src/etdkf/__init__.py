@@ -15,7 +15,7 @@ from .graphs import (Graph, connected_components, find_minimal_potential_sets,
 from .models import (NoiseSource, ProcessModel, SensorModel,
                      is_collectively_observable, measure, observability_rank,
                      step_process)
-from .resilience import BeliefState, ResilientConfig, error_bounds
+from .resilience import ResilientConfig, discount, error_bounds
 from .scenario import ScenarioConfig, get_preset, list_presets
 from .simulate import (MetricsReport, SimTrace, compute_metrics, export_csv,
                        load_trace_csv, run_scenario, write_run_dir)

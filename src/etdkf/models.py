@@ -21,6 +21,14 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return a
 
 
+def _checked(errors: list, check, *args):
+    """check's result, or None with its violation appended to errors."""
+    try:
+        return check(*args)
+    except ConfigurationError as exc:
+        errors.append(str(exc))
+
+
 def _check_symmetric_psd(m: np.ndarray, name: str, strict: bool = False) -> None:
     if m.shape[0] != m.shape[1]:
         raise ConfigurationError(f"{name} must be square, got shape {m.shape}")
@@ -46,28 +54,21 @@ class ProcessModel:
     def __post_init__(self):
         errors = []
 
-        def checked(check, *args):   # check's result, or None with its violation listed
-            try:
-                return check(*args)
-            except ConfigurationError as exc:
-                errors.append(str(exc))
-                return None
-
         def square(m, name):   # an n x n matrix, symmetric PSD unless its shape failed
-            m = checked(_as_matrix, m, name)
+            m = _checked(errors, _as_matrix, m, name)
             if m is not None and n is not None and m.shape != (n, n):
                 errors.append(f"{name} shape {m.shape} incompatible with n={n}")
             elif m is not None:
-                checked(_check_symmetric_psd, m, name)
+                _checked(errors, _check_symmetric_psd, m, name)
             return m
 
-        self.A = checked(_as_matrix, self.A, "A")
+        self.A = _checked(errors, _as_matrix, self.A, "A")
         n = None if self.A is None else self.A.shape[0]
         if n is not None and self.A.shape != (n, n):
             errors.append(f"A must be square, got {self.A.shape}")
             n = None
         self.Q = square(self.Q, "Q")
-        x0 = checked(_as_matrix, np.reshape(self.x0_mean, (1, -1)), "x0_mean")
+        x0 = _checked(errors, _as_matrix, np.reshape(self.x0_mean, (1, -1)), "x0_mean")
         self.x0_mean = None if x0 is None else x0[0]
         if x0 is not None and n is not None and self.x0_mean.shape != (n,):
             errors.append(f"x0_mean length {self.x0_mean.shape[0]} != n={n}")
@@ -90,12 +91,17 @@ class SensorModel:
     R: np.ndarray
 
     def __post_init__(self):
-        self.C = _as_matrix(self.C, "C")
-        self.R = _as_matrix(self.R, "R")
-        p = self.C.shape[0]
-        if self.R.shape != (p, p):
-            raise ConfigurationError(f"R shape {self.R.shape} incompatible with p={p}")
-        _check_symmetric_psd(self.R, "R", strict=True)
+        errors = []
+        self.C = _checked(errors, _as_matrix, self.C, "C")
+        self.R = R = _checked(errors, _as_matrix, self.R, "R")
+        if R is not None and self.C is not None and R.shape != (self.p, self.p):
+            errors.append(f"R shape {R.shape} incompatible with p={self.p}")
+        # A square R must be positive definite, whatever p; without a valid
+        # C to give p, a non-square R is listed as such.
+        if R is not None and (R.shape[0] == R.shape[1] or self.C is None):
+            _checked(errors, _check_symmetric_psd, R, "R", True)
+        if errors:
+            raise ValidationError(errors)
         # Lower Cholesky factor of R: every noise draw reuses it.
         self.R_factor = np.linalg.cholesky(self.R)
 

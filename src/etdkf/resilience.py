@@ -15,9 +15,11 @@ Divergence inputs are floored at zero before the chi/theta map so beliefs stay
 in (0,1] even when the k-NN estimator goes slightly negative; raw estimates
 are reported unclipped by the detection layer.
 
-`BeliefState` is one vector over [nodes; edges]: a step is one
-`divergence_statistic` call and one `DiscountedBelief` update, with each
-entry's scale (upsilon1 or lambda1) and discount (kappa1 or kappa2).
+The module holds the config and pure functions only: `divergence_statistic`
+and `discount` are elementwise, so the engine advances every confidence and
+trust as one vector over [nodes; channels], with each entry's scale
+(upsilon1 or lambda1) and discount (kappa1 or kappa2), and keeps the
+discounted sums itself.
 
 The error bound is taken after a run, over one record of scalars per step:
 the norms of what the run held (its gains, consensus gain and trust-masked
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .graphs import neighbors
 
 DISCOUNTING_MODES = ("normalized", "unnormalized")
 _SMALLEST, _LARGEST = np.finfo(float).smallest_subnormal, np.finfo(float).max
@@ -70,62 +73,24 @@ def divergence_statistic(divergence, scale):
     return np.maximum(scale / (scale + d), _SMALLEST)[()]
 
 
-@dataclass
-class DiscountedBelief:
-    """A recursively-updated discounted belief value, or an array of them
-    (one per node or edge, with one `kappa` or one each) advanced elementwise."""
-
-    kappa: float
-    mode: str = "normalized"
-    value: float = 1.0
-    _num: float = 0.0
-    _den: float = 0.0
-
-    def update(self, stat):
-        k = self.kappa
-        self._num = k * (self._num + k * stat)
-        if self.mode == "normalized":
-            self._den = k * (self._den + k)
-            # den is 0 exactly where kappa^2 underflows, and num with it: the
-            # newest statistic then carries all the weight.
-            value = np.empty_like(self._num)
-            value[...] = stat
-            np.divide(self._num, self._den, out=value, where=self._den != 0)
-        else:
-            value = self._num
-        # A tiny kappa and statistic underflow the sum to 0; the smallest
-        # positive float keeps the value in (0, 1] without moving any other.
-        self.value = np.maximum(value, _SMALLEST)[()]
-        return self.value
-
-
-class BeliefState:
-    """Confidence of every node and trust of every incoming edge as one
-    vector over [nodes; edges], in the order of `nodes` and
-    `incoming_edges`: `stat` holds chi then theta, and `belief.value` beta
-    then sigma, each as long as the last step's input."""
-
-    def __init__(self, nodes, incoming_edges, config: ResilientConfig):
-        sizes = [len(nodes), len(incoming_edges)]
-        self.scale = np.repeat([config.upsilon1, config.lambda1], sizes)
-        self.kappa = np.repeat([config.kappa1, config.kappa2], sizes)
-        self.stat = np.ones(0)
-        self.belief = DiscountedBelief(self.kappa[:0], config.discounting, *np.empty((3, 0)))
-
-    def step(self, divergence) -> None:
-        """Advance the first entries with their divergences, NaN where there
-        is none yet: (N,) the nodes alone, (N + E,) every entry, as the engine
-        does once the edge windows are full. An entry joins at its first
-        step, from its initial state (belief 1, empty discounted sums), and
-        advances at every step after: the input never shrinks."""
-        d = np.asarray(divergence, float)
-        b, grow = self.belief, len(d) - len(self.belief.value)
-        if grow:
-            self.belief = b = DiscountedBelief(self.kappa[:len(d)], b.mode, *(
-                np.concatenate([a, np.full(grow, fill)])
-                for a, fill in ((b.value, 1.0), (b._num, 0.0), (b._den, 0.0))))
-        self.stat = divergence_statistic(d, self.scale[:len(d)])
-        b.update(self.stat)
+def discount(num, den, stat, kappa, mode: str = "normalized"):
+    """One step of the discounted sums behind a confidence or trust value,
+    num <- kappa (num + kappa stat) and den <- kappa (den + kappa), both 0
+    before the first step; returns (num, den, belief), the belief num / den
+    normalized or num alone unnormalized. Elementwise over arrays, with one
+    `kappa` or one per entry; a scalar gives a scalar."""
+    num, den = kappa * (num + kappa * stat), kappa * (den + kappa)
+    if mode == "normalized":
+        # den is 0 exactly where kappa^2 underflows, and num with it: the
+        # newest statistic then carries all the weight.
+        belief = np.empty_like(num)
+        belief[...] = stat
+        np.divide(num, den, out=belief, where=den != 0)
+    else:
+        belief = num
+    # A tiny kappa and statistic underflow the sum to 0; the smallest
+    # positive float keeps the belief in (0, 1] without moving any other.
+    return num, den, np.maximum(belief, _SMALLEST)[()]
 
 
 def error_bounds(A, C_norms, alpha: float, tau: float, eta0: float, records, B: float) -> list:
@@ -184,10 +149,9 @@ def assumption4_satisfied(graph, compromised) -> dict:
     neighbors there are at least q+1 intact ones); the literal real-valued
     |N_i|/2 + 1 would be unsatisfiable for degree-1 nodes even without attacks.
     """
-    from .graphs import neighbors as nbrs
     out = {}
     for i in graph.nodes:
-        ns = nbrs(graph, i)
+        ns = neighbors(graph, i)
         intact = sum(1 for j in ns if j not in compromised)
         out[i] = intact >= len(ns) // 2 + 1 if ns else True
     return out

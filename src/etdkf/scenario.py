@@ -93,8 +93,14 @@ class ScenarioConfig:
                 # B is calibrated from ||x(k+1) - x(k) + v(k+1)||, an n-vector plus a p-vector.
                 errors.append(f"sensor {idx}: the bound monitor needs 1 or {n} channels, "
                               f"the sensor has {s.p}")
+        last_t = 0.0   # the time of the run's last step, where the step length is valid
         if self.steps_per_second <= 0:
             errors.append(f"steps_per_second must be positive, got {self.steps_per_second}")
+        elif math.isinf(self.dt):
+            errors.append(f"steps_per_second={self.steps_per_second} is too small: "
+                          f"its step length 1/steps_per_second overflows")
+        else:
+            last_t = max(self.steps - 1, 0) * self.dt
 
         if not errors:
             if len(connected_components(self.graph)) != 1:
@@ -124,13 +130,19 @@ class ScenarioConfig:
                 key = ("node", plan.node)
                 if plan.kind == "non_triggering" and not plan.phi < self.trigger.alpha:
                     errors.append(f"{label}: phi={plan.phi} must be < alpha={self.trigger.alpha}")
-            # The engine's own signal evaluation, so `run` cannot fail on it later.
+            # The engine's own signal evaluation, so `run` cannot fail on it
+            # later, at the last step: a sinusoid's phase grows with t, and
+            # once it overflows the signal is NaN.
             if dim is not None:
                 try:
                     if plan.kind == "replay":
                         plan.upsilon_vector(dim)
                     elif plan.kind != "non_triggering":
-                        plan.signal.evaluate(0.0, dim)
+                        with np.errstate(invalid="ignore"):
+                            value = plan.signal.evaluate(last_t, dim)
+                        if not np.isfinite(value).all():
+                            errors.append(f"{label}: signal is not finite at the run's "
+                                          f"last step, t={last_t:g}")
                 except (TypeError, ValueError, OverflowError) as exc:
                     errors.append(f"{label}: {exc}")
             if key in targeted:

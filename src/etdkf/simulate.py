@@ -39,7 +39,7 @@ from .filtering import (consensus_gain, innovation, innovation_covariance,
 from .graphs import adjacency_csv, connected_components, laplacian, neighbors
 from .models import (STREAM_ATTACK, STREAM_REFERENCE, NoiseSource, channel_groups,
                      measure, model_groups, sensor_models, step_process)
-from .resilience import (BeliefState, assumption4_satisfied, divergence_statistic,
+from .resilience import (assumption4_satisfied, discount, divergence_statistic,
                          error_bounds, trust_masked_laplacian)
 
 NODE_BASE_COLUMNS = ["step", "node", "zeta", "innov_norm", "err_norm", "trace_p",
@@ -279,13 +279,18 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     beliefs, the monitor and the trace read the first copy only. Any other
     shadow run is its own twin.
 
-    Beliefs enter the update law only in resilient mode, so only there does
+    Confidence and trust are tracked in monitored and resilient mode alike:
+    one `discount` call a step advances the discounted sums `num` and `den`
+    over [nodes; channels], held for the whole run, at the nodes until the
+    windows fill and then at the nodes and the channels with a window. The
+    beliefs enter the update law only in resilient mode, so only there does
     a step build the belief weights and pass them, with the confidences, to
     the law, which forms the neighbor average m_i from them; every other
     mode omits them and runs the nominal law.
 
-    A step does only feedback work (divergences, beliefs, the update law)
-    and writes row k of whole-run records; the trace's columns are filled
+    A step does only feedback work (divergences; beliefs, advanced in both
+    tracked modes and fed back in resilient mode only; the update law) and
+    writes row k of whole-run records; the trace's columns are filled
     from them after the loop: `zeta`, `beta`, `sigma`, the norms and the
     states; `phi` and `psi` by one `sliding_mean`, and `chi` and `theta` by
     one `divergence_statistic` call (1 where beliefs are not tracked), over
@@ -376,10 +381,15 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             fixed_L = None if synthetic else {p: reference_factors(np.stack(
                 [np.atleast_2d(np.cov(np.ascontiguousarray(r[:, g]).T))
                  for g in range(r.shape[1])]) if len(r) > 2 else R[p]) for p, r in twin[1].items()}
-    edge_keys = [(i, j) for i in nodes for j in nbrs[i] if where[j][0] == where[i][0]]
-    windowed = np.array([place[e] - N for e in edge_keys], dtype=int)   # channels with a window
-    beliefs = BeliefState(nodes, edge_keys, cfg.resilient)
-    filled = np.concatenate([np.arange(N), N + windowed])   # its entries in [nodes; channels]
+    # The entries a full step advances: the nodes and the channels with a window.
+    filled = np.array([*range(N), *(place[i, j] for i in nodes for j in nbrs[i]
+                                    if where[j][0] == where[i][0])], dtype=int)
+    # Over [nodes; channels]: each entry's divergence scale and discount,
+    # and its discounted sums, 0 until it advances.
+    res = cfg.resilient
+    scale, kappa = (np.repeat(pair, [N, E]) for pair in ((res.upsilon1, res.lambda1),
+                                                          (res.kappa1, res.kappa2)))
+    num, den = np.zeros((2, N + E))
 
     trace = SimTrace(config=cfg)
     cols, edge_cols, step_cols = trace.node_cols, trace.edge_cols, trace.step_cols
@@ -474,8 +484,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
                 d_hat[k, at] = bank.estimates(fresh)
         if track_beliefs:   # a channel without a window keeps trust 1
             at = filled if full else slice(N)   # the nodes until the windows fill
-            beliefs.step(d_hat[k, at])
-            values[k, at] = beliefs.belief.value
+            num[at], den[at], values[k, at] = discount(
+                num[at], den[at], divergence_statistic(d_hat[k, at], scale[at]), kappa[at],
+                res.discounting)
             if beliefs_in_update:
                 beta[:N] = values[k, :N]
                 weights[:N][mask] = values[k, N:] * beta[slot_to]
@@ -500,8 +511,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     # Each entry's mean of its last T divergences once its window fills, and
     # the statistic its beliefs took (1, as the beliefs, where not tracked).
     phi = sliding_mean(d_hat, det.average, det.window - 1)
-    stats = divergence_statistic(d_hat, np.repeat(
-        [cfg.resilient.upsilon1, cfg.resilient.lambda1], [N, E])) if track_beliefs else values
+    stats = divergence_statistic(d_hat, scale) if track_beliefs else values
     for name, edge_name, a in (("phi", "psi", phi), ("beta", "sigma", values),
                                ("chi", "theta", stats)):
         cols[name][:], edge_cols[edge_name][:] = a[:, :N], a[:, N:]
@@ -557,8 +567,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         b = np.concatenate([vector_norm(dx + vp[1:]).ravel() for vp in v_all.values()])
         C_norms = [float(np.linalg.norm(cfg.sensors[i].C, 2)) for i in first.tolist()]
         B = float(np.percentile(b, 99.9)) if b.size else 0.0
-        step_cols["bound"][:] = error_bounds(A, C_norms, alpha, cfg.resilient.tau, realized[0],
-                                             records, B)
+        step_cols["bound"][:] = error_bounds(A, C_norms, alpha, res.tau, realized[0], records, B)
     if sampler_fallbacks:
         trace.warnings.append(f"non-triggering sampler fell back on {sampler_fallbacks} "
                               f"of {sampler_calls} steps")

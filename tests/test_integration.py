@@ -188,9 +188,9 @@ def test_eps_norm_equals_a_per_step_recomputation(monkeypatch, source, mode):
 @pytest.mark.parametrize("mode", ["monitored", "resilient"])
 def test_chi_and_theta_are_the_statistics_each_step_took(monkeypatch, mode):
     """chi and theta, taken after the step loop from the recorded
-    divergences, equal in bytes the statistics `BeliefState.step` took at
-    each step, with distinct confidence and trust scales; theta is 1 until
-    the channel windows fill (every fig6 channel has one)."""
+    divergences, equal in bytes the statistics each step's `discount` call
+    took, with distinct confidence and trust scales; theta is 1 until the
+    channel windows fill (every fig6 channel has one)."""
     fig6 = get_preset("fig6")
     cfg = dataclasses.replace(
         fig6, steps=60, filter_mode=mode,
@@ -198,12 +198,11 @@ def test_chi_and_theta_are_the_statistics_each_step_took(monkeypatch, mode):
         resilient=dataclasses.replace(fig6.resilient, upsilon1=0.3, lambda1=0.7))
     stats = []
 
-    class Recording(simulate.BeliefState):
-        def step(self, divergence):
-            super().step(divergence)
-            stats.append(self.stat.copy())
+    def recording(num, den, stat, *args):
+        stats.append(stat.copy())
+        return resilience.discount(num, den, stat, *args)
 
-    monkeypatch.setattr(simulate, "BeliefState", Recording)
+    monkeypatch.setattr(simulate, "discount", recording)
     trace = run_scenario(cfg)
     got = np.hstack([trace.column("chi"), trace.column("theta", edge=True)])
     want = np.ones(got.shape)

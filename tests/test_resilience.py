@@ -13,59 +13,63 @@ from etdkf.errors import ConfigurationError
 from etdkf.filtering import kalman_gain, measurement_update, weighted_neighbor_estimate
 from etdkf.graphs import Graph
 from etdkf.models import channel_groups
-from etdkf.resilience import (DISCOUNTING_MODES, BeliefState, DiscountedBelief,
-                              ResilientConfig, assumption4_satisfied, divergence_statistic,
-                              error_bounds, trust_masked_laplacian)
+from etdkf.resilience import (DISCOUNTING_MODES, ResilientConfig, assumption4_satisfied,
+                              discount, divergence_statistic, error_bounds,
+                              trust_masked_laplacian)
 from etdkf.scenario import ScenarioConfig, get_preset
 from etdkf.simulate import run_scenario
 
 from helpers import edge_series
 from test_engine_digests import ONE, TWO
 from test_engine_digests import scenario as engine_scenario
-from test_scenario import tiny_config
+from test_scenario import SMALL_DETECTOR, tiny_config
+
+
+def discounted(stats, kappa, mode="normalized"):
+    """The beliefs `discount` gives over a sequence of statistics, from
+    empty sums: (N,) rows for one kappa per entry, or scalars."""
+    num = den = 0.0
+    for stat in stats:
+        num, den, belief = discount(num, den, stat, kappa, mode)
+        yield belief
+
+
+def reference(num, den, stat, kappa, mode):
+    """One step of the recursion for one entry, in Python floats."""
+    num, den = kappa * (num + kappa * stat), kappa * (den + kappa)
+    belief = num if mode == "unnormalized" else num / den if den else stat
+    return num, den, max(belief, 5e-324)
 
 
 class TestDiscountedBeliefs:
     def test_all_ones_converges_to_one(self):
-        b = DiscountedBelief(kappa=0.5)
-        for _ in range(60):
-            b.update(1.0)
-        assert b.value == pytest.approx(1.0, abs=1e-12)
+        *_, value = discounted([1.0] * 60, kappa=0.5)
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_input_converges_to_constant(self):
         # normalized discounting: beta -> c exactly (geometric-series algebra)
         for c in (0.2, 0.737, 1.0):
-            b = DiscountedBelief(kappa=0.5)
-            for _ in range(80):
-                b.update(c)
-            assert b.value == pytest.approx(c, abs=1e-12)
+            *_, value = discounted([c] * 80, kappa=0.5)
+            assert value == pytest.approx(c, abs=1e-12)
 
     def test_small_input_drives_belief_down(self):
-        b = DiscountedBelief(kappa=0.5)
-        for _ in range(30):
-            b.update(1.0)
-        for _ in range(30):
-            b.update(0.02)
-        assert b.value < 0.05
+        *_, value = discounted([1.0] * 30 + [0.02] * 30, kappa=0.5)
+        assert value < 0.05
 
     def test_unnormalized_mode_matches_literal_sum(self):
         kappa, stats = 0.5, [0.9, 0.4, 0.7, 1.0]
-        b = DiscountedBelief(kappa=kappa, mode="unnormalized")
-        for s in stats:
-            b.update(s)
+        *_, value = discounted(stats, kappa=kappa, mode="unnormalized")
         k = len(stats)
         want = sum(kappa ** (k - l + 1) * stats[l] for l in range(k))
-        assert b.value == pytest.approx(want, abs=1e-14)
+        assert value == pytest.approx(want, abs=1e-14)
 
     def test_trust_mirrors_confidence(self):
-        s = DiscountedBelief(kappa=0.3)
-        for _ in range(100):
-            s.update(0.6)
-        assert s.value == pytest.approx(0.6, abs=1e-12)
+        *_, value = discounted([0.6] * 100, kappa=0.3)
+        assert value == pytest.approx(0.6, abs=1e-12)
 
     def test_divergence_statistic_in_unit_interval(self):
-        # Why BeliefState.step needs no range check before DiscountedBelief.update:
-        # every divergence, NaN and the infinities included, maps into (0, 1].
+        # Why the engine needs no range check before `discount`: every
+        # divergence, NaN and the infinities included, maps into (0, 1].
         d = np.array([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-300, 1.0, 1e308])
         for scale in (1e-300, 0.5, 1 - 1e-16):
             for stat in (divergence_statistic(d, scale),
@@ -77,25 +81,35 @@ class TestDiscountedBeliefs:
         rng = np.random.default_rng(0)
         low = rng.uniform(0.0, 0.5, size=50)
         high = low + rng.uniform(0.0, 1.0, size=50)
-        b_low = DiscountedBelief(kappa=0.5)
-        b_high = DiscountedBelief(kappa=0.5)
-        for dl, dh in zip(low, high):
-            b_low.update(divergence_statistic(dl, 0.5))
-            b_high.update(divergence_statistic(dh, 0.5))
-            assert b_high.value <= b_low.value + 1e-14
-            assert 0.0 < b_high.value <= 1.0
+        for b_low, b_high in discounted(divergence_statistic(np.stack([low, high], 1), 0.5),
+                                        kappa=0.5):
+            assert b_high <= b_low + 1e-14
+            assert 0.0 < b_high <= 1.0
 
     def test_belief_state_ranges_and_nan_handling(self):
         cfg = ResilientConfig()
-        bs = BeliefState([1, 2], [(1, 2)], cfg)
-        for d in (float("nan"), 0.3, -0.2, 10.0):
-            bs.step([d, 0.0, d])
-            beta, sigma = bs.belief.value[:2], bs.belief.value[2:]
+        scale = np.array([cfg.upsilon1] * 2 + [cfg.lambda1])
+        kappa = np.array([cfg.kappa1] * 2 + [cfg.kappa2])
+        stats = (divergence_statistic([d, 0.0, d], scale)
+                 for d in (float("nan"), 0.3, -0.2, 10.0))
+        for value in discounted(stats, kappa):
+            beta, sigma = value[:2], value[2:]
             assert 0.0 < beta[0] <= 1.0
             assert 0.0 < sigma[0] <= 1.0
         # negative divergence floors to statistic 1
         assert divergence_statistic(-3.0, 0.5) == 1.0
         assert divergence_statistic(float("nan"), 0.5) == 1.0
+
+
+def beliefs_over(steps, N, cfg):
+    """(chi and theta, beta and sigma) of each step over [nodes; channels],
+    the first N entries the nodes, each step's divergences advancing every
+    entry, as the engine does once the windows are full."""
+    sizes = [N, len(steps[0]) - N]
+    scale = np.repeat([cfg.upsilon1, cfg.lambda1], sizes)
+    kappa = np.repeat([cfg.kappa1, cfg.kappa2], sizes)
+    stats = [divergence_statistic(d, scale) for d in steps]
+    return zip(stats, discounted(stats, kappa, cfg.discounting))
 
 
 divergences = st.one_of(st.floats(min_value=0.0), st.just(np.inf), st.just(np.nan))
@@ -111,11 +125,9 @@ def test_normalized_beliefs_stay_in_unit_interval(upsilon1, lambda1, kappa1, kap
     """Any divergence in [0, +inf] (or none yet, NaN) keeps chi, theta, beta
     and sigma in (0, 1]."""
     cfg = ResilientConfig(upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2)
-    bs = BeliefState([1, 2, 3], [(1, 2), (2, 1)], cfg)
-    for node_div, edge_div in steps:
-        bs.step(node_div + edge_div)
-        for value in (bs.stat, bs.belief.value):   # chi and theta, beta and sigma
-            assert np.all((0.0 < value) & (value <= 1.0)), (value, node_div, edge_div)
+    for stat, belief in beliefs_over([n + e for n, e in steps], 3, cfg):
+        for value in (stat, belief):   # chi and theta, beta and sigma
+            assert np.all((0.0 < value) & (value <= 1.0)), (value, steps)
 
 
 @settings(max_examples=100, deadline=None)
@@ -129,10 +141,8 @@ def test_beliefs_stay_positive_for_any_discount(kappa, discounting, steps):
     sigma to 0 (or 0/0): they stay in (0, 1] normalized, and positive and
     finite unnormalized."""
     cfg = ResilientConfig(kappa1=kappa, kappa2=kappa, discounting=discounting)
-    bs = BeliefState([1, 2], [(1, 2)], cfg)
-    for node_div, edge_div in steps:
-        bs.step(node_div + edge_div)
-        for value in (bs.belief.value[:2], bs.belief.value[2:]):   # beta, sigma
+    for _, belief in beliefs_over([n + e for n, e in steps], 2, cfg):
+        for value in (belief[:2], belief[2:]):   # beta, sigma
             assert np.all(0.0 < value) and np.all(np.isfinite(value)), (value, kappa)
             if discounting == "normalized":
                 assert np.all(value <= 1.0), (value, kappa)
@@ -151,7 +161,8 @@ any_divergence = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0
        st.lists(st.floats(1e-300, 1.0, exclude_max=True), min_size=2, max_size=2,
                 unique=True), st.data())
 def test_belief_vector_equals_per_entry_beliefs(N, E, mode, kappas, scales, data):
-    """One `BeliefState` step equals, in bytes, a scalar `DiscountedBelief`
+    """One vector `discount` step over the first entries of [nodes;
+    channels], as the engine takes it, equals in bytes the scalar recursion
     per entry fed the scalar `divergence_statistic` of its divergence, with
     the channels advancing only from the fill step F on. The engine's
     chi and theta, one `divergence_statistic` call after the run over the
@@ -159,34 +170,35 @@ def test_belief_vector_equals_per_entry_beliefs(N, E, mode, kappas, scales, data
     channel without a window), are the statistics each step produced, and 1
     where it produced none."""
     (kappa1, kappa2), (upsilon1, lambda1) = kappas, scales
-    bs = BeliefState(range(N), range(E), ResilientConfig(
-        upsilon1=upsilon1, lambda1=lambda1, kappa1=kappa1, kappa2=kappa2, discounting=mode))
-    oracles = [DiscountedBelief(kappa, mode) for kappa in [kappa1] * N + [kappa2] * E]
-    scale = [upsilon1] * N + [lambda1] * E
+    scale = np.repeat([upsilon1, lambda1], [N, E])
+    kappa = np.repeat([kappa1, kappa2], [N, E])
+    num, den = np.zeros((2, N + E))
+    oracles = [(0.0, 0.0)] * (N + E)
     steps = data.draw(st.integers(1, 12))
     fill = data.draw(st.integers(0, steps))
     record = np.full((steps, N + E + 1), np.nan)   # the last channel has no window
     produced = np.ones((steps, N + E + 1))
     for k in range(steps):
-        size = N + E if k >= fill else N
-        divergence = data.draw(st.lists(any_divergence, min_size=size, max_size=size))
-        bs.step(divergence)
-        record[k, :size], produced[k, :size] = divergence, bs.stat
-        stat = [divergence_statistic(d, s) for d, s in zip(divergence, scale)]
-        for oracle, chi in zip(oracles, stat):
-            oracle.update(chi)
-        assert bs.stat.tobytes() == np.array(stat).tobytes()
-        assert bs.belief.value.tobytes() == np.array([o.value for o in oracles[:size]]).tobytes()
+        at = slice(N + E if k >= fill else N)
+        divergence = data.draw(st.lists(any_divergence, min_size=at.stop, max_size=at.stop))
+        stat = divergence_statistic(divergence, scale[at])
+        num[at], den[at], belief = discount(num[at], den[at], stat, kappa[at], mode)
+        record[k, at], produced[k, at] = divergence, stat
+        want_stat = [divergence_statistic(d, s) for d, s in zip(divergence, scale.tolist())]
+        want = []
+        for e, chi in enumerate(want_stat):
+            *oracles[e], value = reference(*oracles[e], chi, kappa[e].item(), mode)
+            want.append(value)
+        assert stat.tobytes() == np.array(want_stat).tobytes()
+        assert belief.tobytes() == np.array(want).tobytes()
     after = divergence_statistic(record, np.repeat([upsilon1, lambda1], [N, E + 1]))
     assert after.tobytes() == produced.tobytes()
 
 
 def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
     """kappa = 1e-9 with +inf from the start used to underflow beta to 0."""
-    bs = BeliefState([1], [(1, 1)], ResilientConfig(kappa1=1e-9, kappa2=1e-9))
-    for _ in range(200):
-        bs.step([np.inf, np.inf])
-    beta, sigma = bs.belief.value
+    *_, (_, (beta, sigma)) = beliefs_over([[np.inf, np.inf]] * 200, 1,
+                                          ResilientConfig(kappa1=1e-9, kappa2=1e-9))
     assert beta > 0.0 and sigma > 0.0
 
 
@@ -194,10 +206,9 @@ def test_tiny_discount_with_infinite_divergence_keeps_beliefs_positive():
 def test_tiny_divergence_scale_with_infinite_divergence_keeps_statistics_positive(scale):
     """upsilon1 (or lambda1) = 1e-300 with +inf used to underflow chi (or
     theta) to 0, which the confidence (trust) update rejects mid-run."""
-    bs = BeliefState([1, 2], [(1, 2), (2, 1)], ResilientConfig(**{scale: 1e-300}))
-    for _ in range(5):
-        bs.step([np.inf, 0.0, np.inf, 0.0])
-        for value in (bs.stat, bs.belief.value):   # chi and theta, beta and sigma
+    for stat, belief in beliefs_over([[np.inf, 0.0, np.inf, 0.0]] * 5, 2,
+                                     ResilientConfig(**{scale: 1e-300})):
+        for value in (stat, belief):   # chi and theta, beta and sigma
             assert np.all((0.0 < value) & (value <= 1.0)), value
     assert divergence_statistic(np.inf, 1e-300) == np.finfo(float).smallest_subnormal
 
@@ -431,17 +442,41 @@ class TestBeliefTiming:
         for i in (1, 2, 3):
             chi = trace.series("chi", i)
             beta = trace.series("beta", i)
-            oracle = DiscountedBelief(cfg.resilient.kappa1, discounting)
-            for k in range(full + 1):
-                want = oracle.update(1.0 if k < full else chi[k])
+            wants = discounted([1.0] * full + [chi[full]], cfg.resilient.kappa1, discounting)
+            for k, want in enumerate(wants):
                 assert beta[k] == want, (i, k)
             assert np.all(chi[:full] == 1.0)
         for i, j in ((1, 2), (2, 1), (2, 3), (3, 2)):
             sigma = edge_series(trace, "sigma", i, j)
             theta = edge_series(trace, "theta", i, j)
             assert np.all(sigma[:full] == 1.0) and np.all(theta[:full] == 1.0)
-            first = DiscountedBelief(cfg.resilient.kappa2, discounting).update(theta[full])
+            first = next(discounted([theta[full]], cfg.resilient.kappa2, discounting))
             assert sigma[full] == first
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("mode", ["monitored", "resilient"])
+    @pytest.mark.parametrize("discounting", DISCOUNTING_MODES)
+    def test_beliefs_are_the_recorded_statistics_discounted(self, mode, discounting):
+        """beta and sigma equal in bytes the scalar recursion over the
+        recorded chi and theta, with distinct discounts and scales: each
+        confidence takes kappa1 from step 0 on, and each trust kappa2 from
+        the step its window fills, 1 before it."""
+        cfg = tiny_config(filter={"mode": mode}, detector=SMALL_DETECTOR,
+                          resilient={"upsilon1": 0.4, "lambda1": 0.6, "kappa1": 0.3,
+                                     "kappa2": 0.8, "discounting": discounting},
+                          attacks=[{"kind": "measurement_injection", "node": 2, "onset": 12,
+                                    "signal": {"type": "constant", "value": 3.0}}])
+        trace = run_scenario(cfg)
+        full = SMALL_DETECTOR["window"] - 1
+        for belief, stat, start, kappa in (
+                (trace.column("beta"), trace.column("chi"), 0, 0.3),
+                (trace.column("sigma", edge=True), trace.column("theta", edge=True), full, 0.8)):
+            want = np.ones(belief.shape)
+            for e in range(belief.shape[1]):
+                sums = (0.0, 0.0)
+                for k in range(start, len(belief)):
+                    *sums, want[k, e] = reference(*sums, stat[k, e].item(), kappa, discounting)
+            assert belief.tobytes() == want.tobytes()
 
 
 class TestBoundMonitor:

@@ -126,6 +126,11 @@ SECTION_VIOLATIONS = {
     "process": ({"process.q": [[1, 0, 0]], "process.p0": [[1]]},
                 ["process: Q shape (1, 3) incompatible with n=2",
                  "process: P0 shape (1, 1) incompatible with n=2"]),
+    # A sensor lists every violation: a C that is not a matrix does not hide
+    # an R that is not positive definite.
+    "sensor": ({"sensors.0.c": [1, 0], "sensors.0.r": [[-1]]},
+               ["sensors[0]: C must be a 2-D matrix, got shape (2,)",
+                "sensors[0]: R must be positive definite (min eig -1)"]),
     # The delta check needs a window of 2 or more: log(w/(w-1)) has no value
     # at w = 1 and warns at w = 0, so a failed window skips it.
     "window_zero": ({"detector.window": 0},
@@ -231,7 +236,8 @@ class TestConfigRoundTrip:
     def test_every_section_violation_listed(self):
         assert_violations(*SECTION_VIOLATIONS["sections"])
 
-    @pytest.mark.parametrize("case", ["within_sections", "window_zero", "window_one", "process"])
+    @pytest.mark.parametrize("case", ["within_sections", "window_zero", "window_one", "process",
+                                      "sensor"])
     def test_every_violation_within_a_section_listed(self, case):
         assert_violations(*SECTION_VIOLATIONS[case])
 
@@ -253,7 +259,9 @@ class TestConfigRoundTrip:
                               [[1.0, 2.0], [0.0, 1.0]]),
          ["Q shape (1, 3) incompatible with n=2", "x0_mean length 3 != n=2",
           "P0 must be symmetric"]),
-    ], ids=["detector", "resilient", "unknown_kind", "channel", "process"])
+        (lambda: SensorModel([1, 0], [[-1]]),
+         ["C must be a 2-D matrix, got shape (2,)", "R must be positive definite (min eig -1)"]),
+    ], ids=["detector", "resilient", "unknown_kind", "channel", "process", "sensor"])
     def test_direct_construction_lists_every_violation(self, make, want):
         with pytest.raises(ConfigurationError) as err:
             make()
@@ -844,6 +852,28 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["metrics", "--run-dir", out_dir]) == 0
         assert json.loads(capsys.readouterr().out, parse_constant=reject) == stored
+
+    @pytest.mark.parametrize("preset, changes, want", [
+        ("fig7", {"attacks.0.signal.frequency": 1e308},
+         "attacks[0]: signal is not finite at the run's last step, t=79.9"),
+        ("fig4", {"steps_per_second": 1e-310},
+         "steps_per_second=1e-310 is too small: its step length 1/steps_per_second overflows"),
+    ], ids=["phase", "step_length"])
+    def test_signal_not_finite_within_the_run_exits_2(self, preset, changes, want, tmp_path,
+                                                      capsys):
+        """A sinusoid whose phase frequency * t overflows by the last step,
+        or a step length that overflows (t = 0 * dt is then NaN), used to
+        pass validation and inject NaN, which never triggers."""
+        d = get_preset(preset).to_dict()
+        for path, value in changes.items():
+            set_path(d, path, value)
+        spath = tmp_path / "bad.yaml"
+        spath.write_text(yaml.safe_dump(d, sort_keys=False))
+        for argv in (["validate", "--scenario", str(spath)],
+                     ["run", "--scenario", str(spath), "--out", str(tmp_path / "out")]):
+            assert cli_main(argv) == 2
+            assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("damage, want", [
         ("garbage_cell", "nodes.csv: line 5: cannot read zeta 'garbage' as int"),
