@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, NumericalError, ValidationError
 from .filtering import nominal_covariances
 from .graphs import Graph, laplacian
 from .models import channel_groups
@@ -180,7 +180,9 @@ class AttackRecursion:
     [G e]_i, so each family is a few matrix products per step.
 
     The gains are the attack-free filter's, `nominal_covariances` step by
-    step, as an oblivious filter implementation keeps running them.
+    step and its last item once it ends, as an oblivious filter keeps
+    running them. A step whose gains fail (a singular innovation covariance)
+    raises `NumericalError` before any moment moves, as does every later step.
 
     Cross blocks start at zero and the diagonal at P0; with shared estimator
     initialization the true initial cross moment equals P0, so recursion and
@@ -202,7 +204,7 @@ class AttackRecursion:
         self._R = _blkdiag([s.R for s in sensors])
         self._y_ofs = np.cumsum([0] + [s.p for s in sensors])
         self._groups = channel_groups(sensors)[0]
-        self._nominal, self._entry = nominal_covariances(process, sensors), None
+        self._nominal, self._failed = nominal_covariances(process, sensors), None
         self._pairs = [(i, j) for i in graph.nodes for j in graph.nodes]
 
         self.k = 0
@@ -234,8 +236,8 @@ class AttackRecursion:
         AA, QQ, G = self._AA, self._QQ, self._G
         nodes = self.graph.nodes
 
-        # The inputs are read before any moment moves, so a rejected step
-        # leaves the recursion as it was.
+        # The inputs and the step's gains are read before any moment moves,
+        # so a rejected or failed step leaves the recursion as it was.
         if self.k == 0:
             z = np.ones(N, dtype=bool)
         else:
@@ -259,6 +261,19 @@ class AttackRecursion:
                 raise ConfigurationError(f"f_meas for node {i} has shape {np.shape(f)}, "
                                          f"not its sensor's ({hi - lo},)")
             f_y[lo:hi] = f
+        if self._failed is None:
+            try:
+                entry = next(self._nominal, None)   # None once it ends: the last gains serve on
+            except NumericalError as exc:
+                self._failed = exc
+        if self._failed:
+            raise self._failed
+        if entry is not None:
+            by_row = {b: K_b for p, rows in self._groups.items()
+                      for b, K_b in zip(rows.tolist(), entry[1][p])}
+            self.gains = {i: by_row[i - 1] for i in nodes}
+            K = _blkdiag(self.gains.values())
+            self._K, self._M, self._KRK = K, np.eye(N * n) - K @ self._C, K @ self._R @ K.T
 
         if self.k:
             self.P_prior = AA @ self.P_post @ AA.T + QQ
@@ -279,15 +294,6 @@ class AttackRecursion:
         # Held channel biases: refreshed when the sender transmits.
         self.f_tilde = np.where(z[:, None, None], chan, self.f_tilde)
 
-        entry = next(self._nominal)
-        if entry is not self._entry:   # the steady-state filter repeats one entry
-            self._entry, gains = entry, [None] * N
-            for p, rows in self._groups.items():
-                for b, K_b in zip(rows.tolist(), entry[1][p]):
-                    gains[b] = K_b
-            self.gains = dict(zip(nodes, gains))
-            K = _blkdiag(gains)
-            self._K, self._M, self._KRK = K, np.eye(N * n) - K @ self._C, K @ self._R @ K.T
         K, M, KRK = self._K, self._M, self._KRK
         d = -(K @ f_y) - gamma * self.f_tilde.sum(axis=0).reshape(-1)
 

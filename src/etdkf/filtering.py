@@ -16,7 +16,6 @@ last bits), and vector norms through `vector_norm`, never
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,10 +226,10 @@ def nominal_covariances(process, sensors):
     is named by its first node, the node a per-node recursion names.
 
     Every item is a pure function of its P_prior. Once the next P_prior
-    equals it bit for bit (the steady-state filter), the same tuple repeats
-    without end; its arrays are read-only, since one item may serve many
-    steps. Read it as `zip(range(steps), ...)`, range first, so that no step
-    past the run is computed.
+    equals it bit for bit (the steady-state filter), the generator ends; its
+    last item serves every later step, so its arrays are read-only. One that
+    never settles runs without end: read it as `zip(range(steps), ...)`,
+    range first, so that no step past the run is computed.
     """
     first, model, groups, C, R, take = model_groups(sensors)
     P_prior = np.tile(process.P0, (len(first), 1, 1))
@@ -247,7 +246,7 @@ def nominal_covariances(process, sensors):
         P_next = prior_covariance(P_post, process.A, process.Q)
         # Bit patterns, so that -0.0 and +0.0 (or two NaN payloads) differ.
         if np.array_equal(P_next.view(np.int64), P_prior.view(np.int64)):
-            yield from itertools.repeat(entry)
+            return
         P_prior = P_next
 
 

@@ -157,13 +157,14 @@ class MetricsReport:
 
 def covariance_schedule(cfg) -> list:
     """The half of the filter that no measurement, attack or belief reaches,
-    computed once per run for both passes: per step, (P_prior, K, M, gamma,
-    P_post, L), the `nominal_covariances` item of that step with the
-    consensus gain gamma, a scalar or (N, n, n), and with a synthetic detector
-    reference the `reference_factors` of each node's Omega = C P_prior C^T + R
-    as p -> (nodes with p channels, p, p) (else L is empty). A matrix
-    consensus gain that overflows or whose SVD fails raises `NumericalError`
-    naming the step.
+    computed once per run for both passes: the entries (P_prior, K, M,
+    gamma, P_post, L) up to the steady-state filter's, at most one a step;
+    step k reads entry min(k, len - 1). An entry is the `nominal_covariances`
+    item of its step with the consensus gain gamma, a scalar or (N, n, n),
+    and with a synthetic detector reference the `reference_factors` of each
+    node's Omega = C P_prior C^T + R as p -> (nodes with p channels, p, p)
+    (else L is empty). A matrix consensus gain that overflows or whose SVD
+    fails raises `NumericalError` naming the step.
 
     gamma and L are computed on one row per sensor model (`sensor_models`)
     and gathered to the nodes: nodes of one model have equal inputs, so
@@ -171,15 +172,14 @@ def covariance_schedule(cfg) -> list:
     models is the maximum over the nodes. gamma and L are computed over the
     stack of distinct items, one `consensus_gain` call and one
     `reference_factors` call per p-group; a failing stack is replayed item
-    by item, to raise the error a per-step loop meets first. The
-    steady-state filter repeats one item, so one tuple object fills the rest
-    of the schedule. Its arrays are read-only.
+    by item, to raise the error a per-step loop meets first. Its arrays are
+    read-only, since the last entry may serve many steps.
     """
     A, synthetic = cfg.process.A, cfg.detector.reference == "synthetic"
     first, model, groups, C, R, take = model_groups(cfg.sensors)
     lam_L = (float(np.max(np.linalg.eigvalsh(laplacian(cfg.graph))))
              if cfg.consensus.mode == "matrix" else None)
-    items = []   # item k serves step k: a new one each step until one repeats without end
+    items = []   # item k serves step k, and the last item every later step
 
     def factors_and_gains(e):   # (L, gamma) of the items e stacked, L first as a step takes it
         P, M = (np.stack([item[i][first] for item in items[e]]) for i in (0, 2))
@@ -200,8 +200,6 @@ def covariance_schedule(cfg) -> list:
 
     try:
         for nominal in itertools.islice(nominal_covariances(cfg.process, cfg.sensors), cfg.steps):
-            if items and nominal is items[-1]:
-                break
             items.append(nominal)
     finally:   # a singular model raises here, after the gains of the steps before it
         if items:
@@ -212,10 +210,8 @@ def covariance_schedule(cfg) -> list:
                 for k in range(len(items)):
                     factors_and_gains(slice(k, k + 1))
                 raise
-    schedule = [(P_prior, K, M, gamma[k], P_post, {p: f[k] for p, f in L.items()})
-                for k, (P_prior, K, M, P_post) in enumerate(items)]
-    schedule += schedule[-1:] * (cfg.steps - len(schedule))
-    return schedule
+    return [(P_prior, K, M, gamma[k], P_post, {p: f[k] for p, f in L.items()})
+            for k, (P_prior, K, M, P_post) in enumerate(items)]
 
 
 def random_inputs(cfg):
@@ -255,14 +251,15 @@ def run_scenario(config) -> SimTrace:
 
 
 def _engine(cfg, twin, lite: bool, schedule, draws):
-    """One pass over the scenario, its `covariance_schedule` and its
-    `random_inputs`, so a step does only data-dependent work; returns (trace,
-    (path, innovations)): the plant's state of every step, (steps, n), and
-    the innovations of the pass's last network copy (below), p -> (steps,
-    nodes with p channels, p). A calibrated reference reads that record of a
-    `twin` pass. `lite` marks that pass, the attack-free twin alone: the
-    same loop without detector banks or reference streams, which records
-    and fills its trace like any pass (phi and psi stay NaN).
+    """One pass over the scenario, its `covariance_schedule`, whose entry
+    min(k, len - 1) step k reads, and its `random_inputs`, so a step does
+    only data-dependent work; returns (trace, (path, innovations)): the
+    plant's state of every step, (steps, n), and the innovations of the
+    pass's last network copy (below), p -> (steps, nodes with p channels,
+    p). A calibrated reference reads that record of a `twin` pass. `lite`
+    marks that pass, the attack-free twin alone: the same loop without
+    detector banks or reference streams, which records and fills its trace
+    like any pass (phi and psi stay NaN).
 
     The network state is stacked: node i is row i - 1 of the (N, n) and
     (N, n, n) arrays. Slot d of a node's (D, n) neighbor predictions holds its
@@ -294,14 +291,14 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     from them after the loop: `zeta`, `beta`, `sigma`, the norms and the
     states; `phi` and `psi` by one `sliding_mean`, and `chi` and `theta` by
     one `divergence_statistic` call (1 where beliefs are not tracked), over
-    the divergences; `trace_p` once per distinct schedule entry; the nodes'
+    the divergences; `trace_p` once per entry, gathered by `which`; the nodes'
     `attack_norm` as the recorded y less one stacked `measure`; and
     `eps_norm` from one `weighted_neighbor_estimate` call over the first
     copy's recorded neighbor slots, (steps, N, D, n), with the weights
     w_ij = sigma_ij * beta_j rebuilt once from the recorded beliefs, as a
     step builds them. The bound monitor runs there too: it reads the plant
     path, `xbar`, those weights, the `beta` column and the schedule's
-    distinct entries, each spectral norm in one stacked call, and makes one
+    entries, each spectral norm in one stacked call, and makes one
     `error_bounds` call over one record per step.
     """
     noise = NoiseSource(cfg.seed)
@@ -415,15 +412,12 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     d_hat = np.full((cfg.steps, N + E), math.nan)
     values = np.ones((cfg.steps, N + E))
     edge_cols["attack_norm"][:] = 0.0
-    seen, starts = None, np.zeros(cfg.steps, bool)   # the steps that start a distinct entry
 
-    for k, entry in enumerate(schedule):
-        if entry is not seen:   # the schedule's steady-state tail is one shared entry
-            seen, starts[k] = entry, True
-            P_prior, K, M, gamma, P_post, live_L = entry
-            matrix_gamma = np.ndim(gamma) == 3
+    for k in range(cfg.steps):
+        if k < len(schedule):   # the last entry serves every later step
+            _, K, _, gamma, _, live_L = schedule[k]
             K_rows = {p: stack(Kp) for p, Kp in K.items()}
-            gamma_rows = {p: stack(gamma[rows]) if matrix_gamma else gamma
+            gamma_rows = {p: stack(gamma[rows]) if np.ndim(gamma) == 3 else gamma
                           for p, rows in groups.items()}
         t = k * cfg.dt
         # Every copy measures the same; only the first is attacked.
@@ -505,7 +499,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         path[k], x = x, step_process(proc, x, w[k])
 
     # The columns computed from whole-run stacks.
-    entries = [schedule[k] for k in np.flatnonzero(starts).tolist()]
+    which = np.minimum(np.arange(cfg.steps), len(schedule) - 1)   # each step's entry
     x_true = path[:, None]                      # (steps, 1, n): every node's truth
     cols["zeta"][:] = zetas[:, :N]
     # Each entry's mean of its last T divergences once its window fills, and
@@ -515,9 +509,9 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
     for name, edge_name, a in (("phi", "psi", phi), ("beta", "sigma", values),
                                ("chi", "theta", stats)):
         cols[name][:], edge_cols[edge_name][:] = a[:, :N], a[:, N:]
-    if entries:   # trace(P_post) once per distinct entry
-        cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in entries]),
-                                      axis1=2, axis2=3)[np.cumsum(starts) - 1]
+    if schedule:   # trace(P_post) once per entry
+        cols["trace_p"][:] = np.trace(np.stack([entry[4] for entry in schedule]),
+                                      axis1=2, axis2=3)[which]
     cols["err_norm"][:] = vector_norm(xhat - x_true)
     # The weights w_ij = sigma_ij * beta_j of every step as the loop builds
     # them (all 1 where beliefs are not tracked), and m_i of every step.
@@ -539,14 +533,14 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
         realized = [math.sqrt(sum(row)) for row in np.vecdot(e_prior, e_prior).tolist()]
         step_cols["realized_err"][:] = realized
         # One record of scalars per step, each kind taken in one stacked norm:
-        # A_o and gamma_max once per distinct schedule entry, over one row per
+        # A_o and gamma_max once per schedule entry, over one row per
         # sensor model (and ||C||_2 once per model), and ||L_masked||_2 once
         # per step whose trust weights differ by a bit from the step before.
         # Maxima are Python's, in model order.
         first = sensor_models(cfg.sensors)[0]
         A_o = [max(row) for row in np.linalg.norm(
-            A @ np.stack([entry[2][first] for entry in entries]), 2, axis=(-2, -1)).tolist()]
-        gammas = [entry[3] for entry in entries]
+            A @ np.stack([entry[2][first] for entry in schedule]), 2, axis=(-2, -1)).tolist()]
+        gammas = [entry[3] for entry in schedule]
         matrix = [g[first] for g in gammas if np.ndim(g) == 3]
         norms = iter(np.linalg.norm(np.stack(matrix), 2, axis=(-2, -1)).tolist() if matrix else ())
         gmax = [max(next(norms)) if np.ndim(g) == 3 else abs(g) for g in gammas]
@@ -559,7 +553,7 @@ def _engine(cfg, twin, lite: bool, schedule, draws):
             W[:, slot_of, slot_to] = trust[c:c + block]
             sL += np.linalg.norm(trust_masked_laplacian(W), 2, axis=(-2, -1)).tolist()
         records = [(A_o[e], gmax[e], sL[j], betas) for e, j, betas in zip(
-            (np.cumsum(starts) - 1).tolist(), (np.cumsum(moved) - 1).tolist(),
+            which.tolist(), (np.cumsum(moved) - 1).tolist(),
             cols["beta"].tolist())]
         # B: the 99.9th percentile of ||x(k+1) - x(k) + v(k+1)|| over steps
         # and nodes, from this pass's plant path: no filter reaches it.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from etdkf.attacks import (AttackPlan, AttackRecursion, SignalSpec,
                            craft_non_triggering, craft_replay)
-from etdkf.errors import ConfigurationError
+from etdkf.errors import ConfigurationError, NumericalError
 from etdkf.filtering import kalman_gain, posterior_covariance, should_transmit
 from etdkf.graphs import Graph
 from etdkf.models import ProcessModel, SensorModel, channel_groups, measure
@@ -336,12 +336,14 @@ class TestRecursionOracle:
                          ids=["fig3", "mixed-p-synthetic"])
 def test_recursion_gains_are_the_schedule_gains(cfg):
     """`AttackRecursion` runs the attack-free filter's gains: at every step
-    they equal `covariance_schedule`'s K bit for bit, one-channel sensors
-    among two-channel ones included."""
+    they equal `covariance_schedule`'s K bit for bit, past the schedule's
+    last entry too, one-channel sensors among two-channel ones included."""
     cfg = dataclasses.replace(cfg, steps=40)
     groups = channel_groups(cfg.sensors)[0]
     rec = AttackRecursion(cfg.process, cfg.sensors, cfg.graph, gamma=cfg.consensus.gamma)
-    for k, (_, K, *_) in enumerate(covariance_schedule(cfg)):
+    schedule = covariance_schedule(cfg)
+    for k in range(cfg.steps):
+        _, K, *_ = schedule[min(k, len(schedule) - 1)]
         rec.step({i: k % 2 for i in cfg.graph.nodes})
         for p, rows in groups.items():
             got = np.array([rec.gains[b + 1] for b in rows.tolist()])
@@ -354,6 +356,33 @@ def test_recursion_needs_one_sensor_per_node():
     cfg = get_preset("fig3")
     with pytest.raises(ConfigurationError, match="5 sensors for the 6 nodes"):
         AttackRecursion(cfg.process, cfg.sensors[:5], cfg.graph, gamma=cfg.consensus.gamma)
+
+
+@pytest.mark.parametrize("P0, fails_at", [(np.eye(2), 0), (np.zeros((2, 2)), 1)],
+                         ids=["step-0", "step-1"])
+def test_recursion_step_whose_gains_fail_moves_nothing(P0, fails_at):
+    """A step whose gains meet a singular innovation covariance (node 2's
+    two equal rows of C, a negligible R) raises `NumericalError` before any
+    moment moves, and every later step raises the same error, with `k`, the
+    gains and every moment as they were. With P0 = 0 the innovation
+    covariance turns singular at step 1, once Q has entered P_prior."""
+    model = ProcessModel(A=rotation(), Q=np.eye(2), x0_mean=np.zeros(2), P0=P0)
+    sensors = [SensorModel(C=np.eye(2), R=np.eye(2)),
+               SensorModel(C=[[1.0, 0.0], [1.0, 0.0]], R=1e-20 * np.eye(2))]
+    rec = AttackRecursion(model, sensors, Graph(2, [(1, 2)]), gamma=0.1)
+    for _ in range(fails_at):
+        rec.step({1: 1, 2: 1})
+    moments = {name: getattr(rec, name).tobytes() for name in MOMENTS}
+    gains = dict(rec.gains)
+    errors = set()
+    for _ in range(3):
+        with pytest.raises(NumericalError, match="singular innovation covariance at node 2") as exc:
+            rec.step({1: 1, 2: 0})
+        errors.add(str(exc.value))
+        assert rec.k == fails_at
+        assert {name: getattr(rec, name).tobytes() for name in MOMENTS} == moments
+        assert all(rec.gains[i] is K for i, K in gains.items())
+    assert len(errors) == 1
 
 
 @st.composite

@@ -221,7 +221,7 @@ def test_covariance_half_computed_once_per_run(monkeypatch):
     are `filtering.nominal_covariances`' calls."""
     cfg = get_preset("fig7")
     cfg.steps, cfg.consensus.mode = 12, "matrix"
-    distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
+    distinct = len(simulate.covariance_schedule(cfg))
     calls = {}
     for module, name in ((filtering, "kalman_gain"), (filtering, "posterior_covariance"),
                          (simulate, "consensus_gain")):
@@ -290,7 +290,7 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
     consensus gain one stack of one row per distinct entry, and the monitor
     one ||C||_2."""
     cfg = ring_of_one_model()
-    distinct = len({id(entry) for entry in simulate.covariance_schedule(cfg)})
+    distinct = len(simulate.covariance_schedule(cfg))
     rows = {"kalman_gain": [], "consensus_gain": []}
     for module, name in ((filtering, "kalman_gain"), (simulate, "consensus_gain")):
         def spy(stack, *args, _real=getattr(module, name), _name=name, **kwargs):
@@ -307,13 +307,14 @@ def test_covariance_half_computed_once_per_sensor_model(monkeypatch):
 @pytest.mark.bits
 def test_monitor_norms_one_stacked_call_per_quantity(monkeypatch):
     """The monitor takes each spectral norm in one call over a stack, not
-    once per step or per repeated object: A_o and gamma_max over the run's
-    distinct schedule entries, one row per sensor model, ||L_masked||_2
-    over its distinct vectors of trust weights; then each model's ||C||_2
-    and ||A||_2, once each. The records hold each step's own values."""
+    once per step: A_o and gamma_max over the run's schedule entries, one
+    row per sensor model, ||L_masked||_2 over its distinct vectors of trust
+    weights; then each model's ||C||_2 and ||A||_2, once each. The records
+    hold each step's own values, step k's from schedule entry
+    min(k, len - 1)."""
     cfg = ring_of_one_model()
     schedule = simulate.covariance_schedule(cfg)
-    distinct = len({id(entry) for entry in schedule})
+    distinct = len(schedule)
     norms = spy_on_norms(monkeypatch)
     calls = spy_on_bound_records(monkeypatch)
     trace = run_scenario(cfg)
@@ -329,8 +330,9 @@ def test_monitor_norms_one_stacked_call_per_quantity(monkeypatch):
     want = [(max(float(np.linalg.norm(A @ M_i, 2)) for M_i in M),
              max(float(np.linalg.norm(g_i, 2)) for g_i in gamma),
              float(np.linalg.norm(resilience.trust_masked_laplacian(W_k), 2)), betas)
-            for (_, _, M, gamma, _, _), W_k, betas in zip(schedule, W,
-                                                          trace.node_cols["beta"].tolist())]
+            for (_, _, M, gamma, _, _), W_k, betas in zip(
+                (schedule[min(k, distinct - 1)] for k in range(cfg.steps)), W,
+                trace.node_cols["beta"].tolist(), strict=True)]
     assert records == want
 
 
@@ -521,3 +523,30 @@ def test_pinned_beliefs_reproduce_nominal_bytes(graph, seed):
             for key, change in (("pinned", {"beliefs_pinned": True}),
                                 ("nominal", {"filter_mode": "nominal"})))
         assert open(pinned, "rb").read() == open(nominal, "rb").read()
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(get_preset("fig7"), steps=260, beliefs_pinned=True),
+    dataclasses.replace(get_preset("fig6"), steps=260),
+], ids=["fig7-pinned", "fig6-monitored"])
+def test_full_law_with_unit_beliefs_writes_the_run_bytes(monkeypatch, tmp_path, cfg):
+    """Criterion 11 on a run: where the update law omits the beliefs, the
+    full law with unit arrays (beta = 1, w_ij = 1), m_i formed, writes the
+    same nodes.csv, edges.csv and metrics.json. fig7 with pinned beliefs is
+    resilient with twin rows and the monitor on; fig6 is monitored."""
+    assert cfg.filter_mode in ("resilient", "monitored") and cfg.attacks
+    unit_calls, real = [], simulate.measurement_update
+
+    def unit_beliefs(x_prior, K, gamma, y, C, beta, neighbor_preds, weights, own_pred, mask):
+        if beta is None and weights is None:
+            beta, weights = np.ones(len(x_prior)), np.ones(np.shape(neighbor_preds)[:-1])
+            unit_calls.append(len(x_prior))
+        return real(x_prior, K, gamma, y, C, beta, neighbor_preds, weights, own_pred, mask)
+
+    plain = simulate.write_run_dir(run_scenario(cfg), str(tmp_path / "plain"))
+    monkeypatch.setattr(simulate, "measurement_update", unit_beliefs)
+    unit = simulate.write_run_dir(run_scenario(cfg), str(tmp_path / "unit"))
+    assert len(unit_calls) == cfg.steps
+    for key in ("nodes", "edges", "metrics"):
+        assert open(plain[key], "rb").read() == open(unit[key], "rb").read(), key

@@ -562,7 +562,7 @@ def test_bounds_after_the_run_equal_a_step_by_step_monitor(steps, scale, N, n):
     """`error_bounds` over the run's per-step scalars gives the bytes of the
     recursion advanced at every step: with A_o < 1 and A_o >= 1, over 0 and
     1 steps, and with steps repeating the previous step's gains or Laplacian
-    as the engine's schedule tail and steady trust weights repeat them. The
+    as the schedule's last entry and steady trust weights repeat them. The
     scalars are taken as the engine takes them, each kind in one stacked
     norm over the distinct gains and Laplacians, Python's max over nodes;
     the oracle takes its norms one step at a time."""
@@ -631,7 +631,9 @@ def test_bound_and_realized_error_recomputed_from_the_trace(cfg):
                                cfg.trigger.alpha, B, cfg.resilient.tau, realized[0])
     beta = trace.column("beta")
     want = []
-    for k, (_, _, M, gamma, _, _) in enumerate(simulate.covariance_schedule(cfg)):
+    schedule = simulate.covariance_schedule(cfg)
+    for k in range(steps):
+        _, _, M, gamma, _, _ = schedule[min(k, len(schedule) - 1)]
         W = np.zeros((len(nodes), len(nodes)))
         for i, j in trace.edges:
             W[i - 1, j - 1] = edge_series(trace, "sigma", i, j)[k] * beta[k, j - 1]

@@ -1,5 +1,5 @@
-"""`covariance_schedule` against a per-step oracle: its steady-state entry,
-shared by every step past the covariance's fixed point, and its read-only
+"""`covariance_schedule` against a per-step oracle: its last entry, which
+serves every step past the covariance's fixed point, and its read-only
 arrays."""
 
 import dataclasses
@@ -21,7 +21,8 @@ from etdkf.simulate import covariance_schedule
 
 def per_step_schedule(cfg) -> list:
     """The Riccati recursion stepped for every step of the run, one fresh
-    entry each: what the schedule held before steps shared an entry."""
+    entry each: what the schedule gives step k as its entry
+    min(k, len - 1)."""
     A, n, N = cfg.process.A, cfg.process.n, cfg.graph.node_count
     synthetic = cfg.detector.reference == "synthetic"
     groups, C, R = channel_groups(cfg.sensors)
@@ -75,15 +76,16 @@ def outcome(schedule_of, cfg):
 
 
 def assert_equals_oracle(cfg):
-    """The schedule equals the oracle's entry by entry, or both raise alike;
-    returns the schedule, or the failure's text."""
+    """At every step the schedule's entry, min(k, len - 1), equals the
+    oracle's, or both raise alike; returns the schedule, or the failure's
+    text."""
     got, want = outcome(covariance_schedule, cfg), outcome(per_step_schedule, cfg)
     if isinstance(got, str) or isinstance(want, str):
         assert got == want
         return got
-    assert len(got) == len(want) == cfg.steps
-    for k, (a, b) in enumerate(zip(got, want)):
-        assert entry_bits(a) == entry_bits(b), k
+    assert len(want) == cfg.steps and 0 < len(got) <= cfg.steps
+    for k, b in enumerate(want):
+        assert entry_bits(got[min(k, len(got) - 1)]) == entry_bits(b), k
     return got
 
 
@@ -146,19 +148,22 @@ def schedule_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(schedule_configs())
 def test_schedule_equals_per_step_recursion(cfg):
-    """Entry by entry, bit for bit, the schedule equals the recursion stepped
-    to the end; past the first entry whose successor P_prior repeats its own,
-    every step holds that one entry; or both fail with the same text, a
-    singular innovation covariance naming the same node."""
+    """Step by step, bit for bit, the schedule equals the recursion stepped
+    to the end; it ends at the first entry whose successor P_prior repeats
+    its own, which serves every later step; or both fail with the same text,
+    a singular innovation covariance naming the same node."""
     schedule = assert_equals_oracle(cfg)
     if isinstance(schedule, str):
         event(schedule.split(" (")[0])
         return
-    ids = [id(entry) for entry in schedule]
-    distinct = len(set(ids))
-    assert len(set(ids[:distinct])) == distinct
-    assert ids[distinct:] == ids[distinct - 1:distinct] * (len(ids) - distinct)
-    event("shared steady-state entry" if distinct < len(ids) else "every step its own entry")
+    priors = [entry[0].tobytes() for entry in schedule]
+    assert all(a != b for a, b in zip(priors, priors[1:]))
+    if len(schedule) < cfg.steps:
+        P_prior, _, _, _, P_post, _ = schedule[-1]
+        successor = prior_covariance(P_post, cfg.process.A, cfg.process.Q)
+        assert successor.tobytes() == P_prior.tobytes()
+    event("shared steady-state entry" if len(schedule) < cfg.steps
+          else "every step its own entry")
 
 
 @pytest.mark.bits
@@ -174,8 +179,7 @@ def test_stacked_gain_equals_per_entry_calls(cfg, data):
     items = []
     try:
         for _, item in zip(range(cfg.steps), nominal_covariances(cfg.process, cfg.sensors)):
-            if not items or item is not items[-1]:
-                items.append(item)
+            items.append(item)
     except NumericalError:
         pass
     if not items:
@@ -213,19 +217,18 @@ def test_unobserved_growing_mode_runs_to_the_end():
                                P0=np.eye(2))
     cfg.sensors = [SensorModel(C=[[0.0, 1.0]], R=[[1.0]])] * cfg.graph.node_count
     schedule = assert_equals_oracle(cfg)
-    assert len({id(entry) for entry in schedule}) == cfg.steps
+    assert len(schedule) == cfg.steps
 
 
 def test_signed_zeros_are_not_a_fixed_point():
     """P_prior(1) equals P_prior(0) as numbers but not as bits (+0.0 where P0
-    holds -0.0), so step 1 gets an entry of its own."""
+    holds -0.0), so step 1 gets an entry of its own, which serves steps 1-3."""
     cfg = get_preset("fig3")
     cfg.steps = 4
     cfg.process = ProcessModel(A=np.zeros((2, 2)), Q=np.eye(2), x0_mean=np.zeros(2),
                                P0=[[1.0, -0.0], [-0.0, 1.0]])
     schedule = assert_equals_oracle(cfg)
-    assert np.array_equal(schedule[0][0], schedule[1][0]) and schedule[0] is not schedule[1]
-    assert schedule[1] is schedule[2] is schedule[3]
+    assert len(schedule) == 2 and np.array_equal(schedule[0][0], schedule[1][0])
 
 
 def collapsing_matrix_consensus(steps=300):
@@ -254,10 +257,10 @@ def test_collapsing_covariance_fails_the_gain_by_name():
 @pytest.mark.parametrize("name", list_presets())
 def test_presets_reach_the_fixed_point_within_20_steps(name):
     """Every preset's covariance settles bit for bit within 20 steps, so its
-    schedule holds at most 20 distinct entries however long the run; the
-    first 60 steps equal the per-step recursion."""
+    schedule holds at most 20 entries however long the run; the first 60
+    steps equal the per-step recursion."""
     cfg = get_preset(name)
-    assert len({id(entry) for entry in covariance_schedule(cfg)}) <= 20
+    assert len(covariance_schedule(cfg)) <= 20
     assert_equals_oracle(dataclasses.replace(cfg, steps=60))
 
 
